@@ -2,8 +2,8 @@
 
 Machine-readable JSON goes to stdout, human-readable summaries to
 stderr.  Exit codes: 0 all checks passed, 1 a verification failed,
-2 usage error, 3 infeasible parameters.  ``LAQCC_SEED`` sets the
-default seed.
+2 usage error, 3 infeasible parameters or malformed input.
+``LAQCC_SEED`` sets the default seed.
 """
 from __future__ import annotations
 
@@ -106,8 +106,12 @@ def _collect_branches(program, mode: str, seed: int):
             )
             return pr.sample_branches(program, 100, seed=seed), "sample"
     if mode.startswith("sample:"):
-        count = int(mode.split(":", 1)[1])
-        return pr.sample_branches(program, count, seed=seed), "sample"
+        count = mode.split(":", 1)[1]
+        if not count.isdecimal() or int(count) < 1:
+            raise Infeasible(
+                f"sample count must be an integer >= 1, got {count!r}"
+            )
+        return pr.sample_branches(program, int(count), seed=seed), "sample"
     raise Infeasible(f"unknown branch mode {mode!r}")
 
 
@@ -117,13 +121,8 @@ def cmd_prep(args) -> int:
     program, target, keep, params = _build_protocol(args)
     require_clean = params.pop("clean", True)
     branches, mode = _collect_branches(program, args.branches, seed)
-    fidelity = 1.0
-    clean = True
-    for branch in branches:
-        sub, rest = ss.split_register(branch.state, keep)
-        if require_clean:
-            clean &= rest == 0
-        fidelity = min(fidelity, ss.fidelity(sub, target))
+    fidelity, clean = verify.check_branches(branches, keep, target)
+    clean = clean or not require_clean
     profile = pr.resources(program)
     support = pt.max_support(program, pr.SeededPolicy(seed))
     report = {
@@ -155,9 +154,9 @@ def cmd_prep(args) -> int:
 
 
 def cmd_flatten(args) -> int:
-    with open(args.input) as fh:
-        doc = json.load(fh)
     try:
+        with open(args.input) as fh:
+            doc = json.load(fh)
         circuit = cl.CliffordCircuit.from_json(doc)
         if circuit.shape != args.shape:
             raise Infeasible(
@@ -184,10 +183,10 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    with open(args.input) as fh:
-        program = pr.program_from_json(json.load(fh))
     seed = args.seed if args.seed is not None else _default_seed()
     try:
+        with open(args.input) as fh:
+            program = pr.program_from_json(json.load(fh))
         if args.kind == "defer":
             out = pr.defer_measurements(program)
             _emit(pr.program_to_json(out))

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -332,54 +332,6 @@ def _resolve(app: GateApp, env: Dict[str, Dict[str, int]]) -> Optional[Gate]:
     return gate
 
 
-def execute(
-    program: LaqccProgram,
-    policy: SeededPolicy | ForcedPolicy,
-    observer: Optional[Callable[[SparseState], None]] = None,
-) -> Tuple[SparseState, MeasurementRecord]:
-    """Run one shot; ``observer`` (if given) sees the state after every
-    layer, e.g. to track the largest basis-state support reached."""
-    program.validate()
-    rng = (
-        np.random.default_rng(policy.seed)
-        if isinstance(policy, SeededPolicy)
-        else None
-    )
-    forced = list(policy.outcomes) if isinstance(policy, ForcedPolicy) else None
-    state = SparseState.basis(program.num_qubits)
-    outcomes: Dict[str, int] = {}
-    env: Dict[str, Dict[str, int]] = {}
-    record: List[MeasurementEvent] = []
-    measure_count = 0
-    for layer in program.layers:
-        if isinstance(layer, QuantumLayer):
-            for app in layer.apps:
-                gate = _resolve(app, env)
-                if gate is not None:
-                    state = gate.apply(state, app.qubits)
-        elif isinstance(layer, MeasureLayer):
-            if forced is not None:
-                if measure_count >= len(forced):
-                    raise ValueError("forcing sequence too short")
-                outcome, p, state = ss.measure(
-                    state, layer.qubits, forced=forced[measure_count]
-                )
-            else:
-                outcome, p, state = ss.measure(state, layer.qubits, rng=rng)
-            measure_count += 1
-            outcomes[layer.label] = outcome
-            record.append(
-                MeasurementEvent(layer.label, layer.qubits, outcome, p)
-            )
-        else:
-            env[layer.name] = layer.fn(
-                {label: outcomes[label] for label in layer.reads}
-            )
-        if observer is not None:
-            observer(state)
-    return state, tuple(record)
-
-
 @dataclass(frozen=True)
 class Branch:
     record: MeasurementRecord
@@ -387,61 +339,97 @@ class Branch:
     state: SparseState
 
 
-def enumerate_branches(
-    program: LaqccProgram, max_branches: int = 1 << 14
-) -> List[Branch]:
-    """Depth-first enumeration of every feasible measurement outcome."""
+def _walk(
+    program: LaqccProgram,
+    choose: Callable[..., List[Tuple[int, float, SparseState]]],
+    observer: Optional[Callable[[SparseState], None]] = None,
+) -> Iterator[Tuple[SparseState, MeasurementRecord]]:
+    """Depth-first walk of the layers, yielding ``(state, record)`` for
+    each branch followed.  At the i-th measurement of a branch,
+    ``choose(i, state, qubits)`` lists the ``(outcome, probability,
+    post-state)`` triples to follow."""
     program.validate()
-    results: List[Branch] = []
+    layers = program.layers
 
-    def walk(state, layer_idx, env, outcomes, record, prob):
-        if len(results) > max_branches:
-            raise RuntimeError("branch count exceeds enumeration cap")
-        for idx in range(layer_idx, len(program.layers)):
-            layer = program.layers[idx]
+    def walk(start, state, env, record):
+        for idx in range(start, len(layers)):
+            layer = layers[idx]
             if isinstance(layer, QuantumLayer):
                 for app in layer.apps:
                     gate = _resolve(app, env)
                     if gate is not None:
                         state = gate.apply(state, app.qubits)
             elif isinstance(layer, MeasureLayer):
-                for outcome, p, post in ss.branch_enumerate(
-                    state, layer.qubits
-                ):
-                    walk(
-                        post,
-                        idx + 1,
-                        dict(env),
-                        {**outcomes, layer.label: outcome},
-                        record
-                        + (
-                            MeasurementEvent(
-                                layer.label, layer.qubits, outcome, p
-                            ),
-                        ),
-                        prob * p,
-                    )
+                qubits = layer.qubits
+                for outcome, p, post in choose(len(record), state, qubits):
+                    if observer is not None:
+                        observer(post)
+                    event = MeasurementEvent(layer.label, qubits, outcome, p)
+                    yield from walk(idx + 1, post, env, record + (event,))
                 return
             else:
-                env = dict(env)
-                env[layer.name] = layer.fn(
-                    {label: outcomes[label] for label in layer.reads}
-                )
-        results.append(Branch(record, prob, state))
+                outcomes = {ev.label: ev.outcome for ev in record}
+                reads = {label: outcomes[label] for label in layer.reads}
+                env = {**env, layer.name: layer.fn(reads)}
+            if observer is not None:
+                observer(state)
+        yield state, record
 
-    walk(SparseState.basis(program.num_qubits), 0, {}, {}, (), 1.0)
-    return results
+    return walk(0, SparseState.basis(program.num_qubits), {}, ())
+
+
+def _branch(state: SparseState, record: MeasurementRecord) -> Branch:
+    prob = math.prod((ev.probability for ev in record), start=1.0)
+    return Branch(record, prob, state)
+
+
+def execute(
+    program: LaqccProgram,
+    policy: SeededPolicy | ForcedPolicy,
+    observer: Optional[Callable[[SparseState], None]] = None,
+) -> Tuple[SparseState, MeasurementRecord]:
+    """Run one shot.  ``observer`` (if given) is called exactly once per
+    layer, in program order, right after that layer, with the state it
+    left (post-measurement for a measurement layer), e.g. to track the
+    largest basis-state support reached."""
+    seeded = isinstance(policy, SeededPolicy)
+    rng = np.random.default_rng(policy.seed) if seeded else None
+
+    def choose(i, state, qubits):
+        if seeded:
+            return [ss.measure(state, qubits, rng=rng)]
+        if i >= len(policy.outcomes):
+            raise ValueError("forcing sequence too short")
+        return [ss.measure(state, qubits, forced=policy.outcomes[i])]
+
+    (shot,) = _walk(program, choose, observer)
+    return shot
+
+
+def enumerate_branches(
+    program: LaqccProgram, max_branches: int = 1 << 14
+) -> List[Branch]:
+    """Depth-first enumeration of every feasible measurement outcome.
+
+    A program with at most ``max_branches`` branches returns them all;
+    ``RuntimeError`` is raised as soon as branch ``max_branches + 1`` is
+    reached.
+    """
+    branches: List[Branch] = []
+    for shot in _walk(program, lambda i, s, q: ss.branch_enumerate(s, q)):
+        if len(branches) == max_branches:
+            raise RuntimeError("branch count exceeds enumeration cap")
+        branches.append(_branch(*shot))
+    return branches
 
 
 def sample_branches(
     program: LaqccProgram, num_samples: int, seed: int = 0
 ) -> List[Branch]:
-    branches = []
-    for i in range(num_samples):
-        state, record = execute(program, SeededPolicy(seed + i))
-        prob = math.prod(ev.probability for ev in record) if record else 1.0
-        branches.append(Branch(record, prob, state))
-    return branches
+    return [
+        _branch(*execute(program, SeededPolicy(seed + i)))
+        for i in range(num_samples)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -729,6 +717,13 @@ def register_classical(name: str):
     return deco
 
 
+def _gate_from_spec(spec: dict) -> Gate:
+    name = spec["name"]
+    if name not in GATE_REGISTRY:
+        raise ValueError(f"unknown gate {name!r}")
+    return GATE_REGISTRY[name](**spec.get("params", {}))
+
+
 def _gate_spec(gate: Gate) -> dict:
     """Serializable spec; dense matrices and small predicate tables are
     synthesized for gates without a registered macro spec."""
@@ -821,7 +816,7 @@ def _matrix_gate_factory(label: str, matrix) -> "MatrixGate":
 def _predicated_gate_factory(
     label: str, control_bits: int, table, gate
 ) -> "PredicatedGate":
-    inner = GATE_REGISTRY[gate["name"]](**gate.get("params", {}))
+    inner = _gate_from_spec(gate)
     lookup = tuple(table)
     return PredicatedGate(
         label, control_bits, lambda p: lookup[p], inner
@@ -878,9 +873,7 @@ def program_from_json(doc: dict) -> LaqccProgram:
         if kind == "quantum":
             apps = []
             for g in entry["gates"]:
-                spec = g["gate"]
-                factory = GATE_REGISTRY[spec["name"]]
-                gate = factory(**spec.get("params", {}))
+                gate = _gate_from_spec(g["gate"])
                 condition = tuple(g["condition"]) if "condition" in g else None
                 apps.append(GateApp(gate, tuple(g["qubits"]), condition))
             layers.append(QuantumLayer(tuple(apps)))
@@ -889,8 +882,10 @@ def program_from_json(doc: dict) -> LaqccProgram:
                 MeasureLayer(tuple(entry["qubits"]), entry["label"])
             )
         elif kind == "classical":
-            factory = CLASSICAL_REGISTRY[entry["function_name"]]
-            layers.append(factory(**entry.get("params", {})))
+            name = entry["function_name"]
+            if name not in CLASSICAL_REGISTRY:
+                raise ValueError(f"unknown classical function {name!r}")
+            layers.append(CLASSICAL_REGISTRY[name](**entry.get("params", {})))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
     program = LaqccProgram(doc["qubits"], registers, layers)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import amplifier, charges, clifford as cl
+from . import amplifier, charges
 from . import macros as mc
 from . import numbersys as ns
 from . import program as pr
@@ -719,6 +719,3 @@ def max_support(
 
     pr.execute(program, policy or pr.SeededPolicy(0), observer=observe)
     return peak
-
-
-GHZ = cl.ghz

@@ -6,7 +6,6 @@ operations return fresh states; nothing mutates in place.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
@@ -37,9 +36,6 @@ class SparseState:
 
     def support(self) -> int:
         return len(self.amplitudes)
-
-    def bit(self, index: int, qubit: int) -> int:
-        return (index >> qubit) & 1
 
 
 def _pruned(amps: Dict[int, complex]) -> Dict[int, complex]:
@@ -145,6 +141,35 @@ def apply_phase_map(
     return SparseState(state.num_qubits, out)
 
 
+def _buckets(
+    state: SparseState, qubits: Sequence[int]
+) -> Dict[int, list]:
+    """One scan of ``state``: each outcome of measuring ``qubits`` maps
+    to ``[weight, amplitudes]``, both accumulated in iteration order."""
+    buckets: Dict[int, list] = {}
+    for index, amp in state.amplitudes.items():
+        o = 0
+        for q in qubits:
+            o = (o << 1) | ((index >> q) & 1)
+        bucket = buckets.get(o)
+        if bucket is None:
+            bucket = buckets[o] = [0.0, {}]
+        bucket[0] += abs(amp) ** 2
+        bucket[1][index] = amp
+    return buckets
+
+
+def _collapse(
+    num_qubits: int, probability: float, amps: Dict[int, complex]
+) -> SparseState:
+    scale = 1.0 / math.sqrt(probability)
+    result = SparseState(
+        num_qubits, _pruned({i: a * scale for i, a in amps.items()})
+    )
+    result.check_norm()
+    return result
+
+
 def measure(
     state: SparseState,
     qubits: Sequence[int],
@@ -160,35 +185,20 @@ def measure(
     _check_targets(state, qubits)
     if (rng is None) == (forced is None):
         raise ValueError("provide exactly one of rng and forced")
-    weights: Dict[int, float] = {}
-    for index, amp in state.amplitudes.items():
-        o = 0
-        for q in qubits:
-            o = (o << 1) | ((index >> q) & 1)
-        weights[o] = weights.get(o, 0.0) + abs(amp) ** 2
+    buckets = _buckets(state, qubits)
     if forced is not None:
         outcome = forced
-        probability = weights.get(outcome, 0.0)
+        probability, amps = buckets.get(outcome, (0.0, {}))
         if probability <= PRUNE_THRESHOLD:
             raise InfeasibleBranchError(
                 f"outcome {outcome:b} on qubits {list(qubits)} has zero probability"
             )
     else:
-        outcomes = sorted(weights)
-        probs = np.array([weights[o] for o in outcomes])
+        outcomes = sorted(buckets)
+        probs = np.array([buckets[o][0] for o in outcomes])
         outcome = outcomes[rng.choice(len(outcomes), p=probs / probs.sum())]
-        probability = weights[outcome]
-    scale = 1.0 / math.sqrt(probability)
-    post: Dict[int, complex] = {}
-    for index, amp in state.amplitudes.items():
-        o = 0
-        for q in qubits:
-            o = (o << 1) | ((index >> q) & 1)
-        if o == outcome:
-            post[index] = amp * scale
-    result = SparseState(state.num_qubits, _pruned(post))
-    result.check_norm()
-    return outcome, probability, result
+        probability, amps = buckets[outcome]
+    return outcome, probability, _collapse(state.num_qubits, probability, amps)
 
 
 class InfeasibleBranchError(ValueError):
@@ -200,19 +210,12 @@ def branch_enumerate(
 ) -> List[Tuple[int, float, SparseState]]:
     """All nonzero-probability outcomes of measuring ``qubits``."""
     _check_targets(state, qubits)
-    weights: Dict[int, float] = {}
-    for index, amp in state.amplitudes.items():
-        o = 0
-        for q in qubits:
-            o = (o << 1) | ((index >> q) & 1)
-        weights[o] = weights.get(o, 0.0) + abs(amp) ** 2
-    branches = []
-    for outcome in sorted(weights):
-        if weights[outcome] <= PRUNE_THRESHOLD:
-            continue
-        _, p, post = measure(state, qubits, forced=outcome)
-        branches.append((outcome, p, post))
-    return branches
+    buckets = _buckets(state, qubits)
+    return [
+        (o, p, _collapse(state.num_qubits, p, amps))
+        for o, (p, amps) in sorted(buckets.items())
+        if p > PRUNE_THRESHOLD
+    ]
 
 
 def fidelity(state: SparseState, target: SparseState) -> float:
@@ -274,14 +277,3 @@ def split_register(
             k = (k << 1) | ((index >> q) & 1)
         sub[k] = amp
     return SparseState(len(keep), sub), rest_pattern or 0
-
-
-def global_phase_aligned(state: SparseState) -> SparseState:
-    """Rotate so the largest-magnitude amplitude is real positive."""
-    if not state.amplitudes:
-        return state
-    pivot = max(state.amplitudes.values(), key=abs)
-    phase = cmath.exp(-1j * cmath.phase(pivot))
-    return SparseState(
-        state.num_qubits, {i: a * phase for i, a in state.amplitudes.items()}
-    )

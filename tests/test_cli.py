@@ -205,3 +205,56 @@ def test_verify_small_sweep(capsys):
     assert code == 0
     assert doc["passed"] is True
     assert len(doc["results"]) == 10
+
+
+def assert_one_line_exit_3(code, out, err):
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["x", "0", "-3", ""])
+def test_prep_bad_sample_count_exit_3(capsys, count):
+    code, out, err = run(
+        capsys, ["prep", "ghz", "--n", "3", "--branches", f"sample:{count}"]
+    )
+    assert_one_line_exit_3(code, out, err)
+    assert "sample count" in err
+
+
+def test_prep_exhaustive_downgrades_past_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BRANCH_CAP", 4)
+    _, doc, _ = report(capsys, ["prep", "ghz", "--n", "3"])
+    assert (doc["branch_mode"], doc["branches_checked"]) == ("exhaustive", 4)
+    monkeypatch.setattr(cli, "BRANCH_CAP", 3)
+    _, doc, err = report(capsys, ["prep", "ghz", "--n", "3"])
+    assert (doc["branch_mode"], doc["branches_checked"]) == ("sample", 100)
+    assert "downgrading" in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "quantum", "gates": [{"gate": {"name": "nope"},
+                                        "qubits": [0]}]},
+         "unknown gate 'nope'"),
+        ({"kind": "classical", "function_name": "nope"},
+         "unknown classical function 'nope'"),
+    ],
+)
+def test_transform_unknown_name_exit_3(capsys, tmp_path, entry, message):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"qubits": 1, "layers": [entry]}))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["transform", "defer"], ["flatten", "ladder"]]
+)
+def test_malformed_json_exit_3(capsys, tmp_path, argv):
+    path = tmp_path / "broken.json"
+    path.write_text('{"qubits": 1,')
+    code, out, err = run(capsys, argv + ["--input", str(path)])
+    assert_one_line_exit_3(code, out, err)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from laqcc import clifford as cl
 from laqcc import program as pr
+from laqcc import protocols as pt
 from laqcc import sparse_state as ss
 
 H = pr.MatrixGate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
@@ -52,6 +54,44 @@ def test_enumerate_branches_covers_all():
     assert sum(b.probability for b in branches) == pytest.approx(1.0)
     finals = {next(iter(b.state.amplitudes)) for b in branches}
     assert finals == {0b00, 0b11}
+
+
+def test_enumeration_cap_is_exact():
+    with pytest.raises(RuntimeError):
+        pr.enumerate_branches(cl.ghz(3), max_branches=3)
+    assert len(pr.enumerate_branches(cl.ghz(3), max_branches=4)) == 4
+
+
+def test_observer_fires_once_per_layer_in_order():
+    program = feedforward_program()
+    seen = []
+    state, _ = pr.execute(program, pr.ForcedPolicy((1,)), observer=seen.append)
+    assert len(seen) == len(program.layers)
+    assert [set(s.amplitudes) for s in seen] == [
+        {0b00, 0b01}, {0b01}, {0b01}, {0b11}
+    ]
+    assert seen[-1] is state
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cl.ghz(4),
+        lambda: pt.w_state(4)[0],
+        lambda: pt.dicke_small_k(4, 2)[0],
+        lambda: pt.uniform_superposition(5)[0],
+        lambda: pt.dicke_factoradic(4, 2)[0],
+    ],
+)
+def test_forced_replay_reproduces_every_branch(build):
+    program = build()
+    for branch in pr.enumerate_branches(program):
+        outcomes = tuple(ev.outcome for ev in branch.record)
+        state, record = pr.execute(program, pr.ForcedPolicy(outcomes))
+        assert record == branch.record
+        assert list(state.amplitudes.items()) == list(
+            branch.state.amplitudes.items()
+        )
 
 
 def test_quantum_layer_rejects_overlap():

@@ -152,3 +152,65 @@ def test_branch_recombination_matches_marginal():
             recombined[i] = recombined.get(i, 0.0) + p * abs(a) ** 2
     for i, a in s.amplitudes.items():
         assert recombined[i] == pytest.approx(abs(a) ** 2)
+
+
+def reference_branches(state, qubits):
+    """Per-outcome projection with one scan of the state per outcome:
+    the reference that the single-scan measurement must reproduce."""
+
+    def outcome_of(index):
+        o = 0
+        for q in qubits:
+            o = (o << 1) | ((index >> q) & 1)
+        return o
+
+    branches = []
+    for outcome in sorted({outcome_of(i) for i in state.amplitudes}):
+        p = 0.0
+        for i, a in state.amplitudes.items():
+            if outcome_of(i) == outcome:
+                p += abs(a) ** 2
+        if p <= ss.PRUNE_THRESHOLD:
+            continue
+        scale = 1.0 / math.sqrt(p)
+        post = [
+            (i, a * scale)
+            for i, a in state.amplitudes.items()
+            if outcome_of(i) == outcome
+            and abs(a * scale) >= ss.PRUNE_THRESHOLD
+        ]
+        branches.append((outcome, p, post))
+    return branches
+
+
+def random_sparse_state(rng, n):
+    size = int(rng.integers(1, 1 << n))
+    support = rng.choice(1 << n, size=size, replace=False)
+    amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    amps[0] = 1e-7  # an outcome may carry weight below the prune threshold
+    amps /= np.linalg.norm(amps)
+    return ss.from_amplitudes(n, zip(support.tolist(), amps.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_single_scan_measurement_matches_per_outcome_projection(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    state = random_sparse_state(rng, n)
+    qubits = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+    expected = reference_branches(state, qubits)
+    got = [
+        (o, p, list(post.amplitudes.items()))
+        for o, p, post in ss.branch_enumerate(state, qubits)
+    ]
+    assert got == expected
+    for outcome, p, post in expected:
+        o, q, forced = ss.measure(state, qubits, forced=outcome)
+        assert (o, q, list(forced.amplitudes.items())) == (outcome, p, post)
+    o, q, seeded = ss.measure(state, qubits, rng=rng)
+    assert (o, q, list(seeded.amplitudes.items())) in expected
+    feasible = {o for o, _, _ in expected}
+    for outcome in range(1 << len(qubits)):
+        if outcome not in feasible:
+            with pytest.raises(ss.InfeasibleBranchError):
+                ss.measure(state, qubits, forced=outcome)
