@@ -124,7 +124,7 @@ def cmd_prep(args) -> int:
     fidelity, clean = verify.check_branches(branches, keep, target)
     clean = clean or not require_clean
     profile = pr.resources(program)
-    support = pt.max_support(program, pr.SeededPolicy(seed))
+    support = max(branch.peak_support for branch in branches)
     report = {
         "protocol": args.protocol,
         "parameters": params,

@@ -207,13 +207,14 @@ class CliffordCircuit:
 
     @staticmethod
     def from_json(doc: dict) -> "CliffordCircuit":
+        field = pr.json_field
         return CliffordCircuit(
-            doc["shape"],
-            doc["n"],
+            field(doc, "shape"),
+            field(doc, "n"),
             doc.get("depth", 1),
             tuple(
-                CliffordGate(g["name"], tuple(g["qubits"]))
-                for g in doc["gates"]
+                CliffordGate(field(g, "name"), tuple(field(g, "qubits")))
+                for g in field(doc, "gates")
             ),
         )
 

@@ -337,21 +337,22 @@ class Branch:
     record: MeasurementRecord
     probability: float
     state: SparseState
+    peak_support: int  # largest support left by any layer on the way
 
 
 def _walk(
     program: LaqccProgram,
     choose: Callable[..., List[Tuple[int, float, SparseState]]],
     observer: Optional[Callable[[SparseState], None]] = None,
-) -> Iterator[Tuple[SparseState, MeasurementRecord]]:
-    """Depth-first walk of the layers, yielding ``(state, record)`` for
-    each branch followed.  At the i-th measurement of a branch,
-    ``choose(i, state, qubits)`` lists the ``(outcome, probability,
-    post-state)`` triples to follow."""
+) -> Iterator[Tuple[SparseState, MeasurementRecord, int]]:
+    """Depth-first walk of the layers, yielding ``(state, record,
+    peak_support)`` for each branch followed.  At the i-th measurement
+    of a branch, ``choose(i, state, qubits)`` lists the ``(outcome,
+    probability, post-state)`` triples to follow."""
     program.validate()
     layers = program.layers
 
-    def walk(start, state, env, record):
+    def walk(start, state, env, record, peak):
         for idx in range(start, len(layers)):
             layer = layers[idx]
             if isinstance(layer, QuantumLayer):
@@ -365,7 +366,11 @@ def _walk(
                     if observer is not None:
                         observer(post)
                     event = MeasurementEvent(layer.label, qubits, outcome, p)
-                    yield from walk(idx + 1, post, env, record + (event,))
+                    # the pre-measurement state is already in ``peak``,
+                    # and a measurement never grows the support
+                    yield from walk(
+                        idx + 1, post, env, record + (event,), peak
+                    )
                 return
             else:
                 outcomes = {ev.label: ev.outcome for ev in record}
@@ -373,14 +378,17 @@ def _walk(
                 env = {**env, layer.name: layer.fn(reads)}
             if observer is not None:
                 observer(state)
-        yield state, record
+            peak = max(peak, state.support())
+        yield state, record, peak
 
-    return walk(0, SparseState.basis(program.num_qubits), {}, ())
+    return walk(0, SparseState.basis(program.num_qubits), {}, (), 1)
 
 
-def _branch(state: SparseState, record: MeasurementRecord) -> Branch:
+def _branch(
+    state: SparseState, record: MeasurementRecord, peak_support: int
+) -> Branch:
     prob = math.prod((ev.probability for ev in record), start=1.0)
-    return Branch(record, prob, state)
+    return Branch(record, prob, state, peak_support)
 
 
 def execute(
@@ -402,8 +410,8 @@ def execute(
             raise ValueError("forcing sequence too short")
         return [ss.measure(state, qubits, forced=policy.outcomes[i])]
 
-    (shot,) = _walk(program, choose, observer)
-    return shot
+    ((state, record, _),) = _walk(program, choose, observer)
+    return state, record
 
 
 def enumerate_branches(
@@ -426,10 +434,16 @@ def enumerate_branches(
 def sample_branches(
     program: LaqccProgram, num_samples: int, seed: int = 0
 ) -> List[Branch]:
-    return [
-        _branch(*execute(program, SeededPolicy(seed + i)))
-        for i in range(num_samples)
-    ]
+    """One seeded shot per sample, seeds ``seed``, ``seed + 1``, ..."""
+    branches = []
+    for i in range(num_samples):
+        supports = [1]  # the initial basis state, then one per layer
+        shot = execute(
+            program, SeededPolicy(seed + i),
+            lambda state: supports.append(state.support()),
+        )
+        branches.append(_branch(*shot, max(supports)))
+    return branches
 
 
 # --------------------------------------------------------------------------
@@ -718,7 +732,7 @@ def register_classical(name: str):
 
 
 def _gate_from_spec(spec: dict) -> Gate:
-    name = spec["name"]
+    name = json_field(spec, "name")
     if name not in GATE_REGISTRY:
         raise ValueError(f"unknown gate {name!r}")
     return GATE_REGISTRY[name](**spec.get("params", {}))
@@ -862,33 +876,52 @@ def program_to_json(program: LaqccProgram) -> dict:
     }
 
 
+def json_field(doc: dict, key: str):
+    """``doc[key]``, raising ``ValueError`` when ``doc`` is not a JSON
+    object or has no ``key``."""
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(doc).__name__}"
+        )
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
 def program_from_json(doc: dict) -> LaqccProgram:
+    layer_docs = json_field(doc, "layers")
     registers = {
-        name: Register(tuple(entry["qubits"]), entry["role"])
+        name: Register(
+            tuple(json_field(entry, "qubits")), json_field(entry, "role")
+        )
         for name, entry in doc.get("registers", {}).items()
     }
     layers: List[Layer] = []
-    for entry in doc["layers"]:
-        kind = entry["kind"]
+    for entry in layer_docs:
+        kind = json_field(entry, "kind")
         if kind == "quantum":
             apps = []
-            for g in entry["gates"]:
-                gate = _gate_from_spec(g["gate"])
+            for g in json_field(entry, "gates"):
+                gate = _gate_from_spec(json_field(g, "gate"))
                 condition = tuple(g["condition"]) if "condition" in g else None
-                apps.append(GateApp(gate, tuple(g["qubits"]), condition))
+                qubits = tuple(json_field(g, "qubits"))
+                apps.append(GateApp(gate, qubits, condition))
             layers.append(QuantumLayer(tuple(apps)))
         elif kind == "measure":
             layers.append(
-                MeasureLayer(tuple(entry["qubits"]), entry["label"])
+                MeasureLayer(
+                    tuple(json_field(entry, "qubits")),
+                    json_field(entry, "label"),
+                )
             )
         elif kind == "classical":
-            name = entry["function_name"]
+            name = json_field(entry, "function_name")
             if name not in CLASSICAL_REGISTRY:
                 raise ValueError(f"unknown classical function {name!r}")
             layers.append(CLASSICAL_REGISTRY[name](**entry.get("params", {})))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
-    program = LaqccProgram(doc["qubits"], registers, layers)
+    program = LaqccProgram(json_field(doc, "qubits"), registers, layers)
     program.validate()
     return program
 

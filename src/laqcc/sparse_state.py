@@ -1,7 +1,9 @@
 """Sparse complex state vector over computational basis states.
 
 Amplitudes live in a dict keyed by basis index; qubit ``q`` owns bit
-``(index >> q) & 1`` (qubit 0 is the least significant bit).  All
+``(index >> q) & 1`` (qubit 0 is the least significant bit).  The gate
+kernels are numpy array operations over that dict's keys and values;
+indices are ``int64`` up to 62 qubits and Python ints beyond.  All
 operations return fresh states; nothing mutates in place.
 """
 from __future__ import annotations
@@ -44,8 +46,8 @@ def _pruned(amps: Dict[int, complex]) -> Dict[int, complex]:
 
 def _check_unitary(matrix: np.ndarray) -> None:
     d = matrix.shape[0]
-    if matrix.shape != (d, d) or not np.allclose(
-        matrix.conj().T @ matrix, np.eye(d), atol=1e-12
+    if matrix.shape != (d, d) or not (
+        np.abs(matrix.conj().T @ matrix - np.eye(d)).max() <= 1e-12
     ):
         raise ValueError("gate matrix is not unitary within 1e-12")
 
@@ -56,6 +58,56 @@ def _check_targets(state: SparseState, targets: Sequence[int]) -> None:
     for t in targets:
         if not 0 <= t < state.num_qubits:
             raise IndexError(f"target {t} out of range")
+
+
+def _dtype(bits: int):
+    """Integer dtype for values of ``bits`` bits: ``int64`` while they
+    fit, Python ints (``object``) beyond."""
+    return np.int64 if bits <= 62 else object
+
+
+def _arrays(state: SparseState) -> Tuple[np.ndarray, np.ndarray]:
+    amps = state.amplitudes
+    n = len(amps)
+    idx = np.fromiter(amps.keys(), _dtype(state.num_qubits), n)
+    return idx, np.fromiter(amps.values(), complex, n)
+
+
+def _from_arrays(
+    num_qubits: int, idx: np.ndarray, amp: np.ndarray
+) -> SparseState:
+    return SparseState(num_qubits, dict(zip(idx.tolist(), amp.tolist())))
+
+
+def _move_bits(
+    values: np.ndarray, src: Sequence[int], dst: Sequence[int], dtype
+) -> np.ndarray:
+    """Bit ``src[i]`` of each value placed at bit ``dst[i]``; every other
+    bit of the result is 0."""
+    out = np.zeros(len(values), dtype)
+    for s, d in zip(src, dst):
+        out |= ((values >> s) & 1).astype(dtype, copy=False) << d
+    return out
+
+
+def _gather(idx: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Target-bit pattern of each index, targets[0] most significant."""
+    k = len(targets)
+    return _move_bits(idx, targets, range(k - 1, -1, -1), _dtype(k))
+
+
+def _scatter(
+    patterns: np.ndarray, targets: Sequence[int], dtype
+) -> np.ndarray:
+    """Inverse of :func:`_gather`: each pattern's bits set on the target
+    qubits, every other bit 0."""
+    k = len(targets)
+    return _move_bits(patterns, range(k - 1, -1, -1), targets, dtype)
+
+
+def _rest(idx: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Each index with its target bits cleared."""
+    return idx & ~sum(1 << t for t in targets)
 
 
 def apply_unitary(
@@ -69,26 +121,20 @@ def apply_unitary(
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError("matrix size does not match target count")
     _check_unitary(matrix)
-    out: Dict[int, complex] = {}
-    for index, amp in state.amplitudes.items():
-        col = 0
-        for t in targets:
-            col = (col << 1) | ((index >> t) & 1)
-        base = index
-        for t in targets:
-            base &= ~(1 << t)
-        for row in range(1 << k):
-            m = matrix[row, col]
-            if m == 0:
-                continue
-            new_index = base
-            for pos, t in enumerate(targets):
-                if (row >> (k - 1 - pos)) & 1:
-                    new_index |= 1 << t
-            out[new_index] = out.get(new_index, 0.0) + m * amp
-    result = SparseState(state.num_qubits, _pruned(out))
-    result.check_norm()
-    return result
+    idx, amp = _arrays(state)
+    # one row per distinct rest pattern, one column per target pattern
+    rest, row = np.unique(_rest(idx, targets), return_inverse=True)
+    block = np.zeros((len(rest), 1 << k), complex)
+    block[row, _gather(idx, targets)] = amp
+    out = (block @ matrix.T).ravel()
+    new_idx = (
+        rest[:, None] | _scatter(np.arange(1 << k), targets, idx.dtype)
+    ).ravel()
+    keep = np.abs(out) >= PRUNE_THRESHOLD
+    out = out[keep]
+    if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
+        raise ValueError("state norm drifted beyond tolerance")
+    return _from_arrays(state.num_qubits, new_idx[keep], out)
 
 
 def apply_basis_map(
@@ -99,26 +145,24 @@ def apply_basis_map(
     """Relabel basis states by a bijection on the target bits.
 
     ``mapping`` acts on the integer formed by reading targets[0] as the
-    most significant bit.  Support size never grows.
+    most significant bit, and is called once per distinct pattern in the
+    support.  Support size never grows.
     """
     _check_targets(state, targets)
     k = len(targets)
-    out: Dict[int, complex] = {}
-    for index, amp in state.amplitudes.items():
-        col = 0
-        for t in targets:
-            col = (col << 1) | ((index >> t) & 1)
-        image = mapping(col)
-        if not 0 <= image < (1 << k):
-            raise ValueError("basis map image out of range")
-        new_index = index
-        for pos, t in enumerate(targets):
-            bit = (image >> (k - 1 - pos)) & 1
-            new_index = (new_index & ~(1 << t)) | (bit << t)
-        if new_index in out:
-            raise ValueError("basis map is not injective on the support")
-        out[new_index] = amp
-    return SparseState(state.num_qubits, out)
+    idx, amp = _arrays(state)
+    patterns, where = np.unique(_gather(idx, targets), return_inverse=True)
+    images = [mapping(p) for p in patterns.tolist()]
+    if not all(0 <= v < (1 << k) for v in images):
+        raise ValueError("basis map image out of range")
+    moved = _scatter(np.array(images, _dtype(k)), targets, idx.dtype)
+    new_idx = _rest(idx, targets) | moved[where]
+    # distinct images cannot collide; otherwise test the support itself
+    if len(set(images)) < len(images) and len(np.unique(new_idx)) < len(
+        new_idx
+    ):
+        raise ValueError("basis map is not injective on the support")
+    return _from_arrays(state.num_qubits, new_idx, amp)
 
 
 def apply_phase_map(
@@ -127,18 +171,14 @@ def apply_phase_map(
     targets: Sequence[int],
 ) -> SparseState:
     """Multiply each basis amplitude by a unit-modulus phase of its
-    target-bit pattern."""
+    target-bit pattern; ``phase`` is called once per distinct pattern."""
     _check_targets(state, targets)
-    out: Dict[int, complex] = {}
-    for index, amp in state.amplitudes.items():
-        col = 0
-        for t in targets:
-            col = (col << 1) | ((index >> t) & 1)
-        p = complex(phase(col))
-        if abs(abs(p) - 1.0) > 1e-9:
-            raise ValueError("phase factor must have unit modulus")
-        out[index] = amp * p
-    return SparseState(state.num_qubits, out)
+    idx, amp = _arrays(state)
+    patterns, where = np.unique(_gather(idx, targets), return_inverse=True)
+    phases = np.array([complex(phase(p)) for p in patterns.tolist()], complex)
+    if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-9):
+        raise ValueError("phase factor must have unit modulus")
+    return _from_arrays(state.num_qubits, idx, amp * phases[where])
 
 
 def _buckets(
@@ -241,7 +281,12 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
 def from_amplitudes(
     num_qubits: int, entries: Iterable[Tuple[int, complex]]
 ) -> SparseState:
-    amps = {i: complex(a) for i, a in entries if abs(a) >= PRUNE_THRESHOLD}
+    amps: Dict[int, complex] = {}
+    for i, a in entries:
+        if not 0 <= i < (1 << num_qubits):
+            raise IndexError(f"basis index {i} out of range")
+        if abs(a) >= PRUNE_THRESHOLD:
+            amps[i] = complex(a)
     n2 = sum(abs(a) ** 2 for a in amps.values())
     if abs(n2 - 1.0) > NORM_TOLERANCE:
         raise ValueError("amplitudes are not normalized")

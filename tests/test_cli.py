@@ -3,7 +3,9 @@ import json
 import pytest
 
 from laqcc import cli
+from laqcc import clifford as cl
 from laqcc import program as pr
+from laqcc import protocols as pt
 from laqcc.clifford import CliffordCircuit, CliffordGate
 
 
@@ -258,3 +260,73 @@ def test_malformed_json_exit_3(capsys, tmp_path, argv):
     path.write_text('{"qubits": 1,')
     code, out, err = run(capsys, argv + ["--input", str(path)])
     assert_one_line_exit_3(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"qubits": 1}, "missing key 'layers'"),
+        ({"layers": []}, "missing key 'qubits'"),
+        ({"qubits": 1, "layers": [{"kind": "measure", "qubits": [0]}]},
+         "missing key 'label'"),
+        ([{"qubits": 1, "layers": []}], "expected a JSON object"),
+    ],
+)
+def test_transform_missing_key_exit_3(capsys, tmp_path, doc, message):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
+def test_flatten_missing_key_exit_3(capsys, tmp_path):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"n": 3}))
+    code, out, err = run(capsys, ["flatten", "ladder", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert "missing key 'shape'" in err
+
+
+def count_execute(monkeypatch):
+    calls = []
+    execute = pr.execute
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "execute", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "branches, shots", [("sample:10", 10), ("exhaustive", 0)]
+)
+def test_prep_runs_each_checked_branch_once(capsys, monkeypatch,
+                                            branches, shots):
+    calls = count_execute(monkeypatch)
+    code, _, _ = report(
+        capsys, ["prep", "uniform", "--q", "5", "--branches", branches]
+    )
+    assert code == 0
+    assert len(calls) == shots
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (["ghz", "--n", "4"], lambda: cl.ghz(4)),
+        (["w", "--n", "8"], lambda: pt.w_state(8)[0]),
+        (["uniform", "--q", "5"], lambda: pt.uniform_superposition(5)[0]),
+        (["uniform", "--q", "300"],
+         lambda: pt.uniform_superposition(300)[0]),
+        (["dicke", "--n", "4", "--k", "2"],
+         lambda: pt.dicke_small_k(4, 2)[0]),
+        (["dicke", "--n", "6", "--k", "3", "--method", "factoradic"],
+         lambda: pt.dicke_factoradic(6, 3)[0]),
+    ],
+)
+def test_prep_support_max_is_the_one_shot_peak(capsys, argv, build):
+    _, doc, _ = report(capsys, ["prep", *argv, "--seed", "3"])
+    assert doc["support_max"] == pt.max_support(build(), pr.SeededPolicy(3))

@@ -42,6 +42,27 @@ def test_non_unitary_rejected():
         ss.apply_unitary(ss.SparseState.basis(1), np.array([[1, 0], [0, 2]]), [0])
 
 
+@pytest.mark.parametrize("diagonal", [(1, 1 + 1e-7), (1, 1 + 1e-10)])
+def test_nearly_unitary_rejected_at_1e12(diagonal):
+    with pytest.raises(ValueError, match="not unitary within 1e-12"):
+        ss.apply_unitary(ss.SparseState.basis(1), np.diag(diagonal), [0])
+
+
+def test_unitaries_accepted():
+    z = np.random.default_rng(5).normal(size=(8, 8, 2)) @ [1, 1j]
+    u, _ = np.linalg.qr(z)
+    s = ss.SparseState.basis(3)
+    for matrix, targets in ((H, [0]), (CNOT, [0, 1]), (u, [2, 0, 1])):
+        s = ss.apply_unitary(s, matrix, targets)
+    assert abs(s.norm_squared() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("index", [4, 7, -1])
+def test_from_amplitudes_rejects_out_of_range_index(index):
+    with pytest.raises(IndexError, match="out of range"):
+        ss.from_amplitudes(2, [(index, 1.0)])
+
+
 def test_out_of_range_target():
     with pytest.raises(IndexError):
         ss.apply_unitary(ss.SparseState.basis(1), X, [1])
