@@ -5,14 +5,18 @@ A Pauli string is stored as exponent bitmasks: ``P = phase * prod_q
 Z_q^{z_q} X_q^{x_q}``.  Flattening replaces wire hand-offs between
 consecutive gates by Bell pairs plus Bell measurements, and precomputes
 the linear outcome-to-correction map by pushing unit errors through the
-remaining gates.
+remaining gates.  Up to phase, conjugation by a Clifford step is linear
+over GF(2), so one forward sweep carries every unit error at once: each
+wire holds a Z row and an X row whose bit c belongs to correction column
+c, and a step replaces its wires' four rows by XORs of the old ones
+(the bit-sliced rows of Aaronson & Gottesman's tableau,
+arXiv:quant-ph/0406196).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,19 +83,24 @@ def _local_pauli(z_bits: Sequence[int], x_bits: Sequence[int]) -> np.ndarray:
 def _match_pauli(
     m: np.ndarray, k: int
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], complex]:
-    """Decompose a 2^k-dim matrix as phase * tensor of Z^z X^x factors."""
-    for z_bits in product((0, 1), repeat=k):
-        for x_bits in product((0, 1), repeat=k):
-            t = _local_pauli(z_bits, x_bits)
-            r, c = np.unravel_index(np.argmax(np.abs(t)), t.shape)
-            if abs(m[r, c]) < 1e-9:
-                continue
-            phase = m[r, c] / t[r, c]
-            if min(abs(phase - p) for p in PHASES) > 1e-9:
-                continue
-            if np.allclose(m, phase * t, atol=1e-9):
-                snapped = min(PHASES, key=lambda p: abs(phase - p))
-                return z_bits, x_bits, snapped
+    """Decompose a 2^k-dim matrix as phase * tensor of Z^z X^x factors.
+
+    Z^z X^x sends |c> to (-1)^(z.(c^x)) |c^x>, so row 0 holds the phase
+    at column x, and row ``1 << b`` holds phase * (-1)^(z_b) at column
+    ``(1 << b) ^ x``.  The rebuilt matrix must then match all of ``m``.
+    """
+    x = int(np.argmax(np.abs(m[0])))
+    phase = m[0, x]
+    snapped = min(PHASES, key=lambda p: abs(phase - p))
+    if abs(phase - snapped) <= 1e-9:
+        z = 0
+        for b in range(k):
+            if (m[1 << b, (1 << b) ^ x] / phase).real < 0:
+                z |= 1 << b
+        z_bits = tuple((z >> (k - 1 - i)) & 1 for i in range(k))
+        x_bits = tuple((x >> (k - 1 - i)) & 1 for i in range(k))
+        if np.allclose(m, phase * _local_pauli(z_bits, x_bits), atol=1e-9):
+            return z_bits, x_bits, snapped
     raise ValueError("matrix is not a Pauli string; gate is not Clifford")
 
 
@@ -207,14 +216,15 @@ class CliffordCircuit:
 
     @staticmethod
     def from_json(doc: dict) -> "CliffordCircuit":
-        field = pr.json_field
         return CliffordCircuit(
-            field(doc, "shape"),
-            field(doc, "n"),
-            doc.get("depth", 1),
+            pr.json_field(doc, "shape"),
+            pr.json_count(doc, "n"),
+            pr.json_count(doc, "depth") if "depth" in doc else 1,
             tuple(
-                CliffordGate(field(g, "name"), tuple(field(g, "qubits")))
-                for g in field(doc, "gates")
+                CliffordGate(
+                    pr.json_field(g, "name"), pr.json_qubits(g, "qubits")
+                )
+                for g in pr.json_list(doc, "gates")
             ),
         )
 
@@ -307,18 +317,51 @@ class Junction:
     gate_index: int  # error sits just before this temporal gate index
 
 
+# the unit Paulis Z_lo, X_lo, Z_hi, X_hi of a step as (z, x) masks on
+# (lo, hi) = bits (0, 1)
+_STEP_UNITS = ((0b01, 0), (0, 0b01), (0b10, 0), (0, 0b10))
+
+
 def _propagate_unit_errors(
     steps: List[Tuple[np.ndarray, Tuple[int, int]]],
     junctions: Sequence[Junction],
     n: int,
 ) -> CorrectionMap:
+    """Push the Z and X unit error of every junction through the rest of
+    the circuit in one forward sweep.
+
+    ``zrow[w]`` and ``xrow[w]`` hold bit c when correction column c has a
+    Z (X) exponent on wire w.  Junction j sets bits 2j and 2j+1 of its
+    wire's rows just before step ``j.gate_index``.  Each step conjugates
+    its four unit Paulis once and replaces the four rows of its wires by
+    XORs of the old rows: phases drop out of the map, and without them
+    conjugation is linear over GF(2).  The rows are transposed into one
+    (z mask, x mask) column per unit error at the end.
+    """
+    zrow = [0] * n
+    xrow = [0] * n
+    starts: Dict[int, List[Tuple[int, int]]] = {}
+    for c, j in enumerate(junctions):
+        starts.setdefault(j.gate_index, []).append((c, j.wire))
+    for gi, (matrix, (lo, hi)) in enumerate(steps):
+        for c, w in starts.get(gi, ()):
+            zrow[w] |= 1 << (2 * c)
+            xrow[w] |= 1 << (2 * c + 1)
+        old = (zrow[lo], xrow[lo], zrow[hi], xrow[hi])
+        new = [0, 0, 0, 0]
+        for row, (z, x) in zip(old, _STEP_UNITS):
+            img = conjugate_gate(matrix, (1, 0), PauliString(2, z, x))
+            for i, bit in enumerate((img.z, img.x, img.z >> 1, img.x >> 1)):
+                if bit & 1:
+                    new[i] ^= row
+        zrow[lo], xrow[lo], zrow[hi], xrow[hi] = new
     columns: List[Tuple[int, int]] = []
-    for j in junctions:
-        for z0, x0 in ((1, 0), (0, 1)):
-            p = PauliString(n, z0 << j.wire, x0 << j.wire)
-            for matrix, wires in steps[j.gate_index:]:
-                p = conjugate_gate(matrix, (wires[1], wires[0]), p)
-            columns.append((p.z, p.x))
+    for c in range(2 * len(junctions)):
+        z = x = 0
+        for w in range(n):
+            z |= ((zrow[w] >> c) & 1) << w
+            x |= ((xrow[w] >> c) & 1) << w
+        columns.append((z, x))
     return CorrectionMap(n, tuple(columns))
 
 

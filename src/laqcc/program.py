@@ -735,7 +735,7 @@ def _gate_from_spec(spec: dict) -> Gate:
     name = json_field(spec, "name")
     if name not in GATE_REGISTRY:
         raise ValueError(f"unknown gate {name!r}")
-    return GATE_REGISTRY[name](**spec.get("params", {}))
+    return _from_params("gate", name, GATE_REGISTRY[name], spec)
 
 
 def _gate_spec(gate: Gate) -> dict:
@@ -888,40 +888,100 @@ def json_field(doc: dict, key: str):
     return doc[key]
 
 
-def program_from_json(doc: dict) -> LaqccProgram:
-    layer_docs = json_field(doc, "layers")
-    registers = {
-        name: Register(
-            tuple(json_field(entry, "qubits")), json_field(entry, "role")
+def _is_count(value) -> bool:
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
+
+
+def json_count(doc: dict, key: str) -> int:
+    """``json_field(doc, key)``, raising ``ValueError`` unless it is an
+    integer >= 0 (``true`` and ``false`` are not integers here)."""
+    value = json_field(doc, key)
+    if not _is_count(value):
+        raise ValueError(f"{key!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def json_list(doc: dict, key: str) -> list:
+    """``json_field(doc, key)``, raising ``ValueError`` unless it is a
+    JSON array."""
+    value = json_field(doc, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def json_qubits(doc: dict, key: str) -> Tuple[int, ...]:
+    """``json_list(doc, key)`` as a tuple, raising ``ValueError`` unless
+    every entry is an integer >= 0."""
+    value = json_list(doc, key)
+    if not all(_is_count(q) for q in value):
+        raise ValueError(
+            f"{key!r} must be a list of integers >= 0, got {value!r}"
         )
-        for name, entry in doc.get("registers", {}).items()
+    return tuple(value)
+
+
+def _json_condition(app: dict) -> Optional[Condition]:
+    if "condition" not in app:
+        return None
+    value = json_list(app, "condition")
+    if len(value) != 2 or not all(isinstance(v, str) for v in value):
+        raise ValueError(
+            f"'condition' must be [layer name, flag name], got {value!r}"
+        )
+    return tuple(value)
+
+
+def _from_params(kind: str, name: str, factory: Callable, entry: dict):
+    """``factory(**entry["params"])``; params the factory does not take
+    raise ``ValueError`` instead of ``TypeError``."""
+    try:
+        return factory(**entry.get("params", {}))
+    except TypeError as exc:
+        raise ValueError(f"bad params for {kind} {name!r}: {exc}") from exc
+
+
+def program_from_json(doc: dict) -> LaqccProgram:
+    layer_docs = json_list(doc, "layers")
+    num_qubits = json_count(doc, "qubits")
+    register_docs = doc.get("registers", {})
+    if not isinstance(register_docs, dict):
+        raise ValueError("'registers' must be a JSON object")
+    registers = {
+        name: Register(json_qubits(entry, "qubits"), json_field(entry, "role"))
+        for name, entry in register_docs.items()
     }
     layers: List[Layer] = []
     for entry in layer_docs:
         kind = json_field(entry, "kind")
         if kind == "quantum":
             apps = []
-            for g in json_field(entry, "gates"):
+            for g in json_list(entry, "gates"):
                 gate = _gate_from_spec(json_field(g, "gate"))
-                condition = tuple(g["condition"]) if "condition" in g else None
-                qubits = tuple(json_field(g, "qubits"))
-                apps.append(GateApp(gate, qubits, condition))
+                apps.append(
+                    GateApp(gate, json_qubits(g, "qubits"), _json_condition(g))
+                )
             layers.append(QuantumLayer(tuple(apps)))
         elif kind == "measure":
             layers.append(
                 MeasureLayer(
-                    tuple(json_field(entry, "qubits")),
-                    json_field(entry, "label"),
+                    json_qubits(entry, "qubits"), json_field(entry, "label")
                 )
             )
         elif kind == "classical":
             name = json_field(entry, "function_name")
             if name not in CLASSICAL_REGISTRY:
                 raise ValueError(f"unknown classical function {name!r}")
-            layers.append(CLASSICAL_REGISTRY[name](**entry.get("params", {})))
+            layers.append(
+                _from_params(
+                    "classical function", name, CLASSICAL_REGISTRY[name], entry
+                )
+            )
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
-    program = LaqccProgram(json_field(doc, "qubits"), registers, layers)
+    program = LaqccProgram(num_qubits, registers, layers)
     program.validate()
     return program
 

@@ -288,6 +288,64 @@ def test_flatten_missing_key_exit_3(capsys, tmp_path):
     assert "missing key 'shape'" in err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"qubits": "x", "layers": []}, "'qubits' must be an integer >= 0"),
+        ({"qubits": -2, "layers": []}, "'qubits' must be an integer >= 0"),
+        ({"qubits": True, "layers": []}, "'qubits' must be an integer >= 0"),
+        ({"qubits": 1, "layers": [{"kind": "measure", "qubits": ["0"],
+                                   "label": "m"}]},
+         "'qubits' must be a list of integers >= 0"),
+        ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
+            {"gate": {"name": "matrix", "params": {"foo": 1}},
+             "qubits": [0]}]}]},
+         "bad params for gate 'matrix'"),
+        ({"qubits": 1, "layers": 5}, "'layers' must be a list"),
+        ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
+            {"gate": {"name": "set_flag"}, "qubits": [0],
+             "condition": 5}]}]},
+         "'condition' must be a list"),
+        ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
+            {"gate": {"name": "set_flag"}, "qubits": [0],
+             "condition": ["fix"]}]}]},
+         "'condition' must be [layer name, flag name]"),
+        ({"qubits": 3, "layers": [{"kind": "classical",
+                                   "function_name": "ghz_parity_fix",
+                                   "params": {"m": 2}}]},
+         "bad params for classical function 'ghz_parity_fix'"),
+    ],
+)
+def test_transform_wrong_type_exit_3(capsys, tmp_path, doc, message):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"shape": "ladder", "n": "3", "gates": []},
+         "'n' must be an integer >= 0"),
+        ({"shape": "grid", "n": 3, "depth": 1.5, "gates": []},
+         "'depth' must be an integer >= 0"),
+        ({"shape": "ladder", "n": 3,
+          "gates": [{"name": "H", "qubits": [False]}]},
+         "'qubits' must be a list of integers >= 0"),
+    ],
+)
+def test_flatten_wrong_type_exit_3(capsys, tmp_path, doc, message):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, ["flatten", doc["shape"], "--input", str(path)]
+    )
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
 def count_execute(monkeypatch):
     calls = []
     execute = pr.execute

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -267,3 +268,173 @@ def test_circuit_json_round_trip():
     c = ladder(3, [cl.CliffordGate("H", (0,)), cl.CliffordGate("CNOT", (1, 0))])
     back = cl.CliffordCircuit.from_json(c.to_json())
     assert np.allclose(back.unitary(), c.unitary())
+
+
+# ------------------------------------------------------------- reference
+# The 16-candidate search and the per-column propagation that the
+# closed-form ``_match_pauli`` and the one-sweep
+# ``_propagate_unit_errors`` replaced; the new code must give equal
+# results.
+
+
+def ref_match_pauli(m, k):
+    for z_bits in product((0, 1), repeat=k):
+        for x_bits in product((0, 1), repeat=k):
+            t = cl._local_pauli(z_bits, x_bits)
+            r, c = np.unravel_index(np.argmax(np.abs(t)), t.shape)
+            if abs(m[r, c]) < 1e-9:
+                continue
+            phase = m[r, c] / t[r, c]
+            if min(abs(phase - p) for p in cl.PHASES) > 1e-9:
+                continue
+            if np.allclose(m, phase * t, atol=1e-9):
+                snapped = min(cl.PHASES, key=lambda p: abs(phase - p))
+                return z_bits, x_bits, snapped
+    raise ValueError("matrix is not a Pauli string; gate is not Clifford")
+
+
+def ref_propagate_unit_errors(steps, junctions, n):
+    columns = []
+    for j in junctions:
+        for z0, x0 in ((1, 0), (0, 1)):
+            p = cl.PauliString(n, z0 << j.wire, x0 << j.wire)
+            for matrix, wires in steps[j.gate_index:]:
+                p = cl.conjugate_gate(matrix, (wires[1], wires[0]), p)
+            columns.append((p.z, p.x))
+    return cl.CorrectionMap(n, tuple(columns))
+
+
+def with_reference_map(monkeypatch, fn, *args):
+    """``fn(*args)`` with the per-column propagation in place."""
+    with monkeypatch.context() as m:
+        m.setattr(cl, "_propagate_unit_errors", ref_propagate_unit_errors)
+        return fn(*args)
+
+
+def match_both(m, k):
+    """(closed form, reference) results, or the exception type raised."""
+    out = []
+    for fn in (cl._match_pauli, ref_match_pauli):
+        try:
+            out.append(fn(m, k))
+        except ValueError:
+            out.append(ValueError)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_match_pauli_every_phased_string(k):
+    for z_bits in product((0, 1), repeat=k):
+        for x_bits in product((0, 1), repeat=k):
+            for phase in cl.PHASES:
+                m = phase * cl._local_pauli(z_bits, x_bits)
+                expected = (z_bits, x_bits, phase)
+                assert match_both(m, k) == [expected, expected]
+
+
+def pauli_2q(z, x):
+    return cl._local_pauli(((z >> 1) & 1, z & 1), ((x >> 1) & 1, x & 1))
+
+
+def bumped(m, r, c):
+    out = np.array(m, dtype=complex)
+    out[r, c] += 1e-7
+    return out
+
+
+T = np.diag([1, np.exp(1j * math.pi / 4)])
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [
+        (T @ cl.XM @ T.conj().T, 1),
+        (bumped(pauli_2q(0b10, 0b01), 0, 0), 2),  # an off-support entry
+        (bumped(pauli_2q(0b11, 0b10), 3, 0), 2),
+        (bumped(pauli_2q(0b11, 0b10), 0, 2), 2),  # the phase entry
+        (bumped(cl.XM, 0, 1), 1),
+        (np.exp(1j * math.pi / 4) * pauli_2q(0b01, 0b11), 2),
+        (np.exp(1j * math.pi / 4) * cl.ZM, 1),
+        (np.zeros((2, 2), dtype=complex), 1),
+        (np.zeros((4, 4), dtype=complex), 2),
+        (np.full((2, 2), np.nan, dtype=complex), 1),
+    ],
+)
+def test_match_pauli_rejects_non_paulis(m, k):
+    with pytest.raises(ValueError, match="not Clifford"):
+        cl._match_pauli(m, k)
+    with pytest.raises(ValueError, match="not Clifford"):
+        ref_match_pauli(m, k)
+
+
+def test_match_pauli_agrees_on_perturbed_strings():
+    # one entry moved by 1e-7: off-support entries and row 0 fail both,
+    # a support entry elsewhere passes both (relative tolerance)
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for _ in range(300):
+        k = int(rng.integers(1, 3))
+        m = cl.PHASES[int(rng.integers(4))] * cl._local_pauli(
+            tuple(rng.integers(2, size=k)), tuple(rng.integers(2, size=k))
+        )
+        r, c = rng.integers(1 << k, size=2)
+        m[r, c] += 1e-7 * np.exp(2j * math.pi * rng.random())
+        new, ref = match_both(m, k)
+        assert new == ref
+        outcomes.add(new is ValueError)
+    assert outcomes == {True, False}
+
+
+def test_conjugate_gate_rejects_non_clifford():
+    with pytest.raises(ValueError, match="not Clifford"):
+        cl.conjugate_gate(T, (0,), cl.PauliString(1, 0, 1))
+
+
+def grid_pairs(n, depth):
+    pairs = []
+    for t in range(depth):
+        start = 0 if t % 2 == 0 else 1
+        pairs.extend((i, i + 1) for i in range(start, n - 1, 2))
+    return pairs
+
+
+def correction_map_circuits():
+    rng = np.random.default_rng(44)
+    for n in range(2, 25):
+        yield ladder(n, random_word(rng, n, 3))
+    for n in range(3, 13):
+        for depth in range(1, 5):
+            gates = random_word(rng, n, 2, pairs=grid_pairs(n, depth))
+            yield cl.CliffordCircuit("grid", n, depth, tuple(gates))
+    for n in (1, 2, 3, 7):
+        yield ladder(n, [])
+    # every gate on the first pair: the later steps are identities
+    yield ladder(6, random_word(rng, 6, 8, pairs=[(0, 1)]))
+    # a brickwork grid with only some steps filled
+    pairs = grid_pairs(6, 4)
+    gates = random_word(rng, 6, 3, pairs=pairs[::3])
+    yield cl.CliffordCircuit("grid", 6, 4, tuple(gates))
+    yield cl.CliffordCircuit("grid", 5, 3, ())
+
+
+def test_correction_map_matches_per_column_reference(monkeypatch):
+    for c in correction_map_circuits():
+        expected = with_reference_map(monkeypatch, cl.build_correction_map, c)
+        assert cl.build_correction_map(c).columns == expected.columns
+
+
+def test_flattened_program_json_unchanged(monkeypatch):
+    rng = np.random.default_rng(45)
+    circuits = [ladder(n, random_word(rng, n, 2)) for n in (3, 6, 11)]
+    circuits += [
+        cl.CliffordCircuit(
+            "grid", n, d, tuple(random_word(rng, n, 2, grid_pairs(n, d)))
+        )
+        for n, d in ((4, 2), (7, 3))
+    ]
+    for c in circuits:
+        flatten = cl.flatten_ladder if c.shape == "ladder" else cl.flatten_grid
+        expected = with_reference_map(
+            monkeypatch, lambda: pr.dumps(flatten(c))
+        )
+        assert pr.dumps(flatten(c)) == expected
