@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import charges
-from .program import Builder, DiagonalGate, Gate, GateApp
+from .program import Builder, DiagonalGate, Gate, register_gate
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,25 @@ def plan(N: int, m: int) -> AmplificationPlan:
     return AmplificationPlan(N, m, J, phi, phi)
 
 
+@register_gate("phase_flag")
+def phase_flag(phi: float) -> DiagonalGate:
+    """e^{i phi} on |1> of the flag qubit."""
+    return DiagonalGate(
+        "phase_flag", 1, lambda v: cmath.exp(1j * phi) if v else 1.0
+    )
+
+
+@register_gate("phase_all_zero")
+def phase_all_zero(num_bits: int, theta: float) -> DiagonalGate:
+    """e^{i theta} on the all-zero pattern of ``num_bits`` qubits."""
+    return DiagonalGate(
+        "phase_all_zero",
+        num_bits,
+        lambda v: cmath.exp(1j * theta) if v == 0 else 1.0,
+        charge=charges.charge("equal", num_bits),
+    )
+
+
 def amplify(
     builder: Builder,
     reflect_qubits: Sequence[int],
@@ -91,16 +110,8 @@ def amplify(
     """
     reflect_qubits = tuple(reflect_qubits)
     oracle_qubits = tuple(oracle_qubits)
-    phi, theta = amp_plan.phi, amp_plan.theta
-    mark = DiagonalGate(
-        "phase_flag", 1, lambda v: cmath.exp(1j * phi) if v else 1.0
-    )
-    zero_phase = DiagonalGate(
-        "phase_all_zero",
-        len(reflect_qubits),
-        lambda v: cmath.exp(1j * theta) if v == 0 else 1.0,
-        charge=charges.charge("equal", len(reflect_qubits)),
-    )
+    mark = phase_flag(amp_plan.phi)
+    zero_phase = phase_all_zero(len(reflect_qubits), amp_plan.theta)
     for _ in range(amp_plan.J):
         builder.gate(oracle, oracle_qubits + (flag,))
         builder.gate(mark, (flag,))

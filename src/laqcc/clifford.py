@@ -158,7 +158,7 @@ class CliffordCircuit:
             for q in g.qubits:
                 if not 0 <= q < self.n:
                     raise ValueError("gate qubit out of range")
-        self._group_steps()
+        object.__setattr__(self, "_steps", self._group_steps())
 
     def _slot_order(self) -> List[Tuple[int, int]]:
         """Wire pairs of the circuit's steps in temporal order."""
@@ -171,7 +171,7 @@ class CliffordCircuit:
                 order.append((i, i + 1))
         return order
 
-    def _group_steps(self) -> List[Tuple[np.ndarray, Tuple[int, int]]]:
+    def _group_steps(self) -> Tuple[Tuple[np.ndarray, Tuple[int, int]], ...]:
         """Assign the slot-major gate word to its steps greedily.
 
         Gates are listed in temporal order; each gate goes to the
@@ -190,10 +190,11 @@ class CliffordCircuit:
                     f"{self.shape} step order"
                 )
             mats[pos] = _embed(g, order[pos]) @ mats[pos]
-        return list(zip(mats, order))
+        return tuple(zip(mats, order))
 
-    def steps(self) -> List[Tuple[np.ndarray, Tuple[int, int]]]:
-        return self._group_steps()
+    def steps(self) -> Tuple[Tuple[np.ndarray, Tuple[int, int]], ...]:
+        """(4x4 matrix, (low, high) wires) per step, grouped once."""
+        return self._steps
 
     def unitary(self) -> np.ndarray:
         """Dense matrix on all n wires (desk scale only)."""
@@ -323,7 +324,7 @@ _STEP_UNITS = ((0b01, 0), (0, 0b01), (0b10, 0), (0, 0b10))
 
 
 def _propagate_unit_errors(
-    steps: List[Tuple[np.ndarray, Tuple[int, int]]],
+    steps: Sequence[Tuple[np.ndarray, Tuple[int, int]]],
     junctions: Sequence[Junction],
     n: int,
 ) -> CorrectionMap:
@@ -418,19 +419,7 @@ def bell_correct_layer(num_wires, columns, outputs) -> pr.ClassicalLayer:
             out[f"x{q}"] = (x >> w) & 1
         return out
 
-    return pr.ClassicalLayer(
-        "correct",
-        correction,
-        reads=("bell",),
-        spec={
-            "function_name": "bell_correct",
-            "params": {
-                "num_wires": num_wires,
-                "columns": [list(col) for col in columns],
-                "outputs": list(outputs),
-            },
-        },
-    )
+    return pr.ClassicalLayer("correct", correction, reads=("bell",))
 
 
 def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
@@ -549,12 +538,7 @@ def ghz_parity_layer(n: int) -> pr.ClassicalLayer:
             out[f"flip{j}"] = acc
         return out
 
-    return pr.ClassicalLayer(
-        "parity_fix",
-        prefix_parity,
-        reads=("parity",),
-        spec={"function_name": "ghz_parity_fix", "params": {"n": n}},
-    )
+    return pr.ClassicalLayer("parity_fix", prefix_parity, reads=("parity",))
 
 
 def ghz(n: int) -> pr.LaqccProgram:

@@ -31,6 +31,7 @@ def _bits(value: int, width: int) -> Tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 
+@pr.register_gate("fanout")
 def fanout(num_targets: int) -> BasisMapGate:
     """|x>|y_1..y_m> -> |x>|y_1^x .. y_m^x>; control is the first qubit."""
     if num_targets < 1:
@@ -48,7 +49,6 @@ def fanout(num_targets: int) -> BasisMapGate:
         fn=fn,
         inverse_fn=fn,
         charge=charges.charge("fanout", m + 1),
-        spec={"name": "fanout", "params": {"num_targets": m}},
     )
 
 
@@ -90,9 +90,10 @@ def _flag_gate(
     num_inputs: int,
     predicate: Callable[[int], bool],
     charge_name: str,
-    spec_params: dict,
+    *charge_args: int,
 ) -> BasisMapGate:
-    """Flip the trailing flag qubit iff predicate(inputs)."""
+    """Flip the trailing flag qubit iff predicate(inputs); the charge is
+    ``charge(charge_name, *charge_args)``, by default of ``num_inputs``."""
 
     def fn(v: int) -> int:
         return v ^ 1 if predicate(v >> 1) else v
@@ -102,25 +103,23 @@ def _flag_gate(
         num_bits=num_inputs + 1,
         fn=fn,
         inverse_fn=fn,
-        charge=charges.charge(charge_name, num_inputs),
-        spec={"name": charge_name, "params": spec_params},
+        charge=charges.charge(charge_name, *(charge_args or (num_inputs,))),
     )
 
 
+@pr.register_gate("or")
 def or_n(n: int) -> BasisMapGate:
-    return _flag_gate(f"or{n}", n, lambda x: x != 0, "or", {"n": n})
+    return _flag_gate(f"or{n}", n, lambda x: x != 0, "or")
 
 
+@pr.register_gate("and")
 def and_n(n: int) -> BasisMapGate:
-    return _flag_gate(
-        f"and{n}", n, lambda x: x == (1 << n) - 1, "and", {"n": n}
-    )
+    return _flag_gate(f"and{n}", n, lambda x: x == (1 << n) - 1, "and")
 
 
+@pr.register_gate("equal")
 def equal_i(n: int, j: int) -> BasisMapGate:
-    return _flag_gate(
-        f"equal{n}[{j}]", n, lambda x: x == j, "equal", {"n": n, "j": j}
-    )
+    return _flag_gate(f"equal{n}[{j}]", n, lambda x: x == j, "equal")
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +127,7 @@ def equal_i(n: int, j: int) -> BasisMapGate:
 # --------------------------------------------------------------------------
 
 
+@pr.register_gate("add")
 def add_n(n: int) -> BasisMapGate:
     """|x>|y> -> |x>|y + x mod 2^n>; x is the leading register."""
     mask = (1 << n) - 1
@@ -146,10 +146,10 @@ def add_n(n: int) -> BasisMapGate:
         fn=fn,
         inverse_fn=inv,
         charge=charges.charge("add", n),
-        spec={"name": "add", "params": {"n": n}},
     )
 
 
+@pr.register_gate("equality")
 def equality(n: int) -> BasisMapGate:
     """|x>|y>|f> -> flip f iff x = y."""
     mask = (1 << n) - 1
@@ -164,21 +164,19 @@ def equality(n: int) -> BasisMapGate:
         fn=fn,
         inverse_fn=fn,
         charge=charges.charge("equality", n),
-        spec={"name": "equality", "params": {"n": n}},
     )
 
 
+@pr.register_gate("lessthan")
 def less_than(n: int, q: int) -> BasisMapGate:
     """|v>|f> -> flip f iff v < q; the comparator behind bounded-range
     uniform loads."""
-    gate = _flag_gate(
-        f"lessthan{n}[{q}]", n, lambda x: x < q, "greaterthan", {"n": n, "q": q}
+    return _flag_gate(
+        f"lessthan{n}[{q}]", n, lambda x: x < q, "greaterthan", n + 1
     )
-    gate.charge = charges.charge("greaterthan", n + 1)
-    gate.spec = {"name": "lessthan", "params": {"n": n, "q": q}}
-    return gate
 
 
+@pr.register_gate("greaterthan")
 def greaterthan(n: int) -> BasisMapGate:
     """|x>|y>|f> -> flip f iff x > y (one extra sign bit charged)."""
     mask = (1 << n) - 1
@@ -193,7 +191,6 @@ def greaterthan(n: int) -> BasisMapGate:
         fn=fn,
         inverse_fn=fn,
         charge=charges.charge("greaterthan", n + 1),
-        spec={"name": "greaterthan", "params": {"n": n}},
     )
 
 
@@ -206,6 +203,7 @@ def count_register_width(n: int) -> int:
     return max(1, math.ceil(math.log2(n + 1)))
 
 
+@pr.register_gate("hammingweight")
 def hammingweight(n: int) -> BasisMapGate:
     """|x>|c> -> |x>|c xor wt(x)> with a ceil(log2(n+1))-bit counter."""
     w = count_register_width(n)
@@ -220,53 +218,42 @@ def hammingweight(n: int) -> BasisMapGate:
         fn=fn,
         inverse_fn=fn,
         charge=charges.charge("hammingweight", n),
-        spec={"name": "hammingweight", "params": {"n": n}},
     )
 
 
+@pr.register_gate("exact")
 def exact_t(n: int, t: int) -> BasisMapGate:
     return _flag_gate(
-        f"exact{n}[{t}]",
-        n,
-        lambda x: x.bit_count() == t,
-        "exact",
-        {"n": n, "t": t},
+        f"exact{n}[{t}]", n, lambda x: x.bit_count() == t, "exact"
     )
 
 
-def threshold_t(n: int, t: int) -> BasisMapGate:
-    gate = _flag_gate(
-        f"threshold{n}[{t}]",
-        n,
-        lambda x: x.bit_count() >= t,
-        "exact",
-        {"n": n, "t": t},
-    )
-    gate.charge = charges.charge("threshold", n, t)
-    gate.spec = {"name": "threshold", "params": {"n": n, "t": t}}
-    return gate
-
-
-def weighted_threshold(weights: Sequence[int], t: int) -> BasisMapGate:
-    """Flip the flag iff sum of w_i x_i >= t; integer weights only."""
-    if any(not isinstance(w, int) for w in weights):
-        raise ValueError("weights must be integers")
-    n = len(weights)
+@pr.register_gate("threshold")
+def threshold_t(
+    n: int, t: int, weights: Sequence[int] | None = None
+) -> BasisMapGate:
+    """Flip the flag iff at least t inputs are set or, with ``weights``,
+    iff sum of w_i x_i >= t; integer weights only."""
+    if weights is None:
+        return _flag_gate(
+            f"threshold{n}[{t}]", n, lambda x: x.bit_count() >= t,
+            "threshold", n, t,
+        )
+    if any(not isinstance(w, int) for w in weights) or len(weights) != n:
+        raise ValueError(f"weights must be {n} integers")
 
     def total(x: int) -> int:
         return sum(
             w for i, w in enumerate(weights) if (x >> (n - 1 - i)) & 1
         )
 
-    gate = _flag_gate(
-        f"wthreshold{n}[{t}]",
-        n,
-        lambda x: total(x) >= t,
-        "threshold",
-        {"n": n, "t": t, "weights": list(weights)},
+    return _flag_gate(
+        f"wthreshold{n}[{t}]", n, lambda x: total(x) >= t, "threshold", n, t
     )
-    gate.charge = charges.charge("threshold", n, t)
-    return gate
+
+
+def weighted_threshold(weights: Sequence[int], t: int) -> BasisMapGate:
+    return threshold_t(len(weights), t, list(weights))
 
 
 # --------------------------------------------------------------------------
@@ -274,16 +261,14 @@ def weighted_threshold(weights: Sequence[int], t: int) -> BasisMapGate:
 # --------------------------------------------------------------------------
 
 
+@pr.register_gate("qft")
 def qft(n: int) -> MatrixGate:
     dim = 1 << n
     omega = np.exp(2j * np.pi / dim)
     matrix = np.array(
         [[omega ** (j * k) for k in range(dim)] for j in range(dim)]
     ) / math.sqrt(dim)
-    gate = MatrixGate(f"qft{n}", matrix)
-    gate.charge = charges.charge("qft", n)
-    gate.spec = {"name": "qft", "params": {"n": n}}
-    return gate
+    return MatrixGate(f"qft{n}", matrix, charges.charge("qft", n))
 
 
 # --------------------------------------------------------------------------
@@ -291,6 +276,7 @@ def qft(n: int) -> MatrixGate:
 # --------------------------------------------------------------------------
 
 
+@pr.register_gate("permutation")
 def permutation(perm: Sequence[int]) -> BasisMapGate:
     """Relabel wires: output bit i (msb-first) takes input bit perm[i]."""
     n = len(perm)
@@ -316,7 +302,6 @@ def permutation(perm: Sequence[int]) -> BasisMapGate:
         fn=apply(perm),
         inverse_fn=apply(inv),
         charge=charges.charge("permutation", n),
-        spec={"name": "permutation", "params": {"perm": list(perm)}},
     )
 
 
@@ -408,28 +393,3 @@ def parallelize_commuting(
             )
         )
     return layers, total
-
-
-# --------------------------------------------------------------------------
-# Serialization factories
-# --------------------------------------------------------------------------
-
-pr.register_gate("fanout")(fanout)
-pr.register_gate("or")(or_n)
-pr.register_gate("and")(and_n)
-pr.register_gate("equal")(equal_i)
-pr.register_gate("add")(add_n)
-pr.register_gate("equality")(equality)
-pr.register_gate("lessthan")(less_than)
-pr.register_gate("greaterthan")(greaterthan)
-pr.register_gate("hammingweight")(hammingweight)
-pr.register_gate("exact")(exact_t)
-pr.register_gate("qft")(qft)
-pr.register_gate("permutation")(permutation)
-
-
-@pr.register_gate("threshold")
-def _threshold_factory(n: int, t: int, weights=None) -> BasisMapGate:
-    if weights is not None:
-        return weighted_threshold([int(w) for w in weights], t)
-    return threshold_t(n, t)

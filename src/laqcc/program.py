@@ -12,10 +12,14 @@ Conventions
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -33,7 +37,7 @@ class Gate:
     name: str
     num_bits: int
     charge: float = 0.0  # extra analytic width charged beyond simulated qubits
-    spec: Optional[dict] = None  # serializable description, if registered
+    spec: Optional[dict] = None  # set by the registered factory that made it
 
     def apply(self, state: SparseState, qubits: Sequence[int]) -> SparseState:
         raise NotImplementedError
@@ -47,7 +51,6 @@ class MatrixGate(Gate):
     name: str
     matrix: np.ndarray
     charge: float = 0.0
-    spec: Optional[dict] = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -69,7 +72,6 @@ class BasisMapGate(Gate):
     fn: Callable[[int], int]
     inverse_fn: Optional[Callable[[int], int]] = None
     charge: float = 0.0
-    spec: Optional[dict] = None
 
     def apply(self, state, qubits):
         return ss.apply_basis_map(state, self.fn, qubits)
@@ -91,7 +93,6 @@ class DiagonalGate(Gate):
     num_bits: int
     phase_fn: Callable[[int], complex]
     charge: float = 0.0
-    spec: Optional[dict] = None
 
     def apply(self, state, qubits):
         return ss.apply_phase_map(state, self.phase_fn, qubits)
@@ -113,7 +114,6 @@ class DynamicGate(Gate):
     builder: Callable[[Dict[str, Dict[str, int]]], Gate]
     reads: Tuple[str, ...] = ()
     charge: float = 0.0
-    spec: Optional[dict] = None
 
     def apply(self, state, qubits):  # pragma: no cover - resolved earlier
         raise RuntimeError("dynamic gate must be resolved before application")
@@ -129,7 +129,6 @@ class PredicatedGate(Gate):
     predicate: Callable[[int], int]
     gate: Gate
     charge: float = 0.0
-    spec: Optional[dict] = None
 
     def __post_init__(self):
         self.num_bits = self.control_bits + self.gate.num_bits
@@ -201,7 +200,7 @@ class ClassicalLayer:
     fn: Callable[[Dict[str, int]], Dict[str, int]]
     depth_class: str = "NC1"  # or "ALL"
     reads: Tuple[str, ...] = ()
-    spec: Optional[dict] = None
+    spec: ClassVar[Optional[dict]] = None  # set by its registered factory
 
 
 Layer = object  # union of the three layer kinds
@@ -562,6 +561,13 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
                 qs = label_qubits[label]
                 control_qubits.extend(qs)
                 widths.append((label, len(qs)))
+            for q in app.qubits:
+                if q in control_qubits:
+                    raise ValueError(
+                        f"gate {app.gate.name!r} on qubit {q} is conditioned"
+                        f" on a measurement of qubit {q}; it cannot be"
+                        f" deferred coherently"
+                    )
 
             def predicate(pattern, clayer=clayer, widths=widths, key=key):
                 values = {}
@@ -715,20 +721,36 @@ GATE_REGISTRY: Dict[str, Callable[..., Gate]] = {}
 CLASSICAL_REGISTRY: Dict[str, Callable[..., ClassicalLayer]] = {}
 
 
-def register_gate(name: str):
+def _stamping(registry: dict, key: str, name: str):
+    """Decorator registering a factory under ``name``; whatever the
+    returned factory makes carries the spec ``{key: name, "params": <the
+    arguments it was called with>}``."""
+
     def deco(factory):
-        GATE_REGISTRY[name] = factory
-        return factory
+        # bound once here: Signature.bind on every call slows ``loads``
+        names = tuple(inspect.signature(factory).parameters)
+
+        @functools.wraps(factory)
+        def made(*args, **kwargs):
+            obj = factory(*args, **kwargs)
+            params = dict(zip(names, args))
+            params.update(kwargs)
+            # ClassicalLayer is frozen; the spec is not one of its fields
+            object.__setattr__(obj, "spec", {key: name, "params": params})
+            return obj
+
+        registry[name] = made
+        return made
 
     return deco
+
+
+def register_gate(name: str):
+    return _stamping(GATE_REGISTRY, "name", name)
 
 
 def register_classical(name: str):
-    def deco(factory):
-        CLASSICAL_REGISTRY[name] = factory
-        return factory
-
-    return deco
+    return _stamping(CLASSICAL_REGISTRY, "function_name", name)
 
 
 def _gate_from_spec(spec: dict) -> Gate:
@@ -739,8 +761,8 @@ def _gate_from_spec(spec: dict) -> Gate:
 
 
 def _gate_spec(gate: Gate) -> dict:
-    """Serializable spec; dense matrices and small predicate tables are
-    synthesized for gates without a registered macro spec."""
+    """Serializable spec: the one its registered factory stamped, or, for
+    dense matrices and small predicate tables, one read off the gate."""
     if gate.spec is not None:
         return gate.spec
     if isinstance(gate, MatrixGate):
@@ -778,16 +800,7 @@ def _transcript_equal_factory(bits: int, expected: int) -> "BasisMapGate":
     def eq(v, expected=expected):
         return (v ^ 1) if v >> 1 == expected else v
 
-    return BasisMapGate(
-        name=f"equal[{expected:0{bits}b}]",
-        num_bits=bits + 1,
-        fn=eq,
-        inverse_fn=eq,
-        spec={
-            "name": "transcript_equal",
-            "params": {"bits": bits, "expected": expected},
-        },
-    )
+    return BasisMapGate(f"equal[{expected:0{bits}b}]", bits + 1, eq, eq)
 
 
 @register_gate("and_flags")
@@ -795,13 +808,7 @@ def _and_flags_factory(bits: int) -> "BasisMapGate":
     def all_ones(v, bits=bits):
         return (v ^ 1) if v >> 1 == (1 << bits) - 1 else v
 
-    return BasisMapGate(
-        name="and_flags",
-        num_bits=bits + 1,
-        fn=all_ones,
-        inverse_fn=all_ones,
-        spec={"name": "and_flags", "params": {"bits": bits}},
-    )
+    return BasisMapGate("and_flags", bits + 1, all_ones, all_ones)
 
 
 @register_gate("set_flag")
@@ -809,16 +816,18 @@ def _set_flag_factory() -> "BasisMapGate":
     def flip(v):
         return v ^ 1
 
-    return BasisMapGate(
-        name="set_flag",
-        num_bits=1,
-        fn=flip,
-        inverse_fn=flip,
-        spec={"name": "set_flag", "params": {}},
-    )
+    return BasisMapGate("set_flag", 1, flip, flip)
 
 
-@register_gate("matrix")
+@register_gate("inverse")
+def inverse(gate: dict) -> Gate:
+    """The inverse of the gate with spec ``gate``."""
+    try:
+        return _gate_from_spec(gate).inverse()
+    except NotImplementedError as exc:  # e.g. a dynamic gate
+        raise ValueError(str(exc)) from exc
+
+
 def _matrix_gate_factory(label: str, matrix) -> "MatrixGate":
     m = np.array(
         [[complex(re, im) for re, im in row] for row in matrix]
@@ -826,7 +835,6 @@ def _matrix_gate_factory(label: str, matrix) -> "MatrixGate":
     return MatrixGate(label, m)
 
 
-@register_gate("predicated")
 def _predicated_gate_factory(
     label: str, control_bits: int, table, gate
 ) -> "PredicatedGate":
@@ -835,6 +843,12 @@ def _predicated_gate_factory(
     return PredicatedGate(
         label, control_bits, lambda p: lookup[p], inner
     )
+
+
+# ``_gate_spec`` derives these two specs from the gate, so they get no stamp
+GATE_REGISTRY.update(
+    matrix=_matrix_gate_factory, predicated=_predicated_gate_factory
+)
 
 
 def program_to_json(program: LaqccProgram) -> dict:

@@ -46,7 +46,12 @@ class Fragment:
 
     def emit_inverse(self, builder) -> None:
         for app in reversed(self.apps):
-            builder.gate(app.gate.inverse(), app.qubits)
+            gate = app.gate
+            # a registered gate's inverse is registered too, so it dumps
+            if gate.spec is None:
+                builder.gate(gate.inverse(), app.qubits)
+            else:
+                builder.gate(pr.inverse(gate.spec), app.qubits)
 
 
 def index_width(q: int) -> int:
@@ -116,6 +121,7 @@ def _one_hot_position(s: int, n: int) -> int:
     return n - s.bit_length()
 
 
+@pr.register_gate("uncompress")
 def uncompress_gate(n: int, b: int) -> BasisMapGate:
     """|i>|s> -> |i>|s xor e_i> on the index + system registers."""
 
@@ -132,10 +138,10 @@ def uncompress_gate(n: int, b: int) -> BasisMapGate:
         inverse_fn=fn,
         charge=charges.charge("fanout", n * b)
         + n * charges.charge("equal", b),
-        spec={"name": "uncompress", "params": {"n": n}},
     )
 
 
+@pr.register_gate("compress_phase")
 def compress_phase_gate(n: int, b: int) -> DiagonalGate:
     """(-1)^{<j, i(s)>} on |j>|s> for one-hot s = e_{i(s)}."""
 
@@ -216,31 +222,34 @@ def filling_fragment(
     """Load k index registers uniformly over 0..n-1 and XOR their
     one-hot patterns into the system register."""
     fragment = Fragment()
-    b = len(indexes[0])
     for reg in indexes:
         sub, _ = uniform_fragment(reg, n, flag)
         sub.emit(fragment)
     for q in system:
         fragment.gate(HGATE, (q,))
-
-    def kick_phase(v: int, n=n) -> complex:
-        i, y = v >> n, v & ((1 << n) - 1)
-        if i >= n:
-            return 1.0
-        bit = (y >> (n - 1 - i)) & 1
-        return -1.0 if bit else 1.0
-
+    kick = filling_kick_gate(n, len(indexes[0]))
     for reg in indexes:
-        gate = DiagonalGate(
-            name="filling_kick",
-            num_bits=b + n,
-            phase_fn=kick_phase,
-            charge=charges.charge("parallelize", n),
-        )
-        fragment.gate(gate, tuple(reg) + tuple(system))
+        fragment.gate(kick, tuple(reg) + tuple(system))
     for q in system:
         fragment.gate(HGATE, (q,))
     return fragment
+
+
+@pr.register_gate("filling_kick")
+def filling_kick_gate(n: int, b: int) -> DiagonalGate:
+    """(-1)^{s_i} on |i>|s> for i < n, with system bit i at s's bit
+    n-1-i."""
+
+    def kick_phase(v: int) -> complex:
+        i, y = v >> n, v & ((1 << n) - 1)
+        if i >= n:
+            return 1.0
+        return -1.0 if (y >> (n - 1 - i)) & 1 else 1.0
+
+    return DiagonalGate(
+        "filling_kick", b + n, kick_phase,
+        charge=charges.charge("parallelize", n),
+    )
 
 
 def sorted_positions(s: int, n: int) -> Tuple[int, ...]:
@@ -248,6 +257,13 @@ def sorted_positions(s: int, n: int) -> Tuple[int, ...]:
     return tuple(i for i in range(n) if (s >> (n - 1 - i)) & 1)
 
 
+def _cleaning_charge(n: int, k: int, b: int) -> float:
+    return k * charges.charge("hammingweight", n) + charges.charge(
+        "parallelize", n * b
+    )
+
+
+@pr.register_gate("cleaning")
 def cleaning_gate(n: int, k: int, b: int) -> BasisMapGate:
     """Uncompute sorted index registers from the system pattern:
     register l ^= (l-th smallest set position of s)."""
@@ -272,27 +288,14 @@ def cleaning_gate(n: int, k: int, b: int) -> BasisMapGate:
         num_bits=k * b + n,
         fn=fn,
         inverse_fn=fn,
-        charge=k * charges.charge("hammingweight", n)
-        + charges.charge("parallelize", n * b),
-        spec={"name": "cleaning", "params": {"n": n, "k": k}},
+        charge=_cleaning_charge(n, k, b),
     )
 
 
-def cleaning_gadget_layers(
-    indexes: Sequence[Sequence[int]], system: Sequence[int], n: int
-) -> List[pr.QuantumLayer]:
-    """Phase-trick variant of cleaning: Hadamards around a diagonal
-    (-1)^{sum_l <j_l, pos_l(s)>}; equal to :func:`cleaning_gate` on
-    states whose register l holds the l-th smallest set position."""
-    k = len(indexes)
-    b = len(indexes[0])
-    layers = [
-        pr.QuantumLayer(
-            tuple(
-                GateApp(HGATE, (q,)) for reg in indexes for q in reg
-            )
-        )
-    ]
+@pr.register_gate("cleaning_phase")
+def cleaning_phase_gate(n: int, k: int, b: int) -> DiagonalGate:
+    """(-1)^{sum_l <j_l, pos_l(s)>} on |j_0..j_{k-1}>|s>, where pos_l(s)
+    is the l-th smallest set position of s (1 unless s has k ones)."""
 
     def phase(v: int) -> complex:
         s = v & ((1 << n) - 1)
@@ -307,35 +310,76 @@ def cleaning_gadget_layers(
             parity ^= (j & pos[l]).bit_count() & 1
         return -1.0 if parity else 1.0
 
-    qubits = tuple(q for reg in indexes for q in reg) + tuple(system)
-    layers.append(
-        pr.QuantumLayer(
-            (
-                GateApp(
-                    DiagonalGate(
-                        "cleaning_phase",
-                        k * b + n,
-                        phase,
-                        charge=k * charges.charge("hammingweight", n)
-                        + charges.charge("parallelize", n * b),
-                    ),
-                    qubits,
-                ),
-            )
-        )
+    return DiagonalGate(
+        "cleaning_phase", k * b + n, phase, charge=_cleaning_charge(n, k, b)
     )
-    layers.append(
-        pr.QuantumLayer(
-            tuple(
-                GateApp(HGATE, (q,)) for reg in indexes for q in reg
-            )
-        )
+
+
+def cleaning_gadget_layers(
+    indexes: Sequence[Sequence[int]], system: Sequence[int], n: int
+) -> List[pr.QuantumLayer]:
+    """Phase-trick variant of cleaning: Hadamards around
+    :func:`cleaning_phase_gate`; equal to :func:`cleaning_gate` on
+    states whose register l holds the l-th smallest set position."""
+    index_qubits = tuple(q for reg in indexes for q in reg)
+    hadamards = pr.QuantumLayer(
+        tuple(GateApp(HGATE, (q,)) for q in index_qubits)
     )
-    return layers
+    phase = cleaning_phase_gate(n, len(indexes), len(indexes[0]))
+    return [
+        hadamards,
+        pr.QuantumLayer((GateApp(phase, index_qubits + tuple(system)),)),
+        hadamards,
+    ]
 
 
 def filtering_start_probability(n: int, k: int) -> float:
     return ns.distinct_index_probability(n, k)
+
+
+@pr.register_classical("ordering")
+def ordering_layer(k: int) -> pr.ClassicalLayer:
+    """Read the k measured rank registers ("ranks") and publish each
+    rank bit as ``reset{l}_{pos}`` and each rank as ``rank{l}``."""
+    rw = mc.count_register_width(k - 1)
+
+    def ordering_fn(outcomes):
+        raw = outcomes["ranks"]
+        out = {}
+        ranks_seen = []
+        for l in range(k):
+            shift = (k - 1 - l) * rw
+            r = (raw >> shift) & ((1 << rw) - 1)
+            ranks_seen.append(r)
+            for pos in range(rw):
+                out[f"reset{l}_{pos}"] = (r >> (rw - 1 - pos)) & 1
+        for l, r in enumerate(ranks_seen):
+            out[f"rank{l}"] = r
+        return out
+
+    return pr.ClassicalLayer("ordering", ordering_fn, reads=("ranks",))
+
+
+@pr.register_gate("sort_indexes")
+def sort_indexes_gate(k: int, b: int) -> pr.DynamicGate:
+    """Permute k b-bit index registers into the order the ``ordering``
+    layer's ranks give."""
+
+    def perm_builder(env):
+        sigma = [env["ordering"][f"rank{l}"] for l in range(k)]
+        inv = [0] * k
+        for l, r in enumerate(sigma):
+            inv[r] = l
+        perm = []
+        for r in range(k):
+            for off in range(b):
+                perm.append(inv[r] * b + off)
+        return mc.permutation(perm)
+
+    return pr.DynamicGate(
+        "sort_indexes", k * b, perm_builder, reads=("ordering",),
+        charge=charges.charge("permutation", k * b),
+    )
 
 
 def dicke_small_k(
@@ -396,25 +440,7 @@ def dicke_small_k(
             builder.gate(hw, compare[l] + ranks[l])
         rank_qubits = tuple(q for reg in ranks for q in reg)
         builder.measure(rank_qubits, "ranks")
-
-        def ordering_fn(outcomes, k=k, rw=rw):
-            raw = outcomes["ranks"]
-            total = k * rw
-            out = {}
-            ranks_seen = []
-            for l in range(k):
-                shift = (k - 1 - l) * rw
-                r = (raw >> shift) & ((1 << rw) - 1)
-                ranks_seen.append(r)
-                for pos in range(rw):
-                    out[f"reset{l}_{pos}"] = (r >> (rw - 1 - pos)) & 1
-            for l, r in enumerate(ranks_seen):
-                out[f"rank{l}"] = r
-            return out
-
-        builder.classical(
-            pr.ClassicalLayer("ordering", ordering_fn, reads=("ranks",))
-        )
+        builder.classical(ordering_layer(k))
         xg = MatrixGate("X", np.array([[0, 1], [1, 0]]))
         builder.layer(
             *(
@@ -435,28 +461,7 @@ def dicke_small_k(
                     gt, indexes[l] + indexes[m] + (compare[l][slot],)
                 )
         index_qubits = tuple(q for reg in indexes for q in reg)
-
-        def perm_builder(env, k=k, b=b):
-            sigma = [env["ordering"][f"rank{l}"] for l in range(k)]
-            inv = [0] * k
-            for l, r in enumerate(sigma):
-                inv[r] = l
-            perm = []
-            for r in range(k):
-                for off in range(b):
-                    perm.append(inv[r] * b + off)
-            return mc.permutation(perm)
-
-        builder.gate(
-            pr.DynamicGate(
-                name="sort_indexes",
-                num_bits=k * b,
-                builder=perm_builder,
-                reads=("ordering",),
-                charge=charges.charge("permutation", k * b),
-            ),
-            index_qubits,
-        )
+        builder.gate(sort_indexes_gate(k, b), index_qubits)
 
     # Cleaning: gadget form at small n, equivalent semantic map above
     # (the two are equality-tested against each other at n = 4)
@@ -503,6 +508,79 @@ def _valid_fac(digits: Sequence[int]) -> bool:
     return all(0 <= d <= n - 1 - i for i, d in enumerate(digits))
 
 
+@pr.register_gate("fac_to_comb")
+def fac_to_comb_gate(n: int, k: int) -> BasisMapGate:
+    """s ^= A(y) on |y>|s>: the weight-k string of the n-factoradic y."""
+    yw = _digit_widths(n)
+
+    def fn(v: int) -> int:
+        s = v & ((1 << n) - 1)
+        y = _decode_digits(v >> n, yw)
+        if not _valid_fac(y):
+            return v
+        image = 0
+        for bval in ns.fac_to_comb(y, k):
+            image = (image << 1) | bval
+        return ((v >> n) << n) | (s ^ image)
+
+    return BasisMapGate(
+        "fac_to_comb", sum(yw) + n, fn, fn,
+        charge=charges.charge("threshold", n, k),
+    )
+
+
+@pr.register_gate("split_zo")
+def split_zo_gate(n: int, k: int) -> BasisMapGate:
+    """(z, o) ^= (Z(y), O(y)) on |y>|z>|o>: functions of y alone."""
+    yw, zw, ow = _digit_widths(n), _digit_widths(n - k), _digit_widths(k)
+    zb, ob = sum(zw), sum(ow)
+
+    def fn(v: int) -> int:
+        y_val = v >> (zb + ob)
+        z_val = (v >> ob) & ((1 << zb) - 1)
+        o_val = v & ((1 << ob) - 1)
+        y = _decode_digits(y_val, yw)
+        if not _valid_fac(y):
+            return v
+        _, zdig, odig = ns.fac_decompose(y, k)
+        z_val ^= _encode_digits(zdig, zw)
+        o_val ^= _encode_digits(odig, ow)
+        return (y_val << (zb + ob)) | (z_val << ob) | o_val
+
+    return BasisMapGate(
+        "split_zo", sum(yw) + zb + ob, fn, fn,
+        charge=charges.charge("threshold", n, max(k, 1)),
+    )
+
+
+@pr.register_gate("comb_to_fac")
+def comb_to_fac_gate(n: int, k: int) -> BasisMapGate:
+    """y ^= comb_to_fac(s, z, o) on |y>|s>|z>|o>: zeroes y."""
+    yw, zw, ow = _digit_widths(n), _digit_widths(n - k), _digit_widths(k)
+    zb, ob = sum(zw), sum(ow)
+
+    def fn(v: int) -> int:
+        y_val = v >> (n + zb + ob)
+        s = (v >> (zb + ob)) & ((1 << n) - 1)
+        z_val = (v >> ob) & ((1 << zb) - 1)
+        o_val = v & ((1 << ob) - 1)
+        bits = tuple((s >> (n - 1 - i)) & 1 for i in range(n))
+        if sum(bits) == k:
+            zdig = _decode_digits(z_val, zw) if n - k > 0 else ()
+            odig = _decode_digits(o_val, ow) if k > 0 else ()
+            if _valid_fac(zdig) and _valid_fac(odig):
+                y = ns.comb_to_fac(bits, tuple(zdig), tuple(odig))
+                y_val ^= _encode_digits(y, yw)
+        return (
+            (y_val << (n + zb + ob)) | (s << (zb + ob)) | (z_val << ob) | o_val
+        )
+
+    return BasisMapGate(
+        "comb_to_fac", sum(yw) + n + zb + ob, fn, fn,
+        charge=charges.charge("threshold", n, max(k, 1)),
+    )
+
+
 def dicke_factoradic(
     n: int, k: int
 ) -> Tuple[pr.LaqccProgram, ss.SparseState]:
@@ -537,93 +615,11 @@ def dicke_factoradic(
         frag, _ = uniform_fragment(reg, j + 1, flag)
         frag.emit(builder)
 
-    # (2) s ^= A(y)
-    def forward_fn(v: int, n=n, k=k, yw=tuple(yw)) -> int:
-        s = v & ((1 << n) - 1)
-        y = _decode_digits(v >> n, yw)
-        if not _valid_fac(y):
-            return v
-        bits = ns.fac_to_comb(y, k)
-        image = 0
-        for bval in bits:
-            image = (image << 1) | bval
-        return ((v >> n) << n) | (s ^ image)
-
-    builder.gate(
-        BasisMapGate(
-            name="fac_to_comb",
-            num_bits=len(y_qubits) + n,
-            fn=forward_fn,
-            inverse_fn=forward_fn,
-            charge=charges.charge("threshold", n, k),
-            spec={"name": "fac_to_comb", "params": {"n": n, "k": k}},
-        ),
-        y_qubits + system,
-    )
-
-    # (3) (z, o) ^= (Z(y), O(y)) — functions of y alone
-    def zo_fn(
-        v: int, n=n, k=k, yw=tuple(yw), zw=tuple(zw), ow=tuple(ow)
-    ) -> int:
-        zb, ob = sum(zw), sum(ow)
-        y_val = v >> (zb + ob)
-        z_val = (v >> ob) & ((1 << zb) - 1)
-        o_val = v & ((1 << ob) - 1)
-        y = _decode_digits(y_val, yw)
-        if not _valid_fac(y):
-            return v
-        _, zdig, odig = ns.fac_decompose(y, k)
-        z_val ^= _encode_digits(zdig, zw)
-        o_val ^= _encode_digits(odig, ow)
-        return (y_val << (zb + ob)) | (z_val << ob) | o_val
-
+    builder.gate(fac_to_comb_gate(n, k), y_qubits + system)
     if z_qubits or o_qubits:
-        builder.gate(
-            BasisMapGate(
-                name="split_zo",
-                num_bits=len(y_qubits) + len(z_qubits) + len(o_qubits),
-                fn=zo_fn,
-                inverse_fn=zo_fn,
-                charge=charges.charge("threshold", n, max(k, 1)),
-                spec={"name": "split_zo", "params": {"n": n, "k": k}},
-            ),
-            y_qubits + z_qubits + o_qubits,
-        )
-
-    # (4) y ^= comb_to_fac(s, z, o): zeroes the y registers
-    def uncompute_y_fn(
-        v: int, n=n, k=k, yw=tuple(yw), zw=tuple(zw), ow=tuple(ow)
-    ) -> int:
-        zb, ob = sum(zw), sum(ow)
-        sb = n
-        y_val = v >> (sb + zb + ob)
-        s = (v >> (zb + ob)) & ((1 << sb) - 1)
-        z_val = (v >> ob) & ((1 << zb) - 1)
-        o_val = v & ((1 << ob) - 1)
-        bits = tuple((s >> (n - 1 - i)) & 1 for i in range(n))
-        if sum(bits) == k:
-            zdig = _decode_digits(z_val, zw) if n - k > 0 else ()
-            odig = _decode_digits(o_val, ow) if k > 0 else ()
-            if _valid_fac(zdig) and _valid_fac(odig):
-                y = ns.comb_to_fac(bits, tuple(zdig), tuple(odig))
-                y_val ^= _encode_digits(y, yw)
-        return (
-            (y_val << (sb + zb + ob))
-            | (s << (zb + ob))
-            | (z_val << ob)
-            | o_val
-        )
-
+        builder.gate(split_zo_gate(n, k), y_qubits + z_qubits + o_qubits)
     builder.gate(
-        BasisMapGate(
-            name="comb_to_fac",
-            num_bits=len(y_qubits) + n + len(z_qubits) + len(o_qubits),
-            fn=uncompute_y_fn,
-            inverse_fn=uncompute_y_fn,
-            charge=charges.charge("threshold", n, max(k, 1)),
-            spec={"name": "comb_to_fac", "params": {"n": n, "k": k}},
-        ),
-        y_qubits + system + z_qubits + o_qubits,
+        comb_to_fac_gate(n, k), y_qubits + system + z_qubits + o_qubits
     )
 
     # (5) unload the now-uniform z and o registers back to |0>

@@ -242,6 +242,10 @@ def test_prep_exhaustive_downgrades_past_the_cap(capsys, monkeypatch):
          "unknown gate 'nope'"),
         ({"kind": "classical", "function_name": "nope"},
          "unknown classical function 'nope'"),
+        ({"kind": "quantum", "gates": [{"gate": {"name": "inverse", "params": {
+            "gate": {"name": "sort_indexes", "params": {"k": 1, "b": 1}}}},
+            "qubits": [0]}]},
+         "sort_indexes has no inverse form"),
     ],
 )
 def test_transform_unknown_name_exit_3(capsys, tmp_path, entry, message):
@@ -388,3 +392,37 @@ def test_prep_runs_each_checked_branch_once(capsys, monkeypatch,
 def test_prep_support_max_is_the_one_shot_peak(capsys, argv, build):
     _, doc, _ = report(capsys, ["prep", *argv, "--seed", "3"])
     assert doc["support_max"] == pt.max_support(build(), pr.SeededPolicy(3))
+
+
+PROTOCOL_PROGRAMS = {
+    "ghz3": lambda: cl.ghz(3),
+    "w4": lambda: pt.w_state(4)[0],
+    "w5": lambda: pt.w_state(5)[0],
+    "uniform5": lambda: pt.uniform_superposition(5)[0],
+    "small_k4,1": lambda: pt.dicke_small_k(4, 1)[0],
+    "small_k4,2": lambda: pt.dicke_small_k(4, 2)[0],
+    "factoradic4,2": lambda: pt.dicke_factoradic(4, 2)[0],
+}
+
+
+@pytest.mark.parametrize("kind", ["defer", "postselect"])
+@pytest.mark.parametrize("name", sorted(PROTOCOL_PROGRAMS))
+def test_transform_takes_every_protocol_json(capsys, tmp_path, kind, name):
+    path = tmp_path / "program.json"
+    path.write_text(pr.dumps(PROTOCOL_PROGRAMS[name]()))
+    code, out, err = run(
+        capsys, ["transform", kind, "--input", str(path), "--seed", "3"]
+    )
+    if kind == "defer" and name == "small_k4,2":
+        # the rank resets are conditioned on a measurement of their own
+        # qubits, so no coherent form exists
+        assert_one_line_exit_3(code, out, err)
+        assert err == (
+            "error: gate 'X' on qubit 11 is conditioned on a measurement of"
+            " qubit 11; it cannot be deferred coherently\n"
+        )
+        return
+    assert code == 0
+    doc = json.loads(out)
+    again = pr.program_to_json(pr.program_from_json(doc))
+    assert {key: doc[key] for key in again} == again  # it loads back

@@ -270,6 +270,24 @@ def test_circuit_json_round_trip():
     assert np.allclose(back.unitary(), c.unitary())
 
 
+def test_steps_are_grouped_once(monkeypatch):
+    calls = []
+    group = cl.CliffordCircuit._group_steps
+
+    def counted(self):
+        calls.append(self)
+        return group(self)
+
+    monkeypatch.setattr(cl.CliffordCircuit, "_group_steps", counted)
+    rng = np.random.default_rng(16)
+    doc = ladder(16, random_word(rng, 16, 2)).to_json()
+    calls.clear()
+    circuit = cl.CliffordCircuit.from_json(doc)
+    cl.flatten_ladder(circuit)
+    assert len(calls) == 1
+    assert isinstance(circuit.steps(), tuple)
+
+
 # ------------------------------------------------------------- reference
 # The 16-candidate search and the per-column propagation that the
 # closed-form ``_match_pauli`` and the one-sweep

@@ -294,3 +294,54 @@ def test_parallelize_gadget_vs_semantic_product():
         ss.from_amplitudes(k, list(enumerate(amps))), (1, 0)
     )
     assert ss.fidelity(sub, ref) == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------------------ JSON specs
+
+
+@pytest.mark.parametrize(
+    "make, spec",
+    [
+        (lambda: mc.fanout(3),
+         {"name": "fanout", "params": {"num_targets": 3}}),
+        (lambda: mc.or_n(3), {"name": "or", "params": {"n": 3}}),
+        (lambda: mc.and_n(3), {"name": "and", "params": {"n": 3}}),
+        (lambda: mc.equal_i(3, 2),
+         {"name": "equal", "params": {"n": 3, "j": 2}}),
+        (lambda: mc.add_n(2), {"name": "add", "params": {"n": 2}}),
+        (lambda: mc.equality(2), {"name": "equality", "params": {"n": 2}}),
+        (lambda: mc.less_than(3, 5),
+         {"name": "lessthan", "params": {"n": 3, "q": 5}}),
+        (lambda: mc.greaterthan(2),
+         {"name": "greaterthan", "params": {"n": 2}}),
+        (lambda: mc.hammingweight(3),
+         {"name": "hammingweight", "params": {"n": 3}}),
+        (lambda: mc.exact_t(3, 2),
+         {"name": "exact", "params": {"n": 3, "t": 2}}),
+        (lambda: mc.threshold_t(3, 2),
+         {"name": "threshold", "params": {"n": 3, "t": 2}}),
+        (lambda: mc.weighted_threshold((3, 1, 1, 1), 4),
+         {"name": "threshold",
+          "params": {"n": 4, "t": 4, "weights": [3, 1, 1, 1]}}),
+        (lambda: mc.qft(2), {"name": "qft", "params": {"n": 2}}),
+        (lambda: mc.permutation([2, 0, 1]),
+         {"name": "permutation", "params": {"perm": [2, 0, 1]}}),
+    ],
+)
+def test_macro_spec_is_its_call_and_loads_back(make, spec):
+    gate = make()
+    assert gate.spec == spec
+    back = pr.loads(pr.dumps(pr.LaqccProgram(
+        gate.num_bits, layers=[pr.QuantumLayer(
+            (pr.GateApp(gate, tuple(range(gate.num_bits))),))])))
+    again = back.layers[0].apps[0].gate
+    assert (again.name, again.charge, again.spec) == (
+        gate.name, gate.charge, spec)
+    if isinstance(gate, pr.BasisMapGate):
+        patterns = range(1 << gate.num_bits)
+        assert list(map(again.fn, patterns)) == list(map(gate.fn, patterns))
+
+
+def test_threshold_weights_must_match_n():
+    with pytest.raises(ValueError, match="weights must be 3 integers"):
+        mc.threshold_t(3, 1, [1, 1])

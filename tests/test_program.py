@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -222,22 +223,19 @@ def test_sample_branches_deterministic_per_seed():
 def test_json_round_trip():
     @pr.register_gate("test_h")
     def _h():
-        gate = pr.MatrixGate(
+        return pr.MatrixGate(
             "H", np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         )
-        gate.spec = {"name": "test_h"}
-        return gate
 
     @pr.register_classical("test_id")
     def _id():
         return pr.ClassicalLayer(
-            "c",
-            lambda o: {"bit": o["m"] & 1},
-            reads=("m",),
-            spec={"function_name": "test_id"},
+            "c", lambda o: {"bit": o["m"] & 1}, reads=("m",)
         )
 
     gate = _h()
+    assert gate.spec == {"name": "test_h", "params": {}}
+    assert _id().spec == {"function_name": "test_id", "params": {}}
     program = pr.LaqccProgram(
         2,
         registers={"sys": pr.Register((0, 1), "system")},
@@ -257,3 +255,25 @@ def test_json_round_trip():
     s1, _ = pr.execute(program, pr.ForcedPolicy((1,)))
     s2, _ = pr.execute(back, pr.ForcedPolicy((1,)))
     assert ss.fidelity(s1, s2) == pytest.approx(1.0)
+
+
+def test_loaded_json_keeps_its_emitted_bytes():
+    def program(x, table):
+        matrix = {"name": "matrix", "params": {"label": "X", "matrix": x}}
+        predicated = {"name": "predicated", "params": {
+            "label": "p", "control_bits": 1, "table": table, "gate": matrix}}
+        return {"qubits": 2, "registers": {}, "layers": [
+            {"kind": "quantum", "gates": [{"gate": matrix, "qubits": [0]}]},
+            {"kind": "quantum",
+             "gates": [{"gate": predicated, "qubits": [0, 1]}]},
+        ]}
+
+    hand = program([[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [False, True])
+    # matrix entries and the predicate table are read off the gate, so
+    # they re-dump as floats and as 0/1
+    emitted = program(
+        [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], [0, 1]
+    )
+    text = pr.dumps(pr.program_from_json(hand))
+    assert text == json.dumps(emitted, indent=2)
+    assert pr.dumps(pr.loads(text)) == text

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from laqcc import amplifier as amp
+from laqcc import clifford as cl
 from laqcc import numbersys as ns
 from laqcc import program as pr
 from laqcc import protocols as pt
@@ -236,3 +237,42 @@ def test_iqp_rejects_non_diagonal():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ValueError):
         pt.iqp_to_laqcc([(x, (0,))], 2)
+
+
+# ------------------------------------------------------------ JSON round trip
+
+ROUND_TRIP = (
+    [(f"ghz{n}", lambda n=n: cl.ghz(n)) for n in range(2, 7)]
+    + [(f"w{n}", lambda n=n: pt.w_state(n)[0]) for n in range(2, 9)]
+    + [
+        (f"uniform{q}", lambda q=q: pt.uniform_superposition(q)[0])
+        for q in range(1, 17)
+    ]
+    + [
+        (f"small_k{n},{k}", lambda n=n, k=k: pt.dicke_small_k(n, k)[0])
+        for n, k in ((4, 1), (4, 2), (6, 2))
+    ]
+    + [
+        (f"factoradic{n},{k}", lambda n=n, k=k: pt.dicke_factoradic(n, k)[0])
+        for n in range(1, 6)
+        for k in range(n + 1)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in ROUND_TRIP], ids=[name for name, _ in ROUND_TRIP]
+)
+def test_every_protocol_round_trips_through_json(build):
+    program = build()
+    text = pr.dumps(program)
+    loaded = pr.loads(text)
+    assert pr.dumps(loaded) == text
+    before = pr.enumerate_branches(program)
+    after = pr.enumerate_branches(loaded)
+    assert [b.record for b in after] == [b.record for b in before]
+    for a, b in zip(after, before):
+        assert abs(a.probability - b.probability) <= 1e-15
+        assert a.state.amplitudes.keys() == b.state.amplitudes.keys()
+        for index, amp in b.state.amplitudes.items():
+            assert abs(a.state.amplitudes[index] - amp) <= 1e-12
