@@ -42,8 +42,12 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LAQCC_SEED", "0"))
+def _seed(args) -> int:
+    """``--seed``, else ``LAQCC_SEED``, else 0; an integer >= 0."""
+    raw = os.environ.get("LAQCC_SEED", "0") if args.seed is None else args.seed
+    if not str(raw).isdecimal():
+        raise Infeasible(f"seed must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 # ------------------------------------------------------------------- prep
@@ -56,11 +60,7 @@ def _build_protocol(args) -> Tuple[pr.LaqccProgram, ss.SparseState, Tuple[int, .
         if name == "ghz":
             if args.n is None:
                 raise Infeasible("ghz requires --n")
-            program = cl.ghz(args.n)
-            amp = 1 / math.sqrt(2)
-            target = ss.from_amplitudes(
-                args.n, [(0, amp), ((1 << args.n) - 1, amp)]
-            )
+            program, target = cl.ghz(args.n), cl.ghz_target(args.n)
             keep = tuple(reversed(program.registers["ghz"].qubits))
             # measured line qubits keep their outcome bits by design
             return program, target, keep, {"n": args.n, "clean": False}
@@ -117,7 +117,7 @@ def _collect_branches(program, mode: str, seed: int):
 
 def cmd_prep(args) -> int:
     start = time.monotonic()
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     program, target, keep, params = _build_protocol(args)
     require_clean = params.pop("clean", True)
     branches, mode = _collect_branches(program, args.branches, seed)
@@ -183,7 +183,7 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     try:
         with open(args.input) as fh:
             program = pr.program_from_json(json.load(fh))
@@ -279,6 +279,8 @@ def cmd_numbers(args) -> int:
 def cmd_verify(args) -> int:
     if not args.all:
         raise Infeasible("verify requires --all")
+    if args.max_n is not None and args.max_n < 1:
+        raise Infeasible(f"--max-n must be >= 1, got {args.max_n}")
     results = verify.run_all(max_n=args.max_n)
     _emit({"results": results, "passed": all(r["passed"] for r in results)})
     for r in results:

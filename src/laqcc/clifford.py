@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import program as pr
+from . import sparse_state as ss
 
 I2 = np.eye(2)
 XM = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -539,6 +540,12 @@ def ghz_parity_layer(n: int) -> pr.ClassicalLayer:
         return out
 
     return pr.ClassicalLayer("parity_fix", prefix_parity, reads=("parity",))
+
+
+def ghz_target(n: int) -> ss.SparseState:
+    """(|0...0> + |1...1>) / sqrt 2 on n qubits."""
+    amp = 1 / math.sqrt(2)
+    return ss.from_amplitudes(n, [(0, amp), ((1 << n) - 1, amp)])
 
 
 def ghz(n: int) -> pr.LaqccProgram:

@@ -12,7 +12,6 @@ registers passed as qubit tuples follow the same order.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, List, Sequence, Tuple
 

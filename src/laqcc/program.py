@@ -24,7 +24,7 @@ from typing import (
 import numpy as np
 
 from . import sparse_state as ss
-from .sparse_state import InfeasibleBranchError, SparseState
+from .sparse_state import SparseState
 
 # --------------------------------------------------------------------------
 # Gates
@@ -134,29 +134,11 @@ class PredicatedGate(Gate):
         self.num_bits = self.control_bits + self.gate.num_bits
 
     def apply(self, state, qubits):
-        controls = list(qubits[: self.control_bits])
-        targets = list(qubits[self.control_bits:])
-        hit: Dict[int, complex] = {}
-        miss: Dict[int, complex] = {}
-        for index, amp in state.amplitudes.items():
-            pattern = 0
-            for c in controls:
-                pattern = (pattern << 1) | ((index >> c) & 1)
-            (hit if self.predicate(pattern) else miss)[index] = amp
-        out = dict(miss)
-        if hit:
-            # unnormalized sub-vector: apply the inner gate linearly
-            sub = SparseState(state.num_qubits, hit)
-            norm = math.sqrt(sub.norm_squared())
-            scaled = SparseState(
-                state.num_qubits, {i: a / norm for i, a in hit.items()}
-            )
-            moved = self.gate.apply(scaled, targets)
-            for i, a in moved.amplitudes.items():
-                out[i] = out.get(i, 0.0) + a * norm
-        result = SparseState(state.num_qubits, out)
-        result.check_norm()
-        return result
+        targets = qubits[self.control_bits:]
+        return ss.apply_predicated(
+            state, self.predicate, qubits[: self.control_bits],
+            lambda part: self.gate.apply(part, targets),
+        )
 
 
 # --------------------------------------------------------------------------

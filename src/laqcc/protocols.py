@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -711,7 +711,7 @@ def max_support(
 
     def observe(state: ss.SparseState) -> None:
         nonlocal peak
-        peak = max(peak, len(state.amplitudes))
+        peak = max(peak, state.support())
 
     pr.execute(program, policy or pr.SeededPolicy(0), observer=observe)
     return peak

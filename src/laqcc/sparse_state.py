@@ -1,16 +1,19 @@
 """Sparse complex state vector over computational basis states.
 
-Amplitudes live in a dict keyed by basis index; qubit ``q`` owns bit
-``(index >> q) & 1`` (qubit 0 is the least significant bit).  The gate
-kernels are numpy array operations over that dict's keys and values;
-indices are ``int64`` up to 62 qubits and Python ints beyond.  All
-operations return fresh states; nothing mutates in place.
+A state is two parallel arrays, unsorted: ``idx``, its basis indices
+(``int64`` up to 62 qubits, Python ints beyond; qubit ``q`` owns bit
+``(index >> q) & 1``), and ``amp``, their ``complex128`` amplitudes;
+``amplitudes`` is a read-only dict view in the same order.  States are
+immutable.  Weights and overlaps are summed in storage order and rounded
+as Python rounds ``abs(a) ** 2`` and complex products, so they match a
+per-amplitude loop bit for bit and a seed keeps its report bytes.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -18,30 +21,64 @@ PRUNE_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
 class SparseState:
-    num_qubits: int
-    amplitudes: Dict[int, complex] = field(default_factory=dict)
+    """``SparseState(n, {index: amplitude})`` copies the pairs into arrays."""
+
+    def __init__(self, num_qubits: int, amplitudes: Mapping[int, complex]):
+        n = len(amplitudes)
+        idx = np.fromiter(amplitudes.keys(), _dtype(num_qubits), n)
+        amp = np.fromiter(amplitudes.values(), complex, n)
+        self._own(num_qubits, idx, amp)
+
+    @classmethod
+    def _of(cls, num_qubits: int, idx: np.ndarray, amp: np.ndarray):
+        """A state that takes ``idx`` and ``amp`` over as they are."""
+        return cls.__new__(cls)._own(num_qubits, idx, amp)
+
+    def _own(self, num_qubits: int, idx: np.ndarray, amp: np.ndarray):
+        idx.flags.writeable = amp.flags.writeable = False
+        vars(self).update(num_qubits=num_qubits, idx=idx, amp=amp)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseState is immutable")
+
+    @functools.cached_property
+    def amplitudes(self) -> Mapping[int, complex]:
+        """Read-only ``{index: amplitude}`` view, in storage order."""
+        return MappingProxyType(
+            dict(zip(self.idx.tolist(), self.amp.tolist()))
+        )
 
     @staticmethod
     def basis(num_qubits: int, index: int = 0) -> "SparseState":
-        if not 0 <= index < (1 << num_qubits):
-            raise IndexError(f"basis index {index} out of range")
-        return SparseState(num_qubits, {index: 1.0 + 0.0j})
+        return from_amplitudes(num_qubits, [(index, 1.0)])
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+        return _running_sum(_weights(self.amp))
 
-    def check_norm(self) -> None:
+    def check_norm(self) -> "SparseState":
         if abs(self.norm_squared() - 1.0) > NORM_TOLERANCE:
             raise ValueError("state norm drifted beyond tolerance")
+        return self
 
     def support(self) -> int:
-        return len(self.amplitudes)
+        return len(self.amp)
 
 
-def _pruned(amps: Dict[int, complex]) -> Dict[int, complex]:
-    return {i: a for i, a in amps.items() if abs(a) >= PRUNE_THRESHOLD}
+def _modulus(amp: np.ndarray) -> np.ndarray:
+    """``abs(a)`` of each amplitude, bit for bit as Python (not numpy)."""
+    return np.hypot(amp.real, amp.imag)
+
+
+def _weights(amp: np.ndarray) -> np.ndarray:
+    """``abs(a) ** 2`` of each amplitude, bit for bit as Python."""
+    return np.float_power(_modulus(amp), 2)
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Sum in storage order, as a Python loop adds (``np.sum`` pairs)."""
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
 def _check_unitary(matrix: np.ndarray) -> None:
@@ -64,19 +101,6 @@ def _dtype(bits: int):
     """Integer dtype for values of ``bits`` bits: ``int64`` while they
     fit, Python ints (``object``) beyond."""
     return np.int64 if bits <= 62 else object
-
-
-def _arrays(state: SparseState) -> Tuple[np.ndarray, np.ndarray]:
-    amps = state.amplitudes
-    n = len(amps)
-    idx = np.fromiter(amps.keys(), _dtype(state.num_qubits), n)
-    return idx, np.fromiter(amps.values(), complex, n)
-
-
-def _from_arrays(
-    num_qubits: int, idx: np.ndarray, amp: np.ndarray
-) -> SparseState:
-    return SparseState(num_qubits, dict(zip(idx.tolist(), amp.tolist())))
 
 
 def _move_bits(
@@ -121,11 +145,11 @@ def apply_unitary(
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError("matrix size does not match target count")
     _check_unitary(matrix)
-    idx, amp = _arrays(state)
+    idx = state.idx
     # one row per distinct rest pattern, one column per target pattern
     rest, row = np.unique(_rest(idx, targets), return_inverse=True)
     block = np.zeros((len(rest), 1 << k), complex)
-    block[row, _gather(idx, targets)] = amp
+    block[row, _gather(idx, targets)] = state.amp
     out = (block @ matrix.T).ravel()
     new_idx = (
         rest[:, None] | _scatter(np.arange(1 << k), targets, idx.dtype)
@@ -134,7 +158,7 @@ def apply_unitary(
     out = out[keep]
     if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
         raise ValueError("state norm drifted beyond tolerance")
-    return _from_arrays(state.num_qubits, new_idx[keep], out)
+    return SparseState._of(state.num_qubits, new_idx[keep], out)
 
 
 def apply_basis_map(
@@ -150,7 +174,7 @@ def apply_basis_map(
     """
     _check_targets(state, targets)
     k = len(targets)
-    idx, amp = _arrays(state)
+    idx = state.idx
     patterns, where = np.unique(_gather(idx, targets), return_inverse=True)
     images = [mapping(p) for p in patterns.tolist()]
     if not all(0 <= v < (1 << k) for v in images):
@@ -162,7 +186,7 @@ def apply_basis_map(
         new_idx
     ):
         raise ValueError("basis map is not injective on the support")
-    return _from_arrays(state.num_qubits, new_idx, amp)
+    return SparseState._of(state.num_qubits, new_idx, state.amp)
 
 
 def apply_phase_map(
@@ -173,41 +197,54 @@ def apply_phase_map(
     """Multiply each basis amplitude by a unit-modulus phase of its
     target-bit pattern; ``phase`` is called once per distinct pattern."""
     _check_targets(state, targets)
-    idx, amp = _arrays(state)
+    idx = state.idx
     patterns, where = np.unique(_gather(idx, targets), return_inverse=True)
     phases = np.array([complex(phase(p)) for p in patterns.tolist()], complex)
     if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-9):
         raise ValueError("phase factor must have unit modulus")
-    return _from_arrays(state.num_qubits, idx, amp * phases[where])
+    return SparseState._of(state.num_qubits, idx, state.amp * phases[where])
 
 
-def _buckets(
-    state: SparseState, qubits: Sequence[int]
-) -> Dict[int, list]:
-    """One scan of ``state``: each outcome of measuring ``qubits`` maps
-    to ``[weight, amplitudes]``, both accumulated in iteration order."""
-    buckets: Dict[int, list] = {}
-    for index, amp in state.amplitudes.items():
-        o = 0
-        for q in qubits:
-            o = (o << 1) | ((index >> q) & 1)
-        bucket = buckets.get(o)
-        if bucket is None:
-            bucket = buckets[o] = [0.0, {}]
-        bucket[0] += abs(amp) ** 2
-        bucket[1][index] = amp
-    return buckets
-
-
-def _collapse(
-    num_qubits: int, probability: float, amps: Dict[int, complex]
+def apply_predicated(
+    state: SparseState,
+    predicate: Callable[[int], int],
+    controls: Sequence[int],
+    apply: Callable[[SparseState], SparseState],
 ) -> SparseState:
-    scale = 1.0 / math.sqrt(probability)
-    result = SparseState(
-        num_qubits, _pruned({i: a * scale for i, a in amps.items()})
+    """Run ``apply``, which keeps the control bits, on the normalised part
+    of ``state`` whose control pattern (controls[0] most significant)
+    satisfies ``predicate``, and scale its result back; the rest stays.
+    ``predicate`` is called once per distinct pattern."""
+    idx, amp = state.idx, state.amp
+    patterns, where = np.unique(_gather(idx, controls), return_inverse=True)
+    hit = np.array([bool(predicate(p)) for p in patterns.tolist()])[where]
+    if hit.any():
+        norm = math.sqrt(_running_sum(_weights(amp[hit])))
+        # divide each component, as Python's complex-by-float division does
+        part = (amp[hit].view(float) / norm).view(complex)
+        moved = apply(SparseState._of(state.num_qubits, idx[hit], part))
+        idx = np.concatenate([idx[~hit], moved.idx])
+        amp = np.concatenate([amp[~hit], moved.amp * norm])
+    return SparseState._of(state.num_qubits, idx, amp).check_norm()
+
+
+def _outcomes(state: SparseState, qubits: Sequence[int]):
+    """The sorted distinct outcomes of measuring ``qubits``, each
+    amplitude's position among them, and their weights in storage order."""
+    outcomes, where = np.unique(
+        _gather(state.idx, qubits), return_inverse=True
     )
-    result.check_norm()
-    return result
+    weights = np.bincount(where, _weights(state.amp), len(outcomes))
+    return outcomes, where, weights
+
+
+def _collapse(state: SparseState, members: np.ndarray, p: float):
+    """The normalised state left on the entries that ``members`` selects."""
+    amp = state.amp[members] * (1.0 / math.sqrt(p))
+    keep = _modulus(amp) >= PRUNE_THRESHOLD
+    return SparseState._of(
+        state.num_qubits, state.idx[members][keep], amp[keep]
+    ).check_norm()
 
 
 def measure(
@@ -225,20 +262,18 @@ def measure(
     _check_targets(state, qubits)
     if (rng is None) == (forced is None):
         raise ValueError("provide exactly one of rng and forced")
-    buckets = _buckets(state, qubits)
+    outcomes, where, weights = _outcomes(state, qubits)
     if forced is not None:
-        outcome = forced
-        probability, amps = buckets.get(outcome, (0.0, {}))
+        outcome, pos = forced, np.flatnonzero(outcomes == forced)
+        probability = float(weights[pos].sum())  # 0.0 if never seen
         if probability <= PRUNE_THRESHOLD:
             raise InfeasibleBranchError(
                 f"outcome {outcome:b} on qubits {list(qubits)} has zero probability"
             )
     else:
-        outcomes = sorted(buckets)
-        probs = np.array([buckets[o][0] for o in outcomes])
-        outcome = outcomes[rng.choice(len(outcomes), p=probs / probs.sum())]
-        probability, amps = buckets[outcome]
-    return outcome, probability, _collapse(state.num_qubits, probability, amps)
+        pos = rng.choice(len(outcomes), p=weights / weights.sum())
+        outcome, probability = int(outcomes[pos]), float(weights[pos])
+    return outcome, probability, _collapse(state, where == pos, probability)
 
 
 class InfeasibleBranchError(ValueError):
@@ -250,10 +285,15 @@ def branch_enumerate(
 ) -> List[Tuple[int, float, SparseState]]:
     """All nonzero-probability outcomes of measuring ``qubits``."""
     _check_targets(state, qubits)
-    buckets = _buckets(state, qubits)
+    outcomes, where, weights = _outcomes(state, qubits)
+    # positions grouped by outcome, each group in storage order
+    groups = np.split(
+        np.argsort(where, kind="stable"),
+        np.cumsum(np.bincount(where, minlength=len(outcomes)))[:-1],
+    )
     return [
-        (o, p, _collapse(state.num_qubits, p, amps))
-        for o, (p, amps) in sorted(buckets.items())
+        (o, p, _collapse(state, members, p))
+        for o, p, members in zip(outcomes.tolist(), weights.tolist(), groups)
         if p > PRUNE_THRESHOLD
     ]
 
@@ -262,35 +302,31 @@ def fidelity(state: SparseState, target: SparseState) -> float:
     """|<target|state>| — global phase quotiented out."""
     if state.num_qubits != target.num_qubits:
         raise ValueError("qubit counts differ")
-    small, large = state.amplitudes, target.amplitudes
-    if len(large) < len(small):
-        small, large = large, small
-    overlap = sum(a * large.get(i, 0.0).conjugate() for i, a in small.items())
-    return min(1.0, abs(overlap))
-
-
-def tensor(a: SparseState, b: SparseState) -> SparseState:
-    """b's qubits become the low-index qubits of the product state."""
-    amps: Dict[int, complex] = {}
-    for ia, aa in a.amplitudes.items():
-        for ib, ab in b.amplitudes.items():
-            amps[(ia << b.num_qubits) | ib] = aa * ab
-    return SparseState(a.num_qubits + b.num_qubits, amps)
+    small, large = sorted((state, target), key=SparseState.support)
+    _, i, j = np.intersect1d(
+        small.idx, large.idx, assume_unique=True, return_indices=True
+    )
+    order = np.argsort(i)  # the shared indices in the small state's order
+    a, b = small.amp[i[order]], large.amp[j[order]]
+    # a * conj(b) per component, as Python's complex product rounds it
+    re = _running_sum(a.real * b.real + a.imag * b.imag)
+    im = _running_sum(a.imag * b.real - a.real * b.imag)
+    return min(1.0, abs(complex(re, im)))
 
 
 def from_amplitudes(
     num_qubits: int, entries: Iterable[Tuple[int, complex]]
 ) -> SparseState:
-    amps: Dict[int, complex] = {}
-    for i, a in entries:
-        if not 0 <= i < (1 << num_qubits):
-            raise IndexError(f"basis index {i} out of range")
-        if abs(a) >= PRUNE_THRESHOLD:
-            amps[i] = complex(a)
-    n2 = sum(abs(a) ** 2 for a in amps.values())
-    if abs(n2 - 1.0) > NORM_TOLERANCE:
+    amps = dict(entries)
+    lo, hi = min(amps, default=0), max(amps, default=0)
+    if lo < 0 or hi >> num_qubits:
+        raise IndexError(f"basis index {lo if lo < 0 else hi} out of range")
+    state = SparseState(num_qubits, amps)
+    keep = _modulus(state.amp) >= PRUNE_THRESHOLD
+    state = SparseState._of(num_qubits, state.idx[keep], state.amp[keep])
+    if abs(state.norm_squared() - 1.0) > NORM_TOLERANCE:
         raise ValueError("amplitudes are not normalized")
-    return SparseState(num_qubits, amps)
+    return state
 
 
 def split_register(
@@ -305,20 +341,11 @@ def split_register(
     the kept register.
     """
     _check_targets(state, keep)
-    keep_set = set(keep)
-    rest = [q for q in range(state.num_qubits) if q not in keep_set]
-    sub: Dict[int, complex] = {}
-    rest_pattern: int | None = None
-    for index, amp in state.amplitudes.items():
-        r = 0
-        for pos, q in enumerate(rest):
-            r |= ((index >> q) & 1) << pos
-        if rest_pattern is None:
-            rest_pattern = r
-        elif r != rest_pattern:
-            raise ValueError("remaining qubits are not in one basis state")
-        k = 0
-        for q in keep:
-            k = (k << 1) | ((index >> q) & 1)
-        sub[k] = amp
-    return SparseState(len(keep), sub), rest_pattern or 0
+    rest = _rest(state.idx, keep)
+    if len(rest) and (rest != rest[0]).any():
+        raise ValueError("remaining qubits are not in one basis state")
+    r = int(rest[0]) if len(rest) else 0
+    others = sorted(set(range(state.num_qubits)) - set(keep))
+    pattern = sum(((r >> q) & 1) << pos for pos, q in enumerate(others))
+    sub = SparseState._of(len(keep), _gather(state.idx, keep), state.amp)
+    return sub, pattern

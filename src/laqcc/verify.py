@@ -8,7 +8,6 @@ two entry points can never drift apart.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -52,9 +51,7 @@ def _check_out(prog, target, branches) -> None:
 def check_ghz(max_n: int = 6) -> str:
     checked = 0
     for n in range(2, max_n + 1):
-        program = cl.ghz(n)
-        amp = 1 / math.sqrt(2)
-        target = ss.from_amplitudes(n, [(0, amp), ((1 << n) - 1, amp)])
+        program, target = cl.ghz(n), cl.ghz_target(n)
         keep = tuple(reversed(program.registers["ghz"].qubits))
         if n <= 5:
             branches = pr.enumerate_branches(program)
@@ -200,12 +197,8 @@ def filling_good_probability(n: int, k: int) -> float:
     (flag,) = builder.alloc("flag", 1, "flag")
     pt.filling_fragment(indexes, system, flag, n).emit(builder)
     state, _ = pr.execute(builder.build(), pr.SeededPolicy(0))
-    good = 0.0
-    for v, a in state.amplitudes.items():
-        pattern = v & ((1 << n) - 1)
-        if pattern.bit_count() == k:
-            good += abs(a) ** 2
-    return good
+    outcomes = ss.branch_enumerate(state, system)
+    return sum(p for o, p, _ in outcomes if o.bit_count() == k)
 
 
 def check_dicke_small_k(
@@ -392,11 +385,9 @@ def check_macros(max_n: int = 4) -> str:
 
 
 def _transform_programs():
-    yield "ghz3", cl.ghz(3), tuple(
-        reversed(cl.ghz(3).registers["ghz"].qubits)
-    ), ss.from_amplitudes(
-        3, [(0, 1 / math.sqrt(2)), (7, 1 / math.sqrt(2))]
-    )
+    prog = cl.ghz(3)
+    keep = tuple(reversed(prog.registers["ghz"].qubits))
+    yield "ghz3", prog, keep, cl.ghz_target(3)
     prog, target = pt.w_state(4)
     yield "w4", prog, prog.registers["out"].qubits, target
     prog, target = pt.uniform_superposition(3)
@@ -411,25 +402,11 @@ def check_transforms() -> str:
         for branch in pr.enumerate_branches(program):
             unitary, flag = pr.to_postselected(program, branch.record)
             state, _ = pr.execute(unitary, pr.SeededPolicy(0))
-            flag_prob = sum(
-                abs(a) ** 2
-                for v, a in state.amplitudes.items()
-                if (v >> flag) & 1
-            )
+            _, flag_prob, cond = ss.measure(state, (flag,), forced=1)
             assert _close(flag_prob, branch.probability), (
                 name,
                 flag_prob,
                 branch.probability,
-            )
-            kept = {
-                v: a
-                for v, a in state.amplitudes.items()
-                if (v >> flag) & 1
-            }
-            norm = math.sqrt(sum(abs(a) ** 2 for a in kept.values()))
-            cond = ss.SparseState(
-                unitary.num_qubits,
-                {v: a / norm for v, a in kept.items()},
             )
             sub, _ = ss.split_register(cond, keep)
             f = ss.fidelity(sub, target)

@@ -224,6 +224,28 @@ def test_prep_bad_sample_count_exit_3(capsys, count):
     assert "sample count" in err
 
 
+def test_prep_negative_seed_exit_3(capsys):
+    code, out, err = run(capsys, [
+        "prep", "ghz", "--n", "3", "--seed", "-5", "--branches", "sample:2",
+    ])
+    assert_one_line_exit_3(code, out, err)
+    assert "seed must be an integer >= 0" in err
+
+
+def test_prep_non_integer_seed_env_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("LAQCC_SEED", "x")
+    code, out, err = run(capsys, ["prep", "ghz", "--n", "3"])
+    assert_one_line_exit_3(code, out, err)
+    assert "seed must be an integer >= 0" in err
+
+
+@pytest.mark.parametrize("max_n", ["-1", "0"])
+def test_verify_max_n_below_one_exit_3(capsys, max_n):
+    code, out, err = run(capsys, ["verify", "--all", "--max-n", max_n])
+    assert_one_line_exit_3(code, out, err)
+    assert "--max-n must be >= 1" in err
+
+
 def test_prep_exhaustive_downgrades_past_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "BRANCH_CAP", 4)
     _, doc, _ = report(capsys, ["prep", "ghz", "--n", "3"])

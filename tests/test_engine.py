@@ -1,15 +1,20 @@
-"""Parity of the numpy gate kernels with per-amplitude reference loops.
+"""Parity of the numpy state operations with per-amplitude reference
+loops.
 
 The reference kernels below walk the amplitude dict one basis state at
-a time, bit by bit.  The numpy kernels in ``laqcc.sparse_state`` must
-give the same support and the same amplitudes within 1e-12 on seeded
-random sparse states, and fail on the same inputs.
+a time, bit by bit.  The array forms in ``laqcc.sparse_state`` (and
+``PredicatedGate.apply`` on top of them) must give the same support and
+the same amplitudes within 1e-12 on seeded random sparse states, and
+fail on the same inputs.  The gate kernels may reorder the support;
+``split_register`` and ``PredicatedGate.apply`` keep the reference's
+order.
 """
 import math
 
 import numpy as np
 import pytest
 
+from laqcc import program as pr
 from laqcc import sparse_state as ss
 
 ATOL = 1e-12
@@ -78,14 +83,60 @@ def ref_apply_phase_map(state, phase, targets):
     return ss.SparseState(state.num_qubits, out)
 
 
+def ref_split_register(state, keep):
+    keep_set = set(keep)
+    rest = [q for q in range(state.num_qubits) if q not in keep_set]
+    sub = {}
+    rest_pattern = None
+    for index, amp in state.amplitudes.items():
+        r = 0
+        for pos, q in enumerate(rest):
+            r |= ((index >> q) & 1) << pos
+        if rest_pattern is None:
+            rest_pattern = r
+        elif r != rest_pattern:
+            raise ValueError("remaining qubits are not in one basis state")
+        sub[_pattern(index, keep)] = amp
+    return ss.SparseState(len(keep), sub), rest_pattern or 0
+
+
+def ref_fidelity(state, target):
+    small, large = state.amplitudes, target.amplitudes
+    if len(large) < len(small):
+        small, large = large, small
+    overlap = sum(a * large.get(i, 0.0).conjugate() for i, a in small.items())
+    return min(1.0, abs(overlap))
+
+
+def ref_predicated(state, gate, qubits):
+    """``gate``'s inner gate applied to the amplitudes whose control bits
+    satisfy its predicate."""
+    controls = qubits[: gate.control_bits]
+    targets = qubits[gate.control_bits:]
+    hit, miss = {}, {}
+    for index, amp in state.amplitudes.items():
+        (hit if gate.predicate(_pattern(index, controls)) else miss)[
+            index] = amp
+    out = dict(miss)
+    if hit:
+        norm = math.sqrt(sum(abs(a) ** 2 for a in hit.values()))
+        scaled = ss.SparseState(
+            state.num_qubits, {i: a / norm for i, a in hit.items()})
+        moved = gate.gate.apply(scaled, targets)
+        for i, a in moved.amplitudes.items():
+            out[i] = out.get(i, 0.0) + a * norm
+    return ss.SparseState(state.num_qubits, out)
+
+
 # ---------------------------------------------------------------- inputs
 
 
-def random_state(rng, n, size=None):
-    """Normalised state on ``size`` distinct random basis indices."""
+def random_state(rng, n, size=None, support=()):
+    """Normalised state on ``size`` distinct basis indices, ``support``
+    among them and the rest random."""
     if size is None:
         size = int(rng.integers(1, min(1 << n, 200) + 1))
-    support = set()
+    support = set(support)
     while len(support) < size:
         # Python ints, so n may exceed 63
         support.add(int.from_bytes(rng.bytes((n + 7) // 8), "little")
@@ -112,6 +163,11 @@ def assert_same(got, expected):
     assert set(got.amplitudes) == set(expected.amplitudes)
     for i, a in expected.amplitudes.items():
         assert abs(got.amplitudes[i] - a) <= ATOL
+
+
+def assert_same_in_order(got, expected):
+    assert list(got.amplitudes) == list(expected.amplitudes)
+    assert_same(got, expected)
 
 
 CASES = [(seed, k) for seed in range(12) for k in (1, 2, 3)]
@@ -203,6 +259,80 @@ def test_map_injective_on_support_but_not_on_patterns():
     )
 
 
+def product_state(rng, n, keep):
+    """A random state on ``keep`` (keep[0] most significant) next to one
+    random basis pattern on every other qubit."""
+    k = len(keep)
+    sub = random_state(rng, k)
+    rest = [q for q in range(n) if q not in set(keep)]
+    pattern = sum(int(rng.integers(2)) << q for q in rest)
+    return ss.SparseState(n, {
+        pattern | sum(((i >> (k - 1 - pos)) & 1) << q
+                      for pos, q in enumerate(keep)): a
+        for i, a in sub.amplitudes.items()
+    })
+
+
+@pytest.mark.parametrize("seed, k", CASES)
+def test_split_register_matches_reference(seed, k):
+    rng = np.random.default_rng([seed, k, 1])
+    n = int(rng.integers(k, 13))
+    keep = random_targets(rng, n, k)
+    state = product_state(rng, n, keep)
+    (got, got_rest), (want, want_rest) = (
+        ss.split_register(state, keep), ref_split_register(state, keep))
+    assert got_rest == want_rest
+    assert_same_in_order(got, want)
+
+
+@pytest.mark.parametrize("seed, k", CASES)
+def test_fidelity_matches_reference(seed, k):
+    rng, state, _ = case(seed, k)
+    n = state.num_qubits
+    shared = list(state.amplitudes)[: int(rng.integers(0, state.support() + 1))]
+    size = min(1 << n, len(shared) + int(rng.integers(1, 5)))
+    target = random_state(rng, n, size, shared)
+    for a, b in ((state, target), (target, state), (state, state)):
+        assert abs(ss.fidelity(a, b) - ref_fidelity(a, b)) <= ATOL
+
+
+@pytest.mark.parametrize("seed, k", CASES)
+def test_predicated_gate_matches_reference(seed, k):
+    rng, state, targets = case(seed, k)
+    n = state.num_qubits
+    free = [q for q in rng.permutation(n).tolist() if q not in targets]
+    controls = free[: int(rng.integers(0, len(free) + 1))]
+    table = rng.integers(2, size=1 << len(controls)).tolist()
+    gate = pr.PredicatedGate("p", len(controls), table.__getitem__,
+                             pr.MatrixGate("u", random_unitary(rng, k)))
+    qubits = tuple(controls + targets)
+    assert_same_in_order(gate.apply(state, qubits),
+                         ref_predicated(state, gate, qubits))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_seventy_qubit_split_fidelity_predicated_match_reference(k):
+    rng = np.random.default_rng([200, k])
+    keep = random_targets(rng, 70, k)
+    keep[0] = 69  # a bit beyond int64
+    state = product_state(rng, 70, keep)
+    (got, got_rest), (want, want_rest) = (
+        ss.split_register(state, keep), ref_split_register(state, keep))
+    assert got_rest == want_rest
+    assert_same_in_order(got, want)
+
+    _, state, targets = case(100, k, n=70)
+    target = random_state(rng, 70, 60, list(state.amplitudes)[:40])
+    assert abs(ss.fidelity(state, target)
+               - ref_fidelity(state, target)) <= ATOL
+    controls = [q for q in (69, 68, 67, 0, 1) if q not in targets][:2]
+    gate = pr.PredicatedGate("p", 2, lambda v: v != 1,
+                             pr.MatrixGate("u", random_unitary(rng, k)))
+    qubits = tuple(controls + targets)
+    assert_same_in_order(gate.apply(state, qubits),
+                         ref_predicated(state, gate, qubits))
+
+
 # ----------------------------------------------------------- error paths
 
 
@@ -246,4 +376,12 @@ def test_norm_drift_rejected_by_both():
     both_raise(ValueError, "norm drifted", [
         lambda: ss.apply_unitary(state, h, [2]),
         lambda: ref_apply_unitary(state, h, [2]),
+    ])
+
+
+def test_entangled_rest_rejected_by_both():
+    _, state, targets = case(6, 2, n=6)
+    both_raise(ValueError, "not in one basis state", [
+        lambda: ss.split_register(state, targets),
+        lambda: ref_split_register(state, targets),
     ])

@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import laqcc
 from laqcc import amplifier as amp
 from laqcc import clifford as cl
+from laqcc import macros as mc
 from laqcc import numbersys as ns
 from laqcc import program as pr
 from laqcc import protocols as pt
@@ -276,3 +283,35 @@ def test_every_protocol_round_trips_through_json(build):
         assert a.state.amplitudes.keys() == b.state.amplitudes.keys()
         for index, amp in b.state.amplitudes.items():
             assert abs(a.state.amplitudes[index] - amp) <= 1e-12
+
+
+def test_fresh_interpreter_loads_every_protocol(tmp_path):
+    """``program.loads`` needs no import beyond ``laqcc.program``."""
+    texts = {
+        name: pr.dumps(program)
+        for name, program in (
+            ("ghz3", cl.ghz(3)),
+            ("w4", pt.w_state(4)[0]),
+            ("uniform5", pt.uniform_superposition(5)[0]),
+            ("small-k4,2", pt.dicke_small_k(4, 2)[0]),
+            ("factoradic4,2", pt.dicke_factoradic(4, 2)[0]),
+            ("fanout2", mc.fanout_gadget(2)),
+        )
+    }
+    path = tmp_path / "programs.json"
+    path.write_text(json.dumps(texts))
+    script = (
+        "import json, sys\n"
+        "from laqcc import program\n"
+        "texts = json.load(open(sys.argv[1]))\n"
+        "print(json.dumps({name: program.dumps(program.loads(text))\n"
+        "                  for name, text in texts.items()}))\n"
+    )
+    source = str(Path(laqcc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == texts

@@ -63,6 +63,11 @@ def test_from_amplitudes_rejects_out_of_range_index(index):
         ss.from_amplitudes(2, [(index, 1.0)])
 
 
+def test_from_amplitudes_rejects_index_beyond_int64():
+    with pytest.raises(IndexError, match="out of range"):
+        ss.from_amplitudes(2, [(1 << 70, 1.0)])
+
+
 def test_out_of_range_target():
     with pytest.raises(IndexError):
         ss.apply_unitary(ss.SparseState.basis(1), X, [1])
@@ -102,7 +107,8 @@ def test_branch_enumerate_bell():
 
 
 def test_branch_enumerate_product_state():
-    s = ss.tensor(ss.SparseState.basis(1, 0), bell())
+    # |0> on qubit 2, a Bell pair on qubits 1 and 0
+    s = ss.from_amplitudes(3, bell().amplitudes.items())
     branches = ss.branch_enumerate(s, [2])
     assert len(branches) == 1
     assert branches[0][1] == pytest.approx(1.0)
