@@ -1,22 +1,25 @@
-"""Pauli strings, Clifford conjugation, gate-teleportation flattening of
-ladder/grid Clifford circuits, and the line-shaped GHZ preparation.
+"""Clifford circuits of H, S, X, Z, CNOT and SWAP, gate-teleportation
+flattening of ladder/grid Clifford circuits, and the line-shaped GHZ
+preparation.
 
-A Pauli string is stored as exponent bitmasks: ``P = phase * prod_q
-Z_q^{z_q} X_q^{x_q}``.  Flattening replaces wire hand-offs between
-consecutive gates by Bell pairs plus Bell measurements, and precomputes
-the linear outcome-to-correction map by pushing unit errors through the
-remaining gates.  Up to phase, conjugation by a Clifford step is linear
-over GF(2), so one forward sweep carries every unit error at once: each
-wire holds a Z row and an X row whose bit c belongs to correction column
-c, and a step replaces its wires' four rows by XORs of the old ones
-(the bit-sliced rows of Aaronson & Gottesman's tableau,
-arXiv:quant-ph/0406196).
+Flattening replaces wire hand-offs between consecutive gates by Bell
+pairs plus Bell measurements, and precomputes the linear
+outcome-to-correction map by pushing unit errors through the remaining
+gates.  A Pauli ``prod_w Z_w^{z_w} X_w^{x_w}`` is its Z and X exponent
+bits; up to phase, conjugating it by a generator is an exact GF(2) rule
+on the bits of the gate's wires (:data:`_RULES`).  The rules act on
+bit-sliced rows as well as on single bits, so one forward sweep carries
+every unit error at once: each wire holds a Z row and an X row whose
+bit c belongs to correction column c (the row updates of Aaronson &
+Gottesman's tableau, arXiv:quant-ph/0406196).  Dense matrices are built
+only for the emitted step gates and the :meth:`CliffordCircuit.unitary`
+reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, MutableSequence, Sequence, Tuple
 
 import numpy as np
 
@@ -44,85 +47,52 @@ GENERATORS: Dict[str, np.ndarray] = {
     ),
 }
 
-PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+# The image U P U† of a Pauli under each generator, as an update of the
+# exponents on the gate's wires; phases are dropped.
+def _hadamard(z, x, q):
+    z[q], x[q] = x[q], z[q]
 
 
-@dataclass(frozen=True)
-class PauliString:
-    num_qubits: int
-    z: int  # bitmask, bit q = Z exponent on qubit q
-    x: int
-    phase: complex = 1 + 0j
-
-    def single_matrix(self, q: int) -> np.ndarray:
-        m = I2
-        if (self.z >> q) & 1:
-            m = ZM @ m if m is not I2 else ZM
-        if (self.x >> q) & 1:
-            m = m @ XM
-        return m
-
-    def matrix(self) -> np.ndarray:
-        out = np.array([[self.phase]], dtype=complex)
-        for q in range(self.num_qubits - 1, -1, -1):
-            out = np.kron(out, self.single_matrix(q))
-        return out
+def _phase(z, x, q):
+    z[q] ^= x[q]
 
 
-def _local_pauli(z_bits: Sequence[int], x_bits: Sequence[int]) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for zb, xb in zip(z_bits, x_bits):
-        m = I2
-        if zb:
-            m = ZM
-        if xb:
-            m = m @ XM
-        out = np.kron(out, m)
-    return out
+def _pauli(z, x, q):
+    pass
 
 
-def _match_pauli(
-    m: np.ndarray, k: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], complex]:
-    """Decompose a 2^k-dim matrix as phase * tensor of Z^z X^x factors.
+def _cnot(z, x, c, t):
+    x[t] ^= x[c]
+    z[c] ^= z[t]
 
-    Z^z X^x sends |c> to (-1)^(z.(c^x)) |c^x>, so row 0 holds the phase
-    at column x, and row ``1 << b`` holds phase * (-1)^(z_b) at column
-    ``(1 << b) ^ x``.  The rebuilt matrix must then match all of ``m``.
-    """
-    x = int(np.argmax(np.abs(m[0])))
-    phase = m[0, x]
-    snapped = min(PHASES, key=lambda p: abs(phase - p))
-    if abs(phase - snapped) <= 1e-9:
-        z = 0
-        for b in range(k):
-            if (m[1 << b, (1 << b) ^ x] / phase).real < 0:
-                z |= 1 << b
-        z_bits = tuple((z >> (k - 1 - i)) & 1 for i in range(k))
-        x_bits = tuple((x >> (k - 1 - i)) & 1 for i in range(k))
-        if np.allclose(m, phase * _local_pauli(z_bits, x_bits), atol=1e-9):
-            return z_bits, x_bits, snapped
-    raise ValueError("matrix is not a Pauli string; gate is not Clifford")
+
+def _swap(z, x, a, b):
+    z[a], z[b] = z[b], z[a]
+    x[a], x[b] = x[b], x[a]
+
+
+_RULES = {
+    "H": _hadamard,
+    "S": _phase,
+    "X": _pauli,
+    "Z": _pauli,
+    "CNOT": _cnot,
+    "SWAP": _swap,
+}
 
 
 def conjugate_gate(
-    matrix: np.ndarray, wires: Sequence[int], p: PauliString
-) -> PauliString:
-    """P' with U P = P' U, for a gate U acting on ``wires``.
+    gate: CliffordGate, z: MutableSequence[int], x: MutableSequence[int]
+) -> None:
+    """Replace the Pauli held in ``z`` and ``x`` by its image under
+    ``gate``, in place and up to phase.
 
-    wires[0] is the gate matrix's most significant qubit.
+    ``z[w]`` and ``x[w]`` are the exponents on wire w: single bits, or
+    bit-sliced rows whose bit c belongs to Pauli c.  The gate's name and
+    arity are checked when its circuit is built.
     """
-    k = len(wires)
-    z_bits = [(p.z >> w) & 1 for w in wires]
-    x_bits = [(p.x >> w) & 1 for w in wires]
-    sub = _local_pauli(z_bits, x_bits)
-    m = matrix @ sub @ matrix.conj().T
-    new_z, new_x, local_phase = _match_pauli(m, k)
-    z, x = p.z, p.x
-    for w, zb, xb in zip(wires, new_z, new_x):
-        z = (z & ~(1 << w)) | (zb << w)
-        x = (x & ~(1 << w)) | (xb << w)
-    return PauliString(p.num_qubits, z, x, p.phase * local_phase)
+    _RULES[gate.name](z, x, *gate.qubits)
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +113,10 @@ class CliffordGate:
         if m.shape[0] != 1 << len(self.qubits):
             raise ValueError(f"{self.name} arity mismatch")
         return m
+
+
+# (4x4 matrix, (low, high) wires, gate word) of one ladder or grid step
+Step = Tuple[np.ndarray, Tuple[int, int], Tuple[CliffordGate, ...]]
 
 
 @dataclass(frozen=True)
@@ -172,7 +146,7 @@ class CliffordCircuit:
                 order.append((i, i + 1))
         return order
 
-    def _group_steps(self) -> Tuple[Tuple[np.ndarray, Tuple[int, int]], ...]:
+    def _group_steps(self) -> Tuple[Step, ...]:
         """Assign the slot-major gate word to its steps greedily.
 
         Gates are listed in temporal order; each gate goes to the
@@ -180,6 +154,7 @@ class CliffordCircuit:
         """
         order = self._slot_order()
         mats = [np.eye(4, dtype=complex) for _ in order]
+        words: List[List[CliffordGate]] = [[] for _ in order]
         pos = 0
         for g in self.gates:
             qs = set(g.qubits)
@@ -191,17 +166,19 @@ class CliffordCircuit:
                     f"{self.shape} step order"
                 )
             mats[pos] = _embed(g, order[pos]) @ mats[pos]
-        return tuple(zip(mats, order))
+            words[pos].append(g)
+        return tuple(zip(mats, order, map(tuple, words)))
 
-    def steps(self) -> Tuple[Tuple[np.ndarray, Tuple[int, int]], ...]:
-        """(4x4 matrix, (low, high) wires) per step, grouped once."""
+    def steps(self) -> Tuple[Step, ...]:
+        """(4x4 matrix, (low, high) wires, gate word) per step, grouped
+        once."""
         return self._steps
 
     def unitary(self) -> np.ndarray:
         """Dense matrix on all n wires (desk scale only)."""
         dim = 1 << self.n
         u = np.eye(dim, dtype=complex)
-        for m, wires in self.steps():
+        for m, wires, _ in self.steps():
             u = _expand(m, wires, self.n) @ u
         return u
 
@@ -270,12 +247,6 @@ def _expand(m: np.ndarray, wires: Tuple[int, int], n: int) -> np.ndarray:
     return out
 
 
-def conjugate(circuit: CliffordCircuit, p: PauliString) -> PauliString:
-    for matrix, wires in circuit.steps():
-        p = conjugate_gate(matrix, (wires[1], wires[0]), p)
-    return p
-
-
 # --------------------------------------------------------------------------
 # Correction map and flattening
 # --------------------------------------------------------------------------
@@ -286,8 +257,8 @@ class CorrectionMap:
     """Binary linear map from Bell outcome bits to Pauli exponents.
 
     Column ``2j`` is the propagated image of a Z error (phase bit) at
-    junction j; column ``2j+1`` the image of an X error.  Rows are
-    (z_0..z_{n-1}, x_0..x_{n-1}) wire exponents.
+    junction j; column ``2j+1`` the image of an X error.  A column holds
+    the Z and X exponents of the wires as bit masks (bit w = wire w).
     """
 
     num_wires: int
@@ -301,17 +272,6 @@ class CorrectionMap:
                 x ^= cx
         return z, x
 
-    def matrix(self) -> List[List[int]]:
-        rows = []
-        for r in range(2 * self.num_wires):
-            row = []
-            for cz, cx in self.columns:
-                mask = cz if r < self.num_wires else cx
-                bit = (mask >> (r % self.num_wires)) & 1
-                row.append(bit)
-            rows.append(row)
-        return rows
-
 
 @dataclass(frozen=True)
 class Junction:
@@ -319,13 +279,8 @@ class Junction:
     gate_index: int  # error sits just before this temporal gate index
 
 
-# the unit Paulis Z_lo, X_lo, Z_hi, X_hi of a step as (z, x) masks on
-# (lo, hi) = bits (0, 1)
-_STEP_UNITS = ((0b01, 0), (0, 0b01), (0b10, 0), (0, 0b10))
-
-
 def _propagate_unit_errors(
-    steps: Sequence[Tuple[np.ndarray, Tuple[int, int]]],
+    steps: Sequence[Step],
     junctions: Sequence[Junction],
     n: int,
 ) -> CorrectionMap:
@@ -334,29 +289,23 @@ def _propagate_unit_errors(
 
     ``zrow[w]`` and ``xrow[w]`` hold bit c when correction column c has a
     Z (X) exponent on wire w.  Junction j sets bits 2j and 2j+1 of its
-    wire's rows just before step ``j.gate_index``.  Each step conjugates
-    its four unit Paulis once and replaces the four rows of its wires by
-    XORs of the old rows: phases drop out of the map, and without them
-    conjugation is linear over GF(2).  The rows are transposed into one
-    (z mask, x mask) column per unit error at the end.
+    wire's rows just before step ``j.gate_index``.  Each gate of the
+    step's word then applies its rule to the rows (``conjugate_gate``):
+    phases drop out of the map, and without them conjugation is linear
+    over GF(2).  The rows are transposed into one (z mask, x mask) column
+    per unit error at the end.
     """
     zrow = [0] * n
     xrow = [0] * n
     starts: Dict[int, List[Tuple[int, int]]] = {}
     for c, j in enumerate(junctions):
         starts.setdefault(j.gate_index, []).append((c, j.wire))
-    for gi, (matrix, (lo, hi)) in enumerate(steps):
+    for gi, (_, _, word) in enumerate(steps):
         for c, w in starts.get(gi, ()):
             zrow[w] |= 1 << (2 * c)
             xrow[w] |= 1 << (2 * c + 1)
-        old = (zrow[lo], xrow[lo], zrow[hi], xrow[hi])
-        new = [0, 0, 0, 0]
-        for row, (z, x) in zip(old, _STEP_UNITS):
-            img = conjugate_gate(matrix, (1, 0), PauliString(2, z, x))
-            for i, bit in enumerate((img.z, img.x, img.z >> 1, img.x >> 1)):
-                if bit & 1:
-                    new[i] ^= row
-        zrow[lo], xrow[lo], zrow[hi], xrow[hi] = new
+        for g in word:
+            conjugate_gate(g, zrow, xrow)
     columns: List[Tuple[int, int]] = []
     for c in range(2 * len(junctions)):
         z = x = 0
@@ -384,7 +333,7 @@ def _flatten_plan(circuit: CliffordCircuit):
     bell_pairs: List[Tuple[int, int]] = []
     measure_pairs: List[Tuple[int, int]] = []  # (old carrier, bell half a)
     placements: List[Tuple[np.ndarray, Tuple[int, int], Tuple[int, int]]] = []
-    for gi, (matrix, wires) in enumerate(steps):
+    for gi, (matrix, wires, _) in enumerate(steps):
         for w in wires:
             if consumed[w]:
                 a, b = next_qubit, next_qubit + 1

@@ -12,7 +12,7 @@ Digit order is most-significant-first: a length-n factoradic is
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Bits = Tuple[int, ...]
 
@@ -139,24 +139,27 @@ def comb_to_fac(bits: Sequence[int], z: Sequence[int], o: Sequence[int]) -> Bits
 
 
 def fac_decompose(digits: Sequence[int], k: int) -> Tuple[Bits, Bits, Bits]:
-    """Invert :func:`comb_to_fac`: split y into (bits, Z, O)."""
+    """Invert :func:`comb_to_fac`: split y into (bits, Z, O).
+
+    The bits are :func:`fac_to_comb`'s.  Only the input is checked: a
+    digit d emits a 1 iff d < k - ones, which is O's range at that
+    weight, and otherwise d - (k - ones) is within Z's.
+    """
     _check_factoradic(digits)
-    n = len(digits)
-    bits = fac_to_comb(digits, k)
-    z = [0] * (n - k)
-    o = [0] * k
-    ones = zeros = 0
-    for pos, bit in enumerate(bits):
-        d = digits[pos]
-        if bit:
-            o[ones] = d
-            ones += 1
+    if not 0 <= k <= len(digits):
+        raise ValueError("weight out of range")
+    bits: List[int] = []
+    z: List[int] = []
+    o: List[int] = []
+    for d in digits:
+        owed = k - len(o)
+        if d < owed:
+            bits.append(1)
+            o.append(d)
         else:
-            z[zeros] = d - (k - ones)
-            zeros += 1
-    _check_factoradic(z)
-    _check_factoradic(o)
-    return bits, tuple(z), tuple(o)
+            bits.append(0)
+            z.append(d - owed)
+    return tuple(bits), tuple(z), tuple(o)
 
 
 def birthday_bound_check(n: int, k: int) -> Tuple[float, float, bool]:

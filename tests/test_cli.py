@@ -372,6 +372,23 @@ def test_flatten_wrong_type_exit_3(capsys, tmp_path, doc, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        {"name": "T", "qubits": [0]},
+        {"name": "CNOT", "qubits": [0]},
+        {"name": "H", "qubits": [0, 1]},
+        {"name": "CNOT", "qubits": [0, 0]},
+        {"name": "CNOT", "qubits": [0, 2]},
+    ],
+)
+def test_flatten_rejects_gate_outside_the_rules_exit_3(capsys, tmp_path, gate):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"shape": "ladder", "n": 3, "gates": [gate]}))
+    code, out, err = run(capsys, ["flatten", "ladder", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+
+
 def count_execute(monkeypatch):
     calls = []
     execute = pr.execute

@@ -9,6 +9,7 @@ from laqcc import program as pr
 from laqcc import sparse_state as ss
 
 Y = np.array([[0, -1j], [1j, 0]])
+PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def random_word(rng, n, length, pairs=None):
@@ -30,28 +31,77 @@ def random_word(rng, n, length, pairs=None):
     return gates
 
 
+def random_full_word(rng, n, length, pairs=None):
+    """Random word over all six generators: H, S, X and Z on either wire
+    of a pair, CNOT in both orientations, and SWAP."""
+    if pairs is None:
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    gates = []
+    for lo, hi in pairs:
+        for _ in range(length):
+            kind = int(rng.integers(7))
+            if kind < 4:
+                q = hi if rng.integers(2) else lo
+                gates.append(cl.CliffordGate("HSXZ"[kind], (q,)))
+            elif kind < 6:
+                pair = (hi, lo) if kind == 4 else (lo, hi)
+                gates.append(cl.CliffordGate("CNOT", pair))
+            else:
+                gates.append(cl.CliffordGate("SWAP", (lo, hi)))
+    return gates
+
+
 def ladder(n, gates):
     return cl.CliffordCircuit("ladder", n, 1, tuple(gates))
 
 
+def pauli_matrix(n, z, x):
+    """Dense prod_w Z_w^{z_w} X_w^{x_w} on n wires, wire 0 least
+    significant; ``z`` and ``x`` are bit masks."""
+    wires = range(n - 1, -1, -1)
+    return local_pauli([(z >> w) & 1 for w in wires],
+                       [(x >> w) & 1 for w in wires])
+
+
+def conjugate_word(gates, n, z, x):
+    """Image (z, x) masks of the Pauli (z, x) under a gate word, by
+    ``conjugate_gate`` on one bit per wire."""
+    zb = [(z >> w) & 1 for w in range(n)]
+    xb = [(x >> w) & 1 for w in range(n)]
+    for g in gates:
+        cl.conjugate_gate(g, zb, xb)
+    return (sum(b << w for w, b in enumerate(zb)),
+            sum(b << w for w, b in enumerate(xb)))
+
+
+def assert_conjugates(u, p, q):
+    """U P = phase * Q U for one of the four phases."""
+    lhs, rhs = u @ p, q @ u
+    assert any(np.allclose(lhs, ph * rhs, atol=1e-9) for ph in PHASES)
+
+
 def test_conjugate_h_z_to_x():
-    c = ladder(2, [cl.CliffordGate("H", (0,))])
-    p = cl.conjugate(c, cl.PauliString(2, z=0b01, x=0))
-    assert (p.z, p.x) == (0, 0b01)
-    assert p.phase == 1
+    z, x = conjugate_word([cl.CliffordGate("H", (0,))], 2, 0b01, 0)
+    assert (z, x) == (0, 0b01)
+    u = ladder(2, [cl.CliffordGate("H", (0,))]).unitary()
+    assert np.allclose(u @ pauli_matrix(2, 0b01, 0),
+                       pauli_matrix(2, z, x) @ u)  # phase +1
 
 
 def test_conjugate_s_x_to_y():
-    c = ladder(2, [cl.CliffordGate("S", (0,))])
-    p = cl.conjugate(c, cl.PauliString(2, z=0, x=0b01))
-    sub = p.matrix()[:2, :2]
-    assert np.allclose(sub, Y)
+    z, x = conjugate_word([cl.CliffordGate("S", (0,))], 2, 0, 0b01)
+    assert (z, x) == (0b01, 0b01)
+    sub = pauli_matrix(2, z, x)[:2, :2]
+    assert any(np.allclose(sub, ph * Y) for ph in PHASES)
 
 
 def test_conjugate_cnot_control_x():
-    c = ladder(2, [cl.CliffordGate("CNOT", (1, 0))])
-    p = cl.conjugate(c, cl.PauliString(2, z=0, x=0b10))
-    assert (p.z, p.x, p.phase) == (0, 0b11, 1)
+    gate = cl.CliffordGate("CNOT", (1, 0))
+    z, x = conjugate_word([gate], 2, 0, 0b10)
+    assert (z, x) == (0, 0b11)
+    u = ladder(2, [gate]).unitary()
+    assert np.allclose(u @ pauli_matrix(2, 0, 0b10),
+                       pauli_matrix(2, z, x) @ u)  # phase +1
 
 
 def test_conjugation_matches_matrix_identity():
@@ -62,10 +112,16 @@ def test_conjugation_matches_matrix_identity():
         u = c.unitary()
         z = int(rng.integers(1 << n))
         x = int(rng.integers(1 << n))
-        p = cl.PauliString(n, z, x)
-        q = cl.conjugate(c, p)
-        # U P = P' U exactly
-        assert np.allclose(u @ p.matrix(), q.matrix() @ u, atol=1e-9)
+        q = conjugate_word(c.gates, n, z, x)
+        # U P = P' U up to phase
+        assert_conjugates(u, pauli_matrix(n, z, x), pauli_matrix(n, *q))
+    for _ in range(20):
+        n = 4
+        c = ladder(n, random_full_word(rng, n, 3))
+        u = c.unitary()
+        z, x = int(rng.integers(1 << n)), int(rng.integers(1 << n))
+        q = conjugate_word(c.gates, n, z, x)
+        assert_conjugates(u, pauli_matrix(n, z, x), pauli_matrix(n, *q))
 
 
 def test_conjugation_group_action():
@@ -74,12 +130,14 @@ def test_conjugation_group_action():
         g1 = random_word(rng, 3, 3)
         g2 = random_word(rng, 3, 3)
         c1, c2 = ladder(3, g1), ladder(3, g2)
-        p = cl.PauliString(3, int(rng.integers(8)), int(rng.integers(8)))
-        via_two = cl.conjugate(c2, cl.conjugate(c1, p))
+        z, x = int(rng.integers(8)), int(rng.integers(8))
+        via_two = conjugate_word(g2, 3, *conjugate_word(g1, 3, z, x))
         u = c2.unitary() @ c1.unitary()
-        assert np.allclose(
-            u @ p.matrix(), via_two.matrix() @ u, atol=1e-9
-        )
+        assert_conjugates(u, pauli_matrix(3, z, x), pauli_matrix(3, *via_two))
+
+
+def test_rules_cover_exactly_the_generators():
+    assert set(cl._RULES) == set(cl.GENERATORS)
 
 
 def test_correction_map_identity_ladder():
@@ -185,6 +243,10 @@ def test_flatten_random_ladders():
         n = int(rng.integers(3, 6))
         c = ladder(n, random_word(rng, n, 3))
         check_flatten_equals_direct(c, rng)
+    for _ in range(6):  # SWAP, X and Z too
+        n = int(rng.integers(3, 6))
+        c = ladder(n, random_full_word(rng, n, 3))
+        check_flatten_equals_direct(c, rng)
 
 
 def test_flatten_grid_identity():
@@ -289,36 +351,62 @@ def test_steps_are_grouped_once(monkeypatch):
 
 
 # ------------------------------------------------------------- reference
-# The 16-candidate search and the per-column propagation that the
-# closed-form ``_match_pauli`` and the one-sweep
-# ``_propagate_unit_errors`` replaced; the new code must give equal
-# results.
+# Dense conjugation: conjugate by the step's 4x4 matrix, then find the
+# phased Pauli string among all 16 candidates.  The exact GF(2) rules of
+# ``conjugate_gate`` and the one-sweep ``_propagate_unit_errors`` must
+# give equal results.
+
+
+def local_pauli(z_bits, x_bits):
+    """Z^z X^x per qubit, the first qubit most significant."""
+    out = np.array([[1.0 + 0j]])
+    for zb, xb in zip(z_bits, x_bits):
+        m = np.eye(2, dtype=complex)
+        if zb:
+            m = cl.ZM
+        if xb:
+            m = m @ cl.XM
+        out = np.kron(out, m)
+    return out
 
 
 def ref_match_pauli(m, k):
     for z_bits in product((0, 1), repeat=k):
         for x_bits in product((0, 1), repeat=k):
-            t = cl._local_pauli(z_bits, x_bits)
+            t = local_pauli(z_bits, x_bits)
             r, c = np.unravel_index(np.argmax(np.abs(t)), t.shape)
             if abs(m[r, c]) < 1e-9:
                 continue
             phase = m[r, c] / t[r, c]
-            if min(abs(phase - p) for p in cl.PHASES) > 1e-9:
+            if min(abs(phase - p) for p in PHASES) > 1e-9:
                 continue
             if np.allclose(m, phase * t, atol=1e-9):
-                snapped = min(cl.PHASES, key=lambda p: abs(phase - p))
+                snapped = min(PHASES, key=lambda p: abs(phase - p))
                 return z_bits, x_bits, snapped
     raise ValueError("matrix is not a Pauli string; gate is not Clifford")
+
+
+def ref_conjugate(matrix, wires, z, x):
+    """(z, x) masks of U P U† up to phase, for a gate U on ``wires``
+    (wires[0] the matrix's most significant qubit)."""
+    sub = local_pauli([(z >> w) & 1 for w in wires],
+                      [(x >> w) & 1 for w in wires])
+    new_z, new_x, _ = ref_match_pauli(matrix @ sub @ matrix.conj().T,
+                                      len(wires))
+    for w, zb, xb in zip(wires, new_z, new_x):
+        z = (z & ~(1 << w)) | (zb << w)
+        x = (x & ~(1 << w)) | (xb << w)
+    return z, x
 
 
 def ref_propagate_unit_errors(steps, junctions, n):
     columns = []
     for j in junctions:
         for z0, x0 in ((1, 0), (0, 1)):
-            p = cl.PauliString(n, z0 << j.wire, x0 << j.wire)
-            for matrix, wires in steps[j.gate_index:]:
-                p = cl.conjugate_gate(matrix, (wires[1], wires[0]), p)
-            columns.append((p.z, p.x))
+            z, x = z0 << j.wire, x0 << j.wire
+            for matrix, (lo, hi), _ in steps[j.gate_index:]:
+                z, x = ref_conjugate(matrix, (hi, lo), z, x)
+            columns.append((z, x))
     return cl.CorrectionMap(n, tuple(columns))
 
 
@@ -329,29 +417,17 @@ def with_reference_map(monkeypatch, fn, *args):
         return fn(*args)
 
 
-def match_both(m, k):
-    """(closed form, reference) results, or the exception type raised."""
-    out = []
-    for fn in (cl._match_pauli, ref_match_pauli):
-        try:
-            out.append(fn(m, k))
-        except ValueError:
-            out.append(ValueError)
-    return out
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_match_pauli_every_phased_string(k):
     for z_bits in product((0, 1), repeat=k):
         for x_bits in product((0, 1), repeat=k):
-            for phase in cl.PHASES:
-                m = phase * cl._local_pauli(z_bits, x_bits)
-                expected = (z_bits, x_bits, phase)
-                assert match_both(m, k) == [expected, expected]
+            for phase in PHASES:
+                m = phase * local_pauli(z_bits, x_bits)
+                assert ref_match_pauli(m, k) == (z_bits, x_bits, phase)
 
 
 def pauli_2q(z, x):
-    return cl._local_pauli(((z >> 1) & 1, z & 1), ((x >> 1) & 1, x & 1))
+    return local_pauli(((z >> 1) & 1, z & 1), ((x >> 1) & 1, x & 1))
 
 
 def bumped(m, r, c):
@@ -380,32 +456,28 @@ T = np.diag([1, np.exp(1j * math.pi / 4)])
 )
 def test_match_pauli_rejects_non_paulis(m, k):
     with pytest.raises(ValueError, match="not Clifford"):
-        cl._match_pauli(m, k)
-    with pytest.raises(ValueError, match="not Clifford"):
         ref_match_pauli(m, k)
 
 
-def test_match_pauli_agrees_on_perturbed_strings():
-    # one entry moved by 1e-7: off-support entries and row 0 fail both,
-    # a support entry elsewhere passes both (relative tolerance)
-    rng = np.random.default_rng(17)
-    outcomes = set()
-    for _ in range(300):
-        k = int(rng.integers(1, 3))
-        m = cl.PHASES[int(rng.integers(4))] * cl._local_pauli(
-            tuple(rng.integers(2, size=k)), tuple(rng.integers(2, size=k))
-        )
-        r, c = rng.integers(1 << k, size=2)
-        m[r, c] += 1e-7 * np.exp(2j * math.pi * rng.random())
-        new, ref = match_both(m, k)
-        assert new == ref
-        outcomes.add(new is ValueError)
-    assert outcomes == {True, False}
+TWO_WIRE_GATES = [
+    cl.CliffordGate(name, (q,)) for name in "HSXZ" for q in (0, 1)
+] + [
+    cl.CliffordGate("CNOT", (1, 0)),
+    cl.CliffordGate("CNOT", (0, 1)),
+    cl.CliffordGate("SWAP", (0, 1)),
+]
 
 
-def test_conjugate_gate_rejects_non_clifford():
-    with pytest.raises(ValueError, match="not Clifford"):
-        cl.conjugate_gate(T, (0,), cl.PauliString(1, 0, 1))
+@pytest.mark.parametrize(
+    "gate", TWO_WIRE_GATES,
+    ids=lambda g: g.name + "".join(map(str, g.qubits)),
+)
+def test_rule_matches_dense_conjugation(gate):
+    (matrix, (lo, hi), word), = ladder(2, [gate]).steps()
+    assert word == (gate,)
+    for z, x in product(range(4), repeat=2):
+        expected = ref_conjugate(matrix, (hi, lo), z, x)
+        assert conjugate_word([gate], 2, z, x) == expected, (z, x)
 
 
 def grid_pairs(n, depth):
@@ -433,6 +505,18 @@ def correction_map_circuits():
     gates = random_word(rng, 6, 3, pairs=pairs[::3])
     yield cl.CliffordCircuit("grid", 6, 4, tuple(gates))
     yield cl.CliffordCircuit("grid", 5, 3, ())
+    # all six generators, SWAP, X and Z included
+    for n in range(2, 13):
+        yield ladder(n, random_full_word(rng, n, 4))
+    for n, depth in ((4, 2), (7, 3), (10, 4)):
+        gates = random_full_word(rng, n, 3, pairs=grid_pairs(n, depth))
+        yield cl.CliffordCircuit("grid", n, depth, tuple(gates))
+    # the CNOT+SWAP ladder of ``macros.fanout_gadget``
+    for m in range(1, 7):
+        yield ladder(m + 1, [
+            cl.CliffordGate(name, (i, i + 1))
+            for i in range(m) for name in ("CNOT", "SWAP")
+        ])
 
 
 def test_correction_map_matches_per_column_reference(monkeypatch):

@@ -32,3 +32,44 @@ def test_no_unused_top_level_import(path):
 def test_scan_flags_an_unused_import():
     source = "import math\nimport os\nfrom typing import List\nos.sep\n"
     assert unused_imports(source) == [(1, "math"), (3, "List")]
+
+
+def unreferenced_private_names(source: str):
+    """Top-level functions, classes and constants named with one leading
+    underscore that the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+    private = {name: line for name, line in defined.items()
+               if name.startswith("_") and not name.startswith("__")}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in private.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_name(path):
+    assert unreferenced_private_names(path.read_text()) == []
+
+
+def test_scan_flags_an_unreferenced_private_name():
+    source = (
+        "_USED = 1\n_ORPHAN: int = 2\n__dunder__ = 3\n"
+        "def _helper():\n    return _USED\n"
+        "def _left():\n    pass\n"
+        "class _Gone:\n    pass\n"
+        "def public():\n    return _helper()\n"
+    )
+    assert unreferenced_private_names(source) == [
+        (2, "_ORPHAN"), (6, "_left"), (8, "_Gone")]

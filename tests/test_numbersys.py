@@ -125,6 +125,34 @@ def test_bijection_round_trips(n):
                 assert ns.fac_decompose(y, k) == (bits, z, o)
 
 
+@pytest.mark.parametrize(
+    "digits, k, message",
+    [
+        ((3, 0, 0), 1, "digit 3 at weight 2"),
+        ((1, 2, 0), 1, "digit 2 at weight 1"),
+        ((0, 0, 1), 0, "digit 1 at weight 0"),
+        ((2, 1, 0), 4, "weight out of range"),
+        ((2, 1, 0), -1, "weight out of range"),
+    ],
+)
+def test_fac_decompose_rejects_bad_input(digits, k, message):
+    with pytest.raises(ValueError, match=message):
+        ns.fac_decompose(digits, k)
+
+
+def test_fac_decompose_checks_its_input_once(monkeypatch):
+    calls = []
+    check = ns._check_factoradic
+    monkeypatch.setattr(
+        ns, "_check_factoradic", lambda d: (calls.append(d), check(d))
+    )
+    for k in range(5):
+        for y in ns.all_factoradics(4):
+            calls.clear()
+            ns.fac_decompose(y, k)
+            assert calls == [y]
+
+
 def test_birthday_bound_examples():
     lhs, rhs, holds = ns.birthday_bound_check(16, 4)
     assert lhs == pytest.approx(43680 / 65536, abs=1e-12)
