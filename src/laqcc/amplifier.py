@@ -3,9 +3,9 @@
 Given an ambient superposition of N basis states containing m good
 ones, a phase-matched Grover iterate reaches the good subspace with
 probability exactly 1.  The matched phase is taken from the closed form
-``phi = theta = 2 arcsin(sin(pi/(4J+2)) / sin(beta))`` and validated (or
-refined) numerically on the two-dimensional invariant subspace before a
-plan is accepted.
+``phi = theta = 2 arcsin(sin(pi/(4J+2)) / sin(beta))`` and validated
+numerically on the two-dimensional invariant subspace before a plan is
+accepted.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import charges
 from .program import Builder, DiagonalGate, Gate, register_gate
@@ -28,10 +27,6 @@ class AmplificationPlan:
     J: int
     phi: float
     theta: float
-
-    @property
-    def beta(self) -> float:
-        return math.asin(math.sqrt(self.m / self.N))
 
 
 def _success_amplitude(N: int, m: int, J: int, phi: float, theta: float) -> float:
@@ -57,14 +52,6 @@ def plan(N: int, m: int) -> AmplificationPlan:
     beta = math.asin(math.sqrt(m / N))
     J = max(1, math.ceil((math.pi / 2 - beta) / (2 * beta)))
     phi = 2 * math.asin(math.sin(math.pi / (4 * J + 2)) / math.sin(beta))
-    if 1.0 - _success_amplitude(N, m, J, phi, phi) > 1e-12:
-        result = minimize_scalar(
-            lambda p: 1.0 - _success_amplitude(N, m, J, p, p),
-            bounds=(1e-9, 2 * math.pi - 1e-9),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        phi = float(result.x)
     if 1.0 - _success_amplitude(N, m, J, phi, phi) > 1e-9:
         raise ValueError(f"no matched phase found for N={N}, m={m}")
     return AmplificationPlan(N, m, J, phi, phi)

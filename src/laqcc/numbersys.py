@@ -12,7 +12,7 @@ Digit order is most-significant-first: a length-n factoradic is
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Bits = Tuple[int, ...]
 
@@ -125,16 +125,25 @@ def comb_to_fac(bits: Sequence[int], z: Sequence[int], o: Sequence[int]) -> Bits
     _check_factoradic(o)
     digits = []
     ones = zeros = 0
-    for bit in bits:
-        if bit:
-            # i-th one (left to right) consumes digit O_{k-1-i}; its range
-            # 0..k-ones-1 is exactly the digit values that emit a 1 here.
-            digits.append(o[ones])
-            ones += 1
-        else:
-            # i-th zero consumes digit Z_{n-k-1-i}, shifted past the 1-band.
-            digits.append(k - ones + z[zeros])
-            zeros += 1
+    try:
+        for bit in bits:
+            if bit == 1:
+                # i-th one (left to right) consumes digit O_{k-1-i}; its
+                # range 0..k-ones-1 is exactly the digit values that emit
+                # a 1 here.
+                digits.append(o[ones])
+                ones += 1
+            elif bit != 0:
+                raise ValueError(f"bit {bit} is not 0 or 1")
+            else:
+                # i-th zero consumes digit Z_{n-k-1-i}, shifted past the
+                # 1-band.
+                digits.append(k - ones + z[zeros])
+                zeros += 1
+    except IndexError:
+        # k = sum(bits) counts the ones only if every bit is 0 or 1; a bit
+        # that is neither can run O or Z out before the loop reaches it.
+        raise ValueError("bits must be 0 or 1") from None
     return tuple(digits)
 
 
@@ -160,6 +169,19 @@ def fac_decompose(digits: Sequence[int], k: int) -> Tuple[Bits, Bits, Bits]:
             bits.append(0)
             z.append(d - owed)
     return tuple(bits), tuple(z), tuple(o)
+
+
+def preimage_counts(n: int, k: int) -> Optional[Dict[Bits, int]]:
+    """How many n-factoradics :func:`fac_to_comb` sends to each weight-k
+    bit string; None as soon as one of them does not come back through
+    :func:`fac_decompose` and :func:`comb_to_fac`."""
+    counts: Dict[Bits, int] = {}
+    for digits in all_factoradics(n):
+        bits = fac_to_comb(digits, k)
+        counts[bits] = counts.get(bits, 0) + 1
+        if comb_to_fac(bits, *fac_decompose(digits, k)[1:]) != digits:
+            return None
+    return counts
 
 
 def birthday_bound_check(n: int, k: int) -> Tuple[float, float, bool]:

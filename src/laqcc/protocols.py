@@ -58,9 +58,7 @@ def index_width(q: int) -> int:
     return max(1, math.ceil(math.log2(q)))
 
 
-def uniform_fragment(
-    register: Sequence[int], q: int, flag: int
-) -> Tuple[Fragment, amplifier.AmplificationPlan]:
+def uniform_fragment(register: Sequence[int], q: int, flag: int) -> Fragment:
     """Fragment loading (1/sqrt q) sum_{i<q} |i> onto ``register``."""
     register = tuple(register)
     n = len(register)
@@ -68,7 +66,7 @@ def uniform_fragment(
         raise ValueError("range does not fit the register")
     fragment = Fragment()
     if q == 1:
-        return fragment, amplifier.AmplificationPlan(1, 1, 0, 0.0, 0.0)
+        return fragment
     base = Fragment()
     for qubit in register:
         base.gate(HGATE, (qubit,))
@@ -86,7 +84,7 @@ def uniform_fragment(
             register,
             plan,
         )
-    return fragment, plan
+    return fragment
 
 
 def uniform_target(q: int) -> ss.SparseState:
@@ -104,7 +102,7 @@ def uniform_superposition(
     builder = pr.Builder()
     register = builder.alloc("out", index_width(q), "index")
     (flag,) = builder.alloc("flag", 1, "flag")
-    fragment, _ = uniform_fragment(register, q, flag)
+    fragment = uniform_fragment(register, q, flag)
     fragment.emit(builder)
     return builder.build(), uniform_target(q)
 
@@ -175,7 +173,7 @@ def w_state(n: int) -> Tuple[pr.LaqccProgram, ss.SparseState]:
     system = builder.alloc("out", n, "system")
     index = builder.alloc("index", b, "index")
     (flag,) = builder.alloc("flag", 1, "flag")
-    fragment, _ = uniform_fragment(index, n, flag)
+    fragment = uniform_fragment(index, n, flag)
     fragment.emit(builder)
     builder.gate(uncompress_gate(n, b), index + system)
     builder.layer(*(GateApp(HGATE, (q,)) for q in index))
@@ -223,7 +221,7 @@ def filling_fragment(
     one-hot patterns into the system register."""
     fragment = Fragment()
     for reg in indexes:
-        sub, _ = uniform_fragment(reg, n, flag)
+        sub = uniform_fragment(reg, n, flag)
         sub.emit(fragment)
     for q in system:
         fragment.gate(HGATE, (q,))
@@ -612,7 +610,7 @@ def dicke_factoradic(
 
     # (1) uniform superposition over all n-factoradics
     for reg, j in zip(y_regs, range(n - 1, 0, -1)):
-        frag, _ = uniform_fragment(reg, j + 1, flag)
+        frag = uniform_fragment(reg, j + 1, flag)
         frag.emit(builder)
 
     builder.gate(fac_to_comb_gate(n, k), y_qubits + system)
@@ -624,10 +622,10 @@ def dicke_factoradic(
 
     # (5) unload the now-uniform z and o registers back to |0>
     for reg, j in zip(z_regs, range(n - k - 1, 0, -1)):
-        frag, _ = uniform_fragment(reg, j + 1, flag)
+        frag = uniform_fragment(reg, j + 1, flag)
         frag.emit_inverse(builder)
     for reg, j in zip(o_regs, range(k - 1, 0, -1)):
-        frag, _ = uniform_fragment(reg, j + 1, flag)
+        frag = uniform_fragment(reg, j + 1, flag)
         frag.emit_inverse(builder)
     return builder.build(), dicke_target(n, k)
 

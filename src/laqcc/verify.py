@@ -263,16 +263,9 @@ def check_dicke_factoradic(max_n: int = 6) -> str:
 
 def check_numbersys(max_n: int = 8, birthday_n: int = 64) -> str:
     for n in range(1, max_n + 1):
-        counts: Dict[Tuple[int, ...], int] = {}
         for k in range(n + 1):
-            counts.clear()
-            for digits in ns.all_factoradics(n):
-                bits = tuple(ns.fac_to_comb(digits, k))
-                counts[bits] = counts.get(bits, 0) + 1
-                back = ns.comb_to_fac(
-                    bits, *ns.fac_decompose(digits, k)[1:]
-                )
-                assert tuple(back) == tuple(digits), (digits, k)
+            counts = ns.preimage_counts(n, k)
+            assert counts is not None, (n, k)
             expected = math.factorial(k) * math.factorial(n - k)
             assert all(v == expected for v in counts.values()), (n, k)
             assert len(counts) == math.comb(n, k)

@@ -45,6 +45,18 @@ def test_zero_failure_sweep():
                 assert p.J <= 1
 
 
+def test_plan_phase_is_the_closed_form():
+    # At N = 2^29 the 18198 iterates of _success_amplitude round to a miss
+    # of a few 1e-12; the plan still takes the exact matched phase.
+    N, m = 1 << 29, 1
+    p = amp.plan(N, m)
+    beta = math.asin(math.sqrt(m / N))
+    assert p.J == 18198
+    assert p.phi == p.theta == 2 * math.asin(
+        math.sin(math.pi / (4 * p.J + 2)) / math.sin(beta)
+    )
+
+
 def hadamard_prep(register):
     h = pr.MatrixGate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 

@@ -196,6 +196,20 @@ def test_numbers_bad_input_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["comb2fac", "--bits", "2,0", "--o", "1,0"], "bit 2 is not 0 or 1"),
+        (["check-bijection", "--n", "-1"], "--n must be >= 0"),
+    ],
+)
+def test_numbers_out_of_range_input_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, ["numbers", *argv])
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 def test_verify_requires_all(capsys):
     code, _, err = run(capsys, ["verify"])
     assert code == 3

@@ -1,5 +1,9 @@
-"""Static checks on the package source, with the standard library only."""
+"""Static checks on the package source and on what it imports, with the
+standard library only."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,20 @@ def test_scan_flags_an_unreferenced_private_name():
     )
     assert unreferenced_private_names(source) == [
         (2, "_ORPHAN"), (6, "_left"), (8, "_Gone")]
+
+
+def test_cli_import_pulls_in_numpy_only():
+    """numpy is the one third-party runtime dependency, so a fresh
+    interpreter that imports the CLI has not loaded scipy."""
+    script = (
+        "import sys\n"
+        "import laqcc.cli\n"
+        "print('scipy' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -110,6 +110,19 @@ def test_comb_to_fac_covers_preimages():
         assert all(ns.fac_to_comb(y, k) == bits for y in images)
 
 
+@pytest.mark.parametrize(
+    "bits, z, o, message",
+    [
+        ((2, 0), (), (1, 0), "bit 2 is not 0 or 1"),
+        ((1, -1, 0), (0, 0, 0), (), "bits must be 0 or 1"),
+        ((0, 0, 2), (0,), (1, 0), "bits must be 0 or 1"),
+    ],
+)
+def test_comb_to_fac_rejects_non_binary_bits(bits, z, o, message):
+    with pytest.raises(ValueError, match=message):
+        ns.comb_to_fac(bits, z, o)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bijection_round_trips(n):
     for k in range(n + 1):
