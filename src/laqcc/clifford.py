@@ -47,6 +47,12 @@ GENERATORS: Dict[str, np.ndarray] = {
     ),
 }
 
+# the fixed Clifford gates, built once and shared by every program
+H_GATE = pr.MatrixGate("H", HM)
+CNOT_GATE = pr.MatrixGate("CNOT", CNOTM)
+X_GATE = pr.MatrixGate("X", XM)
+Z_GATE = pr.MatrixGate("Z", ZM)
+
 
 # The image U P U† of a Pauli under each generator, as an update of the
 # exponents on the gate's wires; phases are dropped.
@@ -379,18 +385,16 @@ def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
     n = circuit.n
     num_qubits = n + 2 * len(bell_pairs)
 
-    h = pr.MatrixGate("H", HM)
-    cnot = pr.MatrixGate("CNOT", CNOTM)
     layers: List[object] = []
     if bell_pairs:
         layers.append(
             pr.QuantumLayer(
-                tuple(pr.GateApp(h, (a,)) for a, _ in bell_pairs)
+                tuple(pr.GateApp(H_GATE, (a,)) for a, _ in bell_pairs)
             )
         )
         layers.append(
             pr.QuantumLayer(
-                tuple(pr.GateApp(cnot, (a, b)) for a, b in bell_pairs)
+                tuple(pr.GateApp(CNOT_GATE, (a, b)) for a, b in bell_pairs)
             )
         )
     gate_apps = []
@@ -404,12 +408,14 @@ def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
     if measure_pairs:
         layers.append(
             pr.QuantumLayer(
-                tuple(pr.GateApp(cnot, (q, a)) for q, a in measure_pairs)
+                tuple(
+                    pr.GateApp(CNOT_GATE, (q, a)) for q, a in measure_pairs
+                )
             )
         )
         layers.append(
             pr.QuantumLayer(
-                tuple(pr.GateApp(h, (q,)) for q, _ in measure_pairs)
+                tuple(pr.GateApp(H_GATE, (q,)) for q, _ in measure_pairs)
             )
         )
         measured = tuple(q for pair in measure_pairs for q in pair)
@@ -421,12 +427,10 @@ def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
                 list(outputs),
             )
         )
-        xg = pr.MatrixGate("X", XM)
-        zg = pr.MatrixGate("Z", ZM)
         layers.append(
             pr.QuantumLayer(
                 tuple(
-                    pr.GateApp(xg, (q,), ("correct", f"x{q}"))
+                    pr.GateApp(X_GATE, (q,), ("correct", f"x{q}"))
                     for q in outputs
                 )
             )
@@ -434,12 +438,12 @@ def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
         layers.append(
             pr.QuantumLayer(
                 tuple(
-                    pr.GateApp(zg, (q,), ("correct", f"z{q}"))
+                    pr.GateApp(Z_GATE, (q,), ("correct", f"z{q}"))
                     for q in outputs
                 )
             )
         )
-    program = pr.LaqccProgram(
+    return pr.LaqccProgram(
         num_qubits,
         registers={
             "outputs": pr.Register(outputs, "system"),
@@ -452,8 +456,6 @@ def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
         },
         layers=layers,
     )
-    program.validate()
-    return program
 
 
 def flatten_ladder(circuit: CliffordCircuit) -> pr.LaqccProgram:
@@ -504,16 +506,17 @@ def ghz(n: int) -> pr.LaqccProgram:
     num = 2 * n - 1
     evens = tuple(range(0, num, 2))
     odds = tuple(range(1, num, 2))
-    h = pr.MatrixGate("H", HM)
-    cnot = pr.MatrixGate("CNOT", CNOTM)
     layers: List[object] = [
-        pr.QuantumLayer(tuple(pr.GateApp(h, (q,)) for q in evens)),
+        pr.QuantumLayer(tuple(pr.GateApp(H_GATE, (q,)) for q in evens)),
         pr.QuantumLayer(
-            tuple(pr.GateApp(cnot, (2 * i, 2 * i + 1)) for i in range(n - 1))
+            tuple(
+                pr.GateApp(CNOT_GATE, (2 * i, 2 * i + 1))
+                for i in range(n - 1)
+            )
         ),
         pr.QuantumLayer(
             tuple(
-                pr.GateApp(cnot, (2 * i + 2, 2 * i + 1))
+                pr.GateApp(CNOT_GATE, (2 * i + 2, 2 * i + 1))
                 for i in range(n - 1)
             )
         ),
@@ -521,16 +524,15 @@ def ghz(n: int) -> pr.LaqccProgram:
     ]
 
     layers.append(ghz_parity_layer(n))
-    x = pr.MatrixGate("X", XM)
     layers.append(
         pr.QuantumLayer(
             tuple(
-                pr.GateApp(x, (2 * j,), ("parity_fix", f"flip{j}"))
+                pr.GateApp(X_GATE, (2 * j,), ("parity_fix", f"flip{j}"))
                 for j in range(1, n)
             )
         )
     )
-    program = pr.LaqccProgram(
+    return pr.LaqccProgram(
         num,
         registers={
             "ghz": pr.Register(evens, "system"),
@@ -538,5 +540,3 @@ def ghz(n: int) -> pr.LaqccProgram:
         },
         layers=layers,
     )
-    program.validate()
-    return program

@@ -68,15 +68,14 @@ def fanout_gadget(num_targets: int) -> pr.LaqccProgram:
     outs = program.registers["outputs"].qubits
     # wire w < m ends holding target w+1; wire m ends holding the control
     reordered = (outs[m],) + tuple(outs[:m])
-    program.registers["fanout_out"] = pr.Register(reordered, "system")
-    del program.registers["outputs"]
-    program.registers["workspace"] = pr.Register(
-        tuple(
-            q for q in range(program.num_qubits) if q not in set(reordered)
-        ),
-        "ancilla",
+    return pr.LaqccProgram(
+        program.num_qubits,
+        {
+            "workspace": program.registers["workspace"],
+            "fanout_out": pr.Register(reordered, "system"),
+        },
+        program.layers,
     )
-    return program
 
 
 # --------------------------------------------------------------------------

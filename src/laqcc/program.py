@@ -2,6 +2,10 @@
 layers, plus execution, branch enumeration, resource accounting, layout
 validation, and the measurement-deferral / post-selection transforms.
 
+A program is checked once, when it is built or loaded, and is immutable
+from then on, so nothing that reads or runs it checks it again; a
+``MatrixGate`` likewise checks its matrix once, when it is made.
+
 Conventions
 -----------
 * A gate application lists its qubits most-significant-first: the gate's
@@ -17,8 +21,10 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
-    Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Callable, ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -46,15 +52,30 @@ class Gate:
         raise NotImplementedError(f"{self.name} has no inverse form")
 
 
-@dataclass
+def _check_unitary(matrix: np.ndarray) -> None:
+    d = len(matrix)
+    if not np.abs(matrix.conj().T @ matrix - np.eye(d)).max() <= 1e-12:
+        raise ValueError("gate matrix is not unitary within 1e-12")
+
+
+@dataclass(frozen=True)
 class MatrixGate(Gate):
+    """Dense unitary on ``num_bits`` qubits.  The matrix is checked once,
+    here, and stored as a read-only ``complex`` copy."""
+
     name: str
     matrix: np.ndarray
     charge: float = 0.0
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        self.num_bits = int(round(math.log2(self.matrix.shape[0])))
+        matrix = np.array(self.matrix, dtype=complex)
+        d = matrix.shape[0] if matrix.ndim else 0
+        if matrix.shape != (d, d) or d < 1 or d & (d - 1):
+            raise ValueError(f"matrix shape {matrix.shape} is not 2^k x 2^k")
+        _check_unitary(matrix)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "num_bits", d.bit_length() - 1)
 
     def apply(self, state, qubits):
         return ss.apply_unitary(state, self.matrix, qubits)
@@ -198,15 +219,23 @@ class Register:
             raise ValueError(f"unknown register role {self.role!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaqccProgram:
-    num_qubits: int
-    registers: Dict[str, Register] = field(default_factory=dict)
-    layers: List[Layer] = field(default_factory=list)
+    """A well-formed program: the constructor checks every register,
+    gate arity, qubit, measured label and condition, and stores
+    ``layers`` as a tuple and ``registers`` as a read-only mapping, so
+    the program stays valid for as long as it exists."""
 
-    def validate(self) -> None:
+    num_qubits: int
+    registers: Mapping[str, Register] = field(default_factory=dict)
+    layers: Tuple[Layer, ...] = ()
+
+    def __post_init__(self):
+        registers = MappingProxyType(dict(self.registers))
+        object.__setattr__(self, "registers", registers)
+        object.__setattr__(self, "layers", tuple(self.layers))
         claimed = set()
-        for name, reg in self.registers.items():
+        for name, reg in registers.items():
             for q in reg.qubits:
                 if q in claimed:
                     raise ValueError(f"qubit {q} in two registers")
@@ -231,9 +260,15 @@ class LaqccProgram:
                             f"{app.condition[0]!r}"
                         )
             elif isinstance(layer, MeasureLayer):
-                if layer.label in measured:
-                    raise ValueError(f"duplicate label {layer.label!r}")
-                measured.add(layer.label)
+                qubits, label = layer.qubits, layer.label
+                if len(set(qubits)) != len(qubits):
+                    raise ValueError(f"measure {label!r} repeats a qubit")
+                for q in qubits:
+                    if not 0 <= q < self.num_qubits:
+                        raise ValueError(f"measured qubit {q} out of range")
+                if label in measured:
+                    raise ValueError(f"duplicate label {label!r}")
+                measured.add(label)
             elif isinstance(layer, ClassicalLayer):
                 for label in layer.reads:
                     if label not in measured:
@@ -244,9 +279,6 @@ class LaqccProgram:
                 classical.add(layer.name)
             else:
                 raise ValueError(f"unknown layer kind {type(layer)}")
-
-    def register(self, name: str) -> Tuple[int, ...]:
-        return self.registers[name].qubits
 
 
 @dataclass(frozen=True)
@@ -330,7 +362,6 @@ def _walk(
     peak_support)`` for each branch followed.  At the i-th measurement
     of a branch, ``choose(i, state, qubits)`` lists the ``(outcome,
     probability, post-state)`` triples to follow."""
-    program.validate()
     layers = program.layers
 
     def walk(start, state, env, record, peak):
@@ -433,7 +464,6 @@ def sample_branches(
 
 
 def resources(program: LaqccProgram) -> ResourceProfile:
-    program.validate()
     read_labels = set()
     depth_class = "NC1"
     for layer in program.layers:
@@ -472,7 +502,6 @@ def validate_layout(
     Applications on three or more qubits are macro references whose
     internal layout is charged, not embedded, and are skipped.
     """
-    program.validate()
     for q in range(program.num_qubits):
         if q not in layout.coords:
             raise ValueError(f"layout missing qubit {q}")
@@ -504,7 +533,6 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
     evaluated inside the predicate, so they must take at most
     ``MAX_DEFER_INPUT_BITS`` input bits.
     """
-    program.validate()
     label_qubits: Dict[str, Tuple[int, ...]] = {}
     classical: Dict[str, ClassicalLayer] = {}
     new_layers: List[Layer] = []
@@ -584,9 +612,7 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
         new_layers.append(
             MeasureLayer(tuple(deferred_qubits), "deferred")
         )
-    return LaqccProgram(
-        program.num_qubits, dict(program.registers), new_layers
-    )
+    return LaqccProgram(program.num_qubits, program.registers, new_layers)
 
 
 def to_postselected(
@@ -599,7 +625,6 @@ def to_postselected(
     are hardwired from the transcript; a terminal AND of all comparison
     bits lands in the returned flag qubit.
     """
-    program.validate()
     by_label = {ev.label: ev for ev in transcript}
     env: Dict[str, Dict[str, int]] = {}
     flag_bits: List[int] = []
@@ -688,11 +713,7 @@ class Builder:
         self.layers.append(layer)
 
     def build(self) -> LaqccProgram:
-        program = LaqccProgram(
-            self.num_qubits, dict(self.registers), list(self.layers)
-        )
-        program.validate()
-        return program
+        return LaqccProgram(self.num_qubits, self.registers, self.layers)
 
 
 # --------------------------------------------------------------------------
@@ -717,7 +738,7 @@ def _stamping(registry: dict, key: str, name: str):
             obj = factory(*args, **kwargs)
             params = dict(zip(names, args))
             params.update(kwargs)
-            # ClassicalLayer is frozen; the spec is not one of its fields
+            # frozen gates and layers: the spec is not one of their fields
             object.__setattr__(obj, "spec", {key: name, "params": params})
             return obj
 
@@ -754,7 +775,7 @@ def _gate_spec(gate: Gate) -> dict:
                 "label": gate.name,
                 "matrix": [
                     [[float(c.real), float(c.imag)] for c in row]
-                    for row in np.asarray(gate.matrix)
+                    for row in gate.matrix
                 ],
             },
         }
@@ -834,7 +855,6 @@ GATE_REGISTRY.update(
 
 
 def program_to_json(program: LaqccProgram) -> dict:
-    program.validate()
     layers = []
     for layer in program.layers:
         if isinstance(layer, QuantumLayer):
@@ -977,9 +997,7 @@ def program_from_json(doc: dict) -> LaqccProgram:
             )
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
-    program = LaqccProgram(num_qubits, registers, layers)
-    program.validate()
-    return program
+    return LaqccProgram(num_qubits, registers, layers)
 
 
 def dumps(program: LaqccProgram) -> str:

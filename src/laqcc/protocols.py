@@ -20,9 +20,8 @@ from . import macros as mc
 from . import numbersys as ns
 from . import program as pr
 from . import sparse_state as ss
-from .program import BasisMapGate, DiagonalGate, GateApp, MatrixGate
-
-HGATE = MatrixGate("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+from .clifford import H_GATE, X_GATE
+from .program import BasisMapGate, DiagonalGate, GateApp
 
 
 class Fragment:
@@ -69,7 +68,7 @@ def uniform_fragment(register: Sequence[int], q: int, flag: int) -> Fragment:
         return fragment
     base = Fragment()
     for qubit in register:
-        base.gate(HGATE, (qubit,))
+        base.gate(H_GATE, (qubit,))
     base.emit(fragment)
     plan = amplifier.plan(1 << n, q)
     if plan.J:
@@ -176,9 +175,9 @@ def w_state(n: int) -> Tuple[pr.LaqccProgram, ss.SparseState]:
     fragment = uniform_fragment(index, n, flag)
     fragment.emit(builder)
     builder.gate(uncompress_gate(n, b), index + system)
-    builder.layer(*(GateApp(HGATE, (q,)) for q in index))
+    builder.layer(*(GateApp(H_GATE, (q,)) for q in index))
     builder.gate(compress_phase_gate(n, b), index + system)
-    builder.layer(*(GateApp(HGATE, (q,)) for q in index))
+    builder.layer(*(GateApp(H_GATE, (q,)) for q in index))
     return builder.build(), w_target(n)
 
 
@@ -224,12 +223,12 @@ def filling_fragment(
         sub = uniform_fragment(reg, n, flag)
         sub.emit(fragment)
     for q in system:
-        fragment.gate(HGATE, (q,))
+        fragment.gate(H_GATE, (q,))
     kick = filling_kick_gate(n, len(indexes[0]))
     for reg in indexes:
         fragment.gate(kick, tuple(reg) + tuple(system))
     for q in system:
-        fragment.gate(HGATE, (q,))
+        fragment.gate(H_GATE, (q,))
     return fragment
 
 
@@ -321,7 +320,7 @@ def cleaning_gadget_layers(
     states whose register l holds the l-th smallest set position."""
     index_qubits = tuple(q for reg in indexes for q in reg)
     hadamards = pr.QuantumLayer(
-        tuple(GateApp(HGATE, (q,)) for q in index_qubits)
+        tuple(GateApp(H_GATE, (q,)) for q in index_qubits)
     )
     phase = cleaning_phase_gate(n, len(indexes), len(indexes[0]))
     return [
@@ -329,10 +328,6 @@ def cleaning_gadget_layers(
         pr.QuantumLayer((GateApp(phase, index_qubits + tuple(system)),)),
         hadamards,
     ]
-
-
-def filtering_start_probability(n: int, k: int) -> float:
-    return ns.distinct_index_probability(n, k)
 
 
 @pr.register_classical("ordering")
@@ -439,11 +434,10 @@ def dicke_small_k(
         rank_qubits = tuple(q for reg in ranks for q in reg)
         builder.measure(rank_qubits, "ranks")
         builder.classical(ordering_layer(k))
-        xg = MatrixGate("X", np.array([[0, 1], [1, 0]]))
         builder.layer(
             *(
                 GateApp(
-                    xg,
+                    X_GATE,
                     (ranks[l][pos],),
                     ("ordering", f"reset{l}_{pos}"),
                 )
@@ -668,7 +662,7 @@ def iqp_to_laqcc(
         lifted.append(np.diag(lift_diagonal(diag, support, n)))
     builder = pr.Builder()
     system = builder.alloc("out", n, "system")
-    builder.layer(*(GateApp(HGATE, (q,)) for q in system))
+    builder.layer(*(GateApp(H_GATE, (q,)) for q in system))
     if lifted:
         layers, total = mc.parallelize_commuting(lifted)
         extra = total - n
@@ -676,7 +670,7 @@ def iqp_to_laqcc(
             builder.alloc("copies", extra, "ancilla")
         for layer in layers:
             builder.layers.append(layer)
-    builder.layer(*(GateApp(HGATE, (q,)) for q in system))
+    builder.layer(*(GateApp(H_GATE, (q,)) for q in system))
     # outcome bit i of the report equals qubit i: list msb (qubit n-1) first
     builder.measure(tuple(reversed(system)), "output")
     return builder.build()
@@ -693,10 +687,9 @@ def iqp_direct_distribution(
         if diag.ndim == 2:
             diag = np.diag(diag)
         state = state * lift_diagonal(diag, support, n)
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     full = np.array([[1.0]])
     for _ in range(n):
-        full = np.kron(full, h)
+        full = np.kron(full, H_GATE.matrix)
     state = full @ state
     return {v: float(abs(a) ** 2) for v, a in enumerate(state)}
 

@@ -108,8 +108,8 @@ def _flatten_agrees(circuit, rng) -> int:
         apps.append(pr.GateApp(pr.MatrixGate(f"in{q}", m), (q,)))
     program = pr.LaqccProgram(
         program.num_qubits,
-        dict(program.registers),
-        [pr.QuantumLayer(tuple(apps))] + list(program.layers),
+        program.registers,
+        (pr.QuantumLayer(tuple(apps)),) + program.layers,
     )
     vec = np.array([1.0 + 0j])
     for m in reversed(mats):
@@ -328,15 +328,12 @@ def check_macros(max_n: int = 4) -> str:
     m = 2
     gadget = mc.fanout_gadget(m)
     outs = gadget.registers["fanout_out"].qubits
-    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    prep = pr.QuantumLayer((pr.GateApp(pr.MatrixGate("H", h), (0,)),))
+    prep = pr.QuantumLayer((pr.GateApp(cl.H_GATE, (0,)),))
     program = pr.LaqccProgram(
-        gadget.num_qubits,
-        dict(gadget.registers),
-        [prep] + list(gadget.layers),
+        gadget.num_qubits, gadget.registers, (prep,) + gadget.layers
     )
     sem = ss.SparseState.basis(m + 1)
-    sem = ss.apply_unitary(sem, h, [m])
+    sem = cl.H_GATE.apply(sem, (m,))
     sem = mc.fanout(m).apply(sem, tuple(range(m, -1, -1)))
     for branch in pr.enumerate_branches(program):
         sub, _ = ss.split_register(branch.state, outs)

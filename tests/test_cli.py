@@ -364,6 +364,39 @@ def test_transform_wrong_type_exit_3(capsys, tmp_path, doc, message):
     assert message in err
 
 
+def _matrix_doc(qubits, rows):
+    entries = [[[float(v), 0.0] for v in row] for row in rows]
+    return {"qubits": qubits, "layers": [{"kind": "quantum", "gates": [
+        {"gate": {"name": "matrix", "params": {"label": "M",
+                                               "matrix": entries}},
+         "qubits": list(range(qubits))}]}]}
+
+
+@pytest.mark.parametrize("kind", ["defer", "postselect"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_matrix_doc(1, [[2, 0], [0, 1]]), "not unitary within 1e-12"),
+        (_matrix_doc(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+         "is not 2^k x 2^k"),
+        ({"qubits": 1, "layers": [{"kind": "measure", "qubits": [5],
+                                   "label": "m"}]},
+         "qubit 5 out of range"),
+        ({"qubits": 2, "layers": [{"kind": "measure", "qubits": [0, 0],
+                                   "label": "m"}]},
+         "repeats a qubit"),
+    ],
+)
+def test_transform_rejects_invalid_program_exit_3(
+    capsys, tmp_path, kind, doc, message
+):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["transform", kind, "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

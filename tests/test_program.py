@@ -101,15 +101,51 @@ def test_quantum_layer_rejects_overlap():
 
 
 def test_validate_rejects_forward_reference():
-    program = pr.LaqccProgram(
-        1,
-        layers=[
-            pr.ClassicalLayer("c", lambda o: {}, reads=("m",)),
-            pr.MeasureLayer((0,), "m"),
-        ],
+    with pytest.raises(ValueError, match="reads unmeasured label 'm'"):
+        pr.LaqccProgram(
+            1,
+            layers=[
+                pr.ClassicalLayer("c", lambda o: {}, reads=("m",)),
+                pr.MeasureLayer((0,), "m"),
+            ],
+        )
+
+
+@pytest.mark.parametrize(
+    "qubits, message",
+    [((5,), "qubit 5 out of range"), ((0, 0), "repeats a qubit")],
+)
+def test_measure_layer_checked_when_built(qubits, message):
+    with pytest.raises(ValueError, match=message):
+        pr.LaqccProgram(2, layers=[pr.MeasureLayer(qubits, "m")])
+
+
+def test_built_program_is_immutable():
+    program = feedforward_program()
+    assert isinstance(program.layers, tuple)
+    with pytest.raises(AttributeError):
+        program.layers = ()
+    with pytest.raises(AttributeError):
+        program.num_qubits = 3
+    with pytest.raises(TypeError):
+        program.registers["extra"] = pr.Register((0,), "ancilla")
+    registers = {"a": pr.Register((0,), "system")}
+    program = pr.LaqccProgram(2, registers)
+    registers["b"] = pr.Register((0,), "ancilla")  # would clash with "a"
+    assert list(program.registers) == ["a"]
+
+
+def test_running_a_built_program_checks_no_matrix(monkeypatch):
+    program = cl.ghz(4)
+    calls = []
+    check = pr._check_unitary
+    monkeypatch.setattr(
+        pr, "_check_unitary", lambda m: calls.append(m) or check(m)
     )
-    with pytest.raises(ValueError):
-        program.validate()
+    pr.enumerate_branches(program)
+    assert calls == []
+    pr.MatrixGate("H", cl.HM)  # the counter sees the check it wraps
+    assert len(calls) == 1
 
 
 def test_resources_counts_rounds_and_depth():

@@ -132,13 +132,6 @@ def test_dicke_small_k_policy_rejects_large_k():
         pt.dicke_small_k(4, 3)  # ceil(sqrt(4)) = 2
 
 
-def test_filtering_start_probability_frozen():
-    assert pt.filtering_start_probability(4, 2) == pytest.approx(0.75)
-    assert pt.filtering_start_probability(8, 2) == pytest.approx(7 / 8)
-    # collision-free probability dominates the birthday floor
-    assert pt.filtering_start_probability(8, 2) > math.exp(-2 * 4 / 8)
-
-
 def test_cleaning_gate_zeroes_sorted_registers():
     n, k, b = 4, 2, 2
     g = pt.cleaning_gate(n, k, b)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from laqcc import program as pr
 from laqcc import sparse_state as ss
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -37,15 +38,25 @@ def test_x_involution():
     assert s.amplitudes[0] == pytest.approx(1.0)
 
 
+# a MatrixGate checks its matrix once, when it is built; apply_unitary
+# trusts the matrices it is given
+
+
 def test_non_unitary_rejected():
-    with pytest.raises(ValueError):
-        ss.apply_unitary(ss.SparseState.basis(1), np.array([[1, 0], [0, 2]]), [0])
+    with pytest.raises(ValueError, match="not unitary within 1e-12"):
+        pr.MatrixGate("M", np.array([[1, 0], [0, 2]]))
 
 
 @pytest.mark.parametrize("diagonal", [(1, 1 + 1e-7), (1, 1 + 1e-10)])
 def test_nearly_unitary_rejected_at_1e12(diagonal):
     with pytest.raises(ValueError, match="not unitary within 1e-12"):
-        ss.apply_unitary(ss.SparseState.basis(1), np.diag(diagonal), [0])
+        pr.MatrixGate("M", np.diag(diagonal))
+
+
+@pytest.mark.parametrize("matrix", [np.eye(3), np.ones((2, 4))])
+def test_matrix_not_2k_square_rejected(matrix):
+    with pytest.raises(ValueError, match="is not 2\\^k x 2\\^k"):
+        pr.MatrixGate("M", matrix)
 
 
 def test_unitaries_accepted():
@@ -53,8 +64,22 @@ def test_unitaries_accepted():
     u, _ = np.linalg.qr(z)
     s = ss.SparseState.basis(3)
     for matrix, targets in ((H, [0]), (CNOT, [0, 1]), (u, [2, 0, 1])):
-        s = ss.apply_unitary(s, matrix, targets)
+        gate = pr.MatrixGate("U", matrix)
+        assert gate.num_bits == len(targets)
+        s = gate.apply(s, targets)
     assert abs(s.norm_squared() - 1.0) < 1e-12
+
+
+def test_matrix_is_a_read_only_copy():
+    source = np.array(H)
+    gate = pr.MatrixGate("H", source)
+    source[0, 0] = 5
+    assert gate.matrix[0, 0] == pytest.approx(1 / math.sqrt(2))
+    assert gate.matrix.dtype == complex
+    with pytest.raises(ValueError):
+        gate.matrix[0, 0] = 5
+    with pytest.raises(AttributeError):
+        gate.matrix = np.diag([1, 2])
 
 
 @pytest.mark.parametrize("index", [4, 7, -1])
