@@ -11,13 +11,17 @@ on the bits of the gate's wires (:data:`_RULES`).  The rules act on
 bit-sliced rows as well as on single bits, so one forward sweep carries
 every unit error at once: each wire holds a Z row and an X row whose
 bit c belongs to correction column c (the row updates of Aaronson &
-Gottesman's tableau, arXiv:quant-ph/0406196).  Dense matrices are built
-only for the emitted step gates and the :meth:`CliffordCircuit.unitary`
-reference.
+Gottesman's tableau, arXiv:quant-ph/0406196).
+
+A Clifford gate in a program is its generator word: :func:`clifford`
+makes (and remembers) the dense matrix of a word the first time a gate
+needs it, and the gate serialises as that word, not as the matrix.
 """
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, List, MutableSequence, Sequence, Tuple
 
@@ -46,13 +50,6 @@ GENERATORS: Dict[str, np.ndarray] = {
         dtype=complex,
     ),
 }
-
-# the fixed Clifford gates, built once and shared by every program
-H_GATE = pr.MatrixGate("H", HM)
-CNOT_GATE = pr.MatrixGate("CNOT", CNOTM)
-X_GATE = pr.MatrixGate("X", XM)
-Z_GATE = pr.MatrixGate("Z", ZM)
-
 
 # The image U P U† of a Pauli under each generator, as an update of the
 # exponents on the gate's wires; phases are dropped.
@@ -96,33 +93,141 @@ def conjugate_gate(
 
     ``z[w]`` and ``x[w]`` are the exponents on wire w: single bits, or
     bit-sliced rows whose bit c belongs to Pauli c.  The gate's name and
-    arity are checked when its circuit is built.
+    arity are checked when the gate is made.
     """
     _RULES[gate.name](z, x, *gate.qubits)
 
 
 # --------------------------------------------------------------------------
-# Clifford circuits
+# Clifford circuits and gate words
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CliffordGate:
+    """One generator applied to ``qubits`` (the control first for CNOT).
+    The name, the arity and distinct qubits are checked here."""
+
     name: str
     qubits: Tuple[int, ...]
 
-    def matrix(self) -> np.ndarray:
-        try:
-            m = GENERATORS[self.name]
-        except KeyError:
+    def __post_init__(self):
+        if self.name not in GENERATORS:
             raise ValueError(f"non-generator gate {self.name!r}")
-        if m.shape[0] != 1 << len(self.qubits):
+        if GENERATORS[self.name].shape[0] != 1 << len(self.qubits):
             raise ValueError(f"{self.name} arity mismatch")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError(f"{self.name} repeats a wire")
+
+
+# ((low, high) wires, gate word) of one ladder or grid step
+Step = Tuple[Tuple[int, int], Tuple[CliffordGate, ...]]
+
+# distinct ``clifford`` specs whose gate is kept for reuse
+CLIFFORD_MEMO_SIZE = 1024
+
+_WORD_TOKEN = re.compile(r"([A-Z]+)\((\d+)(?:,(\d+))?\)")
+
+
+def _parse_word(wires: int, word: str) -> Tuple[CliffordGate, ...]:
+    """The generator applications of a word on local wires
+    ``0 .. wires-1``: whitespace-separated ``NAME(w)`` or
+    ``NAME(w,w)`` tokens, applied left to right."""
+    gates = []
+    for token in word.split():
+        match = _WORD_TOKEN.fullmatch(token)
+        if match is None:
+            raise ValueError(f"malformed Clifford word token {token!r}")
+        name, *local = (v for v in match.groups() if v is not None)
+        qubits = tuple(int(w) for w in local)
+        if max(qubits) >= wires:
+            raise ValueError(f"{token} is outside a {wires}-wire gate")
+        gates.append(CliffordGate(name, qubits))
+    return tuple(gates)
+
+
+def _render(word: Sequence[CliffordGate]) -> str:
+    """Inverse of :func:`_parse_word`."""
+    return " ".join(
+        f"{g.name}({','.join(map(str, g.qubits))})" for g in word
+    )
+
+
+@functools.cache  # a few dozen placements exist; each is built once
+def _embed(g: CliffordGate, wires: int) -> np.ndarray:
+    """Matrix of a generator on the local wires of a ``wires``-wire gate,
+    local wire 0 the most significant."""
+    m = GENERATORS[g.name]
+    if wires == 1 or g.qubits == (0, 1):
         return m
+    if g.qubits == (1, 0):
+        swap = GENERATORS["SWAP"]
+        return swap @ m @ swap
+    if g.qubits == (0,):
+        return np.kron(m, I2)
+    return np.kron(I2, m)
 
 
-# (4x4 matrix, (low, high) wires, gate word) of one ladder or grid step
-Step = Tuple[np.ndarray, Tuple[int, int], Tuple[CliffordGate, ...]]
+class WordGate(pr.MatrixGate):
+    """A ``MatrixGate`` made by :func:`clifford`; its inverse is the
+    ``clifford`` gate of the inverse word."""
+
+    def inverse(self):
+        params = self.spec["params"]
+        word = _parse_word(params["wires"], params["word"])
+        inv = tuple(  # S^-1 = S S S; the other generators are involutions
+            g for g in reversed(word)
+            for _ in range(3 if g.name == "S" else 1)
+        )
+        label = params["label"] if inv == word else params["label"] + "_inv"
+        return clifford(label, params["wires"], _render(inv))
+
+
+@functools.lru_cache(maxsize=CLIFFORD_MEMO_SIZE)
+def _word_gate(label: str, wires: int, word: str) -> WordGate:
+    # the identity first, then each generator from the left: this order
+    # fixes every bit of the result, the sign of zero entries included
+    m = np.eye(1 << wires, dtype=complex)
+    for g in _parse_word(wires, word):
+        m = _embed(g, wires) @ m
+    return WordGate(label, m)
+
+
+@pr.register_gate("clifford")
+def clifford(label: str, wires: int, word: str) -> WordGate:
+    """The Clifford gate ``label`` on ``wires`` (1 or 2) qubits, given by
+    its generator word, e.g. ``"CNOT(0,1) S(1) H(0)"``: H, S, X, Z on
+    one local wire, CNOT (control first) and SWAP on two, applied left
+    to right; local wire 0 is the gate's most significant qubit.
+
+    Equal arguments give the same shared gate, so its matrix is built
+    and checked once per distinct word (up to ``CLIFFORD_MEMO_SIZE``
+    words at a time)."""
+    if not isinstance(label, str):
+        raise ValueError(f"clifford label must be a string, got {label!r}")
+    if type(wires) is not int or wires not in (1, 2):
+        raise ValueError(f"a clifford gate spans 1 or 2 wires, got {wires!r}")
+    if not isinstance(word, str):
+        raise ValueError(f"clifford word must be a string, got {word!r}")
+    return _word_gate(label, wires, word)
+
+
+# the fixed Clifford gates, shared by every program
+H_GATE = clifford("H", 1, "H(0)")
+CNOT_GATE = clifford("CNOT", 2, "CNOT(0,1)")
+X_GATE = clifford("X", 1, "X(0)")
+Z_GATE = clifford("Z", 1, "Z(0)")
+
+
+def _step_gate(idx: int, step: Step) -> WordGate:
+    """The emitted gate ``U{idx}`` of a step, with the step's high wire
+    as its local wire 0."""
+    (lo, hi), word = step
+    local = {hi: 0, lo: 1}
+    return clifford(f"U{idx}", 2, _render(
+        [CliffordGate(g.name, tuple(local[q] for q in g.qubits))
+         for g in word]
+    ))
 
 
 @dataclass(frozen=True)
@@ -159,7 +264,6 @@ class CliffordCircuit:
         earliest not-yet-passed slot whose wire pair contains it.
         """
         order = self._slot_order()
-        mats = [np.eye(4, dtype=complex) for _ in order]
         words: List[List[CliffordGate]] = [[] for _ in order]
         pos = 0
         for g in self.gates:
@@ -171,21 +275,19 @@ class CliffordCircuit:
                     f"gate {g.name} on {g.qubits} does not fit the "
                     f"{self.shape} step order"
                 )
-            mats[pos] = _embed(g, order[pos]) @ mats[pos]
             words[pos].append(g)
-        return tuple(zip(mats, order, map(tuple, words)))
+        return tuple(zip(order, map(tuple, words)))
 
     def steps(self) -> Tuple[Step, ...]:
-        """(4x4 matrix, (low, high) wires, gate word) per step, grouped
-        once."""
+        """((low, high) wires, gate word) per step, grouped once."""
         return self._steps
 
     def unitary(self) -> np.ndarray:
         """Dense matrix on all n wires (desk scale only)."""
         dim = 1 << self.n
         u = np.eye(dim, dtype=complex)
-        for m, wires, _ in self.steps():
-            u = _expand(m, wires, self.n) @ u
+        for idx, step in enumerate(self.steps()):
+            u = _expand(_step_gate(idx, step).matrix, step[0], self.n) @ u
         return u
 
     def to_json(self) -> dict:
@@ -212,26 +314,6 @@ class CliffordCircuit:
                 for g in pr.json_list(doc, "gates")
             ),
         )
-
-
-def _embed(g: CliffordGate, pair: Tuple[int, int]) -> np.ndarray:
-    """4x4 matrix of a 1- or 2-qubit gate inside the (low, high) pair,
-    with the higher wire as the most significant bit."""
-    m = g.matrix()
-    lo, hi = pair
-    if len(g.qubits) == 2:
-        if g.qubits == (hi, lo):
-            return m
-        if g.qubits == (lo, hi):
-            swap = GENERATORS["SWAP"]
-            return swap @ m @ swap
-        raise ValueError("gate outside its ladder step")
-    q = g.qubits[0]
-    if q == hi:
-        return np.kron(m, I2)
-    if q == lo:
-        return np.kron(I2, m)
-    raise ValueError("gate outside its ladder step")
 
 
 def _expand(m: np.ndarray, wires: Tuple[int, int], n: int) -> np.ndarray:
@@ -306,7 +388,7 @@ def _propagate_unit_errors(
     starts: Dict[int, List[Tuple[int, int]]] = {}
     for c, j in enumerate(junctions):
         starts.setdefault(j.gate_index, []).append((c, j.wire))
-    for gi, (_, _, word) in enumerate(steps):
+    for gi, (_, word) in enumerate(steps):
         for c, w in starts.get(gi, ()):
             zrow[w] |= 1 << (2 * c)
             xrow[w] |= 1 << (2 * c + 1)
@@ -338,8 +420,8 @@ def _flatten_plan(circuit: CliffordCircuit):
     junctions: List[Junction] = []
     bell_pairs: List[Tuple[int, int]] = []
     measure_pairs: List[Tuple[int, int]] = []  # (old carrier, bell half a)
-    placements: List[Tuple[np.ndarray, Tuple[int, int], Tuple[int, int]]] = []
-    for gi, (matrix, wires, _) in enumerate(steps):
+    placements: List[Tuple[int, int]] = []  # (low, high) carriers per step
+    for gi, (wires, _) in enumerate(steps):
         for w in wires:
             if consumed[w]:
                 a, b = next_qubit, next_qubit + 1
@@ -349,7 +431,7 @@ def _flatten_plan(circuit: CliffordCircuit):
                 junctions.append(Junction(w, gi))
                 carrier[w] = b
         lo, hi = wires
-        placements.append((matrix, wires, (carrier[lo], carrier[hi])))
+        placements.append((carrier[lo], carrier[hi]))
         consumed[lo] = consumed[hi] = True
     outputs = tuple(carrier)
     cmap = _propagate_unit_errors(steps, junctions, n)
@@ -397,14 +479,16 @@ def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
                 tuple(pr.GateApp(CNOT_GATE, (a, b)) for a, b in bell_pairs)
             )
         )
-    gate_apps = []
-    for idx, (matrix, wires, phys) in enumerate(placements):
-        gate_apps.append(
-            pr.GateApp(
-                pr.MatrixGate(f"U{idx}", matrix), (phys[1], phys[0])
+    layers.append(
+        pr.QuantumLayer(
+            tuple(
+                pr.GateApp(_step_gate(idx, step), (hi, lo))
+                for idx, (step, (lo, hi)) in enumerate(
+                    zip(circuit.steps(), placements)
+                )
             )
         )
-    layers.append(pr.QuantumLayer(tuple(gate_apps)))
+    )
     if measure_pairs:
         layers.append(
             pr.QuantumLayer(

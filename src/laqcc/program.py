@@ -531,7 +531,9 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
     Conditional gates become coherent predicated gates reading the bits
     of the qubits that would have been measured; classical functions are
     evaluated inside the predicate, so they must take at most
-    ``MAX_DEFER_INPUT_BITS`` input bits.
+    ``MAX_DEFER_INPUT_BITS`` input bits.  A measured qubit must stay as
+    it was measured, so a qubit measured twice, or a gate on a qubit
+    after its measurement, raises ``ValueError``.
     """
     label_qubits: Dict[str, Tuple[int, ...]] = {}
     classical: Dict[str, ClassicalLayer] = {}
@@ -539,6 +541,12 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
     deferred_qubits: List[int] = []
     for layer in program.layers:
         if isinstance(layer, MeasureLayer):
+            for q in layer.qubits:
+                if q in deferred_qubits:
+                    raise ValueError(
+                        f"qubit {q} is measured twice; it cannot be"
+                        f" deferred coherently"
+                    )
             label_qubits[layer.label] = layer.qubits
             deferred_qubits.extend(layer.qubits)
             continue
@@ -560,17 +568,15 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
                 raise ValueError(
                     "dynamic gates cannot be deferred coherently"
                 )
-            if app.condition is None:
-                apps.append(app)
-                continue
-            source, key = app.condition
-            clayer = classical[source]
             control_qubits: List[int] = []
             widths: List[Tuple[str, int]] = []
-            for label in clayer.reads:
-                qs = label_qubits[label]
-                control_qubits.extend(qs)
-                widths.append((label, len(qs)))
+            if app.condition is not None:
+                source, key = app.condition
+                clayer = classical[source]
+                for label in clayer.reads:
+                    qs = label_qubits[label]
+                    control_qubits.extend(qs)
+                    widths.append((label, len(qs)))
             for q in app.qubits:
                 if q in control_qubits:
                     raise ValueError(
@@ -578,6 +584,15 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
                         f" on a measurement of qubit {q}; it cannot be"
                         f" deferred coherently"
                     )
+                if q in deferred_qubits:
+                    raise ValueError(
+                        f"gate {app.gate.name!r} on qubit {q} acts after a"
+                        f" measurement of qubit {q}; it cannot be deferred"
+                        f" coherently"
+                    )
+            if app.condition is None:
+                apps.append(app)
+                continue
 
             def predicate(pattern, clayer=clayer, widths=widths, key=key):
                 values = {}
@@ -727,7 +742,9 @@ CLASSICAL_REGISTRY: Dict[str, Callable[..., ClassicalLayer]] = {}
 def _stamping(registry: dict, key: str, name: str):
     """Decorator registering a factory under ``name``; whatever the
     returned factory makes carries the spec ``{key: name, "params": <the
-    arguments it was called with>}``."""
+    arguments it was called with>}``.  An object that already carries a
+    spec keeps it: it is a registered gate the factory handed back, such
+    as a shared ``clifford`` gate or the inverse of one."""
 
     def deco(factory):
         # bound once here: Signature.bind on every call slows ``loads``
@@ -736,10 +753,11 @@ def _stamping(registry: dict, key: str, name: str):
         @functools.wraps(factory)
         def made(*args, **kwargs):
             obj = factory(*args, **kwargs)
-            params = dict(zip(names, args))
-            params.update(kwargs)
-            # frozen gates and layers: the spec is not one of their fields
-            object.__setattr__(obj, "spec", {key: name, "params": params})
+            if obj.spec is None:
+                params = dict(zip(names, args))
+                params.update(kwargs)
+                # frozen gates and layers: the spec is not one of their fields
+                object.__setattr__(obj, "spec", {key: name, "params": params})
             return obj
 
         registry[name] = made

@@ -397,6 +397,62 @@ def test_transform_rejects_invalid_program_exit_3(
     assert message in err
 
 
+def _clifford_doc(wires, word):
+    return {"qubits": 3, "layers": [{"kind": "quantum", "gates": [
+        {"gate": {"name": "clifford", "params": {
+            "label": "U", "wires": wires, "word": word}},
+         "qubits": list(range(wires))}]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_clifford_doc(2, "T(0)"), "non-generator gate 'T'"),
+        (_clifford_doc(2, "CNOT(0)"), "CNOT arity mismatch"),
+        (_clifford_doc(2, "H(2)"), "H(2) is outside a 2-wire gate"),
+        (_clifford_doc(2, "CNOT(1,1)"), "CNOT repeats a wire"),
+        (_clifford_doc(2, "H 0"), "malformed Clifford word token 'H'"),
+        (_clifford_doc(3, "H(0)"), "spans 1 or 2 wires, got 3"),
+        (_clifford_doc(True, "H(0)"), "spans 1 or 2 wires, got True"),
+        (_clifford_doc(2, 5), "word must be a string, got 5"),
+        (_clifford_doc(2, ["H(0)"]), "word must be a string"),
+    ],
+)
+def test_transform_rejects_malformed_clifford_word_exit_3(
+    capsys, tmp_path, doc, message
+):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
+H_ENTRY = {"gate": cl.H_GATE.spec, "qubits": [0]}
+
+
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([{"kind": "quantum", "gates": [H_ENTRY]},
+          {"kind": "measure", "qubits": [0], "label": "a"},
+          {"kind": "quantum", "gates": [H_ENTRY]}],
+         "'H' on qubit 0 acts after a measurement of qubit 0"),
+        ([{"kind": "measure", "qubits": [0], "label": "a"},
+          {"kind": "measure", "qubits": [0], "label": "b"}],
+         "qubit 0 is measured twice"),
+    ],
+)
+def test_transform_defer_keeps_measured_qubits_exit_3(
+    capsys, tmp_path, layers, message
+):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"qubits": 1, "layers": layers}))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

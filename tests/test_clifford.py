@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 from laqcc import clifford as cl
 from laqcc import program as pr
 from laqcc import sparse_state as ss
+from laqcc import verify
 
 Y = np.array([[0, -1j], [1j, 0]])
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -354,7 +356,34 @@ def test_steps_are_grouped_once(monkeypatch):
 # Dense conjugation: conjugate by the step's 4x4 matrix, then find the
 # phased Pauli string among all 16 candidates.  The exact GF(2) rules of
 # ``conjugate_gate`` and the one-sweep ``_propagate_unit_errors`` must
-# give equal results.
+# give equal results.  A step's reference matrix is the product of its
+# gates' embeddings in the step's (low, high) pair, from the identity;
+# the ``clifford`` factory must equal it exactly.
+
+
+def ref_embed(g, pair):
+    """4x4 matrix of a 1- or 2-qubit gate inside the (low, high) pair,
+    with the higher wire as the most significant bit."""
+    m = cl.GENERATORS[g.name]
+    lo, hi = pair
+    if len(g.qubits) == 2:
+        if g.qubits == (hi, lo):
+            return m
+        assert g.qubits == (lo, hi)
+        swap = cl.GENERATORS["SWAP"]
+        return swap @ m @ swap
+    if g.qubits == (hi,):
+        return np.kron(m, cl.I2)
+    assert g.qubits == (lo,)
+    return np.kron(cl.I2, m)
+
+
+def ref_step_matrix(step):
+    pair, word = step
+    m = np.eye(4, dtype=complex)
+    for g in word:
+        m = ref_embed(g, pair) @ m
+    return m
 
 
 def local_pauli(z_bits, x_bits):
@@ -404,8 +433,9 @@ def ref_propagate_unit_errors(steps, junctions, n):
     for j in junctions:
         for z0, x0 in ((1, 0), (0, 1)):
             z, x = z0 << j.wire, x0 << j.wire
-            for matrix, (lo, hi), _ in steps[j.gate_index:]:
-                z, x = ref_conjugate(matrix, (hi, lo), z, x)
+            for step in steps[j.gate_index:]:
+                lo, hi = step[0]
+                z, x = ref_conjugate(ref_step_matrix(step), (hi, lo), z, x)
             columns.append((z, x))
     return cl.CorrectionMap(n, tuple(columns))
 
@@ -473,8 +503,10 @@ TWO_WIRE_GATES = [
     ids=lambda g: g.name + "".join(map(str, g.qubits)),
 )
 def test_rule_matches_dense_conjugation(gate):
-    (matrix, (lo, hi), word), = ladder(2, [gate]).steps()
+    step, = ladder(2, [gate]).steps()
+    (lo, hi), word = step
     assert word == (gate,)
+    matrix = ref_step_matrix(step)
     for z, x in product(range(4), repeat=2):
         expected = ref_conjugate(matrix, (hi, lo), z, x)
         assert conjugate_word([gate], 2, z, x) == expected, (z, x)
@@ -540,3 +572,134 @@ def test_flattened_program_json_unchanged(monkeypatch):
             monkeypatch, lambda: pr.dumps(flatten(c))
         )
         assert pr.dumps(flatten(c)) == expected
+        assert '"matrix"' not in expected
+
+
+# ------------------------------------------------------------- gate words
+
+
+@pytest.mark.parametrize(
+    "word", [[g] for g in TWO_WIRE_GATES] + [[]],
+    ids=lambda w: "".join(g.name + "".join(map(str, g.qubits)) for g in w)
+    or "empty",
+)
+def test_word_matrix_is_the_embed_product(word):
+    step, = ladder(2, word).steps()
+    assert np.array_equal(cl._step_gate(0, step).matrix,
+                          ref_step_matrix(step))
+
+
+def test_random_word_matrices_are_the_embed_product():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        lo = int(rng.integers(n - 1))
+        length = int(rng.integers(1, 7))
+        c = ladder(n, random_full_word(rng, n, length, [(lo, lo + 1)]))
+        for idx, step in enumerate(c.steps()):
+            assert np.array_equal(cl._step_gate(idx, step).matrix,
+                                  ref_step_matrix(step))
+
+
+def test_fixed_gates_are_their_generators():
+    for gate in (cl.H_GATE, cl.CNOT_GATE, cl.X_GATE, cl.Z_GATE):
+        assert gate.spec["name"] == "clifford"
+        assert np.array_equal(gate.matrix, cl.GENERATORS[gate.name])
+
+
+def test_equal_specs_share_one_gate_checked_once(monkeypatch):
+    checks = []
+    check = pr._check_unitary
+    monkeypatch.setattr(pr, "_check_unitary",
+                        lambda m: checks.append(m) or check(m))
+    gate = cl.clifford("Ushared", 2, "CNOT(1,0) S(0) H(1)")
+    assert cl.clifford(label="Ushared", wires=2,
+                       word="CNOT(1,0) S(0) H(1)") is gate
+    assert pr._gate_from_spec(json.loads(json.dumps(gate.spec))) is gate
+    assert len(checks) == 1
+
+
+def test_inverse_of_a_clifford_gate_is_a_clifford_gate():
+    assert cl.H_GATE.inverse() is cl.H_GATE
+    assert pr.inverse(cl.H_GATE.spec) is cl.H_GATE
+    s = cl.clifford("S1", 1, "S(0)")
+    assert s.inverse().spec["params"] == {
+        "label": "S1_inv", "wires": 1, "word": "S(0) S(0) S(0)"
+    }
+    rng = np.random.default_rng(62)
+    for idx in range(50):
+        c = ladder(2, random_full_word(rng, 2, 4))
+        gate = cl._step_gate(idx, c.steps()[0])
+        inv = pr.inverse(gate.spec)
+        assert inv.spec["name"] == "clifford"
+        assert np.allclose(inv.matrix @ gate.matrix, np.eye(4), atol=1e-12)
+
+
+# Branches must not move: each program below is run as built and with its
+# Clifford gates swapped for plain matrix gates holding the matrices they
+# had before they were words (the generator itself for H, CNOT, X and Z,
+# the reference step product for ``U{i}``).
+
+
+def with_parent_matrices(program, steps=()):
+    def plain(app):
+        gate = app.gate
+        if not isinstance(gate, cl.WordGate):
+            return app
+        if gate.name.startswith("U"):
+            m = ref_step_matrix(steps[int(gate.name[1:])])
+        else:
+            m = cl.GENERATORS[gate.name]
+        return pr.GateApp(pr.MatrixGate(gate.name, m), app.qubits,
+                          app.condition)
+
+    return pr.LaqccProgram(program.num_qubits, program.registers, [
+        pr.QuantumLayer(tuple(map(plain, layer.apps)))
+        if isinstance(layer, pr.QuantumLayer) else layer
+        for layer in program.layers
+    ])
+
+
+def assert_same_branches(program, reference):
+    got = pr.enumerate_branches(program)
+    want = pr.enumerate_branches(reference)
+    assert [b.record for b in got] == [b.record for b in want]
+    assert [b.probability for b in got] == [b.probability for b in want]
+    for b, r in zip(got, want):
+        assert np.array_equal(b.state.idx, r.state.idx)
+        assert np.array_equal(b.state.amp, r.state.amp)
+
+
+def criterion_2_circuits(monkeypatch):
+    """The circuits ``verify.check_flattening`` draws; their random
+    inputs are drawn, so the sequence is the same, but not run."""
+    circuits = []
+
+    def record(circuit, rng):
+        circuits.append(circuit)
+        for _ in range(circuit.n):
+            verify._random_su2(rng)
+        return 0
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_flatten_agrees", record)
+        verify.check_flattening()
+    return circuits
+
+
+def test_criterion_2_maps_and_branches_unchanged(monkeypatch):
+    circuits = criterion_2_circuits(monkeypatch)
+    assert len(circuits) == 120
+    rng = np.random.default_rng(63)
+    for c in circuits:
+        expected = with_reference_map(monkeypatch, cl.build_correction_map, c)
+        assert cl.build_correction_map(c).columns == expected.columns
+        flatten = cl.flatten_ladder if c.shape == "ladder" else cl.flatten_grid
+        program, _ = prepend_product_input(flatten(c), c.n, rng)
+        assert_same_branches(program, with_parent_matrices(program, c.steps()))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ghz_branches_unchanged(n):
+    program = cl.ghz(n)
+    assert_same_branches(program, with_parent_matrices(program))

@@ -219,6 +219,38 @@ def test_defer_feedforward_matches_ensemble():
     assert ss.fidelity(state, bell) == pytest.approx(1.0)
 
 
+def test_defer_rejects_a_gate_after_a_measurement():
+    # H; measure; H gives 0 or 1 with probability 1/2; moving the
+    # measurement past the second H would always give 0
+    program = pr.LaqccProgram(1, layers=[
+        pr.QuantumLayer((pr.GateApp(cl.H_GATE, (0,)),)),
+        pr.MeasureLayer((0,), "a"),
+        pr.QuantumLayer((pr.GateApp(cl.H_GATE, (0,)),)),
+    ])
+    with pytest.raises(ValueError, match="'H' on qubit 0 acts after a "
+                       "measurement of qubit 0"):
+        pr.defer_measurements(program)
+
+
+def test_defer_rejects_a_conditioned_gate_on_another_measured_qubit():
+    program = pr.LaqccProgram(2, layers=[
+        pr.MeasureLayer((0,), "a"),
+        pr.MeasureLayer((1,), "b"),
+        pr.ClassicalLayer("c", lambda o: {"bit": o["b"]}, reads=("b",)),
+        pr.QuantumLayer((pr.GateApp(X, (0,), ("c", "bit")),)),
+    ])
+    with pytest.raises(ValueError, match="'X' on qubit 0 acts after"):
+        pr.defer_measurements(program)
+
+
+def test_defer_rejects_a_qubit_measured_twice():
+    program = pr.LaqccProgram(2, layers=[
+        pr.MeasureLayer((0, 1), "a"), pr.MeasureLayer((1,), "b"),
+    ])
+    with pytest.raises(ValueError, match="qubit 1 is measured twice"):
+        pr.defer_measurements(program)
+
+
 def test_postselect_feedforward():
     program = feedforward_program()
     branches = pr.enumerate_branches(program)
@@ -313,3 +345,42 @@ def test_loaded_json_keeps_its_emitted_bytes():
     text = pr.dumps(pr.program_from_json(hand))
     assert text == json.dumps(emitted, indent=2)
     assert pr.dumps(pr.loads(text)) == text
+
+
+def as_matrix_entries(text):
+    """Program JSON with every ``clifford`` entry written as the
+    ``matrix`` entry of its gate, as files were before the word form."""
+    doc = json.loads(text)
+    for layer in doc["layers"]:
+        for entry in layer.get("gates", ()):
+            params = entry["gate"]["params"]
+            if entry["gate"]["name"] == "clifford":
+                matrix = cl.clifford(**params).matrix
+                entry["gate"] = {"name": "matrix", "params": {
+                    "label": params["label"],
+                    "matrix": [[[c.real, c.imag] for c in row]
+                               for row in matrix],
+                }}
+    return json.dumps(doc)
+
+
+def flattened_ladder6():
+    gates = []
+    for i in range(5):
+        gates += [cl.CliffordGate("H", (i,)), cl.CliffordGate("S", (i + 1,)),
+                  cl.CliffordGate("CNOT", (i + 1, i))]
+    return cl.flatten_ladder(cl.CliffordCircuit("ladder", 6, 1, tuple(gates)))
+
+
+@pytest.mark.parametrize("build", [lambda: cl.ghz(4), flattened_ladder6])
+def test_matrix_spec_json_still_loads_to_the_same_branches(build):
+    program = build()
+    old = as_matrix_entries(pr.dumps(program))
+    assert '"clifford"' not in old
+    got = pr.enumerate_branches(pr.loads(old))
+    want = pr.enumerate_branches(program)
+    assert [b.record for b in got] == [b.record for b in want]
+    for b, w in zip(got, want):
+        assert b.probability == w.probability
+        assert np.array_equal(b.state.idx, w.state.idx)
+        assert np.array_equal(b.state.amp, w.state.amp)

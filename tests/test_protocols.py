@@ -278,6 +278,15 @@ def test_every_protocol_round_trips_through_json(build):
             assert abs(a.state.amplitudes[index] - amp) <= 1e-12
 
 
+def test_protocol_json_has_no_matrix_entry():
+    programs = [cl.ghz(n) for n in range(2, 9)]
+    programs += [pt.w_state(n)[0] for n in range(2, 9)]
+    programs += [pt.uniform_superposition(q)[0] for q in range(1, 17)]
+    programs += [pt.dicke_small_k(4, 2)[0], pt.dicke_factoradic(4, 2)[0]]
+    for program in programs:
+        assert '"matrix"' not in pr.dumps(program)
+
+
 def test_fresh_interpreter_loads_every_protocol(tmp_path):
     """``program.loads`` needs no import beyond ``laqcc.program``."""
     texts = {
