@@ -9,9 +9,10 @@ gates.  A Pauli ``prod_w Z_w^{z_w} X_w^{x_w}`` is its Z and X exponent
 bits; up to phase, conjugating it by a generator is an exact GF(2) rule
 on the bits of the gate's wires (:data:`_RULES`).  The rules act on
 bit-sliced rows as well as on single bits, so one forward sweep carries
-every unit error at once: each wire holds a Z row and an X row whose
-bit c belongs to correction column c (the row updates of Aaronson &
-Gottesman's tableau, arXiv:quant-ph/0406196).
+every unit error at once: each wire holds a Z row and an X row over the
+Bell outcome bits (the row updates of Aaronson & Gottesman's tableau,
+arXiv:quant-ph/0406196), and those rows are the masks of the
+:func:`program.linear` layer that computes the corrections.
 
 A Clifford gate in a program is its generator word: :func:`clifford`
 makes (and remembers) the dense matrix of a word the first time a gate
@@ -341,27 +342,6 @@ def _expand(m: np.ndarray, wires: Tuple[int, int], n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CorrectionMap:
-    """Binary linear map from Bell outcome bits to Pauli exponents.
-
-    Column ``2j`` is the propagated image of a Z error (phase bit) at
-    junction j; column ``2j+1`` the image of an X error.  A column holds
-    the Z and X exponents of the wires as bit masks (bit w = wire w).
-    """
-
-    num_wires: int
-    columns: Tuple[Tuple[int, int], ...]  # (z mask, x mask) per input bit
-
-    def correct(self, outcome_bits: Sequence[int]) -> Tuple[int, int]:
-        z = x = 0
-        for bit, (cz, cx) in zip(outcome_bits, self.columns):
-            if bit:
-                z ^= cz
-                x ^= cx
-        return z, x
-
-
-@dataclass(frozen=True)
 class Junction:
     wire: int
     gate_index: int  # error sits just before this temporal gate index
@@ -371,47 +351,37 @@ def _propagate_unit_errors(
     steps: Sequence[Step],
     junctions: Sequence[Junction],
     n: int,
-) -> CorrectionMap:
+) -> Tuple[List[int], List[int]]:
     """Push the Z and X unit error of every junction through the rest of
     the circuit in one forward sweep.
 
-    ``zrow[w]`` and ``xrow[w]`` hold bit c when correction column c has a
-    Z (X) exponent on wire w.  Junction j sets bits 2j and 2j+1 of its
+    The Bell outcome word lists junction j's phase bit (a Z error) and
+    its X bit as bits 2j and 2j+1, the first-listed bit the most
+    significant.  ``zrow[w]`` (``xrow[w]``) holds a word bit when that
+    unit error ends with a Z (X) exponent on wire w, so each row is the
+    mask of one correction bit.  Junction j sets its two bits in its
     wire's rows just before step ``j.gate_index``.  Each gate of the
     step's word then applies its rule to the rows (``conjugate_gate``):
     phases drop out of the map, and without them conjugation is linear
-    over GF(2).  The rows are transposed into one (z mask, x mask) column
-    per unit error at the end.
+    over GF(2).
     """
     zrow = [0] * n
     xrow = [0] * n
+    top = 2 * len(junctions) - 1  # place of the word's first-listed bit
     starts: Dict[int, List[Tuple[int, int]]] = {}
     for c, j in enumerate(junctions):
         starts.setdefault(j.gate_index, []).append((c, j.wire))
     for gi, (_, word) in enumerate(steps):
         for c, w in starts.get(gi, ()):
-            zrow[w] |= 1 << (2 * c)
-            xrow[w] |= 1 << (2 * c + 1)
+            zrow[w] |= 1 << (top - 2 * c)
+            xrow[w] |= 1 << (top - 2 * c - 1)
         for g in word:
             conjugate_gate(g, zrow, xrow)
-    columns: List[Tuple[int, int]] = []
-    for c in range(2 * len(junctions)):
-        z = x = 0
-        for w in range(n):
-            z |= ((zrow[w] >> c) & 1) << w
-            x |= ((xrow[w] >> c) & 1) << w
-        columns.append((z, x))
-    return CorrectionMap(n, tuple(columns))
-
-
-def build_correction_map(circuit: CliffordCircuit) -> CorrectionMap:
-    """Correction map for the canonical flattening of ``circuit``."""
-    _, _, _, junctions, cmap = _flatten_plan(circuit)
-    return cmap
+    return zrow, xrow
 
 
 def _flatten_plan(circuit: CliffordCircuit):
-    """Assign physical carriers, junctions, and the correction map."""
+    """Assign physical carriers, junctions, and the correction rows."""
     steps = circuit.steps()
     n = circuit.n
     carrier = list(range(n))
@@ -434,34 +404,12 @@ def _flatten_plan(circuit: CliffordCircuit):
         placements.append((carrier[lo], carrier[hi]))
         consumed[lo] = consumed[hi] = True
     outputs = tuple(carrier)
-    cmap = _propagate_unit_errors(steps, junctions, n)
-    return placements, bell_pairs, measure_pairs, outputs, cmap
-
-
-@pr.register_classical("bell_correct")
-def bell_correct_layer(num_wires, columns, outputs) -> pr.ClassicalLayer:
-    """Classical layer turning Bell outcome bits into per-carrier Pauli
-    exponent flags (``z{q}``/``x{q}``) via the binary correction map."""
-    cmap = CorrectionMap(
-        num_wires, tuple((int(z), int(x)) for z, x in columns)
-    )
-    nbits = len(cmap.columns)
-
-    def correction(outcomes):
-        raw = outcomes["bell"]
-        bits = [(raw >> (nbits - 1 - i)) & 1 for i in range(nbits)]
-        z, x = cmap.correct(bits)
-        out = {}
-        for w, q in enumerate(outputs):
-            out[f"z{q}"] = (z >> w) & 1
-            out[f"x{q}"] = (x >> w) & 1
-        return out
-
-    return pr.ClassicalLayer("correct", correction, reads=("bell",))
+    rows = _propagate_unit_errors(steps, junctions, n)
+    return placements, bell_pairs, measure_pairs, outputs, rows
 
 
 def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
-    placements, bell_pairs, measure_pairs, outputs, cmap = _flatten_plan(
+    placements, bell_pairs, measure_pairs, outputs, rows = _flatten_plan(
         circuit
     )
     n = circuit.n
@@ -504,13 +452,12 @@ def _flatten(circuit: CliffordCircuit) -> pr.LaqccProgram:
         )
         measured = tuple(q for pair in measure_pairs for q in pair)
         layers.append(pr.MeasureLayer(measured, "bell"))
-        layers.append(
-            bell_correct_layer(
-                cmap.num_wires,
-                [list(col) for col in cmap.columns],
-                list(outputs),
-            )
-        )
+        zrow, xrow = rows
+        layers.append(pr.linear("correct", "bell", {
+            f"{pauli}{q}": row[w]
+            for w, q in enumerate(outputs)
+            for pauli, row in (("z", zrow), ("x", xrow))
+        }))
         layers.append(
             pr.QuantumLayer(
                 tuple(
@@ -559,24 +506,6 @@ def flatten_grid(circuit: CliffordCircuit) -> pr.LaqccProgram:
 # --------------------------------------------------------------------------
 
 
-@pr.register_classical("ghz_parity_fix")
-def ghz_parity_layer(n: int) -> pr.ClassicalLayer:
-    """Prefix-parity of the line measurement bits: flag ``flip{j}``
-    tells carrier j whether to apply the X fix-up."""
-
-    def prefix_parity(outcomes):
-        raw = outcomes["parity"]
-        bits = [(raw >> (n - 2 - i)) & 1 for i in range(n - 1)]
-        out = {}
-        acc = 0
-        for j in range(1, n):
-            acc ^= bits[j - 1]
-            out[f"flip{j}"] = acc
-        return out
-
-    return pr.ClassicalLayer("parity_fix", prefix_parity, reads=("parity",))
-
-
 def ghz_target(n: int) -> ss.SparseState:
     """(|0...0> + |1...1>) / sqrt 2 on n qubits."""
     amp = 1 / math.sqrt(2)
@@ -605,9 +534,12 @@ def ghz(n: int) -> pr.LaqccProgram:
             )
         ),
         pr.MeasureLayer(odds, "parity"),
+        # carrier j flips on the parity of the first j of the n - 1
+        # line outcomes: a prefix of the word, its first bit the top one
+        pr.linear("parity_fix", "parity", {
+            f"flip{j}": ((1 << j) - 1) << (n - 1 - j) for j in range(1, n)
+        }),
     ]
-
-    layers.append(ghz_parity_layer(n))
     layers.append(
         pr.QuantumLayer(
             tuple(

@@ -12,6 +12,8 @@ Conventions
   bit 0 (as an integer pattern) is the last listed qubit.
 * Classical layers read labelled measurement outcomes and publish named
   bits; later gate applications may be conditioned on one such bit.
+  Every classical layer the package builds is :func:`linear`: each bit
+  is the parity of some bits of one measured word.
 * Terminal measurements that nothing reads are free in the round count.
 """
 from __future__ import annotations
@@ -201,7 +203,6 @@ class MeasureLayer:
 class ClassicalLayer:
     name: str
     fn: Callable[[Dict[str, int]], Dict[str, int]]
-    depth_class: str = "NC1"  # or "ALL"
     reads: Tuple[str, ...] = ()
     spec: ClassVar[Optional[dict]] = None  # set by its registered factory
 
@@ -297,7 +298,6 @@ class ResourceProfile:
     width: int
     quantum_depth: int
     rounds: int
-    classical_depth_class: str
     charged_width: float
 
 
@@ -465,12 +465,9 @@ def sample_branches(
 
 def resources(program: LaqccProgram) -> ResourceProfile:
     read_labels = set()
-    depth_class = "NC1"
     for layer in program.layers:
         if isinstance(layer, ClassicalLayer):
             read_labels.update(layer.reads)
-            if layer.depth_class == "ALL":
-                depth_class = "ALL"
     quantum_depth = sum(
         1 for l in program.layers if isinstance(l, QuantumLayer)
     )
@@ -489,7 +486,6 @@ def resources(program: LaqccProgram) -> ResourceProfile:
         width=program.num_qubits,
         quantum_depth=quantum_depth,
         rounds=rounds,
-        classical_depth_class=depth_class,
         charged_width=program.num_qubits + charge,
     )
 
@@ -672,16 +668,10 @@ def to_postselected(
                 new_layers.append(QuantumLayer(tuple(apps)))
     flag = next_qubit
     next_qubit += 1
-
-    if flag_bits:
-        gate = _and_flags_factory(len(flag_bits))
-        new_layers.append(
-            QuantumLayer((GateApp(gate, tuple(flag_bits) + (flag,)),))
-        )
-    else:
-        new_layers.append(
-            QuantumLayer((GateApp(_set_flag_factory(), (flag,)),))
-        )
+    gate = _and_flags_factory(len(flag_bits))  # with no bits, a plain flip
+    new_layers.append(
+        QuantumLayer((GateApp(gate, tuple(flag_bits) + (flag,)),))
+    )
     registers = dict(program.registers)
     registers["postselect_flags"] = Register(tuple(flag_bits), "ancilla")
     registers["postselect_flag"] = Register((flag,), "flag")
@@ -832,14 +822,6 @@ def _and_flags_factory(bits: int) -> "BasisMapGate":
     return BasisMapGate("and_flags", bits + 1, all_ones, all_ones)
 
 
-@register_gate("set_flag")
-def _set_flag_factory() -> "BasisMapGate":
-    def flip(v):
-        return v ^ 1
-
-    return BasisMapGate("set_flag", 1, flip, flip)
-
-
 @register_gate("inverse")
 def inverse(gate: dict) -> Gate:
     """The inverse of the gate with spec ``gate``."""
@@ -847,6 +829,33 @@ def inverse(gate: dict) -> Gate:
         return _gate_from_spec(gate).inverse()
     except NotImplementedError as exc:  # e.g. a dynamic gate
         raise ValueError(str(exc)) from exc
+
+
+@register_classical("linear")
+def linear(name: str, reads: str, outputs: Dict[str, int]) -> ClassicalLayer:
+    """The classical layer ``name`` whose output ``key`` is the parity of
+    the bits that ``outputs[key]`` selects in the measured word ``reads``
+    (its first-listed qubit the most significant bit): one row of a
+    GF(2)-linear map per output."""
+    if not isinstance(name, str) or not isinstance(reads, str):
+        raise ValueError(
+            f"linear name and reads must be strings, got {name!r}, {reads!r}"
+        )
+    if not isinstance(outputs, dict):
+        raise ValueError(f"linear outputs must be an object, got {outputs!r}")
+    for key, mask in outputs.items():
+        if not isinstance(key, str) or not _is_count(mask):
+            raise ValueError(
+                f"linear output {key!r} needs a mask that is an integer"
+                f" >= 0, got {mask!r}"
+            )
+    rows = tuple(outputs.items())
+
+    def parities(outcomes):
+        raw = outcomes[reads]
+        return {key: (raw & mask).bit_count() & 1 for key, mask in rows}
+
+    return ClassicalLayer(name, parities, reads=(reads,))
 
 
 def _matrix_gate_factory(label: str, matrix) -> "MatrixGate":

@@ -330,36 +330,19 @@ def cleaning_gadget_layers(
     ]
 
 
-@pr.register_classical("ordering")
-def ordering_layer(k: int) -> pr.ClassicalLayer:
-    """Read the k measured rank registers ("ranks") and publish each
-    rank bit as ``reset{l}_{pos}`` and each rank as ``rank{l}``."""
-    rw = mc.count_register_width(k - 1)
-
-    def ordering_fn(outcomes):
-        raw = outcomes["ranks"]
-        out = {}
-        ranks_seen = []
-        for l in range(k):
-            shift = (k - 1 - l) * rw
-            r = (raw >> shift) & ((1 << rw) - 1)
-            ranks_seen.append(r)
-            for pos in range(rw):
-                out[f"reset{l}_{pos}"] = (r >> (rw - 1 - pos)) & 1
-        for l, r in enumerate(ranks_seen):
-            out[f"rank{l}"] = r
-        return out
-
-    return pr.ClassicalLayer("ordering", ordering_fn, reads=("ranks",))
-
-
 @pr.register_gate("sort_indexes")
 def sort_indexes_gate(k: int, b: int) -> pr.DynamicGate:
-    """Permute k b-bit index registers into the order the ``ordering``
-    layer's ranks give."""
+    """Permute k b-bit index registers into the order of the ranks that
+    the ``ordering`` layer's bits ``reset{l}_{pos}`` spell (msb first)."""
+    rw = mc.count_register_width(k - 1)
 
     def perm_builder(env):
-        sigma = [env["ordering"][f"rank{l}"] for l in range(k)]
+        bits = env["ordering"]
+        sigma = [
+            sum(bits[f"reset{l}_{pos}"] << (rw - 1 - pos)
+                for pos in range(rw))
+            for l in range(k)
+        ]
         inv = [0] * k
         for l, r in enumerate(sigma):
             inv[r] = l
@@ -433,7 +416,12 @@ def dicke_small_k(
             builder.gate(hw, compare[l] + ranks[l])
         rank_qubits = tuple(q for reg in ranks for q in reg)
         builder.measure(rank_qubits, "ranks")
-        builder.classical(ordering_layer(k))
+        # one bit per measured rank qubit, to reset it and to sort by
+        builder.classical(pr.linear("ordering", "ranks", {
+            f"reset{l}_{pos}": 1 << (len(rank_qubits) - 1 - l * rw - pos)
+            for l in range(k)
+            for pos in range(rw)
+        }))
         builder.layer(
             *(
                 GateApp(

@@ -53,11 +53,8 @@ def check_ghz(max_n: int = 6) -> str:
     for n in range(2, max_n + 1):
         program, target = cl.ghz(n), cl.ghz_target(n)
         keep = tuple(reversed(program.registers["ghz"].qubits))
-        if n <= 5:
-            branches = pr.enumerate_branches(program)
-            assert len(branches) == 2 ** (n - 1), len(branches)
-        else:
-            branches = pr.sample_branches(program, 100, seed=7)
+        branches = pr.enumerate_branches(program)
+        assert len(branches) == 2 ** (n - 1), len(branches)
         worst, _ = check_branches(branches, keep, target)
         assert worst >= 1 - TOL, (n, worst)
         checked += len(branches)
@@ -171,11 +168,7 @@ def check_w(max_n: int = 8) -> str:
     rounds_seen = set()
     for n in range(2, max_n + 1):
         prog, target = pt.w_state(n)
-        if n <= 4:
-            branches = pr.enumerate_branches(prog)
-        else:
-            branches = pr.sample_branches(prog, 100, seed=n)
-        _check_out(prog, target, branches)
+        _check_out(prog, target, pr.enumerate_branches(prog))
         rounds_seen.add(pr.resources(prog).rounds)
     assert len(rounds_seen) == 1, rounds_seen
     return (

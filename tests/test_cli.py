@@ -343,20 +343,77 @@ def test_flatten_missing_key_exit_3(capsys, tmp_path):
          "bad params for gate 'matrix'"),
         ({"qubits": 1, "layers": 5}, "'layers' must be a list"),
         ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
-            {"gate": {"name": "set_flag"}, "qubits": [0],
-             "condition": 5}]}]},
+            {"gate": {"name": "and_flags", "params": {"bits": 0}},
+             "qubits": [0], "condition": 5}]}]},
          "'condition' must be a list"),
         ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
-            {"gate": {"name": "set_flag"}, "qubits": [0],
-             "condition": ["fix"]}]}]},
+            {"gate": {"name": "and_flags", "params": {"bits": 0}},
+             "qubits": [0], "condition": ["fix"]}]}]},
          "'condition' must be [layer name, flag name]"),
         ({"qubits": 3, "layers": [{"kind": "classical",
-                                   "function_name": "ghz_parity_fix",
+                                   "function_name": "linear",
                                    "params": {"m": 2}}]},
-         "bad params for classical function 'ghz_parity_fix'"),
+         "bad params for classical function 'linear'"),
     ],
 )
 def test_transform_wrong_type_exit_3(capsys, tmp_path, doc, message):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
+def _linear_doc(**params):
+    return {"qubits": 2, "layers": [
+        {"kind": "measure", "qubits": [0, 1], "label": "m"},
+        {"kind": "classical", "function_name": "linear",
+         "params": {"name": "c", "reads": "m", "outputs": {"b": 1},
+                    **params}}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_linear_doc(outputs={"b": True}),
+         "linear output 'b' needs a mask that is an integer >= 0, got True"),
+        (_linear_doc(outputs={"b": 3, "c": -1}),
+         "linear output 'c' needs a mask that is an integer >= 0, got -1"),
+        (_linear_doc(outputs={"b": 1.0}), "an integer >= 0, got 1.0"),
+        (_linear_doc(outputs=[1, 2]),
+         "linear outputs must be an object, got [1, 2]"),
+        (_linear_doc(reads=["m"]), "linear name and reads must be strings"),
+        (_linear_doc(depth="NC1"),
+         "bad params for classical function 'linear'"),
+    ],
+)
+def test_transform_rejects_malformed_linear_layer_exit_3(
+    capsys, tmp_path, doc, message
+):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "classical", "function_name": name,
+          "params": {"n": 2}}, f"unknown classical function {name!r}")
+        for name in ("bell_correct", "ghz_parity_fix", "ordering")
+    ] + [
+        ({"kind": "quantum", "gates": [
+            {"gate": {"name": "set_flag"}, "qubits": [0]}]},
+         "unknown gate 'set_flag'"),
+    ],
+)
+def test_transform_rejects_retired_names_exit_3(
+    capsys, tmp_path, entry, message
+):
+    doc = {"qubits": 2, "layers": [
+        {"kind": "measure", "qubits": [1], "label": "parity"}, entry]}
     path = tmp_path / "program.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])

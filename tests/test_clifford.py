@@ -142,26 +142,48 @@ def test_rules_cover_exactly_the_generators():
     assert set(cl._RULES) == set(cl.GENERATORS)
 
 
+def correction_columns(circuit):
+    """The flattening's correction rows transposed: one (z, x) pair of
+    wire masks (bit w = wire w) per Bell outcome bit, in the order the
+    Bell measurement lists them."""
+    _, _, measure_pairs, _, rows = cl._flatten_plan(circuit)
+    nbits = 2 * len(measure_pairs)
+    return tuple(
+        tuple(
+            sum(((row[w] >> (nbits - 1 - c)) & 1) << w
+                for w in range(circuit.n))
+            for row in rows
+        )
+        for c in range(nbits)
+    )
+
+
+def correction_layer(program):
+    (layer,) = (
+        l for l in program.layers if isinstance(l, pr.ClassicalLayer)
+    )
+    return layer
+
+
 def test_correction_map_identity_ladder():
     c = ladder(3, [])
-    cmap = cl.build_correction_map(c)
     # one junction (wire 1), unit errors pass through unchanged
-    assert cmap.columns == ((1 << 1, 0), (0, 1 << 1))
+    assert correction_columns(c) == ((1 << 1, 0), (0, 1 << 1))
+    # its phase bit is listed first, so it is the word's top bit
+    assert cl._flatten_plan(c)[-1] == ([0, 0b10, 0], [0, 0b01, 0])
 
 
 def test_correction_map_linearity():
     rng = np.random.default_rng(9)
     c = ladder(4, random_word(rng, 4, 4))
-    cmap = cl.build_correction_map(c)
-    bits = len(cmap.columns)
+    layer = correction_layer(cl.flatten_ladder(c))
+    bits = len(correction_columns(c))
     for _ in range(20):
-        o1 = [int(rng.integers(2)) for _ in range(bits)]
-        o2 = [int(rng.integers(2)) for _ in range(bits)]
-        both = [a ^ b for a, b in zip(o1, o2)]
-        z1, x1 = cmap.correct(o1)
-        z2, x2 = cmap.correct(o2)
-        z3, x3 = cmap.correct(both)
-        assert (z3, x3) == (z1 ^ z2, x1 ^ x2)
+        o1, o2 = (int(v) for v in rng.integers(1 << bits, size=2))
+        c1 = layer.fn({"bell": o1})
+        c2 = layer.fn({"bell": o2})
+        both = layer.fn({"bell": o1 ^ o2})
+        assert both == {key: c1[key] ^ c2[key] for key in c1}
 
 
 def prepend_product_input(program, n, rng):
@@ -429,15 +451,23 @@ def ref_conjugate(matrix, wires, z, x):
 
 
 def ref_propagate_unit_errors(steps, junctions, n):
-    columns = []
-    for j in junctions:
-        for z0, x0 in ((1, 0), (0, 1)):
+    """The correction rows, one unit error at a time: each error is pushed
+    through the rest of the circuit by dense conjugation, and its image
+    fills one bit of the rows (junction j's Z error the word's bit 2j,
+    its X error bit 2j+1, the first-listed bit the most significant)."""
+    nbits = 2 * len(junctions)
+    zrow, xrow = [0] * n, [0] * n
+    for c, j in enumerate(junctions):
+        for bit, (z0, x0) in enumerate(((1, 0), (0, 1))):
             z, x = z0 << j.wire, x0 << j.wire
             for step in steps[j.gate_index:]:
                 lo, hi = step[0]
                 z, x = ref_conjugate(ref_step_matrix(step), (hi, lo), z, x)
-            columns.append((z, x))
-    return cl.CorrectionMap(n, tuple(columns))
+            place = nbits - 1 - (2 * c + bit)
+            for w in range(n):
+                zrow[w] |= ((z >> w) & 1) << place
+                xrow[w] |= ((x >> w) & 1) << place
+    return zrow, xrow
 
 
 def with_reference_map(monkeypatch, fn, *args):
@@ -553,8 +583,8 @@ def correction_map_circuits():
 
 def test_correction_map_matches_per_column_reference(monkeypatch):
     for c in correction_map_circuits():
-        expected = with_reference_map(monkeypatch, cl.build_correction_map, c)
-        assert cl.build_correction_map(c).columns == expected.columns
+        expected = with_reference_map(monkeypatch, correction_columns, c)
+        assert correction_columns(c) == expected
 
 
 def test_flattened_program_json_unchanged(monkeypatch):
@@ -573,6 +603,7 @@ def test_flattened_program_json_unchanged(monkeypatch):
         )
         assert pr.dumps(flatten(c)) == expected
         assert '"matrix"' not in expected
+        assert '"function_name": "linear"' in expected
 
 
 # ------------------------------------------------------------- gate words
@@ -692,8 +723,8 @@ def test_criterion_2_maps_and_branches_unchanged(monkeypatch):
     assert len(circuits) == 120
     rng = np.random.default_rng(63)
     for c in circuits:
-        expected = with_reference_map(monkeypatch, cl.build_correction_map, c)
-        assert cl.build_correction_map(c).columns == expected.columns
+        expected = with_reference_map(monkeypatch, correction_columns, c)
+        assert correction_columns(c) == expected
         flatten = cl.flatten_ladder if c.shape == "ladder" else cl.flatten_grid
         program, _ = prepend_product_input(flatten(c), c.n, rng)
         assert_same_branches(program, with_parent_matrices(program, c.steps()))

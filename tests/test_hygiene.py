@@ -1,7 +1,9 @@
 """Static checks on the package source and on what it imports, with the
 standard library only."""
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +96,37 @@ def test_cli_import_pulls_in_numpy_only():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+README = PACKAGE.parents[1] / "README.md"
+
+
+def readme_names(heading: str):
+    """The backticked names of the README paragraph that opens with
+    ``heading``, in the order written."""
+    text = README.read_text()
+    start = text.index(heading)
+    paragraph = text[start:text.index("\n\n", start)]
+    return re.findall(r"`([^`]+)`", paragraph)
+
+
+def test_readme_lists_every_registered_name():
+    """After every module is imported, the README's lists of registered
+    gate and classical names are exactly the two registries' keys."""
+    modules = "\n".join(f"import laqcc.{p.stem}" for p in MODULES)
+    script = (
+        f"{modules}\n"
+        "import json\n"
+        "from laqcc import program\n"
+        "print(json.dumps([sorted(program.GATE_REGISTRY),"
+        " sorted(program.CLASSICAL_REGISTRY)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    gates, classical = json.loads(done.stdout)
+    assert sorted(readme_names("Registered gate names:")) == gates
+    assert sorted(readme_names("Registered classical names:")) == classical

@@ -1,0 +1,247 @@
+"""The ``linear`` classical layer against the per-bit closures it replaced.
+
+Each reference below is a classical layer function as the package wrote
+it before every classical layer became a parity map: the flattening's
+column-by-column correction, the GHZ prefix parity and the Dicke rank
+unpacking.  Each new layer must publish the same bits on every outcome
+of up to 12 bits.
+"""
+import numpy as np
+import pytest
+
+from laqcc import clifford as cl
+from laqcc import macros as mc
+from laqcc import program as pr
+from laqcc import protocols as pt
+from laqcc import verify
+
+
+def classical_layer(program, name):
+    (layer,) = (
+        l for l in program.layers
+        if isinstance(l, pr.ClassicalLayer) and l.name == name
+    )
+    return layer
+
+
+# ------------------------------------------------------------ references
+
+
+def ref_columns(steps, junctions, n):
+    """(z mask, x mask) per Bell outcome bit: column 2j is the image of
+    the Z error at junction j, column 2j+1 of its X error; bit w of a
+    mask is wire w."""
+    zrow, xrow = [0] * n, [0] * n
+    starts = {}
+    for c, j in enumerate(junctions):
+        starts.setdefault(j.gate_index, []).append((c, j.wire))
+    for gi, (_, word) in enumerate(steps):
+        for c, w in starts.get(gi, ()):
+            zrow[w] |= 1 << (2 * c)
+            xrow[w] |= 1 << (2 * c + 1)
+        for g in word:
+            cl.conjugate_gate(g, zrow, xrow)
+    columns = []
+    for c in range(2 * len(junctions)):
+        z = x = 0
+        for w in range(n):
+            z |= ((zrow[w] >> c) & 1) << w
+            x |= ((xrow[w] >> c) & 1) << w
+        columns.append((z, x))
+    return columns
+
+
+def ref_bell_correct(columns, outputs):
+    nbits = len(columns)
+
+    def correction(outcomes):
+        raw = outcomes["bell"]
+        bits = [(raw >> (nbits - 1 - i)) & 1 for i in range(nbits)]
+        z = x = 0
+        for bit, (cz, cx) in zip(bits, columns):
+            if bit:
+                z ^= cz
+                x ^= cx
+        out = {}
+        for w, q in enumerate(outputs):
+            out[f"z{q}"] = (z >> w) & 1
+            out[f"x{q}"] = (x >> w) & 1
+        return out
+
+    return correction
+
+
+def ref_prefix_parity(n):
+    def prefix_parity(outcomes):
+        raw = outcomes["parity"]
+        bits = [(raw >> (n - 2 - i)) & 1 for i in range(n - 1)]
+        out = {}
+        acc = 0
+        for j in range(1, n):
+            acc ^= bits[j - 1]
+            out[f"flip{j}"] = acc
+        return out
+
+    return prefix_parity
+
+
+def ref_ordering(k):
+    rw = mc.count_register_width(k - 1)
+
+    def ordering_fn(outcomes):
+        raw = outcomes["ranks"]
+        out = {}
+        ranks_seen = []
+        for l in range(k):
+            shift = (k - 1 - l) * rw
+            r = (raw >> shift) & ((1 << rw) - 1)
+            ranks_seen.append(r)
+            for pos in range(rw):
+                out[f"reset{l}_{pos}"] = (r >> (rw - 1 - pos)) & 1
+        for l, r in enumerate(ranks_seen):
+            out[f"rank{l}"] = r
+        return out
+
+    return ordering_fn
+
+
+def ref_sort_perm(k, b, ranks):
+    inv = [0] * k
+    for l, r in enumerate(ranks):
+        inv[r] = l
+    return [inv[r] * b + off for r in range(k) for off in range(b)]
+
+
+# ------------------------------------------------------------ equalities
+
+
+def small_circuits():
+    rng = np.random.default_rng(71)
+    for n in range(2, 9):  # n - 2 junctions: at most 12 outcome bits
+        yield cl.CliffordCircuit(
+            "ladder", n, 1, tuple(verify._random_word(rng, n, 3))
+        )
+    yield cl.CliffordCircuit("ladder", 8, 1, tuple(
+        cl.CliffordGate(name, (i, i + 1))
+        for i in range(7) for name in ("CNOT", "SWAP")
+    ))
+    for n, depth in ((3, 3), (4, 2), (4, 3), (5, 2)):
+        pairs = [(i, i + 1) for t in range(depth)
+                 for i in range(t % 2, n - 1, 2)]
+        yield cl.CliffordCircuit(
+            "grid", n, depth,
+            tuple(verify._random_word(rng, n, 2, pairs=pairs)),
+        )
+
+
+def test_bell_correct_equals_the_column_closure(monkeypatch):
+    plans = []
+    propagate = cl._propagate_unit_errors
+
+    def spy(steps, junctions, n):
+        plans.append((steps, junctions, n))
+        return propagate(steps, junctions, n)
+
+    monkeypatch.setattr(cl, "_propagate_unit_errors", spy)
+    checked = 0
+    for circuit in small_circuits():
+        program = cl._flatten(circuit)
+        steps, junctions, n = plans.pop()
+        if not junctions:
+            continue
+        layer = classical_layer(program, "correct")
+        assert layer.spec["function_name"] == "linear"
+        outputs = program.registers["outputs"].qubits
+        ref = ref_bell_correct(ref_columns(steps, junctions, n), outputs)
+        nbits = 2 * len(junctions)
+        assert nbits <= 12
+        for raw in range(1 << nbits):
+            assert layer.fn({"bell": raw}) == ref({"bell": raw}), raw
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_ghz_parity_equals_the_prefix_closure(n):
+    layer = classical_layer(cl.ghz(n), "parity_fix")
+    ref = ref_prefix_parity(n)
+    for raw in range(1 << (n - 1)):
+        assert layer.fn({"parity": raw}) == ref({"parity": raw}), raw
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (10, 4)])
+def test_ordering_equals_the_rank_closure(n, k):
+    """Reset bits equal the old closure's, and the sort rebuilds from
+    them the permutation the old ``rank{l}`` outputs gave (or fails the
+    same way on rank words that are no permutation)."""
+    program, _ = pt.dicke_small_k(n, k)
+    layer = classical_layer(program, "ordering")
+    (sort,) = (
+        app.gate for l in program.layers if isinstance(l, pr.QuantumLayer)
+        for app in l.apps if app.gate.name == "sort_indexes"
+    )
+    b = pt.index_width(n)
+    rw = mc.count_register_width(k - 1)
+    ref = ref_ordering(k)
+    assert k * rw <= 12
+    for raw in range(1 << (k * rw)):
+        bits = layer.fn({"ranks": raw})
+        want = ref({"ranks": raw})
+        ranks = [want.pop(f"rank{l}") for l in range(k)]
+        assert bits == want, raw
+        try:
+            expected = mc.permutation(ref_sort_perm(k, b, ranks)).spec
+        except (ValueError, IndexError) as exc:
+            with pytest.raises(type(exc)):
+                sort.builder({"ordering": bits})
+        else:
+            assert sort.builder({"ordering": bits}).spec == expected
+
+
+# ------------------------------------------------- masks, no simulation
+
+
+GHZ_SIZES = (*range(2, 65), 127, 128, 255, 256, 511, 512, 1023, 1024)
+
+
+def test_ghz_parity_fan_in_is_the_prefix_length():
+    """flip{j} reads the first j line outcomes, so flip{n-1} has fan-in
+    n - 1, read off the layer's masks without running the program."""
+    for n in GHZ_SIZES:
+        masks = classical_layer(cl.ghz(n), "parity_fix").spec["params"][
+            "outputs"]
+        assert list(masks) == [f"flip{j}" for j in range(1, n)]
+        assert masks[f"flip{n - 1}"] == (1 << (n - 1)) - 1
+        for j, mask in enumerate(masks.values(), start=1):
+            assert mask.bit_count() == j
+            assert mask >> (n - 1 - j) == (1 << j) - 1  # the top j bits
+
+
+def test_linear_masks_pick_the_first_listed_bit_as_the_top_one():
+    layer = pr.linear("c", "m", {"first": 0b100, "last": 0b001,
+                                 "both": 0b101, "none": 0})
+    assert layer.reads == ("m",)
+    assert layer.fn({"m": 0b100}) == {
+        "first": 1, "last": 0, "both": 1, "none": 0}
+    assert layer.fn({"m": 0b101}) == {
+        "first": 1, "last": 1, "both": 0, "none": 0}
+    assert layer.spec == {"function_name": "linear", "params": {
+        "name": "c", "reads": "m",
+        "outputs": {"first": 4, "last": 1, "both": 5, "none": 0}}}
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("c", "m", {"b": True}), "got True"),
+        (("c", "m", {"b": -1}), "got -1"),
+        (("c", "m", {"b": np.int64(1)}), "needs a mask that is an integer"),
+        (("c", "m", {1: 1}), "linear output 1 needs"),
+        (("c", "m", [("b", 1)]), "outputs must be an object"),
+        (("c", ("m",), {"b": 1}), "must be strings"),
+        ((None, "m", {"b": 1}), "must be strings"),
+    ],
+)
+def test_linear_checks_its_params_when_made(args, message):
+    with pytest.raises(ValueError, match=message):
+        pr.linear(*args)

@@ -277,6 +277,9 @@ def test_postselect_trivial_program_flag_always_one():
         1, layers=[pr.QuantumLayer((pr.GateApp(H, (0,)),))]
     )
     unitary, flag = pr.to_postselected(program, ())
+    (app,) = unitary.layers[-1].apps
+    assert app.gate.spec == {"name": "and_flags", "params": {"bits": 0}}
+    assert app.qubits == (flag,)
     state, _ = pr.execute(unitary, pr.SeededPolicy(0))
     assert all((i >> flag) & 1 for i in state.amplitudes)
 
