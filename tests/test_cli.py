@@ -328,6 +328,13 @@ def test_flatten_missing_key_exit_3(capsys, tmp_path):
     assert "missing key 'shape'" in err
 
 
+def ghz3_conditioned_on(condition):
+    """``ghz(3)`` JSON with its last X conditioned on ``condition``."""
+    doc = pr.program_to_json(cl.ghz(3))
+    doc["layers"][-1]["gates"][-1]["condition"] = condition
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -354,6 +361,9 @@ def test_flatten_missing_key_exit_3(capsys, tmp_path):
                                    "function_name": "linear",
                                    "params": {"m": 2}}]},
          "bad params for classical function 'linear'"),
+        (ghz3_conditioned_on(["parity_fix", "flip9"]),
+         "condition references key 'flip9' that layer 'parity_fix' does not"
+         " publish"),
     ],
 )
 def test_transform_wrong_type_exit_3(capsys, tmp_path, doc, message):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from laqcc import clifford as cl
+from laqcc import macros as mc
 from laqcc import program as pr
 from laqcc import protocols as pt
 from laqcc import sparse_state as ss
@@ -15,7 +17,8 @@ X = pr.MatrixGate("X", np.array([[0, 1], [1, 0]]))
 
 def feedforward_program() -> pr.LaqccProgram:
     ident = pr.ClassicalLayer(
-        "c", lambda o: {"bit": o["m"] & 1}, reads=("m",)
+        "c", lambda o: {"bit": o["m"] & 1}, reads=("m",),
+        outputs=frozenset({"bit"}),
     )
     return pr.LaqccProgram(
         2,
@@ -236,7 +239,8 @@ def test_defer_rejects_a_conditioned_gate_on_another_measured_qubit():
     program = pr.LaqccProgram(2, layers=[
         pr.MeasureLayer((0,), "a"),
         pr.MeasureLayer((1,), "b"),
-        pr.ClassicalLayer("c", lambda o: {"bit": o["b"]}, reads=("b",)),
+        pr.ClassicalLayer("c", lambda o: {"bit": o["b"]}, reads=("b",),
+                          outputs=frozenset({"bit"})),
         pr.QuantumLayer((pr.GateApp(X, (0,), ("c", "bit")),)),
     ])
     with pytest.raises(ValueError, match="'X' on qubit 0 acts after"):
@@ -301,7 +305,8 @@ def test_json_round_trip():
     @pr.register_classical("test_id")
     def _id():
         return pr.ClassicalLayer(
-            "c", lambda o: {"bit": o["m"] & 1}, reads=("m",)
+            "c", lambda o: {"bit": o["m"] & 1}, reads=("m",),
+            outputs=frozenset({"bit"}),
         )
 
     gate = _h()
@@ -387,3 +392,219 @@ def test_matrix_spec_json_still_loads_to_the_same_branches(build):
         assert b.probability == w.probability
         assert np.array_equal(b.state.idx, w.state.idx)
         assert np.array_equal(b.state.amp, w.state.amp)
+
+
+def seeded_flattening(seed, shape, n, depth, per_pair):
+    """Flattened random H/S/CNOT circuit with ``per_pair`` gates on each
+    step of the ladder or brickwork order, drawn as the benchmark draws
+    its ``classical_compile`` circuits."""
+    rng = np.random.default_rng(seed)
+    if shape == "ladder":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    else:
+        pairs = [(i, i + 1) for t in range(depth)
+                 for i in range(t % 2, n - 1, 2)]
+    gates = []
+    for lo, hi in pairs:
+        for _ in range(per_pair):
+            kind = int(rng.integers(4))
+            if kind < 2:
+                q = hi if rng.integers(2) else lo
+                gates.append(cl.CliffordGate("HS"[kind], (q,)))
+            else:
+                pair = (hi, lo) if kind == 2 else (lo, hi)
+                gates.append(cl.CliffordGate("CNOT", pair))
+    circuit = cl.CliffordCircuit(shape, n, depth, tuple(gates))
+    if shape == "ladder":
+        return cl.flatten_ladder(circuit)
+    return cl.flatten_grid(circuit)
+
+
+PROTOCOL_BUILDERS = {
+    **{f"ghz{n}": (lambda n=n: cl.ghz(n)) for n in (2, 3, 8, 64)},
+    **{f"w{n}": (lambda n=n: pt.w_state(n)[0]) for n in (2, 4, 5, 16)},
+    **{f"uniform{q}": (lambda q=q: pt.uniform_superposition(q)[0])
+       for q in (1, 5, 300, 1023)},
+    **{f"small_k{n},{k}": (lambda n=n, k=k: pt.dicke_small_k(n, k)[0])
+       for n, k in ((4, 1), (4, 2), (6, 2), (8, 2))},
+    **{f"factoradic{n},{k}": (lambda n=n, k=k: pt.dicke_factoradic(n, k)[0])
+       for n, k in ((4, 2), (6, 3), (7, 3))},
+}
+
+
+def writer_programs():
+    """Every program the equality tests compare: the protocol programs,
+    their deferred and post-selected forms, the fanout gadgets, and the
+    flattened ladders and grids at the benchmark's sizes."""
+    programs = {}
+    for name, build in PROTOCOL_BUILDERS.items():
+        program = build()
+        programs[name] = program
+        try:
+            programs[name + "-defer"] = pr.defer_measurements(program)
+        except ValueError:  # dynamic gates, or a reset of a measured qubit
+            pass
+        # the transcript with every outcome 0, which needs no simulation
+        record = tuple(
+            pr.MeasurementEvent(layer.label, layer.qubits, 0, 1.0)
+            for layer in program.layers if isinstance(layer, pr.MeasureLayer)
+        )
+        programs[name + "-postselect"] = pr.to_postselected(program, record)[0]
+    for m in range(1, 5):
+        programs[f"fanout{m}"] = mc.fanout_gadget(m)
+    for n in range(16, 65, 8):
+        programs[f"ladder{n}"] = seeded_flattening(n, "ladder", n, 1, 2)
+    for n in (16, 32, 48):
+        programs[f"grid{n}"] = seeded_flattening(n, "grid", n, 2, 1)
+    return programs
+
+
+def test_dumps_writes_the_indent_2_bytes_of_every_program():
+    programs = writer_programs()
+    deferred = {name for name in programs if name.endswith("-defer")}
+    # the programs whose classical layers read at most 20 bits, with no
+    # gate on a measured qubit, have a deferred form
+    assert {"ghz8-defer", "w16-defer", "uniform300-defer",
+            "small_k4,1-defer", "factoradic7,3-defer"} <= deferred
+    for name, program in programs.items():
+        want = json.dumps(pr.program_to_json(program), indent=2)
+        assert pr.dumps(program) == want, name
+
+
+def write(doc, monkeypatch):
+    """``dumps`` of a program whose document is ``doc``."""
+    monkeypatch.setattr(pr, "program_to_json", lambda program: doc)
+    return pr.dumps(None)
+
+
+class Count(int):
+    pass
+
+
+SHARED = {"name": "clifford", "params": {"label": "X", "wires": [1]}}
+
+
+HAND_DOCUMENTS = [
+    {"matrix": [[[-0.0, 1e-300], [0.5, -1.5e300]],
+                [[float("nan"), float("inf")], [float("-inf"), 0.1 + 0.2]]]},
+    {"flags": [True, False, None], "nested": {"t": (1, (2, ()), [])}},
+    [], {}, [[]], [{}], {"a": {}, "b": [], "c": ((),)},
+    {"big": [2**64, -(2**64) - 1, 2**200, -1, 0, Count(7)]},
+    {"labels": ['q"uote', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+                "é, ü, 漢字", "\U0001F600 \U00010348", "\ud800 lone"]},
+    {'k"ey\\': 1, "ключ": 2, "\U0001F600": 3, "": ""},
+    {"a": [SHARED, SHARED, {"deeper": SHARED}], "b": SHARED, "c": [[SHARED]]},
+    {1: "int key", 2.5: "float key", True: "bool key", None: "none key",
+     Count(3): "int subclass key", float("nan"): "nan key"},
+    np.float64(-0.0), 3, "top", None, 1.25, Count(-4),
+]
+
+
+@pytest.mark.parametrize("doc", HAND_DOCUMENTS)
+def test_dumps_writes_hand_built_documents_as_json_does(doc, monkeypatch):
+    assert write(doc, monkeypatch) == json.dumps(doc, indent=2)
+
+
+def random_leaf(rng):
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 9))**40
+    if kind == 1:
+        return float(rng.choice([0.0, -0.0, 1e-300, 1e300, float("nan"),
+                                 float("inf"), float("-inf"), rng.normal()]))
+    if kind == 2:
+        return [True, False, None][int(rng.integers(3))]
+    if kind == 3:
+        return int(rng.integers(0, 1 << 20))
+    points = rng.choice([0, 0x1f, 0x22, 0x5c, 0x41, 0x7f, 0xe9, 0x6f22,
+                         0xd800, 0x1F600], size=int(rng.integers(6)))
+    return "".join(chr(int(p)) for p in points)
+
+
+def random_document(rng, depth, made):
+    """A leaf, or a list, tuple or dict (keys of every kind json takes)
+    of up to four random documents of ``depth - 1``; now and then a
+    container already in ``made``, so one object appears at several
+    places and depths, as a shared gate spec does."""
+    if made and rng.integers(8) == 0:
+        return made[int(rng.integers(len(made)))]
+    if depth == 0 or rng.integers(4) == 0:
+        return random_leaf(rng)
+    items = [random_document(rng, depth - 1, made)
+             for _ in range(int(rng.integers(5)))]
+    shape = int(rng.integers(3))
+    if shape == 0:
+        doc = items
+    elif shape == 1:
+        doc = tuple(items)
+    else:
+        doc = {random_leaf(rng): item for item in items}
+    made.append(doc)
+    return doc
+
+
+def test_dumps_writes_random_documents_as_json_does(monkeypatch):
+    rng = np.random.default_rng(2026)
+    for _ in range(500):
+        doc = random_document(rng, 4, [])
+        assert write(doc, monkeypatch) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [np.int64(3), {"qubits": [0, np.int64(1)]}, [object()],
+     {(0, 1): "tuple key"}, {"a": {np.int64(2): "numpy key"}}],
+)
+def test_dumps_rejects_what_json_rejects(doc, monkeypatch):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        write(doc, monkeypatch)
+    assert str(got.value) == str(want.value)
+
+
+# sha256 of ``dumps``, taken before ``dumps`` had its own writer
+GOLDEN_SHA256 = {
+    "ghz8": "2bd601be9db8115f9872064582dbfd5f76db5e71f8dae16b4fce0dc6358e92b6",
+    "uniform300":
+        "cfe7e78cab5dec8be658c07833d88374544da265b97120962f05beee6039337e",
+    "ladder64":
+        "e52d748702c4f763368e1f3a778d006626cb8552977743777aa0c19bdb7411fb",
+    "grid48":
+        "2f9fe169eb8dd92a86a244e9e8045784b56bcc47d821368b906c956e1bd0d3e6",
+}
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("ghz8", lambda: cl.ghz(8)),
+        ("uniform300", lambda: pt.uniform_superposition(300)[0]),
+        ("ladder64", lambda: seeded_flattening(64, "ladder", 64, 1, 2)),
+        ("grid48", lambda: seeded_flattening(48, "grid", 48, 2, 1)),
+    ],
+)
+def test_dumps_bytes_are_pinned(name, build):
+    text = pr.dumps(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_a_condition_needs_a_key_its_layer_publishes():
+    fix = pr.linear("fix", "m", {"flip": 1})
+    assert fix.outputs == frozenset({"flip"})
+
+    def program(layer, key):
+        return pr.LaqccProgram(2, layers=[
+            pr.MeasureLayer((0,), "m"),
+            layer,
+            pr.QuantumLayer((pr.GateApp(X, (1,), ("fix", key)),)),
+        ])
+
+    program(fix, "flip")
+    with pytest.raises(ValueError, match="condition references key 'flip9'"
+                       " that layer 'fix' does not publish"):
+        program(fix, "flip9")
+    # a hand-built layer publishes only the keys it declares
+    closure = pr.ClassicalLayer("fix", lambda o: {"flip9": 1}, reads=("m",))
+    with pytest.raises(ValueError, match="'flip9' that layer 'fix'"):
+        program(closure, "flip9")
