@@ -61,10 +61,33 @@ def _check_unitary(matrix: np.ndarray) -> None:
         raise ValueError("gate matrix is not unitary within 1e-12")
 
 
-@dataclass(frozen=True)
+_UNITS = (1, -1, 1j, -1j)
+
+
+def _signed_permutation(matrix: np.ndarray):
+    """``(images, phases)`` of a unitary whose every column holds exactly
+    one nonzero, exactly one of ``1, -1, 1j, -1j``: column ``p``'s entry
+    sits in row ``images[p]`` and is ``phases[p]``.  ``None`` for any
+    other unitary."""
+    # a unitary has a nonzero in every column, so d nonzeros in all means
+    # one per column; those of the transpose come in column order
+    cols, images = np.nonzero(matrix.T)
+    if len(images) != len(matrix):
+        return None
+    phases = matrix[images, cols]
+    if not all(p in _UNITS for p in phases.tolist()):
+        return None
+    images.flags.writeable = phases.flags.writeable = False
+    return images, phases
+
+
+@dataclass(frozen=True, eq=False)
 class MatrixGate(Gate):
-    """Dense unitary on ``num_bits`` qubits.  The matrix is checked once,
-    here, and stored as a read-only ``complex`` copy."""
+    """Unitary on ``num_bits`` qubits.  The matrix is checked once, here,
+    and stored as a read-only ``complex`` copy.  ``permutation`` is its
+    :func:`_signed_permutation`: when it is not ``None`` the gate moves
+    indices, otherwise it runs the dense kernel; both give the same
+    state.  Gates are equal when name, charge and matrix are."""
 
     name: str
     matrix: np.ndarray
@@ -79,9 +102,21 @@ class MatrixGate(Gate):
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "num_bits", d.bit_length() - 1)
+        object.__setattr__(self, "permutation", _signed_permutation(matrix))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.charge) == (other.name, other.charge) and (
+            np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self):
+        return hash((self.name, self.charge, self.num_bits))
 
     def apply(self, state, qubits):
-        return ss.apply_unitary(state, self.matrix, qubits)
+        if self.permutation is None:
+            return ss.apply_unitary(state, self.matrix, qubits)
+        return ss.apply_permutation(state, *self.permutation, qubits)
 
     def inverse(self):
         return MatrixGate(self.name + "_inv", self.matrix.conj().T)

@@ -126,6 +126,16 @@ def _rest(idx: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     return idx & ~sum(1 << t for t in targets)
 
 
+@functools.lru_cache(maxsize=4096)
+def _placements(targets: Tuple[int, ...], dtype) -> np.ndarray:
+    """Each target pattern's bits set on ``targets``, every other bit 0.
+    Memoised: a program applies its gates to a few thousand distinct
+    target tuples at most."""
+    placed = _scatter(np.arange(1 << len(targets)), targets, dtype)
+    placed.flags.writeable = False
+    return placed
+
+
 def apply_unitary(
     state: SparseState, matrix: np.ndarray, targets: Sequence[int]
 ) -> SparseState:
@@ -145,6 +155,43 @@ def apply_unitary(
     new_idx = (
         rest[:, None] | _scatter(np.arange(1 << k), targets, idx.dtype)
     ).ravel()
+    keep = np.abs(out) >= PRUNE_THRESHOLD
+    out = out[keep]
+    if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
+        raise ValueError("state norm drifted beyond tolerance")
+    return SparseState._of(state.num_qubits, new_idx[keep], out)
+
+
+def apply_permutation(
+    state: SparseState,
+    images: np.ndarray,
+    phases: np.ndarray,
+    targets: Sequence[int],
+) -> SparseState:
+    """Apply a signed permutation on ``targets``: target pattern ``p``
+    (targets[0] most significant) moves to ``images[p]``, its amplitude
+    multiplied by ``phases[p]``, a unit from ``1, -1, 1j, -1j``.
+
+    For the matrix with ``phases[p]`` at ``[images[p], p]`` and zeros
+    elsewhere, this gives :func:`apply_unitary`'s indices in its order,
+    ``(rest, image)``, and amplitudes that compare equal: a product with
+    a unit is exact, and the block product only adds exact zeros.
+    """
+    _check_targets(state, targets)
+    k = len(targets)
+    if len(images) != 1 << k:
+        raise ValueError("permutation size does not match target count")
+    idx = state.idx
+    patterns = _gather(idx, targets)
+    rest, moved = _rest(idx, targets), images[patterns]
+    # each (rest, image) pair as one integer, distinct, so one sort
+    # orders them; it sorts large supports several times faster than
+    # np.lexsort of the two keys
+    key = rest.astype(_dtype(state.num_qubits + k), copy=False) << k
+    order = (key | moved).argsort()
+    out = (state.amp * phases[patterns])[order]
+    placed = _placements(tuple(targets), idx.dtype)
+    new_idx = (rest | placed[moved])[order]
     keep = np.abs(out) >= PRUNE_THRESHOLD
     out = out[keep]
     if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,33 @@ def test_seed_determinism_modulo_wall_time(capsys):
 
     argv = ["prep", "ghz", "--n", "3", "--seed", "11"]
     assert stripped(argv) == stripped(argv)
+
+
+# sha256 of each ``prep`` report as printed (sorted keys, indent 2) with
+# ``wall_time_ms`` dropped, taken before signed permutations had their
+# own gate kernel
+PREP_SHA256 = {
+    "ghz --n 8 --branches sample:4 --seed 5":
+        "a1578cb67a40f5f940f626418fb2c3789093360b255c776845efd39741c5b1b8",
+    "w --n 8":
+        "8c4b5d0c4b5f1203d3e84bef205cd9f536fa52bd16f4b3feb1ac8e3d83235701",
+    "uniform --q 300":
+        "f6ea1a870310856fb9834c94e2967d00bce91da3baaf67b3d629c3f42b9eb7e1",
+    "dicke --n 6 --k 2":
+        "4a85af7514164534d346ffbeed1138d736bd23c7ba368c119dd31f04d17213c4",
+    "dicke --n 6 --k 3 --method factoradic":
+        "68e267117bf7b83d603a39eec2d4a87219123f251aad5d821b31e3ed12545a4d",
+}
+
+
+@pytest.mark.parametrize("argv", PREP_SHA256)
+def test_prep_report_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("LAQCC_SEED", raising=False)
+    code, doc, _ = report(capsys, ["prep", *argv.split()])
+    assert code == 0
+    doc.pop("wall_time_ms")
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == PREP_SHA256[argv]
 
 
 def test_seed_env_default(capsys, monkeypatch):

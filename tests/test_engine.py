@@ -5,9 +5,14 @@ The reference kernels below walk the amplitude dict one basis state at
 a time, bit by bit.  The array forms in ``laqcc.sparse_state`` (and
 ``PredicatedGate.apply`` on top of them) must give the same support and
 the same amplitudes within 1e-12 on seeded random sparse states, and
-fail on the same inputs.  The gate kernels may reorder the support;
-``split_register`` and ``PredicatedGate.apply`` keep the reference's
-order.
+fail on the same inputs.  The dense gate kernel and the basis and phase
+maps may reorder the support; ``split_register`` and
+``PredicatedGate.apply`` keep the reference's order.
+
+``apply_permutation``, the kernel of signed-permutation gates, must
+moreover equal ``apply_unitary`` exactly: the same indices in the same
+order and amplitudes that compare equal, on random inputs and on every
+such gate application of the acceptance programs.
 """
 import math
 
@@ -16,6 +21,7 @@ import pytest
 
 from laqcc import program as pr
 from laqcc import sparse_state as ss
+from laqcc import verify
 
 ATOL = 1e-12
 
@@ -153,6 +159,16 @@ def random_unitary(rng, k):
     return q @ np.diag(np.exp(-1j * np.angle(np.diag(r))))
 
 
+def random_signed_permutation(rng, k):
+    """A matrix with one entry from ``1, -1, 1j, -1j`` per column, in a
+    seeded random row."""
+    d = 1 << k
+    matrix = np.zeros((d, d), complex)
+    matrix[rng.permutation(d), np.arange(d)] = rng.choice(
+        np.array([1, -1, 1j, -1j]), d)
+    return matrix
+
+
 def random_targets(rng, n, k):
     """``k`` distinct qubits in shuffled, generally non-adjacent order."""
     return [int(q) for q in rng.permutation(n)[:k]]
@@ -237,6 +253,29 @@ def test_seventy_qubit_state_matches_reference(k):
         ss.apply_phase_map(state, phases.__getitem__, targets),
         ref_apply_phase_map(state, phases.__getitem__, targets),
     )
+
+
+def assert_identical(got, expected):
+    """Same indices in the same order, amplitudes that compare equal."""
+    assert got.num_qubits == expected.num_qubits
+    assert got.idx.dtype == expected.idx.dtype
+    assert np.array_equal(got.idx, expected.idx)
+    assert np.array_equal(got.amp, expected.amp)
+
+
+# at 62 qubits the indices are int64 but the sort key needs Python ints
+@pytest.mark.parametrize("n", (20, 62, 70))
+@pytest.mark.parametrize("seed, k", CASES)
+def test_permutation_equals_dense_kernel(seed, k, n):
+    rng, state, targets = case(seed, k, n=n)
+    if n == 70:
+        targets[-1] = max(set(range(64, 70)) - set(targets))
+    matrix = random_signed_permutation(rng, k)
+    gate = pr.MatrixGate("p", matrix)
+    got = ss.apply_permutation(state, *gate.permutation, targets)
+    assert_identical(got, ss.apply_unitary(state, matrix, targets))
+    assert_same(got, ref_apply_unitary(state, matrix, targets))
+    assert_identical(gate.apply(state, tuple(targets)), got)
 
 
 def test_wide_basis_map_matches_reference():
@@ -379,9 +418,59 @@ def test_norm_drift_rejected_by_both():
     ])
 
 
+def test_norm_drift_rejected_by_both_gate_kernels():
+    state = ss.SparseState(3, {0b001: 0.6, 0b100: 0.6})
+    x = pr.MatrixGate("X", [[0, 1], [1, 0]])
+    both_raise(ValueError, "norm drifted", [
+        lambda: ss.apply_permutation(state, *x.permutation, [2]),
+        lambda: ss.apply_unitary(state, x.matrix, [2]),
+        lambda: ref_apply_unitary(state, x.matrix, [2]),
+    ])
+
+
+def test_bad_targets_rejected_by_both_gate_kernels():
+    state = ss.SparseState.basis(3)
+    x = pr.MatrixGate("X", [[0, 1], [1, 0]])
+    for targets, error, match in (
+        ([1, 1], IndexError, "duplicate"),
+        ([3], IndexError, "out of range"),
+        ([0, 1], ValueError, "does not match target count"),
+    ):
+        both_raise(error, match, [
+            lambda: ss.apply_permutation(state, *x.permutation, targets),
+            lambda: ss.apply_unitary(state, x.matrix, targets),
+        ])
+
+
 def test_entangled_rest_rejected_by_both():
     _, state, targets = case(6, 2, n=6)
     both_raise(ValueError, "not in one basis state", [
         lambda: ss.split_register(state, targets),
         lambda: ref_split_register(state, targets),
     ])
+
+
+# ------------------------------------------------------ acceptance parity
+
+
+def test_acceptance_programs_equal_on_both_gate_kernels(monkeypatch):
+    """Every signed-permutation gate application of every acceptance
+    driver gives the dense kernel's state exactly."""
+    apply = pr.MatrixGate.apply
+    checked, differ = [], []
+
+    def both(gate, state, qubits):
+        got = apply(gate, state, qubits)
+        if gate.permutation is not None:
+            want = ss.apply_unitary(state, gate.matrix, qubits)
+            checked.append(gate.name)
+            if not (np.array_equal(got.idx, want.idx)
+                    and np.array_equal(got.amp, want.amp)):
+                differ.append((gate.name, qubits))
+        return got
+
+    monkeypatch.setattr(pr.MatrixGate, "apply", both)
+    results = verify.run_all()
+    assert [r["name"] for r in results if not r["passed"]] == []
+    assert differ == []
+    assert {"X", "Z", "CNOT"} <= set(checked) and len(checked) > 1000

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from laqcc import clifford as cl
 from laqcc import program as pr
 from laqcc import sparse_state as ss
 
@@ -266,3 +267,55 @@ def test_single_scan_measurement_matches_per_outcome_projection(seed):
         if outcome not in feasible:
             with pytest.raises(ss.InfeasibleBranchError):
                 ss.measure(state, qubits, forced=outcome)
+
+
+# a matrix with one entry from 1, -1, 1j, -1j per column is a signed
+# permutation, applied by moving indices; any other matrix stays dense
+
+
+@pytest.mark.parametrize("wires, word", [
+    (1, "X(0)"), (1, "Z(0)"), (1, "S(0)"),
+    (2, "CNOT(0,1)"), (2, "CNOT(1,0)"), (2, "SWAP(0,1)"),
+])
+def test_pauli_frame_gates_are_signed_permutations(wires, word):
+    gate = cl.clifford("g", wires, word)
+    for g in (gate, gate.inverse()):
+        images, phases = g.permutation
+        rebuilt = np.zeros_like(g.matrix)
+        rebuilt[images, np.arange(1 << wires)] = phases
+        assert np.array_equal(rebuilt, g.matrix)
+        assert sorted(images.tolist()) == list(range(1 << wires))
+        assert set(phases.tolist()) <= {1, -1, 1j, -1j}
+        with pytest.raises(ValueError):
+            images[0] = 0
+
+
+def random_su2(rng):
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    a, b = np.array([a, b]) / math.hypot(abs(a), abs(b))
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+@pytest.mark.parametrize("gate", [
+    cl.H_GATE,
+    cl.clifford("HS", 1, "H(0) S(0)"),
+    pr.MatrixGate("T", np.diag([1, np.exp(1j * np.pi / 4)])),
+    pr.MatrixGate("U", random_su2(np.random.default_rng(3))),
+    pr.MatrixGate("Xr", X + np.array([[1e-13, 0], [0, 0]])),
+], ids=lambda g: g.name)
+def test_other_unitaries_stay_dense(gate):
+    assert gate.permutation is None
+
+
+def test_matrix_gates_compare_by_name_charge_and_matrix():
+    a, b = pr.MatrixGate("X", X), pr.MatrixGate("X", X)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert pr.GateApp(a, (0,)) == pr.GateApp(b, (0,))
+    assert hash(pr.GateApp(a, (0,))) == hash(pr.GateApp(b, (0,)))
+    z = pr.MatrixGate("Z", np.diag([1, -1]))
+    signed_zero = pr.MatrixGate("Z", [[1, complex(-0.0, -0.0)], [-0.0, -1]])
+    assert np.signbit(signed_zero.matrix.real[0, 1])
+    assert z == signed_zero and hash(z) == hash(signed_zero)
+    for other in (pr.MatrixGate("Y", X), pr.MatrixGate("X", X, 1.0),
+                  pr.MatrixGate("X", -X), pr.MatrixGate("X", CNOT)):
+        assert a != other
