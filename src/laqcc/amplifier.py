@@ -60,18 +60,18 @@ def plan(N: int, m: int) -> AmplificationPlan:
 @register_gate("phase_flag")
 def phase_flag(phi: float) -> DiagonalGate:
     """e^{i phi} on |1> of the flag qubit."""
-    return DiagonalGate(
-        "phase_flag", 1, lambda v: cmath.exp(1j * phi) if v else 1.0
-    )
+    kick = cmath.exp(1j * phi)
+    return DiagonalGate("phase_flag", 1, lambda v: np.where(v != 0, kick, 1.0))
 
 
 @register_gate("phase_all_zero")
 def phase_all_zero(num_bits: int, theta: float) -> DiagonalGate:
     """e^{i theta} on the all-zero pattern of ``num_bits`` qubits."""
+    kick = cmath.exp(1j * theta)
     return DiagonalGate(
         "phase_all_zero",
         num_bits,
-        lambda v: cmath.exp(1j * theta) if v == 0 else 1.0,
+        lambda v: np.where(v == 0, kick, 1.0),
         charge=charges.charge("equal", num_bits),
     )
 

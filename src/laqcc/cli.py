@@ -8,6 +8,7 @@ stderr.  Exit codes: 0 all checks passed, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -289,7 +290,10 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: it
+    holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="laqcc",
         description=(

@@ -8,7 +8,10 @@ gadget backend built from flattened Clifford ladders, so the two routes
 can be compared branch by branch.
 
 Bit conventions: a gate's qubit list is most-significant-first, and
-registers passed as qubit tuples follow the same order.
+registers passed as qubit tuples follow the same order.  Every gate
+function takes the array of distinct bit patterns (``int64``, or Python
+ints in an ``object`` array past 62 bits) and returns its images, phases
+or flags as one array.
 """
 from __future__ import annotations
 
@@ -18,11 +21,8 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from . import charges, clifford as cl, program as pr
+from .numbersys import popcount
 from .program import BasisMapGate, DiagonalGate, GateApp, MatrixGate
-
-
-def _bits(value: int, width: int) -> Tuple[int, ...]:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
 # --------------------------------------------------------------------------
@@ -37,10 +37,8 @@ def fanout(num_targets: int) -> BasisMapGate:
         raise ValueError("need at least one target")
     m = num_targets
 
-    def fn(v: int) -> int:
-        if (v >> m) & 1:
-            v ^= (1 << m) - 1
-        return v
+    def fn(v: np.ndarray) -> np.ndarray:
+        return v ^ ((v >> m) & 1) * ((1 << m) - 1)
 
     return BasisMapGate(
         name=f"fanout{m}",
@@ -83,18 +81,24 @@ def fanout_gadget(num_targets: int) -> pr.LaqccProgram:
 # --------------------------------------------------------------------------
 
 
+def _flip_where(v: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Each pattern with its last bit flipped where ``hit`` is true."""
+    return v ^ hit.astype(v.dtype)
+
+
 def _flag_gate(
     name: str,
     num_inputs: int,
-    predicate: Callable[[int], bool],
+    predicate: Callable[[np.ndarray], np.ndarray],
     charge_name: str,
     *charge_args: int,
 ) -> BasisMapGate:
-    """Flip the trailing flag qubit iff predicate(inputs); the charge is
-    ``charge(charge_name, *charge_args)``, by default of ``num_inputs``."""
+    """Flip the trailing flag qubit iff predicate(inputs), a boolean array;
+    the charge is ``charge(charge_name, *charge_args)``, by default of
+    ``num_inputs``."""
 
-    def fn(v: int) -> int:
-        return v ^ 1 if predicate(v >> 1) else v
+    def fn(v: np.ndarray) -> np.ndarray:
+        return _flip_where(v, predicate(v >> 1))
 
     return BasisMapGate(
         name=name,
@@ -130,11 +134,11 @@ def add_n(n: int) -> BasisMapGate:
     """|x>|y> -> |x>|y + x mod 2^n>; x is the leading register."""
     mask = (1 << n) - 1
 
-    def fn(v: int) -> int:
+    def fn(v: np.ndarray) -> np.ndarray:
         x, y = v >> n, v & mask
         return (x << n) | ((y + x) & mask)
 
-    def inv(v: int) -> int:
+    def inv(v: np.ndarray) -> np.ndarray:
         x, y = v >> n, v & mask
         return (x << n) | ((y - x) & mask)
 
@@ -152,9 +156,9 @@ def equality(n: int) -> BasisMapGate:
     """|x>|y>|f> -> flip f iff x = y."""
     mask = (1 << n) - 1
 
-    def fn(v: int) -> int:
+    def fn(v: np.ndarray) -> np.ndarray:
         x, y = (v >> (n + 1)) & mask, (v >> 1) & mask
-        return v ^ 1 if x == y else v
+        return _flip_where(v, x == y)
 
     return BasisMapGate(
         name=f"equality{n}",
@@ -179,9 +183,9 @@ def greaterthan(n: int) -> BasisMapGate:
     """|x>|y>|f> -> flip f iff x > y (one extra sign bit charged)."""
     mask = (1 << n) - 1
 
-    def fn(v: int) -> int:
+    def fn(v: np.ndarray) -> np.ndarray:
         x, y = (v >> (n + 1)) & mask, (v >> 1) & mask
-        return v ^ 1 if x > y else v
+        return _flip_where(v, x > y)
 
     return BasisMapGate(
         name=f"greaterthan{n}",
@@ -206,9 +210,8 @@ def hammingweight(n: int) -> BasisMapGate:
     """|x>|c> -> |x>|c xor wt(x)> with a ceil(log2(n+1))-bit counter."""
     w = count_register_width(n)
 
-    def fn(v: int) -> int:
-        x, c = v >> w, v & ((1 << w) - 1)
-        return (x << w) | (c ^ x.bit_count())
+    def fn(v: np.ndarray) -> np.ndarray:
+        return v ^ popcount(v >> w)
 
     return BasisMapGate(
         name=f"hammingweight{n}",
@@ -222,7 +225,7 @@ def hammingweight(n: int) -> BasisMapGate:
 @pr.register_gate("exact")
 def exact_t(n: int, t: int) -> BasisMapGate:
     return _flag_gate(
-        f"exact{n}[{t}]", n, lambda x: x.bit_count() == t, "exact"
+        f"exact{n}[{t}]", n, lambda x: popcount(x) == t, "exact"
     )
 
 
@@ -234,15 +237,16 @@ def threshold_t(
     iff sum of w_i x_i >= t; integer weights only."""
     if weights is None:
         return _flag_gate(
-            f"threshold{n}[{t}]", n, lambda x: x.bit_count() >= t,
+            f"threshold{n}[{t}]", n, lambda x: popcount(x) >= t,
             "threshold", n, t,
         )
     if any(not isinstance(w, int) for w in weights) or len(weights) != n:
         raise ValueError(f"weights must be {n} integers")
 
-    def total(x: int) -> int:
+    def total(x: np.ndarray) -> np.ndarray:
         return sum(
-            w for i, w in enumerate(weights) if (x >> (n - 1 - i)) & 1
+            (((x >> (n - 1 - i)) & 1) * w for i, w in enumerate(weights)),
+            np.zeros_like(x),
         )
 
     return _flag_gate(
@@ -284,12 +288,11 @@ def permutation(perm: Sequence[int]) -> BasisMapGate:
     for i, p in enumerate(perm):
         inv[p] = i
 
-    def apply(p: Sequence[int]) -> Callable[[int], int]:
-        def fn(v: int) -> int:
-            bits = _bits(v, n)
-            out = 0
+    def apply(p: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+        def fn(v: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(v)
             for i in range(n):
-                out = (out << 1) | bits[p[i]]
+                out = (out << 1) | ((v >> (n - 1 - p[i])) & 1)
             return out
 
         return fn
@@ -308,6 +311,13 @@ def permutation(perm: Sequence[int]) -> BasisMapGate:
 # --------------------------------------------------------------------------
 
 
+def _diagonal_gate(label: str, phases: np.ndarray, **charge) -> DiagonalGate:
+    """The registered ``diagonal`` gate with these complex phases."""
+    return pr.diagonal(
+        label, [[float(z.real), float(z.imag)] for z in phases], **charge
+    )
+
+
 def product_diagonal(
     diagonals: Sequence[np.ndarray], k: int
 ) -> DiagonalGate:
@@ -315,10 +325,8 @@ def product_diagonal(
     total = np.ones(1 << k, dtype=complex)
     for d in diagonals:
         total = total * d
-    return DiagonalGate(
-        name="diag_product",
-        num_bits=k,
-        phase_fn=lambda v: total[v],
+    return _diagonal_gate(
+        "diag_product", total,
         charge=charges.charge("parallelize", k * max(1, len(diagonals))),
     )
 
@@ -371,11 +379,7 @@ def parallelize_commuting(
         layers.append(pr.QuantumLayer(tuple(apps)))
     diag_apps = []
     for c in range(m):
-        d = diagonals[c]
-        gate = DiagonalGate(
-            name=f"diag{c}", num_bits=k,
-            phase_fn=(lambda dd: lambda v: dd[v])(d),
-        )
+        gate = _diagonal_gate(f"diag{c}", diagonals[c])
         diag_apps.append(GateApp(gate, copies[c]))
     layers.append(pr.QuantumLayer(tuple(diag_apps)))
     if fan is not None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 Bits = Tuple[int, ...]
 
 
@@ -97,16 +99,18 @@ def fac_to_comb(digits: Sequence[int], k: int) -> Bits:
     Bit n-j is set iff the digit at that position is smaller than the
     number of ones still owed.
     """
-    _check_factoradic(digits)
     n = len(digits)
-    if not 0 <= k <= n:
-        raise ValueError("weight out of range")
     out = []
     h = 0  # ones emitted so far
-    for d in digits:
+    for pos, d in enumerate(digits):
+        j = n - 1 - pos
+        if not 0 <= d <= j:
+            raise ValueError(f"digit {d} at weight {j} outside 0..{j}")
         bit = 1 if d < k - h else 0
         out.append(bit)
         h += bit
+    if not 0 <= k <= n:
+        raise ValueError("weight out of range")
     return tuple(out)
 
 
@@ -121,30 +125,42 @@ def comb_to_fac(bits: Sequence[int], z: Sequence[int], o: Sequence[int]) -> Bits
     k = sum(bits)
     if len(z) != n - k or len(o) != k:
         raise ValueError("auxiliary factoradic lengths must be n-k and k")
-    _check_factoradic(z)
-    _check_factoradic(o)
     digits = []
     ones = zeros = 0
-    try:
-        for bit in bits:
-            if bit == 1:
-                # i-th one (left to right) consumes digit O_{k-1-i}; its
-                # range 0..k-ones-1 is exactly the digit values that emit
-                # a 1 here.
-                digits.append(o[ones])
-                ones += 1
-            elif bit != 0:
-                raise ValueError(f"bit {bit} is not 0 or 1")
-            else:
-                # i-th zero consumes digit Z_{n-k-1-i}, shifted past the
-                # 1-band.
-                digits.append(k - ones + z[zeros])
-                zeros += 1
-    except IndexError:
-        # k = sum(bits) counts the ones only if every bit is 0 or 1; a bit
-        # that is neither can run O or Z out before the loop reaches it.
-        raise ValueError("bits must be 0 or 1") from None
-    return tuple(digits)
+    for bit in bits:
+        if bit == 1 and ones < k:
+            # i-th one (left to right) consumes digit O_{k-1-i}; its
+            # range 0..k-ones-1 is exactly the digit values that emit a
+            # 1 here.
+            d = o[ones]
+            ones += 1
+            if not 0 <= d <= k - ones:
+                break
+            digits.append(d)
+        elif bit == 0 and zeros < n - k:
+            # i-th zero consumes digit Z_{n-k-1-i}, shifted past the
+            # 1-band.
+            d = z[zeros]
+            zeros += 1
+            if not 0 <= d <= n - k - zeros:
+                break
+            digits.append(k - ones + d)
+        else:
+            # k = sum(bits) counts the ones only if every bit is 0 or 1;
+            # a bit that is neither can run O or Z out before the loop
+            # reaches it
+            bad_bit = (
+                "bits must be 0 or 1" if bit in (0, 1)
+                else f"bit {bit} is not 0 or 1"
+            )
+            break
+    else:
+        return tuple(digits)
+    # a bad digit or bit stopped the loop: the digits fail first, Z
+    # before O, as when they were checked before it
+    _check_factoradic(z)
+    _check_factoradic(o)
+    raise ValueError(bad_bit)
 
 
 def fac_decompose(digits: Sequence[int], k: int) -> Tuple[Bits, Bits, Bits]:
@@ -154,13 +170,14 @@ def fac_decompose(digits: Sequence[int], k: int) -> Tuple[Bits, Bits, Bits]:
     digit d emits a 1 iff d < k - ones, which is O's range at that
     weight, and otherwise d - (k - ones) is within Z's.
     """
-    _check_factoradic(digits)
-    if not 0 <= k <= len(digits):
-        raise ValueError("weight out of range")
+    n = len(digits)
     bits: List[int] = []
     z: List[int] = []
     o: List[int] = []
-    for d in digits:
+    for pos, d in enumerate(digits):
+        j = n - 1 - pos
+        if not 0 <= d <= j:
+            raise ValueError(f"digit {d} at weight {j} outside 0..{j}")
         owed = k - len(o)
         if d < owed:
             bits.append(1)
@@ -168,7 +185,105 @@ def fac_decompose(digits: Sequence[int], k: int) -> Tuple[Bits, Bits, Bits]:
         else:
             bits.append(0)
             z.append(d - owed)
+    if not 0 <= k <= n:
+        raise ValueError("weight out of range")
     return tuple(bits), tuple(z), tuple(o)
+
+
+# ---------------------------------------------------------------- arrays
+#
+# The same three maps over an (N, n) digit array, one row per factoradic:
+# checked once, then computed one digit column at a time.
+
+
+def _check_factoradic_rows(digits: np.ndarray) -> None:
+    """:func:`_check_factoradic` of each row, failing on the first bad
+    digit in row order."""
+    n = digits.shape[1]
+    bad = (digits < 0) | (digits > np.arange(n - 1, -1, -1))
+    if bad.any():
+        _check_factoradic(digits[np.argwhere(bad)[0, 0]].tolist())
+
+
+def fac_to_comb_array(digits: np.ndarray, k: int) -> np.ndarray:
+    """:func:`fac_to_comb` of each row of an (N, n) digit array, as an
+    (N, n) array of 0/1."""
+    digits = np.asarray(digits, np.int64)
+    _check_factoradic_rows(digits)
+    n = digits.shape[1]
+    if not 0 <= k <= n:
+        raise ValueError("weight out of range")
+    bits = np.zeros(digits.shape, np.int64)
+    h = np.zeros(len(digits), np.int64)  # ones emitted so far
+    for pos in range(n):
+        bits[:, pos] = digits[:, pos] < k - h
+        h += bits[:, pos]
+    return bits
+
+
+def fac_decompose_array(
+    digits: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`fac_decompose` of each row of an (N, n) digit array: the
+    (N, n) bits, the (N, n-k) Z digits and the (N, k) O digits."""
+    digits = np.asarray(digits, np.int64)
+    bits = fac_to_comb_array(digits, k)
+    rows, n = np.arange(len(digits)), digits.shape[1]
+    # one spare column each: a row's every bit writes one of them
+    z = np.zeros((len(digits), n - k + 1), np.int64)
+    o = np.zeros((len(digits), k + 1), np.int64)
+    h = np.zeros(len(digits), np.int64)
+    for pos in range(n):
+        one, d = bits[:, pos] == 1, digits[:, pos]
+        o[rows, np.where(one, h, k)] = np.where(one, d, 0)
+        z[rows, np.where(one, n - k, pos - h)] = np.where(one, 0, d - (k - h))
+        h += one
+    return bits, z[:, :-1], o[:, :-1]
+
+
+def comb_to_fac_array(
+    bits: np.ndarray, z: np.ndarray, o: np.ndarray
+) -> np.ndarray:
+    """:func:`comb_to_fac` of each row of an (N, n) 0/1 array with the
+    rows of the (N, n-k) Z and (N, k) O digit arrays."""
+    bits, z, o = (np.asarray(a, np.int64) for a in (bits, z, o))
+    n, k = bits.shape[1], o.shape[1]
+    if z.shape[1] != n - k or (bits.sum(axis=1) != k).any():
+        raise ValueError("auxiliary factoradic lengths must be n-k and k")
+    _check_factoradic_rows(z)
+    _check_factoradic_rows(o)
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("bits must be 0 or 1")
+    rows = np.arange(len(bits))
+    # one spare column each, read by the rows that take the other digit
+    z = np.concatenate([z, np.zeros((len(bits), 1), np.int64)], axis=1)
+    o = np.concatenate([o, np.zeros((len(bits), 1), np.int64)], axis=1)
+    out = np.zeros(bits.shape, np.int64)
+    ones = np.zeros(len(bits), np.int64)
+    for pos in range(n):
+        one = bits[:, pos] == 1
+        out[:, pos] = np.where(
+            one, o[rows, ones], k - ones + z[rows, pos - ones]
+        )
+        ones += one
+    return out
+
+
+_LOW_BITS = (1 << 62) - 1
+
+
+def popcount(values: np.ndarray) -> np.ndarray:
+    """The set bits of each nonnegative value, in the dtype of ``values``:
+    ``int64``, or ``object`` (Python ints, any width), which
+    ``np.bitwise_count`` refuses."""
+    if values.dtype != object:
+        return np.bitwise_count(values).astype(values.dtype)
+    count = np.zeros(len(values), np.int64)
+    rest = values
+    while rest.any():  # 62 bits at a time
+        count += np.bitwise_count((rest & _LOW_BITS).astype(np.int64))
+        rest = rest >> 62
+    return count.astype(object)
 
 
 def preimage_counts(n: int, k: int) -> Optional[Dict[Bits, int]]:

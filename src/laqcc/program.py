@@ -124,12 +124,15 @@ class MatrixGate(Gate):
 
 @dataclass
 class BasisMapGate(Gate):
-    """Bijective relabelling of the computational basis on its qubits."""
+    """Bijective relabelling of the computational basis on its qubits.
+    ``fn`` and ``inverse_fn`` map an array of bit patterns (``int64``, or
+    Python ints in an ``object`` array past 62 bits) to the array of
+    their images, in one call."""
 
     name: str
     num_bits: int
-    fn: Callable[[int], int]
-    inverse_fn: Optional[Callable[[int], int]] = None
+    fn: Callable[[np.ndarray], np.ndarray]
+    inverse_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     charge: float = 0.0
 
     def apply(self, state, qubits):
@@ -146,11 +149,13 @@ class BasisMapGate(Gate):
 
 @dataclass
 class DiagonalGate(Gate):
-    """Diagonal unitary given by a phase function of the bit pattern."""
+    """Diagonal unitary given by a phase function of the bit pattern;
+    ``phase_fn`` maps an array of patterns, as :class:`BasisMapGate`'s
+    ``fn`` does, to the array of their phases."""
 
     name: str
     num_bits: int
-    phase_fn: Callable[[int], complex]
+    phase_fn: Callable[[np.ndarray], np.ndarray]
     charge: float = 0.0
 
     def apply(self, state, qubits):
@@ -160,7 +165,8 @@ class DiagonalGate(Gate):
         fn = self.phase_fn
         return DiagonalGate(
             self.name + "_inv", self.num_bits,
-            lambda v: complex(fn(v)).conjugate(), charge=self.charge,
+            lambda v: np.conj(np.asarray(fn(v), complex)),
+            charge=self.charge,
         )
 
 
@@ -181,11 +187,13 @@ class DynamicGate(Gate):
 @dataclass
 class PredicatedGate(Gate):
     """Apply ``gate`` to the trailing qubits iff a predicate of the leading
-    control bits is 1; used by the measurement-deferral transform."""
+    control bits is 1; used by the measurement-deferral transform.
+    ``predicate`` maps an array of control patterns, as
+    :class:`BasisMapGate`'s ``fn`` does, to an array of hits."""
 
     name: str
     control_bits: int
-    predicate: Callable[[int], int]
+    predicate: Callable[[np.ndarray], np.ndarray]
     gate: Gate
     charge: float = 0.0
 
@@ -635,13 +643,17 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
                 apps.append(app)
                 continue
 
-            def predicate(pattern, clayer=clayer, widths=widths, key=key):
-                values = {}
-                shift = sum(w for _, w in widths)
-                for label, w in widths:
-                    shift -= w
-                    values[label] = (pattern >> shift) & ((1 << w) - 1)
-                return clayer.fn(values).get(key, 0)
+            def predicate(patterns, clayer=clayer, widths=widths, key=key):
+                # the classical layer maps one dict of outcomes at a time
+                hits = []
+                for pattern in patterns.tolist():
+                    values = {}
+                    shift = sum(w for _, w in widths)
+                    for label, w in widths:
+                        shift -= w
+                        values[label] = (pattern >> shift) & ((1 << w) - 1)
+                    hits.append(bool(clayer.fn(values).get(key, 0)))
+                return np.array(hits, bool)
 
             gate = PredicatedGate(
                 name=f"if[{source}.{key}]{app.gate.name}",
@@ -841,10 +853,9 @@ def _gate_spec(gate: Gate) -> dict:
             "params": {
                 "label": gate.name,
                 "control_bits": gate.control_bits,
-                "table": [
-                    1 if gate.predicate(p) else 0
-                    for p in range(1 << gate.control_bits)
-                ],
+                "table": np.asarray(
+                    gate.predicate(np.arange(1 << gate.control_bits)), bool
+                ).astype(int).tolist(),
                 "gate": _gate_spec(gate.gate),
             },
         }
@@ -854,7 +865,7 @@ def _gate_spec(gate: Gate) -> dict:
 @register_gate("transcript_equal")
 def _transcript_equal_factory(bits: int, expected: int) -> "BasisMapGate":
     def eq(v, expected=expected):
-        return (v ^ 1) if v >> 1 == expected else v
+        return v ^ ((v >> 1) == expected).astype(v.dtype)
 
     return BasisMapGate(f"equal[{expected:0{bits}b}]", bits + 1, eq, eq)
 
@@ -862,7 +873,7 @@ def _transcript_equal_factory(bits: int, expected: int) -> "BasisMapGate":
 @register_gate("and_flags")
 def _and_flags_factory(bits: int) -> "BasisMapGate":
     def all_ones(v, bits=bits):
-        return (v ^ 1) if v >> 1 == (1 << bits) - 1 else v
+        return v ^ ((v >> 1) == (1 << bits) - 1).astype(v.dtype)
 
     return BasisMapGate("and_flags", bits + 1, all_ones, all_ones)
 
@@ -912,14 +923,29 @@ def _matrix_gate_factory(label: str, matrix) -> "MatrixGate":
     return MatrixGate(label, m)
 
 
+@register_gate("diagonal")
+def diagonal(label: str, phases, charge: float = 0.0) -> "DiagonalGate":
+    """The diagonal gate with phase ``complex(*phases[p])`` on pattern
+    ``p``: its phases written as ``[re, im]`` pairs, as ``matrix`` writes
+    its entries."""
+    table = np.array([complex(re, im) for re, im in phases], complex)
+    d = len(table)
+    if d < 1 or d & (d - 1):
+        raise ValueError(f"{d} diagonal phases is not a power of two")
+    if not np.all(np.abs(np.abs(table) - 1.0) <= 1e-9):
+        raise ValueError("phase factor must have unit modulus")
+    table.flags.writeable = False
+    return DiagonalGate(
+        label, d.bit_length() - 1, table.__getitem__, charge=charge
+    )
+
+
 def _predicated_gate_factory(
     label: str, control_bits: int, table, gate
 ) -> "PredicatedGate":
     inner = _gate_from_spec(gate)
-    lookup = tuple(table)
-    return PredicatedGate(
-        label, control_bits, lambda p: lookup[p], inner
-    )
+    lookup = np.array([bool(hit) for hit in table], bool)
+    return PredicatedGate(label, control_bits, lookup.__getitem__, inner)
 
 
 # ``_gate_spec`` derives these two specs from the gate, so they get no stamp

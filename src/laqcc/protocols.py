@@ -111,22 +111,14 @@ def uniform_superposition(
 # --------------------------------------------------------------------------
 
 
-def _one_hot_position(s: int, n: int) -> int:
-    """Index i with s = e_i (bit n-1-i set); -1 if s is not one-hot."""
-    if s.bit_count() != 1:
-        return -1
-    return n - s.bit_length()
-
-
 @pr.register_gate("uncompress")
 def uncompress_gate(n: int, b: int) -> BasisMapGate:
     """|i>|s> -> |i>|s xor e_i> on the index + system registers."""
 
-    def fn(v: int) -> int:
-        i, s = v >> n, v & ((1 << n) - 1)
-        if i < n:
-            s ^= 1 << (n - 1 - i)
-        return (i << n) | s
+    def fn(v: np.ndarray) -> np.ndarray:
+        i = v >> n
+        hit = (i < n).astype(v.dtype)
+        return v ^ (hit << np.where(i < n, n - 1 - i, 0))
 
     return BasisMapGate(
         name=f"uncompress{n}",
@@ -142,12 +134,13 @@ def uncompress_gate(n: int, b: int) -> BasisMapGate:
 def compress_phase_gate(n: int, b: int) -> DiagonalGate:
     """(-1)^{<j, i(s)>} on |j>|s> for one-hot s = e_{i(s)}."""
 
-    def phase(v: int) -> complex:
+    def phase(v: np.ndarray) -> np.ndarray:
         j, s = v >> n, v & ((1 << n) - 1)
-        i = _one_hot_position(s, n)
-        if i < 0:
-            return 1.0
-        return -1.0 if (i & j).bit_count() % 2 else 1.0
+        one_hot = ns.popcount(s) == 1
+        # s = e_i is bit n-1-i, so s - 1 sets the n-1-i bits below it
+        i = (n - 1) - ns.popcount(np.where(one_hot, s - 1, 0))
+        odd = ns.popcount(i & j) & 1 == 1
+        return np.where(one_hot & odd, -1.0, 1.0)
 
     return DiagonalGate(
         name=f"compress_phase{n}",
@@ -237,11 +230,10 @@ def filling_kick_gate(n: int, b: int) -> DiagonalGate:
     """(-1)^{s_i} on |i>|s> for i < n, with system bit i at s's bit
     n-1-i."""
 
-    def kick_phase(v: int) -> complex:
-        i, y = v >> n, v & ((1 << n) - 1)
-        if i >= n:
-            return 1.0
-        return -1.0 if (y >> (n - 1 - i)) & 1 else 1.0
+    def kick_phase(v: np.ndarray) -> np.ndarray:
+        i = v >> n
+        kicked = (v >> np.where(i < n, n - 1 - i, 0)) & 1 == 1
+        return np.where((i < n) & kicked, -1.0, 1.0)
 
     return DiagonalGate(
         "filling_kick", b + n, kick_phase,
@@ -249,9 +241,20 @@ def filling_kick_gate(n: int, b: int) -> DiagonalGate:
     )
 
 
-def sorted_positions(s: int, n: int) -> Tuple[int, ...]:
-    """Positions i (ascending) with bit n-1-i of s set."""
-    return tuple(i for i in range(n) if (s >> (n - 1 - i)) & 1)
+def _ranked_positions(v: np.ndarray, n: int, k: int):
+    """For patterns of k b-bit registers over an n-bit system word s:
+    where s has exactly k ones, and for each position i (ascending) with
+    bit n-1-i of s set, which rows take it as their l-th smallest (as
+    ``(i, takes, l)``, l in the dtype of ``v``)."""
+    s = v & ((1 << n) - 1)
+    full = ns.popcount(s) == k
+    seen = np.zeros_like(v)  # set positions so far
+    ranked = []
+    for i in range(n):
+        takes = full & ((s >> (n - 1 - i)) & 1 == 1)
+        ranked.append((i, takes, np.where(takes, seen, 0)))
+        seen = seen + takes.astype(v.dtype)
+    return ranked
 
 
 def _cleaning_charge(n: int, k: int, b: int) -> float:
@@ -265,20 +268,13 @@ def cleaning_gate(n: int, k: int, b: int) -> BasisMapGate:
     """Uncompute sorted index registers from the system pattern:
     register l ^= (l-th smallest set position of s)."""
 
-    def fn(v: int) -> int:
-        s = v & ((1 << n) - 1)
-        rest = v >> n
-        regs = []
-        for l in range(k):
-            shift = (k - 1 - l) * b
-            regs.append((rest >> shift) & ((1 << b) - 1))
-        pos = sorted_positions(s, n)
-        if len(pos) == k:
-            regs = [r ^ p for r, p in zip(regs, pos)]
-        out = 0
-        for r in regs:
-            out = (out << b) | r
-        return (out << n) | s
+    def fn(v: np.ndarray) -> np.ndarray:
+        # register l ^= its position i, at bit (k-1-l)*b of the registers
+        out = v
+        for i, takes, l in _ranked_positions(v, n, k):
+            shift = np.where(takes, (k - 1 - l) * b + n, 0)
+            out = out ^ (takes.astype(v.dtype) * i << shift)
+        return out
 
     return BasisMapGate(
         name=f"cleaning{n},{k}",
@@ -294,18 +290,12 @@ def cleaning_phase_gate(n: int, k: int, b: int) -> DiagonalGate:
     """(-1)^{sum_l <j_l, pos_l(s)>} on |j_0..j_{k-1}>|s>, where pos_l(s)
     is the l-th smallest set position of s (1 unless s has k ones)."""
 
-    def phase(v: int) -> complex:
-        s = v & ((1 << n) - 1)
-        rest = v >> n
-        pos = sorted_positions(s, n)
-        if len(pos) != k:
-            return 1.0
-        parity = 0
-        for l in range(k):
-            shift = (k - 1 - l) * b
-            j = (rest >> shift) & ((1 << b) - 1)
-            parity ^= (j & pos[l]).bit_count() & 1
-        return -1.0 if parity else 1.0
+    def phase(v: np.ndarray) -> np.ndarray:
+        parity = np.zeros_like(v)
+        for i, takes, l in _ranked_positions(v, n, k):
+            j = (v >> ((k - 1 - l) * b + n)) & ((1 << b) - 1)
+            parity = parity ^ (ns.popcount(j & i) & takes.astype(v.dtype))
+        return np.where(parity & 1 == 1, -1.0, 1.0)
 
     return DiagonalGate(
         "cleaning_phase", k * b + n, phase, charge=_cleaning_charge(n, k, b)
@@ -466,26 +456,33 @@ def _digit_widths(length: int) -> List[int]:
     return [index_width(j + 1) for j in range(length - 1, 0, -1)]
 
 
-def _decode_digits(v: int, widths: Sequence[int]) -> List[int]:
-    digits = []
-    shift = sum(widths)
-    for w in widths:
+def _decode_digits(v: np.ndarray, length: int) -> np.ndarray:
+    """The (N, length) digits of the length-factoradics packed in ``v``
+    with :func:`_digit_widths`, the fixed digit 0 last."""
+    digits = np.zeros((len(v), length), np.int64)
+    shift = sum(_digit_widths(length))
+    for pos, w in enumerate(_digit_widths(length)):
         shift -= w
-        digits.append((v >> shift) & ((1 << w) - 1))
-    digits.append(0)  # the fixed digit 0
+        digits[:, pos] = (v >> shift) & ((1 << w) - 1)
     return digits
 
 
-def _encode_digits(digits: Sequence[int], widths: Sequence[int]) -> int:
-    v = 0
-    for d, w in zip(digits, widths):
-        v = (v << w) | d
+def _encode_digits(digits: np.ndarray, widths: Sequence[int], dtype):
+    """Pack each row of ``digits`` with ``widths``, dropping digit 0."""
+    v = np.zeros(len(digits), dtype)
+    for pos, w in enumerate(widths):
+        v = (v << w) | digits[:, pos].astype(dtype)
     return v
 
 
-def _valid_fac(digits: Sequence[int]) -> bool:
-    n = len(digits)
-    return all(0 <= d <= n - 1 - i for i, d in enumerate(digits))
+def _valid_fac(digits: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, n) digit array are factoradics."""
+    return (digits <= np.arange(digits.shape[1] - 1, -1, -1)).all(axis=1)
+
+
+def _or_zero(valid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` with every invalid row set to zeros."""
+    return np.where(valid[:, None], rows, 0)
 
 
 @pr.register_gate("fac_to_comb")
@@ -493,15 +490,12 @@ def fac_to_comb_gate(n: int, k: int) -> BasisMapGate:
     """s ^= A(y) on |y>|s>: the weight-k string of the n-factoradic y."""
     yw = _digit_widths(n)
 
-    def fn(v: int) -> int:
-        s = v & ((1 << n) - 1)
-        y = _decode_digits(v >> n, yw)
-        if not _valid_fac(y):
-            return v
-        image = 0
-        for bval in ns.fac_to_comb(y, k):
-            image = (image << 1) | bval
-        return ((v >> n) << n) | (s ^ image)
+    def fn(v: np.ndarray) -> np.ndarray:
+        y = _decode_digits(v >> n, n)
+        valid = _valid_fac(y)
+        bits = ns.fac_to_comb_array(_or_zero(valid, y), k)
+        image = _encode_digits(bits, [1] * n, v.dtype)
+        return v ^ np.where(valid, image, 0)
 
     return BasisMapGate(
         "fac_to_comb", sum(yw) + n, fn, fn,
@@ -515,17 +509,13 @@ def split_zo_gate(n: int, k: int) -> BasisMapGate:
     yw, zw, ow = _digit_widths(n), _digit_widths(n - k), _digit_widths(k)
     zb, ob = sum(zw), sum(ow)
 
-    def fn(v: int) -> int:
-        y_val = v >> (zb + ob)
-        z_val = (v >> ob) & ((1 << zb) - 1)
-        o_val = v & ((1 << ob) - 1)
-        y = _decode_digits(y_val, yw)
-        if not _valid_fac(y):
-            return v
-        _, zdig, odig = ns.fac_decompose(y, k)
-        z_val ^= _encode_digits(zdig, zw)
-        o_val ^= _encode_digits(odig, ow)
-        return (y_val << (zb + ob)) | (z_val << ob) | o_val
+    def fn(v: np.ndarray) -> np.ndarray:
+        y = _decode_digits(v >> (zb + ob), n)
+        valid = _valid_fac(y)
+        _, z, o = ns.fac_decompose_array(_or_zero(valid, y), k)
+        zo = (_encode_digits(z, zw, v.dtype) << ob) | _encode_digits(
+            o, ow, v.dtype)
+        return v ^ np.where(valid, zo, 0)
 
     return BasisMapGate(
         "split_zo", sum(yw) + zb + ob, fn, fn,
@@ -538,22 +528,23 @@ def comb_to_fac_gate(n: int, k: int) -> BasisMapGate:
     """y ^= comb_to_fac(s, z, o) on |y>|s>|z>|o>: zeroes y."""
     yw, zw, ow = _digit_widths(n), _digit_widths(n - k), _digit_widths(k)
     zb, ob = sum(zw), sum(ow)
+    weight_k = np.array([1] * k + [0] * (n - k))  # stands in for bad rows
 
-    def fn(v: int) -> int:
-        y_val = v >> (n + zb + ob)
+    def fn(v: np.ndarray) -> np.ndarray:
         s = (v >> (zb + ob)) & ((1 << n) - 1)
-        z_val = (v >> ob) & ((1 << zb) - 1)
-        o_val = v & ((1 << ob) - 1)
-        bits = tuple((s >> (n - 1 - i)) & 1 for i in range(n))
-        if sum(bits) == k:
-            zdig = _decode_digits(z_val, zw) if n - k > 0 else ()
-            odig = _decode_digits(o_val, ow) if k > 0 else ()
-            if _valid_fac(zdig) and _valid_fac(odig):
-                y = ns.comb_to_fac(bits, tuple(zdig), tuple(odig))
-                y_val ^= _encode_digits(y, yw)
-        return (
-            (y_val << (n + zb + ob)) | (s << (zb + ob)) | (z_val << ob) | o_val
+        bits = np.stack(
+            [((s >> (n - 1 - i)) & 1).astype(np.int64) for i in range(n)],
+            axis=1,
         )
+        z = _decode_digits(v >> ob, n - k)
+        o = _decode_digits(v, k)
+        valid = (ns.popcount(s) == k) & _valid_fac(z) & _valid_fac(o)
+        y = ns.comb_to_fac_array(
+            np.where(valid[:, None], bits, weight_k),
+            _or_zero(valid, z), _or_zero(valid, o),
+        )
+        image = _encode_digits(y, yw, v.dtype) << (n + zb + ob)
+        return v ^ np.where(valid, image, 0)
 
     return BasisMapGate(
         "comb_to_fac", sum(yw) + n + zb + ob, fn, fn,

@@ -199,45 +199,60 @@ def apply_permutation(
     return SparseState._of(state.num_qubits, new_idx[keep], out)
 
 
+def _distinct(idx: np.ndarray, targets: Sequence[int]):
+    """The sorted distinct target patterns of ``idx`` (targets[0] most
+    significant) and each index's position among them: the one array a
+    map kernel hands its function."""
+    return np.unique(_gather(idx, targets), return_inverse=True)
+
+
+def _repeats(values: np.ndarray) -> bool:
+    """Whether a value occurs twice; one sort (``np.unique`` without
+    ``return_inverse`` loads ``numpy.ma``, about 1 MB, on first use)."""
+    ordered = np.sort(values)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 def apply_basis_map(
     state: SparseState,
-    mapping: Callable[[int], int],
+    mapping: Callable[[np.ndarray], np.ndarray],
     targets: Sequence[int],
 ) -> SparseState:
     """Relabel basis states by a bijection on the target bits.
 
-    ``mapping`` acts on the integer formed by reading targets[0] as the
-    most significant bit, and is called once per distinct pattern in the
-    support.  Support size never grows.
+    ``mapping`` takes the array of distinct target patterns in the
+    support (targets[0] most significant; ``int64`` up to 62 targets,
+    Python ints beyond) and returns their images in the same dtype; it
+    is called once.  Support size never grows.
     """
     _check_targets(state, targets)
     k = len(targets)
     idx = state.idx
-    patterns, where = np.unique(_gather(idx, targets), return_inverse=True)
-    images = [mapping(p) for p in patterns.tolist()]
-    if not all(0 <= v < (1 << k) for v in images):
+    patterns, where = _distinct(idx, targets)
+    images = np.asarray(mapping(patterns))
+    if not ((images >= 0) & (images < (1 << k))).all():
         raise ValueError("basis map image out of range")
-    moved = _scatter(np.array(images, _dtype(k)), targets, idx.dtype)
+    moved = _scatter(images, targets, idx.dtype)
     new_idx = _rest(idx, targets) | moved[where]
     # distinct images cannot collide; otherwise test the support itself
-    if len(set(images)) < len(images) and len(np.unique(new_idx)) < len(
-        new_idx
-    ):
+    if _repeats(images) and _repeats(new_idx):
         raise ValueError("basis map is not injective on the support")
     return SparseState._of(state.num_qubits, new_idx, state.amp)
 
 
 def apply_phase_map(
     state: SparseState,
-    phase: Callable[[int], complex],
+    phase: Callable[[np.ndarray], np.ndarray],
     targets: Sequence[int],
 ) -> SparseState:
     """Multiply each basis amplitude by a unit-modulus phase of its
-    target-bit pattern; ``phase`` is called once per distinct pattern."""
+    target-bit pattern; ``phase`` takes the array of distinct patterns,
+    as :func:`apply_basis_map`'s ``mapping`` does, and returns their
+    phases."""
     _check_targets(state, targets)
     idx = state.idx
-    patterns, where = np.unique(_gather(idx, targets), return_inverse=True)
-    phases = np.array([complex(phase(p)) for p in patterns.tolist()], complex)
+    patterns, where = _distinct(idx, targets)
+    phases = np.asarray(phase(patterns), complex)
     if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-9):
         raise ValueError("phase factor must have unit modulus")
     return SparseState._of(state.num_qubits, idx, state.amp * phases[where])
@@ -245,17 +260,18 @@ def apply_phase_map(
 
 def apply_predicated(
     state: SparseState,
-    predicate: Callable[[int], int],
+    predicate: Callable[[np.ndarray], np.ndarray],
     controls: Sequence[int],
     apply: Callable[[SparseState], SparseState],
 ) -> SparseState:
     """Run ``apply``, which keeps the control bits, on the normalised part
     of ``state`` whose control pattern (controls[0] most significant)
     satisfies ``predicate``, and scale its result back; the rest stays.
-    ``predicate`` is called once per distinct pattern."""
+    ``predicate`` takes the array of distinct control patterns, as
+    :func:`apply_basis_map`'s ``mapping`` does, and returns which hit."""
     idx, amp = state.idx, state.amp
-    patterns, where = np.unique(_gather(idx, controls), return_inverse=True)
-    hit = np.array([bool(predicate(p)) for p in patterns.tolist()])[where]
+    patterns, where = _distinct(idx, controls)
+    hit = np.asarray(predicate(patterns), bool)[where]
     if hit.any():
         norm = math.sqrt(_running_sum(_weights(amp[hit])))
         # divide each component, as Python's complex-by-float division does
@@ -269,9 +285,7 @@ def apply_predicated(
 def _outcomes(state: SparseState, qubits: Sequence[int]):
     """The sorted distinct outcomes of measuring ``qubits``, each
     amplitude's position among them, and their weights in storage order."""
-    outcomes, where = np.unique(
-        _gather(state.idx, qubits), return_inverse=True
-    )
+    outcomes, where = _distinct(state.idx, qubits)
     weights = np.bincount(where, _weights(state.amp), len(outcomes))
     return outcomes, where, weights
 

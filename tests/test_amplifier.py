@@ -73,7 +73,7 @@ def run_amplified(n_bits, good):
     N = 1 << n_bits
     prep = hadamard_prep(register)
     prep(builder)
-    oracle = mc._flag_gate("good", n_bits, lambda v: v in good, "equal")
+    oracle = mc._flag_gate("good", n_bits, lambda v: np.isin(v, list(good)), "equal")
     p = amp.plan(N, len(good))
     amp.amplify(
         builder, register, flag, prep, prep, oracle, register, p

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from laqcc import clifford as cl
 from laqcc import program as pr
 from laqcc import protocols as pt
 from laqcc.clifford import CliffordCircuit, CliffordGate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -131,6 +137,53 @@ def test_prep_report_bytes_are_pinned(capsys, monkeypatch, argv):
     doc.pop("wall_time_ms")
     text = json.dumps(doc, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == PREP_SHA256[argv]
+
+
+SUBCOMMANDS = [
+    ["prep", "w", "--n", "3", "--seed", "2"],
+    ["numbers", "fac2comb", "--digits", "2,1,0", "--k", "1"],
+    ["prep", "dicke", "--n", "4", "--k", "2", "--method", "factoradic",
+     "--seed", "5"],
+    ["numbers", "check-bijection", "--n", "4"],
+    ["prep", "uniform", "--q", "5", "--branches", "sample:3", "--seed", "1"],
+    ["verify"],
+]
+
+
+def outputs(capsys, argv):
+    code, out, err = run(capsys, argv)
+    if out.startswith("{"):
+        doc = json.loads(out)
+        doc.pop("wall_time_ms", None)
+        out = json.dumps(doc, sort_keys=True)
+    return code, out, err
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    """Consecutive ``main`` calls with different subcommands print what
+    calls with a fresh parser print, and build the parser once."""
+    monkeypatch.delenv("LAQCC_SEED", raising=False)
+    fresh = []
+    for argv in SUBCOMMANDS:
+        cli.build_parser.cache_clear()
+        fresh.append(outputs(capsys, argv))
+    cli.build_parser.cache_clear()
+    assert [outputs(capsys, argv) for argv in SUBCOMMANDS] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    with pytest.raises(SystemExit):
+        cli.main(["prep", "w", "--n", "x"])
+    assert "invalid int value" in capsys.readouterr().err
+    assert outputs(capsys, SUBCOMMANDS[0]) == fresh[0]
+
+
+def test_import_does_not_build_the_parser():
+    script = ("import laqcc.cli\n"
+              "print(laqcc.cli.build_parser.cache_info().currsize)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 def test_seed_env_default(capsys, monkeypatch):

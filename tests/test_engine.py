@@ -62,11 +62,16 @@ def ref_apply_unitary(state, matrix, targets):
     return result
 
 
+def one(fn, pattern, k):
+    """The array-native map function ``fn`` at one ``k``-bit pattern."""
+    return fn(np.array([pattern], ss._dtype(k)))[0]
+
+
 def ref_apply_basis_map(state, mapping, targets):
     k = len(targets)
     out = {}
     for index, amp in state.amplitudes.items():
-        image = mapping(_pattern(index, targets))
+        image = int(one(mapping, _pattern(index, targets), k))
         if not 0 <= image < (1 << k):
             raise ValueError("basis map image out of range")
         new_index = index
@@ -82,7 +87,7 @@ def ref_apply_basis_map(state, mapping, targets):
 def ref_apply_phase_map(state, phase, targets):
     out = {}
     for index, amp in state.amplitudes.items():
-        p = complex(phase(_pattern(index, targets)))
+        p = complex(one(phase, _pattern(index, targets), len(targets)))
         if abs(abs(p) - 1.0) > 1e-9:
             raise ValueError("phase factor must have unit modulus")
         out[index] = amp * p
@@ -121,7 +126,8 @@ def ref_predicated(state, gate, qubits):
     targets = qubits[gate.control_bits:]
     hit, miss = {}, {}
     for index, amp in state.amplitudes.items():
-        (hit if gate.predicate(_pattern(index, controls)) else miss)[
+        pattern = _pattern(index, controls)
+        (hit if one(gate.predicate, pattern, len(controls)) else miss)[
             index] = amp
     out = dict(miss)
     if hit:
@@ -212,22 +218,23 @@ def test_unitary_matches_reference(seed, k):
 @pytest.mark.parametrize("seed, k", CASES)
 def test_basis_map_matches_reference(seed, k):
     rng, state, targets = case(seed, k)
-    perm = rng.permutation(1 << k).tolist()
+    perm = rng.permutation(1 << k)
     calls = []
 
     def mapping(v):
-        calls.append(v)
+        calls.append(v.tolist())
         return perm[v]
 
     got = ss.apply_basis_map(state, mapping, targets)
-    assert len(calls) == len(set(calls))  # once per distinct pattern
+    # one call, on the distinct patterns of the support
+    assert calls == [sorted({_pattern(i, targets) for i in state.amplitudes})]
     assert_same(got, ref_apply_basis_map(state, perm.__getitem__, targets))
 
 
 @pytest.mark.parametrize("seed, k", CASES)
 def test_phase_map_matches_reference(seed, k):
     rng, state, targets = case(seed, k)
-    phases = np.exp(2j * np.pi * rng.random(1 << k)).tolist()
+    phases = np.exp(2j * np.pi * rng.random(1 << k))
     assert_same(
         ss.apply_phase_map(state, phases.__getitem__, targets),
         ref_apply_phase_map(state, phases.__getitem__, targets),
@@ -239,8 +246,8 @@ def test_seventy_qubit_state_matches_reference(k):
     rng, state, targets = case(100, k, n=70)
     targets[-1] = 69  # a bit beyond int64
     matrix = random_unitary(rng, k)
-    perm = rng.permutation(1 << k).tolist()
-    phases = np.exp(2j * np.pi * rng.random(1 << k)).tolist()
+    perm = rng.permutation(1 << k)
+    phases = np.exp(2j * np.pi * rng.random(1 << k))
     assert_same(
         ss.apply_unitary(state, matrix, targets),
         ref_apply_unitary(state, matrix, targets),
@@ -293,8 +300,8 @@ def test_map_injective_on_support_but_not_on_patterns():
     )
     targets = [1, 0]
     assert_same(
-        ss.apply_basis_map(state, lambda v: 0, targets),
-        ref_apply_basis_map(state, lambda v: 0, targets),
+        ss.apply_basis_map(state, lambda v: np.zeros_like(v), targets),
+        ref_apply_basis_map(state, lambda v: np.zeros_like(v), targets),
     )
 
 
@@ -341,7 +348,7 @@ def test_predicated_gate_matches_reference(seed, k):
     n = state.num_qubits
     free = [q for q in rng.permutation(n).tolist() if q not in targets]
     controls = free[: int(rng.integers(0, len(free) + 1))]
-    table = rng.integers(2, size=1 << len(controls)).tolist()
+    table = rng.integers(2, size=1 << len(controls))
     gate = pr.PredicatedGate("p", len(controls), table.__getitem__,
                              pr.MatrixGate("u", random_unitary(rng, k)))
     qubits = tuple(controls + targets)
@@ -386,26 +393,26 @@ def test_non_injective_map_rejected_by_both():
     state = ss.apply_unitary(state, random_unitary(
         np.random.default_rng(0), 2), targets)
     both_raise(ValueError, "not injective", [
-        lambda: ss.apply_basis_map(state, lambda v: 0, targets),
-        lambda: ref_apply_basis_map(state, lambda v: 0, targets),
+        lambda: ss.apply_basis_map(state, lambda v: np.zeros_like(v), targets),
+        lambda: ref_apply_basis_map(state, lambda v: np.zeros_like(v), targets),
     ])
 
 
 def test_image_out_of_range_rejected_by_both():
     _, state, targets = case(4, 2)
     both_raise(ValueError, "out of range", [
-        lambda: ss.apply_basis_map(state, lambda v: 4, targets),
-        lambda: ref_apply_basis_map(state, lambda v: 4, targets),
-        lambda: ss.apply_basis_map(state, lambda v: -1, targets),
-        lambda: ref_apply_basis_map(state, lambda v: -1, targets),
+        lambda: ss.apply_basis_map(state, lambda v: np.full_like(v, 4), targets),
+        lambda: ref_apply_basis_map(state, lambda v: np.full_like(v, 4), targets),
+        lambda: ss.apply_basis_map(state, lambda v: np.full_like(v, -1), targets),
+        lambda: ref_apply_basis_map(state, lambda v: np.full_like(v, -1), targets),
     ])
 
 
 def test_non_unit_phase_rejected_by_both():
     _, state, targets = case(5, 3)
     both_raise(ValueError, "unit modulus", [
-        lambda: ss.apply_phase_map(state, lambda v: 1 + 1e-6, targets),
-        lambda: ref_apply_phase_map(state, lambda v: 1 + 1e-6, targets),
+        lambda: ss.apply_phase_map(state, lambda v: np.full(len(v), 1 + 1e-6), targets),
+        lambda: ref_apply_phase_map(state, lambda v: np.full(len(v), 1 + 1e-6), targets),
     ])
 
 
@@ -474,3 +481,107 @@ def test_acceptance_programs_equal_on_both_gate_kernels(monkeypatch):
     assert [r["name"] for r in results if not r["passed"]] == []
     assert differ == []
     assert {"X", "Z", "CNOT"} <= set(checked) and len(checked) > 1000
+
+
+# The map kernels as they were: one call of the gate's function per
+# distinct pattern, here at a one-element array.
+
+
+def old_apply_basis_map(state, mapping, targets):
+    ss._check_targets(state, targets)
+    k = len(targets)
+    idx = state.idx
+    patterns, where = np.unique(ss._gather(idx, targets), return_inverse=True)
+    images = [int(one(mapping, p, k)) for p in patterns.tolist()]
+    if not all(0 <= v < (1 << k) for v in images):
+        raise ValueError("basis map image out of range")
+    moved = ss._scatter(np.array(images, ss._dtype(k)), targets, idx.dtype)
+    new_idx = ss._rest(idx, targets) | moved[where]
+    if len(set(images)) < len(images) and len(np.unique(new_idx)) < len(
+        new_idx
+    ):
+        raise ValueError("basis map is not injective on the support")
+    return ss.SparseState._of(state.num_qubits, new_idx, state.amp)
+
+
+def old_apply_phase_map(state, phase, targets):
+    ss._check_targets(state, targets)
+    k = len(targets)
+    idx = state.idx
+    patterns, where = np.unique(ss._gather(idx, targets), return_inverse=True)
+    phases = np.array(
+        [complex(one(phase, p, k)) for p in patterns.tolist()], complex)
+    if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-9):
+        raise ValueError("phase factor must have unit modulus")
+    return ss.SparseState._of(
+        state.num_qubits, idx, state.amp * phases[where])
+
+
+def old_apply_predicated(state, predicate, controls, apply):
+    idx, amp = state.idx, state.amp
+    k = len(controls)
+    patterns, where = np.unique(ss._gather(idx, controls), return_inverse=True)
+    hit = np.array(
+        [bool(one(predicate, p, k)) for p in patterns.tolist()])[where]
+    if hit.any():
+        norm = math.sqrt(ss._running_sum(ss._weights(amp[hit])))
+        part = (amp[hit].view(float) / norm).view(complex)
+        moved = apply(ss.SparseState._of(state.num_qubits, idx[hit], part))
+        idx = np.concatenate([idx[~hit], moved.idx])
+        amp = np.concatenate([amp[~hit], moved.amp * norm])
+    return ss.SparseState._of(state.num_qubits, idx, amp).check_norm()
+
+
+def test_acceptance_programs_equal_on_old_map_kernels(monkeypatch):
+    """Every basis-map, phase-map and predicated application of every
+    acceptance driver gives the per-pattern kernel's state exactly."""
+    checked, differ = [], []
+
+    def both(name, new, old):
+        def kernel(state, fn, *rest):
+            got = new(state, fn, *rest)
+            want = old(state, fn, *rest)
+            checked.append(name)
+            if not (got.idx.dtype == want.idx.dtype
+                    and np.array_equal(got.idx, want.idx)
+                    and np.array_equal(got.amp, want.amp)):
+                differ.append((name, rest[0]))
+            return got
+        return kernel
+
+    for name, old in (("apply_basis_map", old_apply_basis_map),
+                      ("apply_phase_map", old_apply_phase_map),
+                      ("apply_predicated", old_apply_predicated)):
+        monkeypatch.setattr(ss, name, both(name, getattr(ss, name), old))
+    results = verify.run_all()
+    assert [r["name"] for r in results if not r["passed"]] == []
+    assert differ == []
+    assert {"apply_basis_map", "apply_phase_map"} <= set(checked)
+    assert len(checked) > 1000
+
+
+def test_deferred_programs_equal_on_old_predicated_kernel(monkeypatch):
+    """``transform defer`` output runs the same on both predicated
+    kernels, every branch."""
+    from laqcc import clifford as cl
+
+    checked, differ = [], []
+    new = ss.apply_predicated
+
+    def kernel(state, predicate, controls, apply):
+        got = new(state, predicate, controls, apply)
+        want = old_apply_predicated(state, predicate, controls, apply)
+        checked.append(tuple(controls))
+        if not (np.array_equal(got.idx, want.idx)
+                and np.array_equal(got.amp, want.amp)):
+            differ.append(tuple(controls))
+        return got
+
+    monkeypatch.setattr(ss, "apply_predicated", kernel)
+    for program in (cl.ghz(4), cl.flatten_ladder(cl.CliffordCircuit(
+            "ladder", 3, 1, (cl.CliffordGate("H", (0,)),
+                             cl.CliffordGate("CNOT", (0, 1)),
+                             cl.CliffordGate("S", (2,)))))):
+        deferred = pr.defer_measurements(program)
+        assert pr.enumerate_branches(deferred)
+    assert checked and differ == []

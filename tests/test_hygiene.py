@@ -1,5 +1,6 @@
 """Static checks on the package source and on what it imports, with the
-standard library only."""
+standard library only, and one count of gate-function calls that keeps
+the map kernels to one call per application."""
 import ast
 import json
 import os
@@ -98,6 +99,28 @@ def test_cli_import_pulls_in_numpy_only():
     assert done.stdout.split() == ["False", "True"]
 
 
+def test_prep_leaves_numpy_ma_unloaded():
+    """``np.unique`` without ``return_inverse`` imports ``numpy.ma``
+    (about 1 MB resident) on first use; no kernel a prep runs needs it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from laqcc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for argv in (['prep', 'w', '--n', '5'], ['prep', 'dicke', '--n',"
+        " '4', '--k', '2', '--method', 'factoradic']):\n"
+        "        assert cli.main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 README = PACKAGE.parents[1] / "README.md"
 
 
@@ -130,3 +153,60 @@ def test_readme_lists_every_registered_name():
     gates, classical = json.loads(done.stdout)
     assert sorted(readme_names("Registered gate names:")) == gates
     assert sorted(readme_names("Registered classical names:")) == classical
+
+
+KERNELS = ("apply_basis_map", "apply_phase_map", "apply_predicated")
+
+
+def kernel_loops(source: str):
+    """The loops and comprehensions in the map kernels of ``source``: a
+    per-pattern Python call would need one."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return sorted(
+        (node.name, type(inner).__name__)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in KERNELS
+        for inner in ast.walk(node) if isinstance(inner, loops)
+    )
+
+
+def test_map_kernels_have_no_loop():
+    source = (PACKAGE / "sparse_state.py").read_text()
+    assert kernel_loops(source) == []
+    assert kernel_loops(
+        "def apply_phase_map(s, f, t):\n    return [f(p) for p in t]\n"
+    ) == [("apply_phase_map", "ListComp")]
+
+
+def test_map_gate_functions_run_once_per_application(monkeypatch):
+    """Across every acceptance program, each basis-map, phase-map and
+    predicated application calls its gate's function exactly once, on
+    the array of distinct patterns."""
+    import numpy as np
+
+    from laqcc import sparse_state as ss
+    from laqcc import verify
+
+    calls = {name: [] for name in KERNELS}
+
+    def counting(name, kernel):
+        def counted(state, fn, *rest):
+            seen = []
+
+            def fn_once(patterns):
+                seen.append(patterns)
+                return fn(patterns)
+
+            out = kernel(state, fn_once, *rest)
+            assert len(seen) == 1 and isinstance(seen[0], np.ndarray)
+            calls[name].append(len(seen))
+            return out
+        return counted
+
+    for name in KERNELS:
+        monkeypatch.setattr(ss, name, counting(name, getattr(ss, name)))
+    results = verify.run_all()
+    assert [r["name"] for r in results if not r["passed"]] == []
+    assert len(calls["apply_basis_map"]) > 100
+    assert len(calls["apply_phase_map"]) > 100

@@ -11,7 +11,7 @@ from laqcc import sparse_state as ss
 
 def run_basis(gate, value):
     """Apply a basis-map gate to one basis value and return the image."""
-    return gate.fn(value)
+    return int(gate.fn(np.array([value], ss._dtype(gate.num_bits)))[0])
 
 
 # ---------------------------------------------------------------- fanout
@@ -21,7 +21,7 @@ def test_fanout_table_examples():
     g = mc.fanout(2)
     assert run_basis(g, 0b100) == 0b111  # |1>|00> -> |1>|11>
     assert run_basis(g, 0b011) == 0b011  # x = 0 passthrough
-    assert g.inverse().fn(0b111) == 0b100
+    assert run_basis(g.inverse(), 0b111) == 0b100
 
 
 def test_fanout_gadget_matches_semantic_all_branches():
@@ -64,7 +64,7 @@ def test_add_modular():
     g = mc.add_n(3)
     # x = 3, y = 5 -> y = 0 mod 8
     assert run_basis(g, (3 << 3) | 5) == (3 << 3) | 0
-    assert g.inverse().fn((3 << 3) | 0) == (3 << 3) | 5
+    assert run_basis(g.inverse(), (3 << 3) | 0) == (3 << 3) | 5
 
 
 def test_equality_and_greaterthan():
@@ -140,7 +140,7 @@ def test_permutation_gate():
     g = mc.permutation((2, 0, 1))  # out bit i = in bit perm[i]
     # input bits (b0,b1,b2) msb-first = (1,0,0) -> output (b2,b0,b1)=(0,1,0)
     assert run_basis(g, 0b100) == 0b010
-    assert g.inverse().fn(0b010) == 0b100
+    assert run_basis(g.inverse(), 0b010) == 0b100
 
 
 # ------------------------------------------------- bijectivity & hygiene
@@ -165,11 +165,10 @@ def test_permutation_gate():
     ids=lambda g: g.name,
 )
 def test_macro_is_bijection(gate):
-    images = {gate.fn(v) for v in range(1 << gate.num_bits)}
-    assert len(images) == 1 << gate.num_bits
-    inv = gate.inverse()
-    for v in range(1 << gate.num_bits):
-        assert inv.fn(gate.fn(v)) == v
+    patterns = np.arange(1 << gate.num_bits)
+    images = gate.fn(patterns)
+    assert len(set(images.tolist())) == 1 << gate.num_bits
+    assert np.array_equal(gate.inverse().fn(images), patterns)
 
 
 def test_charged_width_doubling_factors():
@@ -338,8 +337,8 @@ def test_macro_spec_is_its_call_and_loads_back(make, spec):
     assert (again.name, again.charge, again.spec) == (
         gate.name, gate.charge, spec)
     if isinstance(gate, pr.BasisMapGate):
-        patterns = range(1 << gate.num_bits)
-        assert list(map(again.fn, patterns)) == list(map(gate.fn, patterns))
+        patterns = np.arange(1 << gate.num_bits)
+        assert np.array_equal(again.fn(patterns), gate.fn(patterns))
 
 
 def test_threshold_weights_must_match_n():

@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from laqcc import numbersys as ns
@@ -154,6 +155,8 @@ def test_fac_decompose_rejects_bad_input(digits, k, message):
 
 
 def test_fac_decompose_checks_its_input_once(monkeypatch):
+    """The digit checks run inside each map's one loop: the separate
+    check is reached only to report a bad input."""
     calls = []
     check = ns._check_factoradic
     monkeypatch.setattr(
@@ -161,9 +164,139 @@ def test_fac_decompose_checks_its_input_once(monkeypatch):
     )
     for k in range(5):
         for y in ns.all_factoradics(4):
-            calls.clear()
-            ns.fac_decompose(y, k)
-            assert calls == [y]
+            bits, z, o = ns.fac_decompose(y, k)
+            assert ns.comb_to_fac(ns.fac_to_comb(y, k), z, o) == y
+    assert calls == []
+
+
+# ------------------------------------------------------------ references
+# The maps as they were with a separate digit check up front: the one
+# loop of each must raise what these raise, in the same order.
+
+
+def ref_fac_to_comb(digits, k):
+    ns._check_factoradic(digits)
+    n = len(digits)
+    if not 0 <= k <= n:
+        raise ValueError("weight out of range")
+    out = []
+    h = 0
+    for d in digits:
+        bit = 1 if d < k - h else 0
+        out.append(bit)
+        h += bit
+    return tuple(out)
+
+
+def ref_comb_to_fac(bits, z, o):
+    n = len(bits)
+    k = sum(bits)
+    if len(z) != n - k or len(o) != k:
+        raise ValueError("auxiliary factoradic lengths must be n-k and k")
+    ns._check_factoradic(z)
+    ns._check_factoradic(o)
+    digits = []
+    ones = zeros = 0
+    try:
+        for bit in bits:
+            if bit == 1:
+                digits.append(o[ones])
+                ones += 1
+            elif bit != 0:
+                raise ValueError(f"bit {bit} is not 0 or 1")
+            else:
+                digits.append(k - ones + z[zeros])
+                zeros += 1
+    except IndexError:
+        raise ValueError("bits must be 0 or 1") from None
+    return tuple(digits)
+
+
+def ref_fac_decompose(digits, k):
+    ns._check_factoradic(digits)
+    if not 0 <= k <= len(digits):
+        raise ValueError("weight out of range")
+    bits, z, o = [], [], []
+    for d in digits:
+        owed = k - len(o)
+        if d < owed:
+            bits.append(1)
+            o.append(d)
+        else:
+            bits.append(0)
+            z.append(d - owed)
+    return tuple(bits), tuple(z), tuple(o)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_loop_maps_fail_as_the_checked_maps():
+    rng = np.random.default_rng(23)
+    for _ in range(4000):
+        n = int(rng.integers(0, 7))
+        digits = tuple(int(d) for d in rng.integers(-1, n + 1, size=n))
+        k = int(rng.integers(-1, n + 2))
+        for new, ref in ((ns.fac_to_comb, ref_fac_to_comb),
+                         (ns.fac_decompose, ref_fac_decompose)):
+            assert outcome(new, digits, k) == outcome(ref, digits, k)
+        bits = tuple(int(b) for b in rng.choice(
+            [0, 1, 1, 0, 2, -1], size=n, p=[.4, .4, .05, .05, .05, .05]))
+        ones = int(rng.integers(0, n + 1)) if rng.random() < 0.2 else sum(
+            bits)
+        z = tuple(int(d) for d in rng.integers(-1, n, size=max(0, n - ones)))
+        o = tuple(int(d) for d in rng.integers(-1, n, size=max(0, ones)))
+        assert outcome(ns.comb_to_fac, bits, z, o) == outcome(
+            ref_comb_to_fac, bits, z, o), (bits, z, o)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_array_forms_equal_scalar_forms(n):
+    factoradics = list(ns.all_factoradics(n))
+    digits = np.array(factoradics, np.int64).reshape(len(factoradics), n)
+    for k in range(n + 1):
+        bits = ns.fac_to_comb_array(digits, k)
+        split = ns.fac_decompose_array(digits, k)
+        back = ns.comb_to_fac_array(*split)
+        for row, y in enumerate(factoradics):
+            want = ns.fac_decompose(y, k)
+            assert tuple(bits[row].tolist()) == ns.fac_to_comb(y, k)
+            assert tuple(tuple(a[row].tolist()) for a in split) == want
+            assert tuple(back[row].tolist()) == ns.comb_to_fac(*want) == y
+
+
+def test_array_forms_check_their_rows_once():
+    with pytest.raises(ValueError, match="digit 2 at weight 1"):
+        ns.fac_to_comb_array(np.array([[1, 0, 0], [0, 2, 0]]), 1)
+    with pytest.raises(ValueError, match="weight out of range"):
+        ns.fac_decompose_array(np.array([[1, 0, 0]]), 4)
+    bits, z, o = np.array([[0, 1, 0]]), np.array([[0, 0]]), np.array([[0]])
+    assert ns.comb_to_fac_array(bits, z, o).tolist() == [[1, 0, 0]]
+    with pytest.raises(ValueError, match="digit 2 at weight 1"):
+        ns.comb_to_fac_array(bits, np.array([[2, 0]]), o)
+    with pytest.raises(ValueError, match="lengths must be n-k and k"):
+        ns.comb_to_fac_array(bits, np.array([[0]]), o)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        ns.comb_to_fac_array(np.array([[0, 2, -1]]), z, o)
+
+
+def test_popcount_on_both_dtypes():
+    rng = np.random.default_rng(5)
+    small = rng.integers(0, 1 << 62, size=200)
+    wide = np.array([int(v) << 40 | int(v) for v in small] + [0, (1 << 130) - 1],
+                    object)
+    assert ns.popcount(small).dtype == np.int64
+    assert ns.popcount(small).tolist() == [v.bit_count()
+                                            for v in small.tolist()]
+    counts = ns.popcount(wide)
+    assert counts.dtype == object
+    assert all(type(c) is int for c in counts)
+    assert counts.tolist() == [v.bit_count() for v in wide.tolist()]
 
 
 def test_birthday_bound_examples():

@@ -97,8 +97,8 @@ def test_w_layout_is_valid_grid():
 
 def test_uncompress_compress_are_involutions():
     g = pt.uncompress_gate(3, 2)
-    for v in range(1 << g.num_bits):
-        assert g.fn(g.fn(v)) == v
+    patterns = np.arange(1 << g.num_bits)
+    assert np.array_equal(g.fn(g.fn(patterns)), patterns)
 
 
 # ------------------------------------------------------------- Dicke states
@@ -142,7 +142,7 @@ def test_cleaning_gate_zeroes_sorted_registers():
         regs = 0
         for p in pos:
             regs = (regs << b) | p
-        assert g.fn((regs << n) | s) == s
+        assert g.fn(np.array([(regs << n) | s]))[0] == s
 
 
 def test_cleaning_gadget_matches_basis_map():
@@ -231,6 +231,33 @@ def test_iqp_no_gates_is_identity_distribution():
     branches = pr.enumerate_branches(prog)
     probs = {b.record[-1].outcome: b.probability for b in branches}
     assert probs == pytest.approx({0: 1.0})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_iqp_program_round_trips_through_json(seed):
+    """The lifted diagonals dump as ``diagonal`` entries; the loaded
+    program re-dumps byte for byte and gives the same branches."""
+    rng = np.random.default_rng([seed, 41])
+    n = 3 + seed % 2
+    gates = [(CZ, (2, 1)), (T, (0,))] + [
+        (np.diag(np.exp(1j * rng.random(4) * 2 * math.pi)),
+         tuple(int(q) for q in rng.choice(n, 2, replace=False)))
+        for _ in range(seed)
+    ]
+    prog = pt.iqp_to_laqcc(gates, n)
+    text = pr.dumps(prog)
+    back = pr.loads(text)
+    assert pr.dumps(back) == text
+    assert '"name": "diagonal"' in text
+    assert [(b.record, b.probability) for b in pr.enumerate_branches(back)] == [
+        (b.record, b.probability) for b in pr.enumerate_branches(prog)]
+
+
+def test_diagonal_gate_rejects_bad_phases():
+    with pytest.raises(ValueError, match="power of two"):
+        pr.diagonal("d", [[1.0, 0.0]] * 3)
+    with pytest.raises(ValueError, match="unit modulus"):
+        pr.diagonal("d", [[1.0, 0.0], [0.5, 0.0]])
 
 
 def test_iqp_rejects_non_diagonal():

@@ -175,12 +175,12 @@ def test_basis_map_preserves_support():
 def test_basis_map_injectivity_enforced():
     s = ss.apply_unitary(ss.SparseState.basis(1), H, [0])
     with pytest.raises(ValueError):
-        ss.apply_basis_map(s, lambda v: 0, [0])
+        ss.apply_basis_map(s, lambda v: np.zeros_like(v), [0])
 
 
 def test_phase_map():
     s = ss.apply_unitary(ss.SparseState.basis(1), H, [0])
-    s = ss.apply_phase_map(s, lambda v: -1 if v else 1, [0])
+    s = ss.apply_phase_map(s, lambda v: np.where(v != 0, -1, 1), [0])
     minus = ss.from_amplitudes(
         1, [(0, 1 / math.sqrt(2)), (1, -1 / math.sqrt(2))]
     )
