@@ -196,6 +196,17 @@ def fac_decompose(digits: Sequence[int], k: int) -> Tuple[Bits, Bits, Bits]:
 # checked once, then computed one digit column at a time.
 
 
+def all_factoradics_array(n: int) -> np.ndarray:
+    """The rows of :func:`all_factoradics`, in its order, as one
+    (n!, n) digit array; ``n = 0`` gives one empty row."""
+    m = np.arange(math.factorial(n))
+    digits = np.empty((len(m), n), np.int64)
+    for pos in range(n):
+        j = n - 1 - pos
+        digits[:, pos] = m // math.factorial(j) % (j + 1)
+    return digits
+
+
 def _check_factoradic_rows(digits: np.ndarray) -> None:
     """:func:`_check_factoradic` of each row, failing on the first bad
     digit in row order."""
@@ -288,15 +299,24 @@ def popcount(values: np.ndarray) -> np.ndarray:
 
 def preimage_counts(n: int, k: int) -> Optional[Dict[Bits, int]]:
     """How many n-factoradics :func:`fac_to_comb` sends to each weight-k
-    bit string; None as soon as one of them does not come back through
-    :func:`fac_decompose` and :func:`comb_to_fac`."""
-    counts: Dict[Bits, int] = {}
-    for digits in all_factoradics(n):
-        bits = fac_to_comb(digits, k)
-        counts[bits] = counts.get(bits, 0) + 1
-        if comb_to_fac(bits, *fac_decompose(digits, k)[1:]) != digits:
-            return None
-    return counts
+    bit string, keyed in order of first appearance; None if one of them
+    does not come back through :func:`fac_decompose` and
+    :func:`comb_to_fac`.  Runs the array forms over all n! rows at
+    once."""
+    digits = all_factoradics_array(n)
+    bits, z, o = fac_decompose_array(digits, k)
+    if not np.array_equal(comb_to_fac_array(bits, z, o), digits):
+        return None
+    # each bit row as one integer, its first bit the most significant
+    packed = bits @ (1 << np.arange(n - 1, -1, -1))
+    values, first, counts = np.unique(
+        packed, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return {
+        tuple((v >> j) & 1 for j in range(n - 1, -1, -1)): c
+        for v, c in zip(values[order].tolist(), counts[order].tolist())
+    }
 
 
 def birthday_bound_check(n: int, k: int) -> Tuple[float, float, bool]:

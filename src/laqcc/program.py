@@ -47,6 +47,8 @@ class Gate:
     num_bits: int
     charge: float = 0.0  # extra analytic width charged beyond simulated qubits
     spec: Optional[dict] = None  # set by the registered factory that made it
+    # ``(images, phases)`` of a gate that only moves and rephases indices
+    permutation: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def apply(self, state: SparseState, qubits: Sequence[int]) -> SparseState:
         raise NotImplementedError
@@ -116,7 +118,7 @@ class MatrixGate(Gate):
     def apply(self, state, qubits):
         if self.permutation is None:
             return ss.apply_unitary(state, self.matrix, qubits)
-        return ss.apply_permutation(state, *self.permutation, qubits)
+        return ss.apply_permutations(state, [(*self.permutation, qubits)])
 
     def inverse(self):
         return MatrixGate(self.name + "_inv", self.matrix.conj().T)
@@ -414,17 +416,32 @@ def _walk(
     """Depth-first walk of the layers, yielding ``(state, record,
     peak_support)`` for each branch followed.  At the i-th measurement
     of a branch, ``choose(i, state, qubits)`` lists the ``(outcome,
-    probability, post-state)`` triples to follow."""
+    probability, post-state)`` triples to follow.
+
+    Within a quantum layer, consecutive gates that have a
+    ``permutation`` run as one :func:`sparse_state.apply_permutations`
+    call; any other gate, and the end of the layer, ends the run.  A run
+    gives the state its gates give one at a time, and never crosses a
+    layer, so ``observer`` and ``peak_support`` see the same states."""
     layers = program.layers
 
     def walk(start, state, env, record, peak):
         for idx in range(start, len(layers)):
             layer = layers[idx]
             if isinstance(layer, QuantumLayer):
+                run = []
                 for app in layer.apps:
                     gate = _resolve(app, env)
-                    if gate is not None:
-                        state = gate.apply(state, app.qubits)
+                    if gate is None:
+                        continue
+                    if gate.permutation is not None:
+                        run.append((*gate.permutation, app.qubits))
+                        continue
+                    if run:
+                        state, run = ss.apply_permutations(state, run), []
+                    state = gate.apply(state, app.qubits)
+                if run:
+                    state = ss.apply_permutations(state, run)
             elif isinstance(layer, MeasureLayer):
                 qubits = layer.qubits
                 for outcome, p, post in choose(len(record), state, qubits):

@@ -87,9 +87,8 @@ def uniform_fragment(register: Sequence[int], q: int, flag: int) -> Fragment:
 
 
 def uniform_target(q: int) -> ss.SparseState:
-    n = index_width(q)
-    return ss.from_amplitudes(
-        n, [(i, 1 / math.sqrt(q)) for i in range(q)]
+    return ss.from_arrays(
+        index_width(q), np.arange(q), np.full(q, 1 / math.sqrt(q), complex)
     )
 
 

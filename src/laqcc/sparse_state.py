@@ -7,6 +7,13 @@ A state is two parallel arrays, unsorted: ``idx``, its basis indices
 immutable.  Weights and overlaps are summed in storage order and rounded
 as Python rounds ``abs(a) ** 2`` and complex products, so they match a
 per-amplitude loop bit for bit and a seed keeps its report bytes.
+
+Ordering rule of the matrix-gate kernels, :func:`apply_unitary` and
+:func:`apply_permutations`: each orders its result by ``(rest, image)``
+of its targets, an index's bits outside the targets first, then its
+target pattern.  Those keys are distinct, so the order depends on the
+result alone, and a run of signed permutations orders its result as
+its last gate alone would.  The map kernels keep the storage order.
 """
 from __future__ import annotations
 
@@ -95,15 +102,40 @@ def _dtype(bits: int):
     return np.int64 if bits <= 62 else object
 
 
+@functools.lru_cache(maxsize=4096)
+def _shifts(src: Tuple[int, ...], dst: Tuple[int, ...]):
+    """``(distance, mask)`` per distinct ``src[i] - dst[i]``: ``mask``
+    holds the source bits that move right by ``distance`` (left when it
+    is negative).  Memoised: a program moves the bits of a few thousand
+    distinct target tuples at most."""
+    masks: dict = {}
+    for s, d in zip(src, dst):
+        masks[s - d] = masks.get(s - d, 0) | 1 << s
+    return tuple(masks.items())
+
+
 def _move_bits(
     values: np.ndarray, src: Sequence[int], dst: Sequence[int], dtype
 ) -> np.ndarray:
     """Bit ``src[i]`` of each value placed at bit ``dst[i]``; every other
-    bit of the result is 0."""
-    out = np.zeros(len(values), dtype)
-    for s, d in zip(src, dst):
-        out |= ((values >> s) & 1).astype(dtype, copy=False) << d
-    return out
+    bit of the result is 0.  Bits that move by the same distance move
+    together."""
+    out = None
+    for distance, mask in _shifts(tuple(src), tuple(dst)):
+        part = values & mask
+        # convert where the part fits the narrower dtype: after a right
+        # shift, before a left one
+        if distance > 0:
+            part >>= distance
+        if part.dtype != dtype:
+            part = part.astype(dtype)
+        if distance < 0:
+            part <<= -distance
+        if out is None:
+            out = part
+        else:
+            out |= part
+    return np.zeros(len(values), dtype) if out is None else out
 
 
 def _gather(idx: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -147,14 +179,20 @@ def apply_unitary(
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError("matrix size does not match target count")
     idx = state.idx
-    # one row per distinct rest pattern, one column per target pattern
-    rest, row = np.unique(_rest(idx, targets), return_inverse=True)
+    # one row per distinct rest pattern, in ascending order, one column
+    # per target pattern
+    rest = _rest(idx, targets)
+    order = rest.argsort()
+    ordered = rest[order]
+    first = np.ones(len(rest), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    row = np.empty(len(rest), np.intp)
+    row[order] = first.cumsum() - 1
+    rest = ordered[first]
     block = np.zeros((len(rest), 1 << k), complex)
     block[row, _gather(idx, targets)] = state.amp
     out = (block @ matrix.T).ravel()
-    new_idx = (
-        rest[:, None] | _scatter(np.arange(1 << k), targets, idx.dtype)
-    ).ravel()
+    new_idx = (rest[:, None] | _placements(tuple(targets), idx.dtype)).ravel()
     keep = np.abs(out) >= PRUNE_THRESHOLD
     out = out[keep]
     if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
@@ -162,41 +200,47 @@ def apply_unitary(
     return SparseState._of(state.num_qubits, new_idx[keep], out)
 
 
-def apply_permutation(
+def apply_permutations(
     state: SparseState,
-    images: np.ndarray,
-    phases: np.ndarray,
-    targets: Sequence[int],
+    run: Sequence[Tuple[np.ndarray, np.ndarray, Sequence[int]]],
 ) -> SparseState:
-    """Apply a signed permutation on ``targets``: target pattern ``p``
-    (targets[0] most significant) moves to ``images[p]``, its amplitude
-    multiplied by ``phases[p]``, a unit from ``1, -1, 1j, -1j``.
+    """Apply a run of signed permutations, one after another; ``run``
+    holds at least one.  In each ``(images, phases, targets)``, target
+    pattern ``p`` (targets[0] most
+    significant) moves to ``images[p]``, its amplitude multiplied by
+    ``phases[p]``, a unit from ``1, -1, 1j, -1j``.
 
-    For the matrix with ``phases[p]`` at ``[images[p], p]`` and zeros
-    elsewhere, this gives :func:`apply_unitary`'s indices in its order,
-    ``(rest, image)``, and amplitudes that compare equal: a product with
-    a unit is exact, and the block product only adds exact zeros.
+    For one gate, with the matrix that holds ``phases[p]`` at
+    ``[images[p], p]`` and zeros elsewhere, this gives
+    :func:`apply_unitary`'s indices in its order, ``(rest, image)``, and
+    amplitudes that compare equal: a product with a unit is exact, and
+    the block product only adds exact zeros.  A run gives the state its
+    gates give one at a time: the indices are sorted once, as the last
+    gate alone would sort them, and since a unit keeps each modulus, one
+    prune and one norm check at the end drop and accept what one per gate
+    would.
     """
-    _check_targets(state, targets)
-    k = len(targets)
-    if len(images) != 1 << k:
-        raise ValueError("permutation size does not match target count")
-    idx = state.idx
-    patterns = _gather(idx, targets)
-    rest, moved = _rest(idx, targets), images[patterns]
+    idx, amp = state.idx, state.amp
+    for images, phases, targets in run:
+        _check_targets(state, targets)
+        k = len(targets)
+        if len(images) != 1 << k:
+            raise ValueError("permutation size does not match target count")
+        patterns = _gather(idx, targets)
+        rest, moved = _rest(idx, targets), images[patterns]
+        amp = amp * phases[patterns]
+        idx = rest | _placements(tuple(targets), idx.dtype)[moved]
     # each (rest, image) pair as one integer, distinct, so one sort
     # orders them; it sorts large supports several times faster than
     # np.lexsort of the two keys
     key = rest.astype(_dtype(state.num_qubits + k), copy=False) << k
     order = (key | moved).argsort()
-    out = (state.amp * phases[patterns])[order]
-    placed = _placements(tuple(targets), idx.dtype)
-    new_idx = (rest | placed[moved])[order]
+    out = amp[order]
     keep = np.abs(out) >= PRUNE_THRESHOLD
     out = out[keep]
     if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
         raise ValueError("state norm drifted beyond tolerance")
-    return SparseState._of(state.num_qubits, new_idx[keep], out)
+    return SparseState._of(state.num_qubits, idx[order][keep], out)
 
 
 def _distinct(idx: np.ndarray, targets: Sequence[int]):
@@ -335,18 +379,30 @@ class InfeasibleBranchError(ValueError):
 def branch_enumerate(
     state: SparseState, qubits: Sequence[int]
 ) -> List[Tuple[int, float, SparseState]]:
-    """All nonzero-probability outcomes of measuring ``qubits``."""
+    """All nonzero-probability outcomes of measuring ``qubits``, each
+    collapsed as :func:`measure` collapses it, all in one pass."""
     _check_targets(state, qubits)
     outcomes, where, weights = _outcomes(state, qubits)
-    # positions grouped by outcome, each group in storage order
-    groups = np.split(
-        np.argsort(where, kind="stable"),
-        np.cumsum(np.bincount(where, minlength=len(outcomes)))[:-1],
-    )
+    live = weights > PRUNE_THRESHOLD
+    place = np.cumsum(live) - 1  # each live outcome's place among them
+    # positions grouped by outcome, each group in storage order; outcomes
+    # too unlikely to follow go before anything divides by their weight
+    members = np.argsort(where, kind="stable")
+    members = members[live[where[members]]]
+    group = place[where[members]]
+    outcomes, weights = outcomes[live], weights[live]
+    amp = state.amp[members] * (1.0 / np.sqrt(weights))[group]
+    keep = _modulus(amp) >= PRUNE_THRESHOLD
+    idx, amp, group = state.idx[members[keep]], amp[keep], group[keep]
+    # each branch's norm summed in storage order, as _running_sum does
+    norms = np.bincount(group, _weights(amp), len(weights))
+    if (np.abs(norms - 1.0) > NORM_TOLERANCE).any():
+        raise ValueError("state norm drifted beyond tolerance")
+    ends = np.cumsum(np.bincount(group, minlength=len(weights)))[:-1]
     return [
-        (o, p, _collapse(state, members, p))
-        for o, p, members in zip(outcomes.tolist(), weights.tolist(), groups)
-        if p > PRUNE_THRESHOLD
+        (o, p, SparseState._of(state.num_qubits, i, a))
+        for o, p, i, a in zip(outcomes.tolist(), weights.tolist(),
+                              np.split(idx, ends), np.split(amp, ends))
     ]
 
 
@@ -366,19 +422,37 @@ def fidelity(state: SparseState, target: SparseState) -> float:
     return min(1.0, abs(complex(re, im)))
 
 
+def from_arrays(
+    num_qubits: int, idx: np.ndarray, amp: np.ndarray
+) -> SparseState:
+    """The state with amplitudes ``amp`` on the distinct basis indices
+    ``idx`` (any integer dtype), checked as :func:`from_amplitudes`
+    checks its entries: every index in range, amplitudes below
+    ``PRUNE_THRESHOLD`` dropped and the norm within ``NORM_TOLERANCE``
+    of 1."""
+    if len(idx):
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < 0 or hi >> num_qubits:
+            raise IndexError(
+                f"basis index {lo if lo < 0 else hi} out of range")
+    keep = _modulus(amp) >= PRUNE_THRESHOLD
+    idx = idx.astype(_dtype(num_qubits), copy=False)
+    state = SparseState._of(num_qubits, idx[keep], amp[keep])
+    if abs(state.norm_squared() - 1.0) > NORM_TOLERANCE:
+        raise ValueError("amplitudes are not normalized")
+    return state
+
+
 def from_amplitudes(
     num_qubits: int, entries: Iterable[Tuple[int, complex]]
 ) -> SparseState:
     amps = dict(entries)
-    lo, hi = min(amps, default=0), max(amps, default=0)
-    if lo < 0 or hi >> num_qubits:
-        raise IndexError(f"basis index {lo if lo < 0 else hi} out of range")
-    state = SparseState(num_qubits, amps)
-    keep = _modulus(state.amp) >= PRUNE_THRESHOLD
-    state = SparseState._of(num_qubits, state.idx[keep], state.amp[keep])
-    if abs(state.norm_squared() - 1.0) > NORM_TOLERANCE:
-        raise ValueError("amplitudes are not normalized")
-    return state
+    try:
+        idx = np.fromiter(amps, _dtype(num_qubits), len(amps))
+    except OverflowError:  # an index past int64, for the range check
+        idx = np.array(list(amps), object)
+    amp = np.fromiter(amps.values(), complex, len(amps))
+    return from_arrays(num_qubits, idx, amp)
 
 
 def split_register(

@@ -9,12 +9,16 @@ fail on the same inputs.  The dense gate kernel and the basis and phase
 maps may reorder the support; ``split_register`` and
 ``PredicatedGate.apply`` keep the reference's order.
 
-``apply_permutation``, the kernel of signed-permutation gates, must
-moreover equal ``apply_unitary`` exactly: the same indices in the same
-order and amplitudes that compare equal, on random inputs and on every
-such gate application of the acceptance programs.
+``apply_permutations``, the kernel of runs of signed-permutation
+gates, must moreover equal ``apply_unitary`` applied to each gate of
+the run in turn exactly: the same indices in the same order and
+amplitudes that compare equal, on random inputs and on every run of the
+acceptance programs.  A run must equal its gates applied one at a time
+bit for bit, signed zeros included, and ``branch_enumerate`` the
+per-outcome collapse it replaced, kept below as the reference.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,10 +283,154 @@ def test_permutation_equals_dense_kernel(seed, k, n):
         targets[-1] = max(set(range(64, 70)) - set(targets))
     matrix = random_signed_permutation(rng, k)
     gate = pr.MatrixGate("p", matrix)
-    got = ss.apply_permutation(state, *gate.permutation, targets)
+    got = ss.apply_permutations(state, [(*gate.permutation, targets)])
     assert_identical(got, ss.apply_unitary(state, matrix, targets))
     assert_same(got, ref_apply_unitary(state, matrix, targets))
     assert_identical(gate.apply(state, tuple(targets)), got)
+
+
+def assert_bitwise(got, expected):
+    """:func:`assert_identical`, with amplitudes equal bit for bit, so
+    signed zeros count."""
+    assert_identical(got, expected)
+    assert np.array_equal(got.amp.view(float), expected.amp.view(float))
+
+
+RUNS = [(seed, n, length) for seed in range(6) for n in (20, 70)
+        for length in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("seed, n, length", RUNS)
+def test_permutation_run_equals_its_gates_one_at_a_time(seed, n, length):
+    rng = np.random.default_rng([seed, n, length])
+    state = random_state(rng, n)
+    amp = state.amp.copy()
+    if seed % 2:  # a few amplitudes exactly real, so zero parts occur
+        amp[::3] = amp[::3].real
+    if seed % 3 == 0:  # one amplitude below the prune threshold
+        amp[0] = 1e-13
+    state = ss.SparseState._of(n, state.idx, amp / np.linalg.norm(amp))
+    run, gates = [], []
+    for i in range(length):
+        k = int(rng.integers(1, 3))
+        # even seeds: disjoint targets; odd seeds: a run reusing qubits 0-3
+        pool = range(4) if seed % 2 else range(2 * i, 2 * i + 2)
+        targets = [int(q) for q in rng.permutation(list(pool))[:k]]
+        if n == 70 and i == 0:
+            targets[-1] = 69  # a bit beyond int64
+        gate = pr.MatrixGate("p", random_signed_permutation(rng, k))
+        run.append((*gate.permutation, targets))
+        gates.append((gate, targets))
+    got = ss.apply_permutations(state, run)
+    dense = one_at_a_time = state
+    for (gate, targets), entry in zip(gates, run):
+        dense = ss.apply_unitary(dense, gate.matrix, targets)
+        one_at_a_time = ss.apply_permutations(one_at_a_time, [entry])
+    assert_bitwise(got, one_at_a_time)
+    assert_identical(got, dense)
+    if seed % 2 == 0:  # no zero parts: the dense sums add only zeros
+        assert_bitwise(got, dense)
+
+
+def ref_move_bits(values, src, dst, dtype):
+    """One bit at a time, through Python ints."""
+    return np.array([
+        sum(((v >> s) & 1) << d for s, d in zip(src, dst))
+        for v in values.tolist()
+    ], dtype)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("wide", (False, True))
+def test_move_bits_matches_one_bit_at_a_time(seed, wide):
+    rng = np.random.default_rng([seed, wide])
+    n = 70 if wide else 62
+    dtype = ss._dtype(n)
+    values = np.array([
+        int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in range(50)
+    ], dtype)
+    k = int(rng.integers(1, 9))
+    src = [int(q) for q in rng.permutation(n)[:k]]
+    dst = [int(q) for q in rng.permutation(n)[:k]]
+    low = range(k - 1, -1, -1)
+    patterns = ref_move_bits(values, src, low, np.int64)
+    for given, s, d, out in (
+        (values, src, low, np.int64),  # gather: right shifts, narrowing
+        (patterns, low, src, dtype),  # scatter: left shifts, widening
+        (values, src, dst, dtype),  # both directions at once
+    ):
+        got = ss._move_bits(given, s, d, out)
+        assert got.dtype == np.dtype(out)
+        assert got.tolist() == ref_move_bits(given, s, d, out).tolist()
+
+
+def test_move_bits_groups_bits_by_distance():
+    # 3 -> 1 and 5 -> 3 move right by 2 together; 0 -> 6 moves left by 6
+    assert ss._shifts((3, 5, 0), (1, 3, 6)) == ((2, 0b101000), (-6, 0b1))
+    values = np.array([0b101001, 0b001000, 0], np.int64)
+    assert ss._move_bits(values, (3, 5, 0), (1, 3, 6), np.int64).tolist(
+    ) == [0b1001010, 0b10, 0]
+
+
+# branch_enumerate as it was: one _collapse, and one norm check, per
+# outcome
+
+
+def old_branch_enumerate(state, qubits):
+    ss._check_targets(state, qubits)
+    outcomes, where, weights = ss._outcomes(state, qubits)
+    groups = np.split(
+        np.argsort(where, kind="stable"),
+        np.cumsum(np.bincount(where, minlength=len(outcomes)))[:-1],
+    )
+    return [
+        (o, p, ss._collapse(state, members, p))
+        for o, p, members in zip(outcomes.tolist(), weights.tolist(), groups)
+        if p > ss.PRUNE_THRESHOLD
+    ]
+
+
+def assert_same_branches(got, want):
+    assert [(o, p) for o, p, _ in got] == [(o, p) for o, p, _ in want]
+    for (_, _, g), (_, _, w) in zip(got, want):
+        assert_bitwise(g, w)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_branch_enumerate_equals_per_outcome_collapse(seed):
+    rng = np.random.default_rng([seed, 2])
+    n = 70 if seed % 4 == 3 else int(rng.integers(1, 13))
+    state = random_state(rng, n)
+    # some entries pruned once scaled, some outcomes too light to follow
+    amp = state.amp * rng.choice([1.0, 1e-6, 1e-13], len(state.amp),
+                                 p=[0.7, 0.15, 0.15])
+    state = ss.SparseState._of(n, state.idx, amp / np.linalg.norm(amp))
+    qubits = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, 5))]]
+    assert_same_branches(ss.branch_enumerate(state, qubits),
+                         old_branch_enumerate(state, qubits))
+
+
+def test_branch_enumerate_prunes_after_scaling():
+    # outcome 1 of qubit 0 weighs about 1e-10; its 5e-13 entry becomes
+    # about 5e-8 once scaled, and stays
+    light = [(0b001, 1e-5), (0b011, 5e-13)]
+    state = ss.SparseState(3, dict([(0b000, math.sqrt(1 - 1e-10))] + light))
+    got = ss.branch_enumerate(state, [0])
+    assert [(o, post.support()) for o, _, post in got] == [(0, 1), (1, 2)]
+    assert_same_branches(got, old_branch_enumerate(state, [0]))
+
+
+def test_branch_enumerate_skips_a_zero_weight_outcome_quietly():
+    # a basis map keeps the zero amplitude it is given, so outcome 1 of
+    # qubit 1 has weight exactly 0
+    state = ss.SparseState(2, {0b00: 1.0, 0b01: 0.0})
+    state = ss.apply_basis_map(state, lambda v: (v & 1) << 1 | v >> 1, [1, 0])
+    assert state.amplitudes == {0b00: 1, 0b10: 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ss.branch_enumerate(state, [1])
+    assert [o for o, _, _ in got] == [0]
+    assert_same_branches(got, old_branch_enumerate(state, [1]))
 
 
 def test_wide_basis_map_matches_reference():
@@ -429,7 +577,7 @@ def test_norm_drift_rejected_by_both_gate_kernels():
     state = ss.SparseState(3, {0b001: 0.6, 0b100: 0.6})
     x = pr.MatrixGate("X", [[0, 1], [1, 0]])
     both_raise(ValueError, "norm drifted", [
-        lambda: ss.apply_permutation(state, *x.permutation, [2]),
+        lambda: ss.apply_permutations(state, [(*x.permutation, [2])]),
         lambda: ss.apply_unitary(state, x.matrix, [2]),
         lambda: ref_apply_unitary(state, x.matrix, [2]),
     ])
@@ -444,7 +592,8 @@ def test_bad_targets_rejected_by_both_gate_kernels():
         ([0, 1], ValueError, "does not match target count"),
     ):
         both_raise(error, match, [
-            lambda: ss.apply_permutation(state, *x.permutation, targets),
+            lambda: ss.apply_permutations(
+                state, [(*x.permutation, targets)]),
             lambda: ss.apply_unitary(state, x.matrix, targets),
         ])
 
@@ -461,26 +610,94 @@ def test_entangled_rest_rejected_by_both():
 
 
 def test_acceptance_programs_equal_on_both_gate_kernels(monkeypatch):
-    """Every signed-permutation gate application of every acceptance
-    driver gives the dense kernel's state exactly."""
-    apply = pr.MatrixGate.apply
-    checked, differ = [], []
+    """Every run of signed-permutation gates in every acceptance driver
+    gives exactly the state of the dense kernel applied to each of its
+    gates in turn."""
+    kernel, resolve, apply = (
+        ss.apply_permutations, pr._resolve, pr.MatrixGate.apply)
+    gates, checked, differ = {}, [], []
 
-    def both(gate, state, qubits):
-        got = apply(gate, state, qubits)
-        if gate.permutation is not None:
-            want = ss.apply_unitary(state, gate.matrix, qubits)
+    def seen(gate):
+        """Note the gate behind each permutation table a run may hold."""
+        if gate is not None and gate.permutation is not None:
+            gates[id(gate.permutation[0])] = gate
+        return gate
+
+    def both(state, run):
+        got = kernel(state, run)
+        want = state
+        for images, _, targets in run:
+            gate = gates[id(images)]
+            want = ss.apply_unitary(want, gate.matrix, targets)
             checked.append(gate.name)
-            if not (np.array_equal(got.idx, want.idx)
-                    and np.array_equal(got.amp, want.amp)):
-                differ.append((gate.name, qubits))
+        if not (np.array_equal(got.idx, want.idx)
+                and np.array_equal(got.amp, want.amp)):
+            differ.append([(gates[id(i)].name, t) for i, _, t in run])
         return got
 
-    monkeypatch.setattr(pr.MatrixGate, "apply", both)
+    monkeypatch.setattr(pr, "_resolve", lambda a, env: seen(resolve(a, env)))
+    monkeypatch.setattr(pr.MatrixGate, "apply",
+                        lambda g, state, qubits: apply(seen(g), state, qubits))
+    monkeypatch.setattr(ss, "apply_permutations", both)
     results = verify.run_all()
     assert [r["name"] for r in results if not r["passed"]] == []
     assert differ == []
     assert {"X", "Z", "CNOT"} <= set(checked) and len(checked) > 1000
+
+
+def one_gate_per_layer(program):
+    """``program`` with each gate application in a quantum layer of its
+    own, so no run holds more than one gate."""
+    layers = []
+    for layer in program.layers:
+        if isinstance(layer, pr.QuantumLayer) and layer.apps:
+            layers += [pr.QuantumLayer((app,)) for app in layer.apps]
+        else:
+            layers.append(layer)
+    return pr.LaqccProgram(program.num_qubits, program.registers, layers)
+
+
+def layered_programs():
+    from laqcc import clifford as cl
+    from laqcc import protocols as pt
+
+    rng = np.random.default_rng(11)
+    yield cl.ghz(5)
+    for build, args in ((pt.w_state, (4,)), (pt.uniform_superposition, (5,)),
+                        (pt.dicke_small_k, (4, 2)),
+                        (pt.dicke_factoradic, (4, 2))):
+        yield build(*args)[0]
+    # a flattened ladder behind a layer of random inputs
+    flat = cl.flatten_ladder(cl.CliffordCircuit("ladder", 3, 1, (
+        cl.CliffordGate("H", (0,)), cl.CliffordGate("CNOT", (0, 1)),
+        cl.CliffordGate("S", (1,)), cl.CliffordGate("CNOT", (1, 2)),
+        cl.CliffordGate("H", (2,)))))
+    inputs = pr.QuantumLayer(tuple(
+        pr.GateApp(pr.MatrixGate(f"in{q}", random_unitary(rng, 1)), (q,))
+        for q in range(3)))
+    yield pr.LaqccProgram(flat.num_qubits, flat.registers,
+                          (inputs,) + flat.layers)
+    # a run that a dense gate ends, and a dense gate that ends a layer
+    dense = [pr.MatrixGate(f"u{q}", random_unitary(rng, 1)) for q in range(4)]
+    x, cnot = cl.clifford("X", 1, "X(0)"), cl.clifford("CNOT", 2, "CNOT(0,1)")
+    yield pr.LaqccProgram(4, {}, (
+        pr.QuantumLayer(tuple(pr.GateApp(u, (q,)) for q, u in enumerate(dense))),
+        pr.QuantumLayer((pr.GateApp(cnot, (0, 1)), pr.GateApp(x, (2,)),
+                         pr.GateApp(dense[3], (3,)))),
+        pr.MeasureLayer((0,), "m"),
+    ))
+
+
+@pytest.mark.parametrize("program", layered_programs())
+def test_layer_runs_equal_one_gate_per_layer(program):
+    """Every branch of a program whose layers hold runs equals, bit for
+    bit, the branch of the same program with one gate per layer."""
+    got = pr.enumerate_branches(program)
+    want = pr.enumerate_branches(one_gate_per_layer(program))
+    assert [(b.record, b.probability) for b in got] == [
+        (b.record, b.probability) for b in want]
+    for g, w in zip(got, want):
+        assert_bitwise(g.state, w.state)
 
 
 # The map kernels as they were: one call of the gate's function per

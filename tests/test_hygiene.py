@@ -210,3 +210,34 @@ def test_map_gate_functions_run_once_per_application(monkeypatch):
     assert [r["name"] for r in results if not r["passed"]] == []
     assert len(calls["apply_basis_map"]) > 100
     assert len(calls["apply_phase_map"]) > 100
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_ghz_applies_each_run_of_permutations_in_one_call(n, monkeypatch):
+    """Enumerating ``ghz(n)`` calls the permutation kernel once per CNOT
+    layer, on all its n - 1 gates, and once per branch whose correction
+    is not empty, on all its X gates: never once per gate."""
+    from laqcc import clifford as cl
+    from laqcc import program as pr
+    from laqcc import sparse_state as ss
+
+    runs = []
+    kernel = ss.apply_permutations
+
+    def counted(state, run):
+        runs.append([images.tolist() for images, _, _ in run])
+        return kernel(state, run)
+
+    monkeypatch.setattr(ss, "apply_permutations", counted)
+    branches = pr.enumerate_branches(cl.ghz(n))
+    # carrier j flips on the parity of the first j outcome bits
+    flips = [
+        sum(bin(b.record[0].outcome >> (n - 1 - j)).count("1") & 1
+            for j in range(1, n))
+        for b in branches
+    ]
+    cnot, x = [0, 1, 3, 2], [1, 0]
+    assert len(branches) == 1 << (n - 1)
+    assert runs[:2] == [[cnot] * (n - 1)] * 2
+    assert runs[2:] == [[x] * f for f in flips if f]
+    assert len(runs) == 2 + (1 << (n - 1)) - 1

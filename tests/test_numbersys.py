@@ -259,6 +259,7 @@ def test_one_loop_maps_fail_as_the_checked_maps():
 def test_array_forms_equal_scalar_forms(n):
     factoradics = list(ns.all_factoradics(n))
     digits = np.array(factoradics, np.int64).reshape(len(factoradics), n)
+    assert np.array_equal(ns.all_factoradics_array(n), digits)
     for k in range(n + 1):
         bits = ns.fac_to_comb_array(digits, k)
         split = ns.fac_decompose_array(digits, k)
@@ -268,6 +269,51 @@ def test_array_forms_equal_scalar_forms(n):
             assert tuple(bits[row].tolist()) == ns.fac_to_comb(y, k)
             assert tuple(tuple(a[row].tolist()) for a in split) == want
             assert tuple(back[row].tolist()) == ns.comb_to_fac(*want) == y
+
+
+def ref_preimage_counts(n, k):
+    """The scalar loop ``preimage_counts`` ran before it took the array
+    forms, kept as the reference."""
+    counts = {}
+    for digits in ns.all_factoradics(n):
+        bits = ns.fac_to_comb(digits, k)
+        counts[bits] = counts.get(bits, 0) + 1
+        if ns.comb_to_fac(bits, *ns.fac_decompose(digits, k)[1:]) != digits:
+            return None
+    return counts
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_preimage_counts_equal_the_scalar_loop(n):
+    assert ns.all_factoradics_array(n).shape == (math.factorial(n), n)
+    for k in range(n + 1):
+        got, want = ns.preimage_counts(n, k), ref_preimage_counts(n, k)
+        assert got == want and list(got) == list(want)
+        assert all(type(b) is int for key in got for b in key)
+        assert all(type(c) is int for c in got.values())
+    for k in (-1, n + 1):
+        with pytest.raises(ValueError, match="weight out of range"):
+            ns.preimage_counts(n, k)
+        with pytest.raises(ValueError, match="weight out of range"):
+            ref_preimage_counts(n, k)
+
+
+def test_preimage_counts_none_when_a_round_trip_fails(monkeypatch):
+    array_form, scalar_form = ns.comb_to_fac_array, ns.comb_to_fac
+
+    def off_by_one_row(bits, z, o):
+        out = array_form(bits, z, o)
+        out[-1] = out[0]
+        return out
+
+    def off_by_one_digits(bits, z, o):
+        out = scalar_form(bits, z, o)
+        return out if any(out) else (1,) + out[1:]
+
+    monkeypatch.setattr(ns, "comb_to_fac_array", off_by_one_row)
+    monkeypatch.setattr(ns, "comb_to_fac", off_by_one_digits)
+    assert ns.preimage_counts(4, 2) is None
+    assert ref_preimage_counts(4, 2) is None
 
 
 def test_array_forms_check_their_rows_once():

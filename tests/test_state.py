@@ -94,6 +94,43 @@ def test_from_amplitudes_rejects_index_beyond_int64():
         ss.from_amplitudes(2, [(1 << 70, 1.0)])
 
 
+@pytest.mark.parametrize("entries, error, match", [
+    ([(4, 1.0)], IndexError, "basis index 4 out of range"),
+    ([(-1, 1.0)], IndexError, "basis index -1 out of range"),
+    ([(0, 0.6), (1, 0.6)], ValueError, "not normalized"),
+    ([], ValueError, "not normalized"),
+])
+def test_from_arrays_checks_as_from_amplitudes_does(entries, error, match):
+    idx = np.array([i for i, _ in entries], np.int64)
+    amp = np.array([a for _, a in entries], complex)
+    for make in (lambda: ss.from_amplitudes(2, entries),
+                 lambda: ss.from_arrays(2, idx, amp)):
+        with pytest.raises(error, match=match):
+            make()
+
+
+def test_from_arrays_prunes_as_from_amplitudes_does():
+    entries = [(3, 0.6), (1, 1e-13), (0, 0.8j)]
+    want = ss.from_amplitudes(2, entries)
+    got = ss.from_arrays(2, np.array([3, 1, 0]), np.array([0.6, 1e-13, 0.8j]))
+    assert got.idx.dtype == want.idx.dtype == np.int64
+    assert got.idx.tolist() == want.idx.tolist() == [3, 0]
+    assert np.array_equal(got.amp.view(float), want.amp.view(float))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 64, 300, 1023])
+def test_uniform_target_equals_its_entry_list(q):
+    from laqcc import protocols as pt
+
+    want = ss.from_amplitudes(
+        pt.index_width(q), [(i, 1 / math.sqrt(q)) for i in range(q)])
+    got = pt.uniform_target(q)
+    assert got.num_qubits == want.num_qubits
+    assert got.idx.dtype == want.idx.dtype
+    assert np.array_equal(got.idx, want.idx)
+    assert np.array_equal(got.amp.view(float), want.amp.view(float))
+
+
 def test_out_of_range_target():
     with pytest.raises(IndexError):
         ss.apply_unitary(ss.SparseState.basis(1), X, [1])
