@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
-    Callable, ClassVar, Dict, FrozenSet, Iterator, List, Mapping, Optional,
+    Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional,
     Sequence, Tuple,
 )
 
@@ -388,16 +388,40 @@ class ForcedPolicy:
     outcomes: Tuple[int, ...]
 
 
-def _resolve(app: GateApp, env: Dict[str, Dict[str, int]]) -> Optional[Gate]:
-    """Concrete gate to apply for this application, or None to skip."""
+def _resolve(
+    app: GateApp, envs: Sequence[Dict[str, Dict[str, int]]]
+) -> List[Tuple[Gate, Optional[np.ndarray]]]:
+    """The concrete gates to apply for this application, one ``env`` per
+    branch, each with the branches it applies to: ``None`` for all, or a
+    boolean array indexed by label.  A conditioned gate applies where its
+    bit is 1; a dynamic gate is built once for each distinct value of
+    the outputs it reads, and applies to the branches that read it."""
+    which = None
     if app.condition is not None:
         source, key = app.condition
-        if env.get(source, {}).get(key, 0) != 1:
-            return None
+        fires = [env.get(source, {}).get(key, 0) == 1 for env in envs]
+        if not any(fires):
+            return []
+        if not all(fires):
+            which = np.array(fires)
     gate = app.gate
-    if isinstance(gate, DynamicGate):
-        gate = gate.builder(env)
-    return gate
+    if not isinstance(gate, DynamicGate):
+        return [(gate, which)]
+    if len(envs) == 1:
+        return [(gate.builder(envs[0]), None)]
+    shared: Dict[tuple, List[int]] = {}
+    for label, env in enumerate(envs):
+        if which is None or which[label]:
+            inputs = tuple(
+                (name, tuple(sorted(env.get(name, {}).items())))
+                for name in (gate.reads or sorted(env)))
+            shared.setdefault(inputs, []).append(label)
+    out = []
+    for labels in shared.values():
+        on = np.zeros(len(envs), bool)
+        on[labels] = True
+        out.append((gate.builder(envs[labels[0]]), on))
+    return out
 
 
 @dataclass(frozen=True)
@@ -408,62 +432,100 @@ class Branch:
     peak_support: int  # largest support left by any layer on the way
 
 
+def _apply_layer(
+    layer: QuantumLayer, state: SparseState,
+    envs: Sequence[Dict[str, Dict[str, int]]],
+) -> SparseState:
+    """``state`` after ``layer``, each branch under its own ``env``.
+
+    Consecutive gates that have a ``permutation`` run as one
+    :func:`sparse_state.apply_permutations` call, each with the branches
+    it applies to; any other gate, and the end of the layer, ends the
+    run.  A run gives each branch the state its gates give one at a
+    time.  Any other gate runs once, on the branches it applies to."""
+    run = []
+    for app in layer.apps:
+        for gate, which in _resolve(app, envs):
+            if gate.permutation is not None:
+                run.append((*gate.permutation, app.qubits)
+                           + (() if which is None else (which,)))
+                continue
+            if run:
+                state, run = ss.apply_permutations(state, run), []
+            if which is None:
+                state = gate.apply(state, app.qubits)
+            else:
+                state = ss.apply_to_labels(
+                    state, which, lambda part: gate.apply(part, app.qubits))
+    if run:
+        state = ss.apply_permutations(state, run)
+    return state
+
+
+def _classical(layer: ClassicalLayer, record: MeasurementRecord):
+    """The outputs of ``layer`` on the outcomes of one branch."""
+    outcomes = {ev.label: ev.outcome for ev in record}
+    return layer.fn({label: outcomes[label] for label in layer.reads})
+
+
 def _walk(
     program: LaqccProgram,
     choose: Callable[..., List[Tuple[int, float, SparseState]]],
     observer: Optional[Callable[[SparseState], None]] = None,
-) -> Iterator[Tuple[SparseState, MeasurementRecord, int]]:
-    """Depth-first walk of the layers, yielding ``(state, record,
-    peak_support)`` for each branch followed.  At the i-th measurement
-    of a branch, ``choose(i, state, qubits)`` lists the ``(outcome,
-    probability, post-state)`` triples to follow.
+) -> List[Tuple[SparseState, MeasurementRecord, int]]:
+    """Walk the layers once, carrying every branch followed in one state,
+    and return ``(state, record, peak_support)`` for each, in depth-first
+    order.  At the i-th measurement, ``choose(i, state, qubits)`` lists
+    the ``(outcome, probability, post-state)`` triples to follow.
 
-    Within a quantum layer, consecutive gates that have a
-    ``permutation`` run as one :func:`sparse_state.apply_permutations`
-    call; any other gate, and the end of the layer, ends the run.  A run
-    gives the state its gates give one at a time, and never crosses a
-    layer, so ``observer`` and ``peak_support`` see the same states."""
-    layers = program.layers
-
-    def walk(start, state, env, record, peak):
-        for idx in range(start, len(layers)):
-            layer = layers[idx]
-            if isinstance(layer, QuantumLayer):
-                run = []
-                for app in layer.apps:
-                    gate = _resolve(app, env)
-                    if gate is None:
-                        continue
-                    if gate.permutation is not None:
-                        run.append((*gate.permutation, app.qubits))
-                        continue
-                    if run:
-                        state, run = ss.apply_permutations(state, run), []
-                    state = gate.apply(state, app.qubits)
-                if run:
-                    state = ss.apply_permutations(state, run)
-            elif isinstance(layer, MeasureLayer):
-                qubits = layer.qubits
-                for outcome, p, post in choose(len(record), state, qubits):
-                    if observer is not None:
-                        observer(post)
-                    event = MeasurementEvent(layer.label, qubits, outcome, p)
-                    # the pre-measurement state is already in ``peak``,
-                    # and a measurement never grows the support
-                    yield from walk(
-                        idx + 1, post, env, record + (event,), peak
-                    )
-                return
-            else:
-                outcomes = {ev.label: ev.outcome for ev in record}
-                reads = {label: outcomes[label] for label in layer.reads}
-                env = {**env, layer.name: layer.fn(reads)}
+    After a measurement that leaves more than one branch, the state is a
+    batch: each branch's index is a label, held in the qubits above the
+    program's (see :func:`sparse_state.labelled`).  The i-th measurement
+    chooses on the label qubits (most significant first) and the
+    measured ones together, so the groups that ``choose`` returns come
+    sorted by label, then outcome; renumbered, they are the next labels,
+    and the batch stays in label-major order.  Each kernel checks the
+    norm of each branch, and sorts and prunes each branch as it would
+    alone.  A conditioned or dynamic gate runs on the branches it
+    applies to (:func:`_resolve`), and a classical layer runs once per
+    branch.  ``observer`` sees the state after each layer."""
+    n = program.num_qubits
+    state = SparseState.basis(n)
+    records: List[MeasurementRecord] = [()]
+    envs: List[Dict[str, Dict[str, int]]] = [{}]
+    peaks = np.ones(1, np.int64)
+    measurements = 0
+    for layer in program.layers:
+        if isinstance(layer, QuantumLayer):
+            state = _apply_layer(layer, state, envs)
+        elif isinstance(layer, MeasureLayer):
+            qubits, width = layer.qubits, len(layer.qubits)
+            labels = tuple(range(state.num_qubits - 1, n - 1, -1))
+            chosen = choose(measurements, state, labels + qubits)
+            measurements += 1
+            parents = [outcome >> width for outcome, _, _ in chosen]
+            records = [
+                records[parent] + (MeasurementEvent(
+                    layer.label, qubits, outcome & ((1 << width) - 1), p),)
+                for parent, (outcome, p, _) in zip(parents, chosen)
+            ]
+            envs = [envs[parent] for parent in parents]
+            # the pre-measurement state is already in ``peaks``, and a
+            # measurement never grows the support
+            peaks = peaks[parents]
+            posts = [post for _, _, post in chosen]
+            state = posts[0] if len(posts) == 1 else ss.labelled(posts, n)
             if observer is not None:
                 observer(state)
-            peak = max(peak, state.support())
-        yield state, record, peak
-
-    return walk(0, SparseState.basis(program.num_qubits), {}, (), 1)
+            continue
+        else:
+            envs = [{**env, layer.name: _classical(layer, record)}
+                    for env, record in zip(envs, records)]
+        if observer is not None:
+            observer(state)
+        peaks = np.maximum(peaks, ss.supports(state, len(envs)))
+    return list(zip(ss.split_labels(state, len(envs)), records,
+                    peaks.tolist()))
 
 
 def _branch(
@@ -499,18 +561,24 @@ def execute(
 def enumerate_branches(
     program: LaqccProgram, max_branches: int = 1 << 14
 ) -> List[Branch]:
-    """Depth-first enumeration of every feasible measurement outcome.
+    """Every feasible measurement outcome, in depth-first order: by the
+    first measurement's outcome, then the second's, and so on.
 
-    A program with at most ``max_branches`` branches returns them all;
-    ``RuntimeError`` is raised as soon as branch ``max_branches + 1`` is
-    reached.
+    A program with at most ``max_branches`` branches returns them all.
+    ``RuntimeError`` is raised as soon as a measurement leaves more than
+    ``max_branches`` branches, before any later layer runs.
     """
-    branches: List[Branch] = []
-    for shot in _walk(program, lambda i, s, q: ss.branch_enumerate(s, q)):
-        if len(branches) == max_branches:
+
+    def choose(i, state, qubits):
+        chosen = ss.branch_enumerate(state, qubits)
+        if len(chosen) > max_branches:
             raise RuntimeError("branch count exceeds enumeration cap")
-        branches.append(_branch(*shot))
-    return branches
+        return chosen
+
+    shots = _walk(program, choose)
+    if len(shots) > max_branches:  # a program with no measurement
+        raise RuntimeError("branch count exceeds enumeration cap")
+    return [_branch(*shot) for shot in shots]
 
 
 def sample_branches(
@@ -728,16 +796,12 @@ def to_postselected(
                 )
             )
         elif isinstance(layer, ClassicalLayer):
-            env[layer.name] = layer.fn(
-                {label: by_label[label].outcome for label in layer.reads}
-            )
+            env[layer.name] = _classical(layer, transcript)
         else:
             apps = []
             for app in layer.apps:
-                gate = _resolve(app, env)
-                if gate is None:
-                    continue
-                apps.append(GateApp(gate, app.qubits))
+                for gate, _ in _resolve(app, [env]):
+                    apps.append(GateApp(gate, app.qubits))
             if apps:
                 new_layers.append(QuantumLayer(tuple(apps)))
     flag = next_qubit

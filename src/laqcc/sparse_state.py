@@ -14,6 +14,19 @@ of its targets, an index's bits outside the targets first, then its
 target pattern.  Those keys are distinct, so the order depends on the
 result alone, and a run of signed permutations orders its result as
 its last gate alone would.  The map kernels keep the storage order.
+
+A state may be a batch of whole branches (:func:`labelled`): each
+branch's label sits in ``label_bits`` extra qubits above the others, as
+if it were a classical register, and the entries come in label-major
+order.  The label bits are outside every gate's targets, so they lead
+the rest pattern: the ordering rule sorts by label first and orders
+each branch as it orders that branch alone, and the map kernels keep
+each branch's order.  The 1e-9 norm checks, and
+:func:`apply_predicated`'s normalisation of its hit part, run per label
+(``np.bincount`` in storage order).  A gate may apply to some branches
+only: as an entry of an :func:`apply_permutations` run, with a boolean
+mask over the labels, or through :func:`apply_to_labels`.  A state with
+no label bits is one branch, and every kernel does its unlabelled work.
 """
 from __future__ import annotations
 
@@ -29,23 +42,34 @@ NORM_TOLERANCE = 1e-9
 
 
 class SparseState:
-    """``SparseState(n, {index: amplitude})`` copies the pairs into arrays."""
+    """``SparseState(n, {index: amplitude})`` copies the pairs into arrays.
+
+    A state whose ``label_bits`` is not 0 is a batch of branches: its top
+    ``label_bits`` qubits hold each entry's label, and the entries of
+    one label form one whole branch, of norm 1."""
 
     def __init__(self, num_qubits: int, amplitudes: Mapping[int, complex]):
         n = len(amplitudes)
         idx = np.fromiter(amplitudes.keys(), _dtype(num_qubits), n)
         amp = np.fromiter(amplitudes.values(), complex, n)
-        self._own(num_qubits, idx, amp)
+        self._own(num_qubits, idx, amp, 0)
 
     @classmethod
-    def _of(cls, num_qubits: int, idx: np.ndarray, amp: np.ndarray):
+    def _of(cls, num_qubits: int, idx: np.ndarray, amp: np.ndarray,
+            label_bits: int = 0):
         """A state that takes ``idx`` and ``amp`` over as they are."""
-        return cls.__new__(cls)._own(num_qubits, idx, amp)
+        return cls.__new__(cls)._own(num_qubits, idx, amp, label_bits)
 
-    def _own(self, num_qubits: int, idx: np.ndarray, amp: np.ndarray):
+    def _own(self, num_qubits: int, idx: np.ndarray, amp: np.ndarray,
+             label_bits: int):
         idx.flags.writeable = amp.flags.writeable = False
-        vars(self).update(num_qubits=num_qubits, idx=idx, amp=amp)
+        vars(self).update(num_qubits=num_qubits, idx=idx, amp=amp,
+                          label_bits=label_bits)
         return self
+
+    def _with(self, idx: np.ndarray, amp: np.ndarray) -> "SparseState":
+        """A state on the same qubits and labels holding ``idx``, ``amp``."""
+        return SparseState._of(self.num_qubits, idx, amp, self.label_bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseState is immutable")
@@ -65,7 +89,9 @@ class SparseState:
         return _running_sum(_weights(self.amp))
 
     def check_norm(self) -> "SparseState":
-        if abs(self.norm_squared() - 1.0) > NORM_TOLERANCE:
+        if self.label_bits:
+            _check_branch_norms(self, self.idx, self.amp)
+        elif abs(self.norm_squared() - 1.0) > NORM_TOLERANCE:
             raise ValueError("state norm drifted beyond tolerance")
         return self
 
@@ -86,6 +112,27 @@ def _weights(amp: np.ndarray) -> np.ndarray:
 def _running_sum(values: np.ndarray) -> float:
     """Sum in storage order, as a Python loop adds (``np.sum`` pairs)."""
     return float(values.cumsum()[-1]) if len(values) else 0.0
+
+
+def _labels(state: SparseState, idx: np.ndarray) -> np.ndarray:
+    """The label of each index in ``idx``, an index of ``state``."""
+    return (idx >> (state.num_qubits - state.label_bits)).astype(np.intp)
+
+
+def _check_branch_norms(
+    state: SparseState, idx: np.ndarray, amp: np.ndarray,
+    checked: np.ndarray | None = None,
+) -> None:
+    """Raise unless every label of ``state`` (only those that ``checked``
+    selects, when given) has a norm within ``NORM_TOLERANCE`` of 1 over
+    the entries ``idx``, ``amp``: each label summed in storage order, as
+    :func:`branch_enumerate` sums each outcome."""
+    present = np.bincount(_labels(state, state.idx)) > 0
+    if checked is not None:
+        present &= checked[: len(present)]
+    norms = np.bincount(_labels(state, idx), _weights(amp), len(present))
+    if (present & (np.abs(norms - 1.0) > NORM_TOLERANCE)).any():
+        raise ValueError("state norm drifted beyond tolerance")
 
 
 def _check_targets(state: SparseState, targets: Sequence[int]) -> None:
@@ -191,24 +238,33 @@ def apply_unitary(
     rest = ordered[first]
     block = np.zeros((len(rest), 1 << k), complex)
     block[row, _gather(idx, targets)] = state.amp
-    out = (block @ matrix.T).ravel()
+    out = block @ matrix.T
+    if state.label_bits:
+        # numpy multiplies a one-row block by another path, which can round
+        # differently: a branch with one row gets the product it gets alone
+        labels = _labels(state, rest)
+        for r in np.flatnonzero(np.bincount(labels)[labels] == 1).tolist():
+            out[r] = block[r : r + 1].copy() @ matrix.T
+    out = out.ravel()
     new_idx = (rest[:, None] | _placements(tuple(targets), idx.dtype)).ravel()
     keep = np.abs(out) >= PRUNE_THRESHOLD
-    out = out[keep]
-    if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
+    new_idx, out = new_idx[keep], out[keep]
+    if state.label_bits:
+        _check_branch_norms(state, new_idx, out)
+    elif abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
         raise ValueError("state norm drifted beyond tolerance")
-    return SparseState._of(state.num_qubits, new_idx[keep], out)
+    return state._with(new_idx, out)
 
 
-def apply_permutations(
-    state: SparseState,
-    run: Sequence[Tuple[np.ndarray, np.ndarray, Sequence[int]]],
-) -> SparseState:
+def apply_permutations(state: SparseState, run: Sequence[tuple]) -> SparseState:
     """Apply a run of signed permutations, one after another; ``run``
     holds at least one.  In each ``(images, phases, targets)``, target
     pattern ``p`` (targets[0] most
     significant) moves to ``images[p]``, its amplitude multiplied by
-    ``phases[p]``, a unit from ``1, -1, 1j, -1j``.
+    ``phases[p]``, a unit from ``1, -1, 1j, -1j``.  An entry of a
+    labelled state may add a fourth item, a boolean array indexed by
+    label: the gate then applies to those branches only (see
+    :func:`_apply_to_some`).
 
     For one gate, with the matrix that holds ``phases[p]`` at
     ``[images[p], p]`` and zeros elsewhere, this gives
@@ -220,6 +276,8 @@ def apply_permutations(
     prune and one norm check at the end drop and accept what one per gate
     would.
     """
+    if any(len(entry) > 3 for entry in run):
+        return _apply_to_some(state, run)
     idx, amp = state.idx, state.amp
     for images, phases, targets in run:
         _check_targets(state, targets)
@@ -237,10 +295,52 @@ def apply_permutations(
     order = (key | moved).argsort()
     out = amp[order]
     keep = np.abs(out) >= PRUNE_THRESHOLD
-    out = out[keep]
-    if abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
+    idx, out = idx[order][keep], out[keep]
+    if state.label_bits:
+        _check_branch_norms(state, idx, out)
+    elif abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
         raise ValueError("state norm drifted beyond tolerance")
-    return SparseState._of(state.num_qubits, idx[order][keep], out)
+    return state._with(idx, out)
+
+
+def _apply_to_some(state: SparseState, run: Sequence[tuple]) -> SparseState:
+    """:func:`apply_permutations` of a run whose gates apply to some
+    branches only: each branch ends as the gates that apply to it, run
+    alone, would leave it.  It is sorted by the ``(rest, image)`` of the
+    last of them, or keeps its order, unpruned and unchecked, when none
+    applies; labels stay in ascending order."""
+    idx, amp = state.idx, state.amp
+    labels = _labels(state, idx)
+    width = max(len(targets) for _, _, targets, *_ in run)
+    dtype = _dtype(state.num_qubits + width)
+    # sort key: ``rest << width | image`` orders (rest, image) pairs for
+    # every k <= width, and rest leads with the label; where no gate
+    # applies, the label alone, so the stable sort keeps the order
+    low = (1 << (state.num_qubits - state.label_bits)) - 1
+    key = (idx & ~low).astype(dtype, copy=False) << width
+    hit = np.zeros(len(idx), bool)
+    for images, phases, targets, *which in run:
+        _check_targets(state, targets)
+        k = len(targets)
+        if len(images) != 1 << k:
+            raise ValueError("permutation size does not match target count")
+        on = which[0][labels] if which else np.ones(len(idx), bool)
+        patterns = _gather(idx, targets)
+        rest, moved = _rest(idx, targets), images[patterns]
+        amp = np.where(on, amp * phases[patterns], amp)
+        idx = np.where(
+            on, rest | _placements(tuple(targets), idx.dtype)[moved], idx)
+        pair = rest.astype(dtype, copy=False) << width | moved.astype(dtype)
+        key = np.where(on, pair, key)
+        hit |= on
+    applied = np.zeros(1 << state.label_bits, bool)
+    applied[labels[hit]] = True
+    order = key.argsort(kind="stable")
+    idx, amp, hit = idx[order], amp[order], hit[order]
+    keep = ~hit | (np.abs(amp) >= PRUNE_THRESHOLD)
+    idx, amp = idx[keep], amp[keep]
+    _check_branch_norms(state, idx, amp, applied)
+    return state._with(idx, amp)
 
 
 def _distinct(idx: np.ndarray, targets: Sequence[int]):
@@ -281,7 +381,7 @@ def apply_basis_map(
     # distinct images cannot collide; otherwise test the support itself
     if _repeats(images) and _repeats(new_idx):
         raise ValueError("basis map is not injective on the support")
-    return SparseState._of(state.num_qubits, new_idx, state.amp)
+    return state._with(new_idx, state.amp)
 
 
 def apply_phase_map(
@@ -299,7 +399,7 @@ def apply_phase_map(
     phases = np.asarray(phase(patterns), complex)
     if not np.all(np.abs(np.abs(phases) - 1.0) <= 1e-9):
         raise ValueError("phase factor must have unit modulus")
-    return SparseState._of(state.num_qubits, idx, state.amp * phases[where])
+    return state._with(idx, state.amp * phases[where])
 
 
 def apply_predicated(
@@ -312,18 +412,31 @@ def apply_predicated(
     of ``state`` whose control pattern (controls[0] most significant)
     satisfies ``predicate``, and scale its result back; the rest stays.
     ``predicate`` takes the array of distinct control patterns, as
-    :func:`apply_basis_map`'s ``mapping`` does, and returns which hit."""
+    :func:`apply_basis_map`'s ``mapping`` does, and returns which hit.
+    In a labelled state each branch's part is normalised on its own
+    weight, and each branch keeps its rest ahead of its moved part."""
     idx, amp = state.idx, state.amp
     patterns, where = _distinct(idx, controls)
     hit = np.asarray(predicate(patterns), bool)[where]
     if hit.any():
-        norm = math.sqrt(_running_sum(_weights(amp[hit])))
+        part_idx, part_amp = idx[hit], amp[hit]
+        if state.label_bits:
+            labels = _labels(state, part_idx)
+            norms = np.sqrt(np.bincount(labels, _weights(part_amp)))
+            norm = np.repeat(norms[labels], 2)  # one per component
+        else:
+            norm = math.sqrt(_running_sum(_weights(part_amp)))
         # divide each component, as Python's complex-by-float division does
-        part = (amp[hit].view(float) / norm).view(complex)
-        moved = apply(SparseState._of(state.num_qubits, idx[hit], part))
+        part = (part_amp.view(float) / norm).view(complex)
+        moved = apply(state._with(part_idx, part))
+        if state.label_bits:
+            norm = norms[_labels(state, moved.idx)]
         idx = np.concatenate([idx[~hit], moved.idx])
         amp = np.concatenate([amp[~hit], moved.amp * norm])
-    return SparseState._of(state.num_qubits, idx, amp).check_norm()
+        if state.label_bits:  # each branch's rest, then its moved part
+            order = _labels(state, idx).argsort(kind="stable")
+            idx, amp = idx[order], amp[order]
+    return state._with(idx, amp).check_norm()
 
 
 def _outcomes(state: SparseState, qubits: Sequence[int]):
@@ -338,9 +451,7 @@ def _collapse(state: SparseState, members: np.ndarray, p: float):
     """The normalised state left on the entries that ``members`` selects."""
     amp = state.amp[members] * (1.0 / math.sqrt(p))
     keep = _modulus(amp) >= PRUNE_THRESHOLD
-    return SparseState._of(
-        state.num_qubits, state.idx[members][keep], amp[keep]
-    ).check_norm()
+    return state._with(state.idx[members][keep], amp[keep]).check_norm()
 
 
 def measure(
@@ -398,12 +509,69 @@ def branch_enumerate(
     norms = np.bincount(group, _weights(amp), len(weights))
     if (np.abs(norms - 1.0) > NORM_TOLERANCE).any():
         raise ValueError("state norm drifted beyond tolerance")
-    ends = np.cumsum(np.bincount(group, minlength=len(weights)))[:-1]
+    sizes = np.bincount(group, minlength=len(weights))
     return [
-        (o, p, SparseState._of(state.num_qubits, i, a))
+        (o, p, state._with(i, a))
         for o, p, i, a in zip(outcomes.tolist(), weights.tolist(),
-                              np.split(idx, ends), np.split(amp, ends))
+                              _slices(idx, sizes), _slices(amp, sizes))
     ]
+
+
+def _slices(values: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
+    """``values`` cut into consecutive views of ``sizes`` entries each
+    (``np.split`` costs several times more per piece)."""
+    ends = sizes.cumsum().tolist()
+    return [values[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def labelled(branches: Sequence[SparseState], num_qubits: int) -> SparseState:
+    """One state holding ``branches``, states of at least ``num_qubits``
+    qubits that share one dtype, as whole branches: the bits above
+    ``num_qubits`` of branch ``i`` are replaced by its label ``i``."""
+    bits = (len(branches) - 1).bit_length()
+    dtype = _dtype(num_qubits + bits)
+    sizes = [branch.support() for branch in branches]
+    idx = np.concatenate([branch.idx for branch in branches])
+    idx = (idx & ((1 << num_qubits) - 1)).astype(dtype, copy=False)
+    idx |= np.repeat(np.arange(len(branches)).astype(dtype), sizes) << (
+        num_qubits)
+    amp = np.concatenate([branch.amp for branch in branches])
+    return SparseState._of(num_qubits + bits, idx, amp, bits)
+
+
+def split_labels(state: SparseState, count: int) -> List[SparseState]:
+    """The ``count`` branches of ``state``, label ``i`` at place ``i``,
+    each without its label bits and with the dtype of its own qubits."""
+    if not state.label_bits:
+        return [state]
+    n = state.num_qubits - state.label_bits
+    sizes = np.bincount(_labels(state, state.idx), minlength=count)
+    idx = (state.idx & ((1 << n) - 1)).astype(_dtype(n), copy=False)
+    return [SparseState._of(n, i, a) for i, a in
+            zip(_slices(idx, sizes), _slices(state.amp, sizes))]
+
+
+def supports(state: SparseState, count: int) -> np.ndarray:
+    """The support of each of the ``count`` branches of ``state``."""
+    if not state.label_bits:
+        return np.array([state.support()])
+    return np.bincount(_labels(state, state.idx), minlength=count)
+
+
+def apply_to_labels(
+    state: SparseState, which: np.ndarray,
+    apply: Callable[[SparseState], SparseState],
+) -> SparseState:
+    """Run ``apply`` on the branches of ``state`` that ``which``, a
+    boolean array indexed by label, selects, and merge its result back
+    by one stable sort by label: the branches stay whole, so nothing is
+    renormalised."""
+    on = which[_labels(state, state.idx)]
+    moved = apply(state._with(state.idx[on], state.amp[on]))
+    idx = np.concatenate([state.idx[~on], moved.idx])
+    amp = np.concatenate([state.amp[~on], moved.amp])
+    order = _labels(state, idx).argsort(kind="stable")
+    return state._with(idx[order], amp[order])
 
 
 def fidelity(state: SparseState, target: SparseState) -> float:

@@ -612,30 +612,36 @@ def test_entangled_rest_rejected_by_both():
 def test_acceptance_programs_equal_on_both_gate_kernels(monkeypatch):
     """Every run of signed-permutation gates in every acceptance driver
     gives exactly the state of the dense kernel applied to each of its
-    gates in turn."""
+    gates in turn, each on the branches it applies to."""
     kernel, resolve, apply = (
         ss.apply_permutations, pr._resolve, pr.MatrixGate.apply)
     gates, checked, differ = {}, [], []
 
     def seen(gate):
         """Note the gate behind each permutation table a run may hold."""
-        if gate is not None and gate.permutation is not None:
+        if gate.permutation is not None:
             gates[id(gate.permutation[0])] = gate
         return gate
 
     def both(state, run):
         got = kernel(state, run)
         want = state
-        for images, _, targets in run:
+        for images, _, targets, *which in run:
             gate = gates[id(images)]
-            want = ss.apply_unitary(want, gate.matrix, targets)
+
+            def dense(part, gate=gate, targets=targets):
+                return ss.apply_unitary(part, gate.matrix, targets)
+
+            want = ss.apply_to_labels(want, which[0], dense) if which else (
+                dense(want))
             checked.append(gate.name)
         if not (np.array_equal(got.idx, want.idx)
                 and np.array_equal(got.amp, want.amp)):
-            differ.append([(gates[id(i)].name, t) for i, _, t in run])
+            differ.append([(gates[id(i)].name, t) for i, _, t, *_ in run])
         return got
 
-    monkeypatch.setattr(pr, "_resolve", lambda a, env: seen(resolve(a, env)))
+    monkeypatch.setattr(pr, "_resolve", lambda app, envs: [
+        (seen(gate), which) for gate, which in resolve(app, envs)])
     monkeypatch.setattr(pr.MatrixGate, "apply",
                         lambda g, state, qubits: apply(seen(g), state, qubits))
     monkeypatch.setattr(ss, "apply_permutations", both)

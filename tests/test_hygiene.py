@@ -215,29 +215,32 @@ def test_map_gate_functions_run_once_per_application(monkeypatch):
 @pytest.mark.parametrize("n", range(4, 9))
 def test_ghz_applies_each_run_of_permutations_in_one_call(n, monkeypatch):
     """Enumerating ``ghz(n)`` calls the permutation kernel once per CNOT
-    layer, on all its n - 1 gates, and once per branch whose correction
-    is not empty, on all its X gates: never once per gate."""
+    layer, on all its n - 1 gates and every branch, and once for the
+    correction layer, on every X gate with the branches it applies to:
+    the same three calls for every n, never one per branch or gate."""
     from laqcc import clifford as cl
     from laqcc import program as pr
     from laqcc import sparse_state as ss
 
-    runs = []
+    runs = []  # per call, (images, labels it applies to or None) per gate
     kernel = ss.apply_permutations
 
     def counted(state, run):
-        runs.append([images.tolist() for images, _, _ in run])
+        runs.append([(images.tolist(), which[0].tolist() if which else None)
+                     for images, _, _, *which in run])
         return kernel(state, run)
 
     monkeypatch.setattr(ss, "apply_permutations", counted)
     branches = pr.enumerate_branches(cl.ghz(n))
-    # carrier j flips on the parity of the first j outcome bits
-    flips = [
-        sum(bin(b.record[0].outcome >> (n - 1 - j)).count("1") & 1
-            for j in range(1, n))
-        for b in branches
-    ]
     cnot, x = [0, 1, 3, 2], [1, 0]
     assert len(branches) == 1 << (n - 1)
-    assert runs[:2] == [[cnot] * (n - 1)] * 2
-    assert runs[2:] == [[x] * f for f in flips if f]
-    assert len(runs) == 2 + (1 << (n - 1)) - 1
+    assert len(runs) == 3
+    assert runs[:2] == [[(cnot, None)] * (n - 1)] * 2
+    # carrier j flips on the parity of the first j outcome bits, and
+    # label i is branch i
+    assert runs[2] == [
+        (x, [bool(bin(b.record[0].outcome >> (n - 1 - j)).count("1") & 1)
+             for b in branches])
+        for j in range(1, n)
+    ]
+    assert [sum(which) for _, which in runs[2]] == [1 << (n - 2)] * (n - 1)

@@ -60,10 +60,38 @@ def test_enumerate_branches_covers_all():
     assert finals == {0b00, 0b11}
 
 
+def counting_classical_layers(program, calls):
+    """``program`` with each classical layer's function appending its
+    layer's name to ``calls`` when it runs."""
+
+    def counted(layer):
+        def fn(outcomes):
+            calls.append(layer.name)
+            return layer.fn(outcomes)
+
+        return pr.ClassicalLayer(layer.name, fn, layer.reads, layer.outputs)
+
+    return pr.LaqccProgram(program.num_qubits, program.registers, [
+        counted(layer) if isinstance(layer, pr.ClassicalLayer) else layer
+        for layer in program.layers])
+
+
 def test_enumeration_cap_is_exact():
-    with pytest.raises(RuntimeError):
-        pr.enumerate_branches(cl.ghz(3), max_branches=3)
-    assert len(pr.enumerate_branches(cl.ghz(3), max_branches=4)) == 4
+    """``ghz(n)`` has 2^(n-1) branches: a cap of that many returns them
+    all, and one less raises once the measurement leaves them, before
+    any later layer runs."""
+    for n in (3, 5, 6, 7, 8):
+        calls = []
+        program = counting_classical_layers(cl.ghz(n), calls)
+        with pytest.raises(RuntimeError, match="exceeds enumeration cap"):
+            pr.enumerate_branches(program, max_branches=(1 << (n - 1)) - 1)
+        assert calls == []
+        branches = pr.enumerate_branches(program, max_branches=1 << (n - 1))
+        assert len(branches) == 1 << (n - 1)
+        assert calls == ["parity_fix"] * (1 << (n - 1))
+    assert len(pr.enumerate_branches(pr.LaqccProgram(1), max_branches=1)) == 1
+    with pytest.raises(RuntimeError, match="exceeds enumeration cap"):
+        pr.enumerate_branches(pr.LaqccProgram(1), max_branches=0)
 
 
 def test_observer_fires_once_per_layer_in_order():
