@@ -493,7 +493,7 @@ def _walk(
     state = SparseState.basis(n)
     records: List[MeasurementRecord] = [()]
     envs: List[Dict[str, Dict[str, int]]] = [{}]
-    peaks = np.ones(1, np.int64)
+    peaks = [1]
     measurements = 0
     for layer in program.layers:
         if isinstance(layer, QuantumLayer):
@@ -512,7 +512,7 @@ def _walk(
             envs = [envs[parent] for parent in parents]
             # the pre-measurement state is already in ``peaks``, and a
             # measurement never grows the support
-            peaks = peaks[parents]
+            peaks = [peaks[parent] for parent in parents]
             posts = [post for _, _, post in chosen]
             state = posts[0] if len(posts) == 1 else ss.labelled(posts, n)
             if observer is not None:
@@ -523,9 +523,12 @@ def _walk(
                     for env, record in zip(envs, records)]
         if observer is not None:
             observer(state)
-        peaks = np.maximum(peaks, ss.supports(state, len(envs)))
-    return list(zip(ss.split_labels(state, len(envs)), records,
-                    peaks.tolist()))
+        if state.label_bits:
+            peaks = [max(peak, support) for peak, support
+                     in zip(peaks, ss.supports(state, len(envs)))]
+        else:
+            peaks = [max(peaks[0], state.support())]
+    return list(zip(ss.split_labels(state, len(envs)), records, peaks))
 
 
 def _branch(

@@ -276,7 +276,7 @@ def apply_permutations(state: SparseState, run: Sequence[tuple]) -> SparseState:
     prune and one norm check at the end drop and accept what one per gate
     would.
     """
-    if any(len(entry) > 3 for entry in run):
+    if state.label_bits and any(len(entry) > 3 for entry in run):
         return _apply_to_some(state, run)
     idx, amp = state.idx, state.amp
     for images, phases, targets in run:
@@ -551,11 +551,9 @@ def split_labels(state: SparseState, count: int) -> List[SparseState]:
             zip(_slices(idx, sizes), _slices(state.amp, sizes))]
 
 
-def supports(state: SparseState, count: int) -> np.ndarray:
+def supports(state: SparseState, count: int) -> List[int]:
     """The support of each of the ``count`` branches of ``state``."""
-    if not state.label_bits:
-        return np.array([state.support()])
-    return np.bincount(_labels(state, state.idx), minlength=count)
+    return np.bincount(_labels(state, state.idx), minlength=count).tolist()
 
 
 def apply_to_labels(

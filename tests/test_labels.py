@@ -221,7 +221,7 @@ def test_labelled_keeps_each_branch_and_split_labels_returns_it():
     assert (state.num_qubits, state.label_bits) == (5, 2)
     assert state.idx.tolist() == [0b00001, 0b00100, 0b01111,
                                   0b10010, 0b10011]
-    assert ss.supports(state, 3).tolist() == [2, 1, 2]
+    assert ss.supports(state, 3) == [2, 1, 2]
     for got, want in zip(ss.split_labels(state, 3), (a, b, c)):
         assert got.idx.dtype == np.int64 and got.label_bits == 0
         assert got.idx.tolist() == want.idx.tolist()
