@@ -389,38 +389,41 @@ class ForcedPolicy:
 
 
 def _resolve(
-    app: GateApp, envs: Sequence[Dict[str, Dict[str, int]]]
+    app: GateApp, bits: Mapping[str, Mapping[str, np.ndarray]], count: int
 ) -> List[Tuple[Gate, Optional[np.ndarray]]]:
-    """The concrete gates to apply for this application, one ``env`` per
-    branch, each with the branches it applies to: ``None`` for all, or a
-    boolean array indexed by label.  A conditioned gate applies where its
-    bit is 1; a dynamic gate is built once for each distinct value of
-    the outputs it reads, and applies to the branches that read it."""
+    """The concrete gates to apply for this application to ``count``
+    branches, each with the branches it applies to: ``None`` for all, or
+    a boolean array indexed by label.  ``bits`` maps each classical layer
+    run so far to its outputs, each an array of values indexed by label.
+    A conditioned gate applies where its bit is 1; a dynamic gate is
+    built once for each distinct value of the outputs it reads, and
+    applies to the branches that read it."""
     which = None
     if app.condition is not None:
         source, key = app.condition
-        fires = [env.get(source, {}).get(key, 0) == 1 for env in envs]
-        if not any(fires):
+        fires = bits[source][key] == 1
+        if not fires.any():
             return []
-        if not all(fires):
-            which = np.array(fires)
+        if not fires.all():
+            which = fires
     gate = app.gate
     if not isinstance(gate, DynamicGate):
         return [(gate, which)]
-    if len(envs) == 1:
-        return [(gate.builder(envs[0]), None)]
+    columns = [values.tolist() for name in gate.reads or sorted(bits)
+               for _, values in sorted(bits[name].items())]
+    inputs = list(zip(*columns)) or [()] * count
     shared: Dict[tuple, List[int]] = {}
-    for label, env in enumerate(envs):
-        if which is None or which[label]:
-            inputs = tuple(
-                (name, tuple(sorted(env.get(name, {}).items())))
-                for name in (gate.reads or sorted(env)))
-            shared.setdefault(inputs, []).append(label)
+    for label in (range(count) if which is None
+                  else np.flatnonzero(which).tolist()):
+        shared.setdefault(inputs[label], []).append(label)
     out = []
     for labels in shared.values():
-        on = np.zeros(len(envs), bool)
+        on = np.zeros(count, bool)
         on[labels] = True
-        out.append((gate.builder(envs[labels[0]]), on))
+        env = {name: {key: values[labels[0]].item()
+                      for key, values in outputs.items()}
+               for name, outputs in bits.items()}
+        out.append((gate.builder(env), None if on.all() else on))
     return out
 
 
@@ -434,9 +437,10 @@ class Branch:
 
 def _apply_layer(
     layer: QuantumLayer, state: SparseState,
-    envs: Sequence[Dict[str, Dict[str, int]]],
+    bits: Mapping[str, Mapping[str, np.ndarray]], count: int,
 ) -> SparseState:
-    """``state`` after ``layer``, each branch under its own ``env``.
+    """``state`` after ``layer``, each of its ``count`` branches under its
+    own classical outputs (see :func:`_resolve`).
 
     Consecutive gates that have a ``permutation`` run as one
     :func:`sparse_state.apply_permutations` call, each with the branches
@@ -445,7 +449,7 @@ def _apply_layer(
     time.  Any other gate runs once, on the branches it applies to."""
     run = []
     for app in layer.apps:
-        for gate, which in _resolve(app, envs):
+        for gate, which in _resolve(app, bits, count):
             if gate.permutation is not None:
                 run.append((*gate.permutation, app.qubits)
                            + (() if which is None else (which,)))
@@ -462,73 +466,89 @@ def _apply_layer(
     return state
 
 
-def _classical(layer: ClassicalLayer, record: MeasurementRecord):
-    """The outputs of ``layer`` on the outcomes of one branch."""
-    outcomes = {ev.label: ev.outcome for ev in record}
-    return layer.fn({label: outcomes[label] for label in layer.reads})
+def _classical(
+    layer: ClassicalLayer, outcomes: Mapping[str, np.ndarray], count: int
+) -> Dict[str, np.ndarray]:
+    """The outputs of ``layer`` on ``count`` branches, each an array
+    indexed by label, given each measured label's outcomes indexed by
+    label: the layer's function runs once per branch."""
+    columns = [outcomes[label].tolist() for label in layer.reads]
+    results = [layer.fn(dict(zip(layer.reads, row)))
+               for row in list(zip(*columns)) or [()] * count]
+    return {key: np.array([result.get(key, 0) for result in results])
+            for key in sorted(layer.outputs)}
 
 
 def _walk(
     program: LaqccProgram,
-    choose: Callable[..., List[Tuple[int, float, SparseState]]],
+    choose: Callable[..., Tuple[np.ndarray, np.ndarray, SparseState]],
     observer: Optional[Callable[[SparseState], None]] = None,
-) -> List[Tuple[SparseState, MeasurementRecord, int]]:
+) -> List[Branch]:
     """Walk the layers once, carrying every branch followed in one state,
-    and return ``(state, record, peak_support)`` for each, in depth-first
-    order.  At the i-th measurement, ``choose(i, state, qubits)`` lists
-    the ``(outcome, probability, post-state)`` triples to follow.
+    and return the branches in depth-first order.  At the i-th
+    measurement, ``choose(i, state, qubits)`` gives the outcomes to
+    follow, their probabilities and the batch of their post-states, as
+    :func:`sparse_state.branch_enumerate` does.
 
-    After a measurement that leaves more than one branch, the state is a
-    batch: each branch's index is a label, held in the qubits above the
-    program's (see :func:`sparse_state.labelled`).  The i-th measurement
-    chooses on the label qubits (most significant first) and the
-    measured ones together, so the groups that ``choose`` returns come
-    sorted by label, then outcome; renumbered, they are the next labels,
-    and the batch stays in label-major order.  Each kernel checks the
-    norm of each branch, and sorts and prunes each branch as it would
-    alone.  A conditioned or dynamic gate runs on the branches it
-    applies to (:func:`_resolve`), and a classical layer runs once per
-    branch.  ``observer`` sees the state after each layer."""
+    The i-th measurement chooses on the label qubits (most significant
+    first) and the measured ones together, so its outcomes come sorted
+    by label, then outcome, and their high bits name each one's parent.
+    What the walk knows per branch is kept in arrays indexed by label,
+    reindexed by parent at each measurement: each measured label's
+    outcomes and probabilities, each classical output and the largest
+    support so far.  Gates run on the branches they apply to
+    (:func:`_resolve`), and a classical layer runs its function once per
+    branch.  Records, per-branch states and ``Branch`` objects are built
+    once, after the last layer.  ``observer`` sees the state after each
+    layer."""
     n = program.num_qubits
     state = SparseState.basis(n)
-    records: List[MeasurementRecord] = [()]
-    envs: List[Dict[str, Dict[str, int]]] = [{}]
-    peaks = [1]
-    measurements = 0
+    count = 1
+    # measured label -> (qubits, outcomes, probabilities)
+    measured: Dict[str, Tuple[Tuple[int, ...], np.ndarray, np.ndarray]] = {}
+    bits: Dict[str, Dict[str, np.ndarray]] = {}
+    peaks = np.ones(1, np.int64)
     for layer in program.layers:
         if isinstance(layer, QuantumLayer):
-            state = _apply_layer(layer, state, envs)
+            state = _apply_layer(layer, state, bits, count)
         elif isinstance(layer, MeasureLayer):
             qubits, width = layer.qubits, len(layer.qubits)
             labels = tuple(range(state.num_qubits - 1, n - 1, -1))
-            chosen = choose(measurements, state, labels + qubits)
-            measurements += 1
-            parents = [outcome >> width for outcome, _, _ in chosen]
-            records = [
-                records[parent] + (MeasurementEvent(
-                    layer.label, qubits, outcome & ((1 << width) - 1), p),)
-                for parent, (outcome, p, _) in zip(parents, chosen)
-            ]
-            envs = [envs[parent] for parent in parents]
+            outcomes, probabilities, state = choose(
+                len(measured), state, labels + qubits)
+            parents = np.zeros(len(outcomes), np.intp)
+            if labels:
+                parents = (outcomes >> width).astype(np.intp)
+                outcomes = outcomes & ((1 << width) - 1)
+            count = len(parents)
+            measured = {label: (q, o[parents], p[parents])
+                        for label, (q, o, p) in measured.items()}
+            measured[layer.label] = (qubits, outcomes, probabilities)
+            bits = {name: {key: values[parents]
+                           for key, values in out.items()}
+                    for name, out in bits.items()}
             # the pre-measurement state is already in ``peaks``, and a
             # measurement never grows the support
-            peaks = [peaks[parent] for parent in parents]
-            posts = [post for _, _, post in chosen]
-            state = posts[0] if len(posts) == 1 else ss.labelled(posts, n)
+            peaks = peaks[parents]
             if observer is not None:
                 observer(state)
             continue
         else:
-            envs = [{**env, layer.name: _classical(layer, record)}
-                    for env, record in zip(envs, records)]
+            bits[layer.name] = _classical(layer, {
+                label: o for label, (_, o, _) in measured.items()}, count)
         if observer is not None:
             observer(state)
         if state.label_bits:
-            peaks = [max(peak, support) for peak, support
-                     in zip(peaks, ss.supports(state, len(envs)))]
-        else:
-            peaks = [max(peaks[0], state.support())]
-    return list(zip(ss.split_labels(state, len(envs)), records, peaks))
+            peaks = np.maximum(peaks, ss.supports(state, count))
+        elif state.support() > peaks[0]:
+            peaks[0] = state.support()
+    events = [
+        [MeasurementEvent(label, qubits, o, p)
+         for o, p in zip(outcomes.tolist(), probabilities.tolist())]
+        for label, (qubits, outcomes, probabilities) in measured.items()]
+    records = list(zip(*events)) or [()] * count
+    return [_branch(*branch) for branch in zip(
+        ss.split_labels(state, count), records, peaks.tolist())]
 
 
 def _branch(
@@ -551,14 +571,14 @@ def execute(
     rng = np.random.default_rng(policy.seed) if seeded else None
 
     def choose(i, state, qubits):
-        if seeded:
-            return [ss.measure(state, qubits, rng=rng)]
-        if i >= len(policy.outcomes):
+        if not seeded and i >= len(policy.outcomes):
             raise ValueError("forcing sequence too short")
-        return [ss.measure(state, qubits, forced=policy.outcomes[i])]
+        forced = None if seeded else policy.outcomes[i]
+        outcome, p, post = ss.measure(state, qubits, rng=rng, forced=forced)
+        return np.array([outcome]), np.array([p]), post
 
-    ((state, record, _),) = _walk(program, choose, observer)
-    return state, record
+    (branch,) = _walk(program, choose, observer)
+    return branch.state, branch.record
 
 
 def enumerate_branches(
@@ -567,21 +587,24 @@ def enumerate_branches(
     """Every feasible measurement outcome, in depth-first order: by the
     first measurement's outcome, then the second's, and so on.
 
-    A program with at most ``max_branches`` branches returns them all.
-    ``RuntimeError`` is raised as soon as a measurement leaves more than
-    ``max_branches`` branches, before any later layer runs.
+    The branches are walked as one batch, one
+    :func:`sparse_state.branch_enumerate` call per measurement (see
+    :func:`_walk`).  A program with at most ``max_branches`` branches
+    returns them all.  ``RuntimeError`` is raised as soon as a
+    measurement leaves more than ``max_branches`` branches, before any
+    later layer runs.
     """
 
     def choose(i, state, qubits):
         chosen = ss.branch_enumerate(state, qubits)
-        if len(chosen) > max_branches:
+        if len(chosen[0]) > max_branches:
             raise RuntimeError("branch count exceeds enumeration cap")
         return chosen
 
-    shots = _walk(program, choose)
-    if len(shots) > max_branches:  # a program with no measurement
+    branches = _walk(program, choose)
+    if len(branches) > max_branches:  # a program with no measurement
         raise RuntimeError("branch count exceeds enumeration cap")
-    return [_branch(*shot) for shot in shots]
+    return branches
 
 
 def sample_branches(
@@ -782,7 +805,8 @@ def to_postselected(
     bits lands in the returned flag qubit.
     """
     by_label = {ev.label: ev for ev in transcript}
-    env: Dict[str, Dict[str, int]] = {}
+    outcomes = {ev.label: np.array([ev.outcome]) for ev in transcript}
+    bits: Dict[str, Dict[str, np.ndarray]] = {}
     flag_bits: List[int] = []
     next_qubit = program.num_qubits
     new_layers: List[Layer] = []
@@ -799,11 +823,11 @@ def to_postselected(
                 )
             )
         elif isinstance(layer, ClassicalLayer):
-            env[layer.name] = _classical(layer, transcript)
+            bits[layer.name] = _classical(layer, outcomes, 1)
         else:
             apps = []
             for app in layer.apps:
-                for gate, _ in _resolve(app, [env]):
+                for gate, _ in _resolve(app, bits, 1):
                     apps.append(GateApp(gate, app.qubits))
             if apps:
                 new_layers.append(QuantumLayer(tuple(apps)))

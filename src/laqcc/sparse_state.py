@@ -15,18 +15,19 @@ target pattern.  Those keys are distinct, so the order depends on the
 result alone, and a run of signed permutations orders its result as
 its last gate alone would.  The map kernels keep the storage order.
 
-A state may be a batch of whole branches (:func:`labelled`): each
-branch's label sits in ``label_bits`` extra qubits above the others, as
-if it were a classical register, and the entries come in label-major
-order.  The label bits are outside every gate's targets, so they lead
-the rest pattern: the ordering rule sorts by label first and orders
-each branch as it orders that branch alone, and the map kernels keep
-each branch's order.  The 1e-9 norm checks, and
-:func:`apply_predicated`'s normalisation of its hit part, run per label
-(``np.bincount`` in storage order).  A gate may apply to some branches
-only: as an entry of an :func:`apply_permutations` run, with a boolean
-mask over the labels, or through :func:`apply_to_labels`.  A state with
-no label bits is one branch, and every kernel does its unlabelled work.
+A state may be a batch of whole branches (:func:`branch_enumerate`
+makes one, :func:`split_labels` takes it apart): each branch's label
+sits in ``label_bits`` extra qubits above the others, as if it were a
+classical register, and the entries come in label-major order.  The
+label bits are outside every gate's targets, so they lead the rest
+pattern: the ordering rule sorts by label first and orders each branch
+as it orders that branch alone, and the map kernels keep each branch's
+order.  The 1e-9 norm checks, and :func:`apply_predicated`'s
+normalisation of its hit part, run per label (``np.bincount`` in
+storage order).  A gate may apply to some branches only: as an entry of
+an :func:`apply_permutations` run, with a boolean mask over the labels,
+or through :func:`apply_to_labels`.  A state with no label bits is one
+branch, and every kernel does its unlabelled work.
 """
 from __future__ import annotations
 
@@ -241,10 +242,11 @@ def apply_unitary(
     out = block @ matrix.T
     if state.label_bits:
         # numpy multiplies a one-row block by another path, which can round
-        # differently: a branch with one row gets the product it gets alone
+        # differently: a branch with one row gets the product it gets
+        # alone, as one stacked product of (1, d) rows
         labels = _labels(state, rest)
-        for r in np.flatnonzero(np.bincount(labels)[labels] == 1).tolist():
-            out[r] = block[r : r + 1].copy() @ matrix.T
+        single = np.bincount(labels)[labels] == 1
+        out[single] = (block[single][:, None, :] @ matrix.T)[:, 0]
     out = out.ravel()
     new_idx = (rest[:, None] | _placements(tuple(targets), idx.dtype)).ravel()
     keep = np.abs(out) >= PRUNE_THRESHOLD
@@ -489,9 +491,13 @@ class InfeasibleBranchError(ValueError):
 
 def branch_enumerate(
     state: SparseState, qubits: Sequence[int]
-) -> List[Tuple[int, float, SparseState]]:
-    """All nonzero-probability outcomes of measuring ``qubits``, each
-    collapsed as :func:`measure` collapses it, all in one pass."""
+) -> Tuple[np.ndarray, np.ndarray, SparseState]:
+    """Every nonzero-probability outcome of measuring ``qubits``, in one
+    pass: the ascending outcomes, their probabilities, and one batch
+    whose branch ``i`` is the collapse on ``outcomes[i]``, as
+    :func:`measure` collapses it, labelled in bits above the state's
+    unlabelled qubits.  On a labelled state, ``qubits`` must hold the
+    label bits, so that each outcome falls in one branch."""
     _check_targets(state, qubits)
     outcomes, where, weights = _outcomes(state, qubits)
     live = weights > PRUNE_THRESHOLD
@@ -509,34 +515,13 @@ def branch_enumerate(
     norms = np.bincount(group, _weights(amp), len(weights))
     if (np.abs(norms - 1.0) > NORM_TOLERANCE).any():
         raise ValueError("state norm drifted beyond tolerance")
-    sizes = np.bincount(group, minlength=len(weights))
-    return [
-        (o, p, state._with(i, a))
-        for o, p, i, a in zip(outcomes.tolist(), weights.tolist(),
-                              _slices(idx, sizes), _slices(amp, sizes))
-    ]
-
-
-def _slices(values: np.ndarray, sizes: np.ndarray) -> List[np.ndarray]:
-    """``values`` cut into consecutive views of ``sizes`` entries each
-    (``np.split`` costs several times more per piece)."""
-    ends = sizes.cumsum().tolist()
-    return [values[start:end] for start, end in zip([0] + ends, ends)]
-
-
-def labelled(branches: Sequence[SparseState], num_qubits: int) -> SparseState:
-    """One state holding ``branches``, states of at least ``num_qubits``
-    qubits that share one dtype, as whole branches: the bits above
-    ``num_qubits`` of branch ``i`` are replaced by its label ``i``."""
-    bits = (len(branches) - 1).bit_length()
-    dtype = _dtype(num_qubits + bits)
-    sizes = [branch.support() for branch in branches]
-    idx = np.concatenate([branch.idx for branch in branches])
-    idx = (idx & ((1 << num_qubits) - 1)).astype(dtype, copy=False)
-    idx |= np.repeat(np.arange(len(branches)).astype(dtype), sizes) << (
-        num_qubits)
-    amp = np.concatenate([branch.amp for branch in branches])
-    return SparseState._of(num_qubits + bits, idx, amp, bits)
+    n = state.num_qubits - state.label_bits
+    bits = (len(weights) - 1).bit_length()
+    if bits or state.label_bits:  # the group of each entry is its label
+        dtype = _dtype(n + bits)
+        idx = (idx & ((1 << n) - 1)).astype(dtype, copy=False)
+        idx |= group.astype(dtype) << n
+    return outcomes, weights, SparseState._of(n + bits, idx, amp, bits)
 
 
 def split_labels(state: SparseState, count: int) -> List[SparseState]:
@@ -545,15 +530,16 @@ def split_labels(state: SparseState, count: int) -> List[SparseState]:
     if not state.label_bits:
         return [state]
     n = state.num_qubits - state.label_bits
-    sizes = np.bincount(_labels(state, state.idx), minlength=count)
+    ends = supports(state, count).cumsum().tolist()
     idx = (state.idx & ((1 << n) - 1)).astype(_dtype(n), copy=False)
-    return [SparseState._of(n, i, a) for i, a in
-            zip(_slices(idx, sizes), _slices(state.amp, sizes))]
+    # slices: np.split costs several times more per piece
+    return [SparseState._of(n, idx[start:end], state.amp[start:end])
+            for start, end in zip([0] + ends, ends)]
 
 
-def supports(state: SparseState, count: int) -> List[int]:
+def supports(state: SparseState, count: int) -> np.ndarray:
     """The support of each of the ``count`` branches of ``state``."""
-    return np.bincount(_labels(state, state.idx), minlength=count).tolist()
+    return np.bincount(_labels(state, state.idx), minlength=count)
 
 
 def apply_to_labels(

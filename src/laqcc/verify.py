@@ -190,8 +190,9 @@ def filling_good_probability(n: int, k: int) -> float:
     (flag,) = builder.alloc("flag", 1, "flag")
     pt.filling_fragment(indexes, system, flag, n).emit(builder)
     state, _ = pr.execute(builder.build(), pr.SeededPolicy(0))
-    outcomes = ss.branch_enumerate(state, system)
-    return sum(p for o, p, _ in outcomes if o.bit_count() == k)
+    outcomes, probabilities, _ = ss.branch_enumerate(state, system)
+    return sum(p for o, p in zip(outcomes.tolist(), probabilities.tolist())
+               if o.bit_count() == k)
 
 
 def check_dicke_small_k(

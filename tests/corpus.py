@@ -13,8 +13,14 @@ For each program, ``digests`` gives:
 ``corpus_golden.json`` holds the digests with the platform and numpy
 version they were taken on; ``tests/test_corpus.py`` recomputes them.
 The amplitude bytes depend on the platform and the numpy version, as the
-pinned ``prep`` digests in ``tests/test_cli.py`` do.  To rewrite the file
-(a change to test data, to be recorded with its reason)::
+pinned ``prep`` digests in ``tests/test_cli.py`` do.  To list each
+program whose JSON or branch digest differs from the file (exit code 1
+if any does), without pytest::
+
+    PYTHONPATH=src python3 tests/corpus.py --check
+
+To rewrite the file (a change to test data, to be recorded with its
+reason)::
 
     PYTHONPATH=src python3 tests/corpus.py --write
 """
@@ -221,7 +227,32 @@ def compute() -> Dict[str, List[str]]:
     return out
 
 
+def check() -> int:
+    """Print each program whose digests differ from the golden file, and
+    which of the two differ; 1 if any program differs, else 0."""
+    golden = json.loads(GOLDEN.read_text())["programs"]
+    got = compute()
+    differ = 0
+    for name in dict.fromkeys([*golden, *got]):
+        if name not in got or name not in golden:
+            where = "the corpus" if name in golden else "the golden file"
+            print(f"{name}: not in {where}")
+        else:
+            parts = [part for part, a, b in zip(
+                ("JSON", "branch"), got[name], golden[name]) if a != b]
+            if not parts:
+                continue
+            print(f"{name}: {' and '.join(parts)} digest"
+                  f"{'s differ' if len(parts) > 1 else ' differs'}")
+        differ += 1
+    print(f"{differ} of {len(got)} programs differ from {GOLDEN.name}",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv: List[str]) -> int:
+    if argv == ["--check"]:
+        return check()
     if argv != ["--write"]:
         print(__doc__, file=sys.stderr)
         return 2

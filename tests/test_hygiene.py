@@ -159,14 +159,16 @@ KERNELS = ("apply_basis_map", "apply_phase_map", "apply_predicated")
 
 
 def kernel_loops(source: str):
-    """The loops and comprehensions in the map kernels of ``source``: a
-    per-pattern Python call would need one."""
+    """The loops and comprehensions in the map kernels and the dense
+    kernel of ``source``: a per-pattern Python call, or a per-branch
+    product, would need one."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     return sorted(
         (node.name, type(inner).__name__)
         for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name in KERNELS
+        if isinstance(node, ast.FunctionDef)
+        and node.name in KERNELS + ("apply_unitary",)
         for inner in ast.walk(node) if isinstance(inner, loops)
     )
 

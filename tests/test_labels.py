@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+import corpus
 from laqcc import clifford as cl
 from laqcc import macros as mc
 from laqcc import program as pr
@@ -52,8 +53,7 @@ def ref_enumerate_branches(program):
                 if run:
                     state = ss.apply_permutations(state, run)
             elif isinstance(layer, pr.MeasureLayer):
-                for outcome, p, post in ss.branch_enumerate(
-                        state, layer.qubits):
+                for outcome, p, post in per_outcome(state, layer.qubits):
                     event = pr.MeasurementEvent(
                         layer.label, layer.qubits, outcome, p)
                     walk(i + 1, post, env, record + (event,), peak)
@@ -68,6 +68,14 @@ def ref_enumerate_branches(program):
 
     walk(0, ss.SparseState.basis(program.num_qubits), {}, (), 1)
     return out
+
+
+def per_outcome(state, qubits):
+    """``branch_enumerate`` as ``(outcome, probability, post-state)``
+    triples, one per outcome."""
+    outcomes, probabilities, batch = ss.branch_enumerate(state, qubits)
+    return list(zip(outcomes.tolist(), probabilities.tolist(),
+                    ss.split_labels(batch, len(outcomes))))
 
 
 def assert_same_branches(got, want):
@@ -133,6 +141,11 @@ def two_rounds(seed, n=6, low=0):
             pr.GateApp(X, (q[1],), ("c2", "z")),
             pr.GateApp(u[7], (q[3],), ("c2", "x")),
             pr.GateApp(pz, (q[0], q[4])))
+    # an output of the first round read after the second, and branches
+    # that outgrow the support they had before either measurement
+    b.layer(pr.GateApp(H, (q[0],), ("c1", "b")),
+            pr.GateApp(X, (q[1],), ("c1", "c")),
+            *(pr.GateApp(H, (q[i],)) for i in (2, 3, 4, 5)))
     return b.build()
 
 
@@ -162,19 +175,135 @@ def test_batched_walk_equals_one_branch_at_a_time(name, program):
                          ref_enumerate_branches(program))
 
 
+MEASURED = [(name, program) for name, program in corpus.programs()
+            if any(isinstance(layer, pr.MeasureLayer)
+                   for layer in program.layers)]
+
+
+@pytest.mark.parametrize("program", [program for _, program in MEASURED],
+                         ids=[name for name, _ in MEASURED])
+def test_batched_walk_equals_one_branch_at_a_time_on_the_corpus(program):
+    """Every corpus program that measures: GHZ, small-k Dicke with its
+    dynamic gate, flattened, deferred, fanout-gadget, IQP and two-round
+    programs among them."""
+    assert_same_branches(pr.enumerate_branches(program),
+                         ref_enumerate_branches(program))
+
+
+# engine calls and the states each makes: apply_to_labels and
+# apply_predicated make two, the part they hand their gate and the result
+MADE = {"from_arrays": 1, "apply_unitary": 1, "apply_permutations": 1,
+        "apply_basis_map": 1, "apply_phase_map": 1, "branch_enumerate": 1,
+        "apply_to_labels": 2, "apply_predicated": 2}
+
+
+def test_per_branch_work_is_one_state_and_one_event_per_measurement(
+        monkeypatch):
+    """Enumerating ghz(n), n = 4..10, and a two-round program builds at
+    most the states its engine calls make (``MADE``) and one per returned
+    branch: no state is built per outcome and dropped.  One
+    ``MeasurementEvent`` is built per returned branch per measurement on
+    its record."""
+    counts = dict.fromkeys(("states", "made", "events"), 0)
+    own, init = ss.SparseState._own, pr.MeasurementEvent.__init__
+
+    def owned(self, *args):
+        counts["states"] += 1
+        return own(self, *args)
+
+    def event(self, *args):
+        counts["events"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(ss.SparseState, "_own", owned)
+    monkeypatch.setattr(pr.MeasurementEvent, "__init__", event)
+    for name, made in MADE.items():
+        def counted(*args, kernel=getattr(ss, name), made=made):
+            counts["made"] += made
+            return kernel(*args)
+
+        monkeypatch.setattr(ss, name, counted)
+    for program in [cl.ghz(n) for n in range(4, 11)] + [
+            dict(MEASURED)["rounds0"]]:
+        counts.update(dict.fromkeys(counts, 0))
+        branches = pr.enumerate_branches(program)
+        assert counts["states"] <= counts["made"] + len(branches)
+        assert counts["events"] == sum(len(b.record) for b in branches)
+
+
+def looped_apply_unitary(state, matrix, targets):
+    """``apply_unitary``'s indices and amplitudes on a labelled state, as
+    it computed them with a Python loop over the branches whose rest has
+    one row, each row's product taken alone."""
+    k = len(targets)
+    rest = ss._rest(state.idx, targets)
+    order = rest.argsort()
+    ordered = rest[order]
+    first = np.ones(len(rest), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    row = np.empty(len(rest), np.intp)
+    row[order] = first.cumsum() - 1
+    rest = ordered[first]
+    block = np.zeros((len(rest), 1 << k), complex)
+    block[row, ss._gather(state.idx, targets)] = state.amp
+    out = block @ matrix.T
+    labels = ss._labels(state, rest)
+    for r in np.flatnonzero(np.bincount(labels)[labels] == 1).tolist():
+        out[r] = block[r : r + 1].copy() @ matrix.T
+    out = out.ravel()
+    idx = (rest[:, None] | ss._placements(tuple(targets), np.int64)).ravel()
+    keep = np.abs(out) >= ss.PRUNE_THRESHOLD
+    return idx[keep], out[keep]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_row_branches_get_the_product_of_the_loop(seed):
+    """Random batches, about half their branches on one rest pattern,
+    with zero and signed-zero amplitudes: the dense kernel's stacked
+    one-row product gives the loop's bytes."""
+    rng = np.random.default_rng([seed, 17])
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        targets = [int(q) for q in rng.permutation(n)[:k]]
+        placed = ss._placements(tuple(targets), np.int64)
+        parts = []
+        for _ in range(int(rng.integers(2, 7))):
+            if rng.integers(2):  # one rest pattern
+                rest = int(rng.integers(1 << n)) & ~int(placed[-1])
+                idx = rest | rng.choice(placed, int(rng.integers(1, 1 << k)),
+                                        replace=False)
+            else:
+                idx = rng.choice(1 << n, int(rng.integers(1, 1 << n)),
+                                 replace=False)
+            amp = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+            amp[rng.random(len(idx)) < 0.2] = complex(-0.0, 0.0)
+            amp[0] = complex(0.6, -0.0)
+            parts.append(ss.SparseState._of(n, idx.astype(np.int64),
+                                            amp / np.linalg.norm(amp)))
+        z = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(
+            size=(1 << k, 1 << k))
+        matrix = np.linalg.qr(z)[0]
+        got = ss.apply_unitary(batch(*parts), matrix, targets)
+        idx, amp = looped_apply_unitary(batch(*parts), matrix, targets)
+        assert got.idx.tolist() == idx.tolist()
+        assert got.amp.tobytes() == amp.tobytes()
+
+
 def test_wide_program_batches_past_int64_and_returns_int64_branches(
         monkeypatch):
     """60 program qubits and 3 measured ones need 3 label bits: the batch
     holds Python ints, each branch its own int64 indices."""
     program = two_rounds(1, low=54)
     batches = []
-    labelled = ss.labelled
+    measure = ss.branch_enumerate
 
-    def noted(branches, num_qubits):
-        batches.append(labelled(branches, num_qubits))
-        return batches[-1]
+    def noted(state, qubits):
+        chosen = measure(state, qubits)
+        batches.append(chosen[2])
+        return chosen
 
-    monkeypatch.setattr(ss, "labelled", noted)
+    monkeypatch.setattr(ss, "branch_enumerate", noted)
     branches = pr.enumerate_branches(program)
     assert program.num_qubits == 60
     assert [(b.label_bits, b.idx.dtype) for b in batches[:1]] == [
@@ -208,24 +337,41 @@ def test_dynamic_gate_is_built_once_per_distinct_input():
 
 
 def batch(*branches):
-    """Whole branches of one qubit count, as one labelled state."""
-    return ss.labelled(branches, branches[0].num_qubits)
+    """Whole branches of one qubit count, as one labelled state: branch
+    ``i`` gets label ``i`` in the bits above its qubits."""
+    n = branches[0].num_qubits
+    bits = (len(branches) - 1).bit_length()
+    dtype = np.int64 if n + bits <= 62 else object
+    idx = np.concatenate([b.idx for b in branches]).astype(dtype)
+    idx |= np.repeat(np.arange(len(branches)),
+                     [b.support() for b in branches]).astype(dtype) << n
+    amp = np.concatenate([b.amp for b in branches])
+    return ss.SparseState._of(n + bits, idx, amp, bits)
 
 
-def test_labelled_keeps_each_branch_and_split_labels_returns_it():
+def test_branch_enumerate_labels_each_outcome_and_split_labels_returns_it():
+    """Three outcomes of qubits 4 and 3, each over its own state of
+    qubits 0-2: the batch labels outcome i's collapse i, in two bits
+    above the five qubits, and split_labels gives each collapse back."""
     a = ss.from_amplitudes(3, [(0b001, 0.6), (0b100, -0.8j)])
     b = ss.SparseState.basis(3, 0b111)
     c = ss.from_amplitudes(3, [(0b010, 1 / math.sqrt(2)),
                                (0b011, -1 / math.sqrt(2))])
-    state = batch(a, b, c)
-    assert (state.num_qubits, state.label_bits) == (5, 2)
-    assert state.idx.tolist() == [0b00001, 0b00100, 0b01111,
-                                  0b10010, 0b10011]
-    assert ss.supports(state, 3) == [2, 1, 2]
-    for got, want in zip(ss.split_labels(state, 3), (a, b, c)):
-        assert got.idx.dtype == np.int64 and got.label_bits == 0
-        assert got.idx.tolist() == want.idx.tolist()
-        assert got.amp.tobytes() == want.amp.tobytes()
+    w = [0.5, 0.3, 0.2]
+    state = ss.SparseState._of(5, np.concatenate(
+        [s.idx | o << 3 for o, s in zip((0b00, 0b01, 0b11), (a, b, c))]),
+        np.concatenate([s.amp * math.sqrt(p) for p, s in zip(w, (a, b, c))]))
+    outcomes, probabilities, got = ss.branch_enumerate(state, [4, 3])
+    assert outcomes.tolist() == [0b00, 0b01, 0b11]
+    assert probabilities.tolist() == pytest.approx(w)
+    assert (got.num_qubits, got.label_bits) == (7, 2)
+    assert got.idx.tolist() == [0b0000001, 0b0000100, 0b0101111,
+                                0b1011010, 0b1011011]
+    assert ss.supports(got, 3).tolist() == [2, 1, 2]
+    for o, post, want in zip((0, 1, 3), ss.split_labels(got, 3), (a, b, c)):
+        assert post.idx.dtype == np.int64 and post.label_bits == 0
+        assert post.idx.tolist() == (want.idx | o << 3).tolist()
+        assert np.allclose(post.amp, want.amp, rtol=0, atol=1e-15)
 
 
 def test_basis_map_may_collide_across_branches_but_not_within_one():
@@ -274,10 +420,10 @@ def test_zero_weight_outcome_is_skipped_quietly():
     state = batch(a, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ss.branch_enumerate(state, [2, 0])
+        outcomes, _, _ = ss.branch_enumerate(state, [2, 0])
         program = two_rounds(3)
         branches = pr.enumerate_branches(program)
-    assert [o for o, _, _ in got] == [0b00, 0b10, 0b11]
+    assert outcomes.tolist() == [0b00, 0b10, 0b11]
     assert_same_branches(branches, ref_enumerate_branches(program))
 
 
