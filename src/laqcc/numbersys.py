@@ -289,7 +289,7 @@ def popcount(values: np.ndarray) -> np.ndarray:
     ``np.bitwise_count`` refuses."""
     if values.dtype != object:
         return np.bitwise_count(values).astype(values.dtype)
-    count = np.zeros(len(values), np.int64)
+    count = np.zeros(values.shape, np.int64)
     rest = values
     while rest.any():  # 62 bits at a time
         count += np.bitwise_count((rest & _LOW_BITS).astype(np.int64))

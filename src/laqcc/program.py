@@ -10,11 +10,11 @@ Conventions
 -----------
 * A gate application lists its qubits most-significant-first: the gate's
   bit 0 (as an integer pattern) is the last listed qubit.
-* Classical layers read labelled measurement outcomes and publish the
-  named bits they declare in ``outputs``; later gate applications may be
-  conditioned on one such bit.
-  Every classical layer the package builds is :func:`linear`: each bit
-  is the parity of some bits of one measured word.
+* A classical layer is a GF(2)-linear map held as its masks: it reads
+  one measured word, and each named bit it publishes is the parity of
+  the bits one mask selects.  Later gate applications may be
+  conditioned on one such bit.  Every walk evaluates a layer on all
+  branches at once, and the deferral transform on all control patterns.
 * Terminal measurements that nothing reads are free in the round count.
 """
 from __future__ import annotations
@@ -26,13 +26,14 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
-    Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional,
+    Callable, ClassVar, Dict, List, Mapping, Optional,
     Sequence, Tuple,
 )
 
 import numpy as np
 
 from . import sparse_state as ss
+from .numbersys import popcount
 from .sparse_state import SparseState
 
 # --------------------------------------------------------------------------
@@ -247,11 +248,20 @@ class MeasureLayer:
 
 @dataclass(frozen=True)
 class ClassicalLayer:
+    """One row of a GF(2)-linear map per output: output ``key`` is the
+    parity of the bits that ``outputs[key]`` selects in the word measured
+    under the label ``reads`` (its first-listed qubit the most significant
+    bit).  ``outputs`` is stored as a read-only mapping, in the order it
+    was given."""
+
     name: str
-    fn: Callable[[Dict[str, int]], Dict[str, int]]
-    reads: Tuple[str, ...] = ()
-    outputs: FrozenSet[str] = frozenset()  # the keys ``fn`` publishes
+    reads: str
+    outputs: Mapping[str, int]
     spec: ClassVar[Optional[dict]] = None  # set by its registered factory
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "outputs", MappingProxyType(dict(self.outputs)))
 
 
 Layer = object  # union of the three layer kinds
@@ -270,8 +280,9 @@ class Register:
 @dataclass(frozen=True)
 class LaqccProgram:
     """A well-formed program: the constructor checks every register,
-    gate arity, qubit, measured label and condition (an earlier classical
-    layer and one of the keys it publishes), and stores
+    gate arity, qubit, measured label, classical mask (within the word it
+    reads) and condition (an earlier classical layer and one of the keys
+    it publishes), and stores
     ``layers`` as a tuple and ``registers`` as a read-only mapping, so
     the program stays valid for as long as it exists."""
 
@@ -291,8 +302,8 @@ class LaqccProgram:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"register {name} out of range")
                 claimed.add(q)
-        measured: set = set()
-        published: Dict[str, FrozenSet[str]] = {}  # classical layer -> keys
+        measured: Dict[str, int] = {}  # label -> width of its word
+        published: Dict[str, Mapping[str, int]] = {}  # layer -> its outputs
         for layer in self.layers:
             if isinstance(layer, QuantumLayer):
                 for app in layer.apps:
@@ -324,13 +335,20 @@ class LaqccProgram:
                         raise ValueError(f"measured qubit {q} out of range")
                 if label in measured:
                     raise ValueError(f"duplicate label {label!r}")
-                measured.add(label)
+                measured[label] = len(qubits)
             elif isinstance(layer, ClassicalLayer):
-                for label in layer.reads:
-                    if label not in measured:
+                if layer.reads not in measured:
+                    raise ValueError(
+                        f"classical layer {layer.name!r} reads "
+                        f"unmeasured label {layer.reads!r}"
+                    )
+                width = measured[layer.reads]
+                for key, mask in layer.outputs.items():
+                    if mask >> width:
                         raise ValueError(
-                            f"classical layer {layer.name!r} reads "
-                            f"unmeasured label {label!r}"
+                            f"classical layer {layer.name!r} output {key!r}"
+                            f" selects a bit outside the {width}-bit word"
+                            f" {layer.reads!r}"
                         )
                 published[layer.name] = layer.outputs
             else:
@@ -467,16 +485,16 @@ def _apply_layer(
 
 
 def _classical(
-    layer: ClassicalLayer, outcomes: Mapping[str, np.ndarray], count: int
+    layer: ClassicalLayer, words: np.ndarray
 ) -> Dict[str, np.ndarray]:
-    """The outputs of ``layer`` on ``count`` branches, each an array
-    indexed by label, given each measured label's outcomes indexed by
-    label: the layer's function runs once per branch."""
-    columns = [outcomes[label].tolist() for label in layer.reads]
-    results = [layer.fn(dict(zip(layer.reads, row)))
-               for row in list(zip(*columns)) or [()] * count]
-    return {key: np.array([result.get(key, 0) for result in results])
-            for key in sorted(layer.outputs)}
+    """The outputs of ``layer`` on every branch, each an array indexed by
+    label, given the word it reads on each branch: one parity table over
+    all outputs and branches.  ``words`` holds ``int64`` values, or Python
+    ints in an ``object`` array, wide enough for the word (so for every
+    mask the program admits)."""
+    masks = np.array(tuple(layer.outputs.values()), words.dtype)
+    table = popcount(words[:, None] & masks) & 1
+    return dict(zip(layer.outputs, table.T))
 
 
 def _walk(
@@ -497,10 +515,10 @@ def _walk(
     reindexed by parent at each measurement: each measured label's
     outcomes and probabilities, each classical output and the largest
     support so far.  Gates run on the branches they apply to
-    (:func:`_resolve`), and a classical layer runs its function once per
-    branch.  Records, per-branch states and ``Branch`` objects are built
-    once, after the last layer.  ``observer`` sees the state after each
-    layer."""
+    (:func:`_resolve`), and a classical layer computes its outputs on
+    every branch at once (:func:`_classical`).  Records, per-branch
+    states and ``Branch`` objects are built once, after the last layer.
+    ``observer`` sees the state after each layer."""
     n = program.num_qubits
     state = SparseState.basis(n)
     count = 1
@@ -534,8 +552,7 @@ def _walk(
                 observer(state)
             continue
         else:
-            bits[layer.name] = _classical(layer, {
-                label: o for label, (_, o, _) in measured.items()}, count)
+            bits[layer.name] = _classical(layer, measured[layer.reads][1])
         if observer is not None:
             observer(state)
         if state.label_bits:
@@ -575,7 +592,8 @@ def execute(
             raise ValueError("forcing sequence too short")
         forced = None if seeded else policy.outcomes[i]
         outcome, p, post = ss.measure(state, qubits, rng=rng, forced=forced)
-        return np.array([outcome]), np.array([p]), post
+        word = np.array([outcome], ss._dtype(len(qubits)))
+        return word, np.array([p]), post
 
     (branch,) = _walk(program, choose, observer)
     return branch.state, branch.record
@@ -631,7 +649,7 @@ def resources(program: LaqccProgram) -> ResourceProfile:
     read_labels = set()
     for layer in program.layers:
         if isinstance(layer, ClassicalLayer):
-            read_labels.update(layer.reads)
+            read_labels.add(layer.reads)
     quantum_depth = sum(
         1 for l in program.layers if isinstance(l, QuantumLayer)
     )
@@ -688,12 +706,13 @@ MAX_DEFER_INPUT_BITS = 20
 def defer_measurements(program: LaqccProgram) -> LaqccProgram:
     """Push all measurements to one terminal layer.
 
-    Conditional gates become coherent predicated gates reading the bits
-    of the qubits that would have been measured; classical functions are
-    evaluated inside the predicate, so they must take at most
-    ``MAX_DEFER_INPUT_BITS`` input bits.  A measured qubit must stay as
-    it was measured, so a qubit measured twice, or a gate on a qubit
-    after its measurement, raises ``ValueError``.
+    A conditioned gate becomes a coherent predicated gate whose controls
+    are the qubits of the word its classical layer reads, in order, so a
+    control pattern is that word; it fires where the pattern has odd
+    parity under the output's mask (:func:`_odd_parity`).  A deferred
+    word may have at most ``MAX_DEFER_INPUT_BITS`` bits.  A measured
+    qubit must stay as it was measured, so a qubit measured twice, or a
+    gate on a qubit after its measurement, raises ``ValueError``.
     """
     label_qubits: Dict[str, Tuple[int, ...]] = {}
     classical: Dict[str, ClassicalLayer] = {}
@@ -711,12 +730,10 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
             deferred_qubits.extend(layer.qubits)
             continue
         if isinstance(layer, ClassicalLayer):
-            total_bits = sum(
-                len(label_qubits[label]) for label in layer.reads
-            )
-            if total_bits > MAX_DEFER_INPUT_BITS:
+            width = len(label_qubits[layer.reads])
+            if width > MAX_DEFER_INPUT_BITS:
                 raise ValueError(
-                    f"classical layer {layer.name!r} reads {total_bits} "
+                    f"classical layer {layer.name!r} reads {width} "
                     f"bits; deferral supports at most "
                     f"{MAX_DEFER_INPUT_BITS}"
                 )
@@ -728,15 +745,11 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
                 raise ValueError(
                     "dynamic gates cannot be deferred coherently"
                 )
-            control_qubits: List[int] = []
-            widths: List[Tuple[str, int]] = []
+            control_qubits: Tuple[int, ...] = ()
             if app.condition is not None:
                 source, key = app.condition
                 clayer = classical[source]
-                for label in clayer.reads:
-                    qs = label_qubits[label]
-                    control_qubits.extend(qs)
-                    widths.append((label, len(qs)))
+                control_qubits = label_qubits[clayer.reads]
             for q in app.qubits:
                 if q in control_qubits:
                     raise ValueError(
@@ -753,28 +766,13 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
             if app.condition is None:
                 apps.append(app)
                 continue
-
-            def predicate(patterns, clayer=clayer, widths=widths, key=key):
-                # the classical layer maps one dict of outcomes at a time
-                hits = []
-                for pattern in patterns.tolist():
-                    values = {}
-                    shift = sum(w for _, w in widths)
-                    for label, w in widths:
-                        shift -= w
-                        values[label] = (pattern >> shift) & ((1 << w) - 1)
-                    hits.append(bool(clayer.fn(values).get(key, 0)))
-                return np.array(hits, bool)
-
             gate = PredicatedGate(
                 name=f"if[{source}.{key}]{app.gate.name}",
                 control_bits=len(control_qubits),
-                predicate=predicate,
+                predicate=functools.partial(_odd_parity, clayer.outputs[key]),
                 gate=app.gate,
             )
-            apps.append(
-                GateApp(gate, tuple(control_qubits) + app.qubits)
-            )
+            apps.append(GateApp(gate, control_qubits + app.qubits))
         # predicated gates may share control qubits, so split into
         # sequential single-app layers when supports collide
         pending: List[GateApp] = []
@@ -794,6 +792,12 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
     return LaqccProgram(program.num_qubits, program.registers, new_layers)
 
 
+def _odd_parity(mask: int, patterns: np.ndarray) -> np.ndarray:
+    """Whether each pattern has an odd number of the bits ``mask``
+    selects: a deferred conditioned gate's predicate."""
+    return (popcount(patterns & mask) & 1).astype(bool)
+
+
 def to_postselected(
     program: LaqccProgram, transcript: MeasurementRecord
 ) -> Tuple[LaqccProgram, int]:
@@ -805,7 +809,6 @@ def to_postselected(
     bits lands in the returned flag qubit.
     """
     by_label = {ev.label: ev for ev in transcript}
-    outcomes = {ev.label: np.array([ev.outcome]) for ev in transcript}
     bits: Dict[str, Dict[str, np.ndarray]] = {}
     flag_bits: List[int] = []
     next_qubit = program.num_qubits
@@ -823,7 +826,9 @@ def to_postselected(
                 )
             )
         elif isinstance(layer, ClassicalLayer):
-            bits[layer.name] = _classical(layer, outcomes, 1)
+            ev = by_label[layer.reads]
+            bits[layer.name] = _classical(
+                layer, np.array([ev.outcome], ss._dtype(len(ev.qubits))))
         else:
             apps = []
             for app in layer.apps:
@@ -998,9 +1003,8 @@ def inverse(gate: dict) -> Gate:
 @register_classical("linear")
 def linear(name: str, reads: str, outputs: Dict[str, int]) -> ClassicalLayer:
     """The classical layer ``name`` whose output ``key`` is the parity of
-    the bits that ``outputs[key]`` selects in the measured word ``reads``
-    (its first-listed qubit the most significant bit): one row of a
-    GF(2)-linear map per output."""
+    the bits that ``outputs[key]`` selects in the measured word ``reads``,
+    after checking its params (see :class:`ClassicalLayer`)."""
     if not isinstance(name, str) or not isinstance(reads, str):
         raise ValueError(
             f"linear name and reads must be strings, got {name!r}, {reads!r}"
@@ -1013,15 +1017,7 @@ def linear(name: str, reads: str, outputs: Dict[str, int]) -> ClassicalLayer:
                 f"linear output {key!r} needs a mask that is an integer"
                 f" >= 0, got {mask!r}"
             )
-    rows = tuple(outputs.items())
-
-    def parities(outcomes):
-        raw = outcomes[reads]
-        return {key: (raw & mask).bit_count() & 1 for key, mask in rows}
-
-    return ClassicalLayer(
-        name, parities, reads=(reads,), outputs=frozenset(outputs)
-    )
+    return ClassicalLayer(name, reads, outputs)
 
 
 def _matrix_gate_factory(label: str, matrix) -> "MatrixGate":

@@ -476,6 +476,9 @@ def _linear_doc(**params):
         (_linear_doc(reads=["m"]), "linear name and reads must be strings"),
         (_linear_doc(depth="NC1"),
          "bad params for classical function 'linear'"),
+        (_linear_doc(outputs={"b": 0b100}),
+         "classical layer 'c' output 'b' selects a bit outside the 2-bit"
+         " word 'm'"),
     ],
 )
 def test_transform_rejects_malformed_linear_layer_exit_3(

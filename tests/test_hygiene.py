@@ -158,17 +158,16 @@ def test_readme_lists_every_registered_name():
 KERNELS = ("apply_basis_map", "apply_phase_map", "apply_predicated")
 
 
-def kernel_loops(source: str):
-    """The loops and comprehensions in the map kernels and the dense
-    kernel of ``source``: a per-pattern Python call, or a per-branch
-    product, would need one."""
+def kernel_loops(source: str, names=KERNELS + ("apply_unitary",)):
+    """The loops and comprehensions in the top-level functions ``names``
+    of ``source``, by default the map kernels and the dense kernel: a
+    per-pattern Python call, or a per-branch product, would need one."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     return sorted(
         (node.name, type(inner).__name__)
         for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef)
-        and node.name in KERNELS + ("apply_unitary",)
+        if isinstance(node, ast.FunctionDef) and node.name in names
         for inner in ast.walk(node) if isinstance(inner, loops)
     )
 
@@ -179,6 +178,17 @@ def test_map_kernels_have_no_loop():
     assert kernel_loops(
         "def apply_phase_map(s, f, t):\n    return [f(p) for p in t]\n"
     ) == [("apply_phase_map", "ListComp")]
+
+
+def test_classical_layers_and_the_deferral_predicate_have_no_loop():
+    """A classical layer is evaluated on every branch, and a deferred
+    condition on every control pattern, without a Python loop."""
+    names = ("_classical", "_odd_parity")
+    source = (PACKAGE / "program.py").read_text()
+    tree = ast.parse(source)
+    assert {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)} >= set(names)
+    assert kernel_loops(source, names) == []
 
 
 def test_map_gate_functions_run_once_per_application(monkeypatch):

@@ -59,9 +59,11 @@ def ref_enumerate_branches(program):
                     walk(i + 1, post, env, record + (event,), peak)
                 return
             else:
-                outcomes = {ev.label: ev.outcome for ev in record}
-                env = {**env, layer.name: layer.fn(
-                    {label: outcomes[label] for label in layer.reads})}
+                (raw,) = (ev.outcome for ev in record
+                          if ev.label == layer.reads)
+                env = {**env, layer.name: {
+                    key: (raw & mask).bit_count() & 1
+                    for key, mask in layer.outputs.items()}}
             peak = max(peak, state.support())
         prob = math.prod((ev.probability for ev in record), start=1.0)
         out.append(pr.Branch(record, prob, state, peak))

@@ -24,6 +24,14 @@ def classical_layer(program, name):
     return layer
 
 
+def outputs_on(layer, raws):
+    """The outputs of ``layer`` on each word of ``raws``, one dict per
+    word, from one ``_classical`` call."""
+    table = pr._classical(layer, np.array(raws))
+    return [dict(zip(table, row))
+            for row in zip(*(values.tolist() for values in table.values()))]
+
+
 # ------------------------------------------------------------ references
 
 
@@ -155,8 +163,9 @@ def test_bell_correct_equals_the_column_closure(monkeypatch):
         ref = ref_bell_correct(ref_columns(steps, junctions, n), outputs)
         nbits = 2 * len(junctions)
         assert nbits <= 12
-        for raw in range(1 << nbits):
-            assert layer.fn({"bell": raw}) == ref({"bell": raw}), raw
+        raws = range(1 << nbits)
+        for raw, got in zip(raws, outputs_on(layer, raws)):
+            assert got == ref({"bell": raw}), raw
         checked += 1
     assert checked >= 10
 
@@ -165,8 +174,9 @@ def test_bell_correct_equals_the_column_closure(monkeypatch):
 def test_ghz_parity_equals_the_prefix_closure(n):
     layer = classical_layer(cl.ghz(n), "parity_fix")
     ref = ref_prefix_parity(n)
-    for raw in range(1 << (n - 1)):
-        assert layer.fn({"parity": raw}) == ref({"parity": raw}), raw
+    raws = range(1 << (n - 1))
+    for raw, got in zip(raws, outputs_on(layer, raws)):
+        assert got == ref({"parity": raw}), raw
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (10, 4)])
@@ -184,8 +194,8 @@ def test_ordering_equals_the_rank_closure(n, k):
     rw = mc.count_register_width(k - 1)
     ref = ref_ordering(k)
     assert k * rw <= 12
-    for raw in range(1 << (k * rw)):
-        bits = layer.fn({"ranks": raw})
+    raws = range(1 << (k * rw))
+    for raw, bits in zip(raws, outputs_on(layer, raws)):
         want = ref({"ranks": raw})
         ranks = [want.pop(f"rank{l}") for l in range(k)]
         assert bits == want, raw
@@ -220,14 +230,31 @@ def test_ghz_parity_fan_in_is_the_prefix_length():
 def test_linear_masks_pick_the_first_listed_bit_as_the_top_one():
     layer = pr.linear("c", "m", {"first": 0b100, "last": 0b001,
                                  "both": 0b101, "none": 0})
-    assert layer.reads == ("m",)
-    assert layer.fn({"m": 0b100}) == {
-        "first": 1, "last": 0, "both": 1, "none": 0}
-    assert layer.fn({"m": 0b101}) == {
-        "first": 1, "last": 1, "both": 0, "none": 0}
+    assert layer.reads == "m"
+    assert outputs_on(layer, [0b100, 0b101]) == [
+        {"first": 1, "last": 0, "both": 1, "none": 0},
+        {"first": 1, "last": 1, "both": 0, "none": 0}]
     assert layer.spec == {"function_name": "linear", "params": {
         "name": "c", "reads": "m",
         "outputs": {"first": 4, "last": 1, "both": 5, "none": 0}}}
+
+
+def test_masks_above_bit_62_read_python_int_words():
+    """On 70-bit words, held as Python ints in an ``object`` array, every
+    output equals the parity of the masked Python int."""
+    rng = np.random.default_rng(70)
+    words = [int(hi) << 35 | int(lo)
+             for hi, lo in rng.integers(0, 1 << 35, size=(200, 2))]
+    masks = {"b69": 1 << 69, "b63": 1 << 63, "all": (1 << 70) - 1,
+             "none": 0, "b0": 1}
+    masks.update((f"r{i}", int(hi) << 35 | int(lo)) for i, (hi, lo)
+                 in enumerate(rng.integers(0, 1 << 35, size=(8, 2))))
+    assert all(mask >> 70 == 0 for mask in masks.values())
+    got = pr._classical(pr.linear("c", "m", masks), np.array(words, object))
+    assert list(got) == list(masks)
+    for key, mask in masks.items():
+        assert got[key].tolist() == [
+            (raw & mask).bit_count() & 1 for raw in words], key
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,7 @@ X = pr.MatrixGate("X", np.array([[0, 1], [1, 0]]))
 
 
 def feedforward_program() -> pr.LaqccProgram:
-    ident = pr.ClassicalLayer(
-        "c", lambda o: {"bit": o["m"] & 1}, reads=("m",),
-        outputs=frozenset({"bit"}),
-    )
+    ident = pr.linear("c", "m", {"bit": 1})
     return pr.LaqccProgram(
         2,
         layers=[
@@ -60,38 +57,82 @@ def test_enumerate_branches_covers_all():
     assert finals == {0b00, 0b11}
 
 
-def counting_classical_layers(program, calls):
-    """``program`` with each classical layer's function appending its
-    layer's name to ``calls`` when it runs."""
+def counting_classical(monkeypatch):
+    """The list to which each ``_classical`` call, from now on, appends
+    the name of the layer it evaluates and the number of words."""
+    calls = []
+    classical = pr._classical
 
-    def counted(layer):
-        def fn(outcomes):
-            calls.append(layer.name)
-            return layer.fn(outcomes)
+    def counted(layer, words):
+        calls.append((layer.name, len(words)))
+        return classical(layer, words)
 
-        return pr.ClassicalLayer(layer.name, fn, layer.reads, layer.outputs)
-
-    return pr.LaqccProgram(program.num_qubits, program.registers, [
-        counted(layer) if isinstance(layer, pr.ClassicalLayer) else layer
-        for layer in program.layers])
+    monkeypatch.setattr(pr, "_classical", counted)
+    return calls
 
 
-def test_enumeration_cap_is_exact():
+def test_enumeration_cap_is_exact(monkeypatch):
     """``ghz(n)`` has 2^(n-1) branches: a cap of that many returns them
     all, and one less raises once the measurement leaves them, before
     any later layer runs."""
+    calls = counting_classical(monkeypatch)
     for n in (3, 5, 6, 7, 8):
-        calls = []
-        program = counting_classical_layers(cl.ghz(n), calls)
+        program = cl.ghz(n)
         with pytest.raises(RuntimeError, match="exceeds enumeration cap"):
             pr.enumerate_branches(program, max_branches=(1 << (n - 1)) - 1)
         assert calls == []
         branches = pr.enumerate_branches(program, max_branches=1 << (n - 1))
         assert len(branches) == 1 << (n - 1)
-        assert calls == ["parity_fix"] * (1 << (n - 1))
+        assert calls == [("parity_fix", 1 << (n - 1))]
+        calls.clear()
     assert len(pr.enumerate_branches(pr.LaqccProgram(1), max_branches=1)) == 1
     with pytest.raises(RuntimeError, match="exceeds enumeration cap"):
         pr.enumerate_branches(pr.LaqccProgram(1), max_branches=0)
+
+
+def test_one_classical_call_per_layer_per_walk(monkeypatch):
+    """A walk evaluates each classical layer once, on every branch at
+    once: one call for the 512 branches of ``ghz(10)``, one for a shot."""
+    calls = counting_classical(monkeypatch)
+    assert len(pr.enumerate_branches(cl.ghz(10))) == 512
+    assert calls == [("parity_fix", 512)]
+    calls.clear()
+    pr.execute(cl.ghz(10), pr.SeededPolicy(3))
+    assert calls == [("parity_fix", 1)]
+
+
+def test_a_mask_must_stay_inside_its_word():
+    with pytest.raises(ValueError, match="classical layer 'c' output 'a'"
+                       " selects a bit outside the 1-bit word 'm'"):
+        pr.LaqccProgram(2, layers=[
+            pr.QuantumLayer((pr.GateApp(H, (0,)),)),
+            pr.MeasureLayer((0,), "m"),
+            pr.linear("c", "m", {"a": 0b100}),
+            pr.QuantumLayer((pr.GateApp(X, (1,), ("c", "a")),)),
+        ])
+
+
+@pytest.mark.parametrize("run", ["enumerate", "execute"])
+def test_a_mask_on_bit_63_of_a_64_bit_word(run):
+    """Qubit 0 is the word's bit 63: its mask fits no ``int64``, so the
+    walk and a shot read the word as a Python int, whatever its value."""
+    program = pr.LaqccProgram(65, layers=[
+        pr.QuantumLayer((pr.GateApp(H, (0,)), pr.GateApp(X, (63,)))),
+        pr.MeasureLayer(tuple(range(64)), "m"),
+        pr.linear("c", "m", {"b0": 1, "b63": 1 << 63}),
+        pr.QuantumLayer((pr.GateApp(X, (64,), ("c", "b63")),)),
+    ])
+    outcomes = [1, 1 << 63 | 1]
+    if run == "enumerate":
+        shots = [(branch.state, branch.record)
+                 for branch in pr.enumerate_branches(program)]
+    else:
+        shots = [pr.execute(program, pr.ForcedPolicy((o,)))
+                 for o in outcomes]
+    assert [[ev.outcome for ev in record] for _, record in shots] == [
+        [o] for o in outcomes]
+    assert [set(state.amplitudes) for state, _ in shots] == [
+        {1 << 63}, {1 << 63 | 1 | 1 << 64}]
 
 
 def test_observer_fires_once_per_layer_in_order():
@@ -136,7 +177,7 @@ def test_validate_rejects_forward_reference():
         pr.LaqccProgram(
             1,
             layers=[
-                pr.ClassicalLayer("c", lambda o: {}, reads=("m",)),
+                pr.linear("c", "m", {}),
                 pr.MeasureLayer((0,), "m"),
             ],
         )
@@ -267,8 +308,7 @@ def test_defer_rejects_a_conditioned_gate_on_another_measured_qubit():
     program = pr.LaqccProgram(2, layers=[
         pr.MeasureLayer((0,), "a"),
         pr.MeasureLayer((1,), "b"),
-        pr.ClassicalLayer("c", lambda o: {"bit": o["b"]}, reads=("b",),
-                          outputs=frozenset({"bit"})),
+        pr.linear("c", "b", {"bit": 1}),
         pr.QuantumLayer((pr.GateApp(X, (0,), ("c", "bit")),)),
     ])
     with pytest.raises(ValueError, match="'X' on qubit 0 acts after"):
@@ -332,10 +372,7 @@ def test_json_round_trip():
 
     @pr.register_classical("test_id")
     def _id():
-        return pr.ClassicalLayer(
-            "c", lambda o: {"bit": o["m"] & 1}, reads=("m",),
-            outputs=frozenset({"bit"}),
-        )
+        return pr.ClassicalLayer("c", "m", {"bit": 1})
 
     gate = _h()
     assert gate.spec == {"name": "test_h", "params": {}}
@@ -619,7 +656,7 @@ def test_dumps_bytes_are_pinned(name, build):
 
 def test_a_condition_needs_a_key_its_layer_publishes():
     fix = pr.linear("fix", "m", {"flip": 1})
-    assert fix.outputs == frozenset({"flip"})
+    assert dict(fix.outputs) == {"flip": 1}
 
     def program(layer, key):
         return pr.LaqccProgram(2, layers=[
@@ -632,7 +669,3 @@ def test_a_condition_needs_a_key_its_layer_publishes():
     with pytest.raises(ValueError, match="condition references key 'flip9'"
                        " that layer 'fix' does not publish"):
         program(fix, "flip9")
-    # a hand-built layer publishes only the keys it declares
-    closure = pr.ClassicalLayer("fix", lambda o: {"flip9": 1}, reads=("m",))
-    with pytest.raises(ValueError, match="'flip9' that layer 'fix'"):
-        program(closure, "flip9")
