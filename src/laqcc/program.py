@@ -14,7 +14,8 @@ Conventions
   one measured word, and each named bit it publishes is the parity of
   the bits one mask selects.  Later gate applications may be
   conditioned on one such bit.  Every walk evaluates a layer on all
-  branches at once, and the deferral transform on all control patterns.
+  branches at once.  Deferral makes a conditioned gate a ``parity``
+  gate that holds its bit's mask, with no table over the word.
 * Terminal measurements that nothing reads are free in the round count.
 """
 from __future__ import annotations
@@ -700,19 +701,17 @@ def validate_layout(
 # Transforms
 # --------------------------------------------------------------------------
 
-MAX_DEFER_INPUT_BITS = 20
-
-
 def defer_measurements(program: LaqccProgram) -> LaqccProgram:
     """Push all measurements to one terminal layer.
 
-    A conditioned gate becomes a coherent predicated gate whose controls
-    are the qubits of the word its classical layer reads, in order, so a
+    A conditioned gate becomes a :func:`parity` gate whose controls are
+    the qubits of the word its classical layer reads, in order, so a
     control pattern is that word; it fires where the pattern has odd
-    parity under the output's mask (:func:`_odd_parity`).  A deferred
-    word may have at most ``MAX_DEFER_INPUT_BITS`` bits.  A measured
-    qubit must stay as it was measured, so a qubit measured twice, or a
-    gate on a qubit after its measurement, raises ``ValueError``.
+    parity under the output's mask.  Its spec holds that mask, so the
+    deferred program dumps in space linear in the word, at any width.
+    A measured qubit must stay as it was measured, so a qubit measured
+    twice, or a gate on a qubit after its measurement, raises
+    ``ValueError``, as does a conditioned gate with no spec.
     """
     label_qubits: Dict[str, Tuple[int, ...]] = {}
     classical: Dict[str, ClassicalLayer] = {}
@@ -730,21 +729,12 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
             deferred_qubits.extend(layer.qubits)
             continue
         if isinstance(layer, ClassicalLayer):
-            width = len(label_qubits[layer.reads])
-            if width > MAX_DEFER_INPUT_BITS:
-                raise ValueError(
-                    f"classical layer {layer.name!r} reads {width} "
-                    f"bits; deferral supports at most "
-                    f"{MAX_DEFER_INPUT_BITS}"
-                )
             classical[layer.name] = layer
             continue
         apps = []
         for app in layer.apps:
             if isinstance(app.gate, DynamicGate):
-                raise ValueError(
-                    "dynamic gates cannot be deferred coherently"
-                )
+                raise ValueError("dynamic gates cannot be deferred coherently")
             control_qubits: Tuple[int, ...] = ()
             if app.condition is not None:
                 source, key = app.condition
@@ -763,20 +753,15 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
                         f" measurement of qubit {q}; it cannot be deferred"
                         f" coherently"
                     )
-            if app.condition is None:
-                apps.append(app)
-                continue
-            gate = PredicatedGate(
-                name=f"if[{source}.{key}]{app.gate.name}",
-                control_bits=len(control_qubits),
-                predicate=functools.partial(_odd_parity, clayer.outputs[key]),
-                gate=app.gate,
-            )
-            apps.append(GateApp(gate, control_qubits + app.qubits))
+            if app.condition is not None:
+                gate = parity(
+                    f"if[{source}.{key}]{app.gate.name}", len(control_qubits),
+                    clayer.outputs[key], _gate_spec(app.gate))
+                app = GateApp(gate, control_qubits + app.qubits)
+            apps.append(app)
         # predicated gates may share control qubits, so split into
         # sequential single-app layers when supports collide
-        pending: List[GateApp] = []
-        used: set = set()
+        pending, used = [], set()
         for app in apps:
             if used & set(app.qubits):
                 new_layers.append(QuantumLayer(tuple(pending)))
@@ -942,8 +927,8 @@ def _gate_from_spec(spec: dict) -> Gate:
 
 
 def _gate_spec(gate: Gate) -> dict:
-    """Serializable spec: the one its registered factory stamped, or, for
-    dense matrices and small predicate tables, one read off the gate."""
+    """Serializable spec: the one its factory set, or, for a dense matrix
+    that no factory made, one read off the gate."""
     if gate.spec is not None:
         return gate.spec
     if isinstance(gate, MatrixGate):
@@ -955,21 +940,6 @@ def _gate_spec(gate: Gate) -> dict:
                     [[float(c.real), float(c.imag)] for c in row]
                     for row in gate.matrix
                 ],
-            },
-        }
-    if (
-        isinstance(gate, PredicatedGate)
-        and gate.control_bits <= MAX_DEFER_INPUT_BITS
-    ):
-        return {
-            "name": "predicated",
-            "params": {
-                "label": gate.name,
-                "control_bits": gate.control_bits,
-                "table": np.asarray(
-                    gate.predicate(np.arange(1 << gate.control_bits)), bool
-                ).astype(int).tolist(),
-                "gate": _gate_spec(gate.gate),
             },
         }
     raise ValueError(f"gate {gate.name} has no serializable spec")
@@ -1044,15 +1014,45 @@ def diagonal(label: str, phases, charge: float = 0.0) -> "DiagonalGate":
     )
 
 
-def _predicated_gate_factory(
-    label: str, control_bits: int, table, gate
-) -> "PredicatedGate":
-    inner = _gate_from_spec(gate)
-    lookup = np.array([bool(hit) for hit in table], bool)
-    return PredicatedGate(label, control_bits, lookup.__getitem__, inner)
+@register_gate("parity")
+def parity(label: str, control_bits: int, mask: int, gate: dict) -> Gate:
+    """The gate with spec ``gate`` on the trailing qubits, applied where
+    the ``control_bits`` leading ones (the first the most significant)
+    hold an odd number of the bits ``mask`` selects: a conditioned gate
+    after :func:`defer_measurements`."""
+    if not (_is_count(control_bits) and _is_count(mask)) or (
+            mask >> control_bits):
+        raise ValueError(
+            f"parity needs an integer mask >= 0 within an integer"
+            f" control_bits >= 0, got {mask!r} and {control_bits!r}")
+    return PredicatedGate(label, control_bits, functools.partial(
+        _odd_parity, mask), _gate_from_spec(gate))
 
 
-# ``_gate_spec`` derives these two specs from the gate, so they get no stamp
+def _predicated_gate_factory(label: str, control_bits: int, table, gate):
+    """The gate with spec ``gate`` on the trailing qubits, applied where
+    ``table`` holds 1 at the pattern of the ``control_bits`` leading ones.
+    Its spec writes the table as 0/1 and the inner gate's spec as
+    :func:`_gate_spec` does, so a loaded file re-dumps in one form."""
+    # no list holds 2^64 entries, so the shift stops there
+    if not (_is_count(control_bits) and isinstance(table, list)
+            and len(table) == 1 << min(control_bits, 64)
+            and all(type(hit) in (int, bool) and hit in (0, 1)
+                    for hit in table)):
+        raise ValueError(
+            f"predicated needs 2^control_bits table entries, each 0/1 or"
+            f" true/false, got control_bits {control_bits!r}")
+    inner, table = _gate_from_spec(gate), [int(hit) for hit in table]
+    made = PredicatedGate(
+        label, control_bits, np.array(table, bool).__getitem__, inner)
+    made.spec = {"name": "predicated", "params": {
+        "label": label, "control_bits": control_bits, "table": table,
+        "gate": _gate_spec(inner)}}
+    return made
+
+
+# ``_gate_spec`` reads the ``matrix`` spec off the gate, and ``predicated``
+# sets its own, so neither gets a stamp
 GATE_REGISTRY.update(
     matrix=_matrix_gate_factory, predicated=_predicated_gate_factory
 )

@@ -491,6 +491,56 @@ def test_transform_rejects_malformed_linear_layer_exit_3(
     assert message in err
 
 
+def _parity_doc(**params):
+    return {"qubits": 2, "layers": [{"kind": "quantum", "gates": [
+        {"gate": {"name": "parity", "params": {
+            "label": "p", "control_bits": 1, "mask": 1,
+            "gate": cl.X_GATE.spec, **params}},
+         "qubits": [0, 1]}]}]}
+
+
+PARITY = ("parity needs an integer mask >= 0 within an integer"
+          " control_bits >= 0")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_parity_doc(mask=0b10), PARITY + ", got 2 and 1"),
+        (_parity_doc(mask=-1), PARITY + ", got -1 and 1"),
+        (_parity_doc(mask=True), PARITY + ", got True and 1"),
+        (_parity_doc(mask=1.0), PARITY + ", got 1.0 and 1"),
+        (_parity_doc(control_bits=-1), PARITY + ", got 1 and -1"),
+        (_parity_doc(control_bits=1.0), PARITY + ", got 1 and 1.0"),
+        (_parity_doc(control_bits=True), PARITY + ", got 1 and True"),
+        (_parity_doc(gate={"name": "toffoli"}), "unknown gate 'toffoli'"),
+        (_parity_doc(control_bits=2), "gate p arity mismatch"),
+    ],
+)
+def test_transform_rejects_malformed_parity_gate_exit_3(
+    capsys, tmp_path, doc, message
+):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
+def test_transform_defer_writes_a_wide_word_as_parity_masks(
+    capsys, tmp_path
+):
+    # 63 line outcomes condition the GHZ fix-up: past any 2^k table
+    path = tmp_path / "program.json"
+    path.write_text(pr.dumps(cl.ghz(64)))
+    code, out, _ = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert code == 0
+    names = [app.gate.spec["name"] for layer in pr.loads(out).layers
+             if isinstance(layer, pr.QuantumLayer) for app in layer.apps]
+    assert names.count("parity") == 63
+    assert '"table"' not in out
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
@@ -523,6 +573,17 @@ def _matrix_doc(qubits, rows):
          "qubits": list(range(qubits))}]}]}
 
 
+def _predicated_doc(table, control_bits=1):
+    return {"qubits": 2, "layers": [{"kind": "quantum", "gates": [
+        {"gate": {"name": "predicated", "params": {
+            "label": "p", "control_bits": control_bits, "table": table,
+            "gate": cl.X_GATE.spec}},
+         "qubits": [0, 1]}]}]}
+
+
+PREDICATED_TABLE = "predicated needs 2^control_bits table entries"
+
+
 @pytest.mark.parametrize("kind", ["defer", "postselect"])
 @pytest.mark.parametrize(
     "doc, message",
@@ -536,6 +597,12 @@ def _matrix_doc(qubits, rows):
         ({"qubits": 2, "layers": [{"kind": "measure", "qubits": [0, 0],
                                    "label": "m"}]},
          "repeats a qubit"),
+        (_predicated_doc([1]), PREDICATED_TABLE),
+        (_predicated_doc([0, 1, 1]), PREDICATED_TABLE),
+        (_predicated_doc([0, 2]), PREDICATED_TABLE),
+        (_predicated_doc([0, 1.0]), PREDICATED_TABLE),
+        (_predicated_doc([0, 1], control_bits=10 ** 9), PREDICATED_TABLE),
+        (_predicated_doc([0, 1], control_bits="1"), PREDICATED_TABLE),
     ],
 )
 def test_transform_rejects_invalid_program_exit_3(

@@ -323,6 +323,62 @@ def test_defer_rejects_a_qubit_measured_twice():
         pr.defer_measurements(program)
 
 
+def wide_word_program(width):
+    """A program with one deterministic branch, and its outputs'
+    parities: every third bit of a ``width``-bit word set and measured,
+    then a ``linear`` layer whose masks select bits above 20 and above
+    62, each output flipping its own qubit."""
+    b = pr.Builder()
+    word = b.alloc("word", width, "ancilla")
+    flips = b.alloc("flips", 4, "system")
+    b.layer(*(pr.GateApp(cl.X_GATE, (q,)) for q in word[::3]))
+    b.measure(word, "m")
+    top = ((1 << width) - 1) ^ ((1 << 63) - 1)  # bits 63 and up
+    masks = {"b21": 1 << 21, "b21_63": 1 << 21 | 1 << 63, "top": top,
+             "all": (1 << width) - 1}
+    value = sum(1 << width - 1 - i for i in range(0, width, 3))
+    parities = [bin(value & m).count("1") & 1 for m in masks.values()]
+    assert set(parities) == {0, 1}
+    b.classical(pr.linear("c", "m", masks))
+    b.layer(*(pr.GateApp(cl.X_GATE, (q,), ("c", key))
+              for q, key in zip(flips, masks)))
+    return b.build(), parities
+
+
+@pytest.mark.parametrize("width", [64, 70])
+def test_deferred_wide_words_reach_the_undeferred_state(width):
+    program, parities = wide_word_program(width)
+    (want,) = pr.enumerate_branches(program)
+    (index,) = want.state.idx.tolist()
+    assert [index >> width + i & 1 for i in range(4)] == parities
+    deferred = pr.defer_measurements(program)
+    loaded = pr.loads(pr.dumps(deferred))
+    assert pr.dumps(loaded) == pr.dumps(deferred)
+    for form in (deferred, loaded):
+        (got,) = pr.enumerate_branches(form)
+        assert got.probability == want.probability == 1.0
+        assert got.state.idx.tolist() == want.state.idx.tolist()
+        assert np.array_equal(got.state.amp, want.state.amp)
+
+
+def test_a_gate_with_no_spec_fails_at_dumps_or_at_deferral():
+    bare = pr.PredicatedGate("p", 1, lambda v: v == 1, cl.X_GATE)
+    program = pr.LaqccProgram(
+        2, layers=[pr.QuantumLayer((pr.GateApp(bare, (0, 1)),))])
+    with pytest.raises(ValueError, match="gate p has no serializable spec"):
+        pr.dumps(program)
+    flip = pr.BasisMapGate("flip", 1, lambda v: v ^ 1, lambda v: v ^ 1)
+    program = pr.LaqccProgram(2, layers=[
+        pr.MeasureLayer((0,), "m"),
+        pr.linear("c", "m", {"bit": 1}),
+        pr.QuantumLayer((pr.GateApp(flip, (1,), ("c", "bit")),)),
+    ])
+    pr.enumerate_branches(program)  # it runs, but has no coherent form
+    with pytest.raises(ValueError,
+                       match="gate flip has no serializable spec"):
+        pr.defer_measurements(program)
+
+
 def test_postselect_feedforward():
     program = feedforward_program()
     branches = pr.enumerate_branches(program)
@@ -527,9 +583,8 @@ def writer_programs():
 def test_dumps_writes_the_indent_2_bytes_of_every_program():
     programs = writer_programs()
     deferred = {name for name in programs if name.endswith("-defer")}
-    # the programs whose classical layers read at most 20 bits, with no
-    # gate on a measured qubit, have a deferred form
-    assert {"ghz8-defer", "w16-defer", "uniform300-defer",
+    # the programs with no gate on a measured qubit have a deferred form
+    assert {"ghz8-defer", "ghz64-defer", "w16-defer", "uniform300-defer",
             "small_k4,1-defer", "factoradic7,3-defer"} <= deferred
     for name, program in programs.items():
         want = json.dumps(pr.program_to_json(program), indent=2)
