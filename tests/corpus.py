@@ -104,6 +104,16 @@ def _iqp(rng: np.random.Generator) -> pr.LaqccProgram:
     return pt.iqp_to_laqcc(gates, n)
 
 
+def _iqp_wide(n: int) -> pr.LaqccProgram:
+    """Four two-qubit gates, each a table of uniform random phases, on n
+    qubits: every lifted table is 2^n entries long."""
+    rng = np.random.default_rng([n, 20])
+    gates = [(np.exp(2j * math.pi * rng.random(4)),
+              tuple(int(q) for q in rng.choice(n, 2, replace=False)))
+             for _ in range(4)]
+    return pt.iqp_to_laqcc(gates, n)
+
+
 def _rounds(seed: int) -> pr.LaqccProgram:
     """Two measured rounds, each followed by conditioned dense, signed
     permutation, diagonal, basis-map and predicated gates, on random
@@ -182,6 +192,8 @@ def programs() -> Iterator[Tuple[str, pr.LaqccProgram]]:
     rng = np.random.default_rng(77)
     for i in range(6):
         yield f"iqp{i}", _iqp(rng)
+    for n in (8, 10):
+        yield f"iqp_wide{n}", _iqp_wide(n)
     for seed in range(3):
         yield f"rounds{seed}", _rounds(seed)
 
