@@ -121,7 +121,10 @@ def cmd_prep(args) -> int:
     seed = _seed(args)
     program, target, keep, params = _build_protocol(args)
     require_clean = params.pop("clean", True)
-    branches, mode = _collect_branches(program, args.branches, seed)
+    try:
+        branches, mode = _collect_branches(program, args.branches, seed)
+    except ss.SupportLimitError as exc:
+        raise Infeasible(str(exc)) from exc
     fidelity, clean = verify.check_branches(branches, keep, target)
     clean = clean or not require_clean
     profile = pr.resources(program)

@@ -332,66 +332,40 @@ def product_diagonal(
 
 
 def parallelize_commuting(
-    gates: Sequence[np.ndarray],
-    diagonalizer: np.ndarray | None = None,
+    diagonals: Sequence[np.ndarray],
 ) -> Tuple[List[object], int]:
-    """Fragment layers equal to the product of pairwise-commuting gates
+    """Fragment layers equal to the product of commuting diagonal gates
     on a shared k-qubit register, built from fanout copies.
 
+    Each gate is its 1-D table of 2^k phases, as for
+    :func:`product_diagonal`; gates diagonal in another basis T commute
+    too, and the caller puts T before the layers and T^dagger after them.
     Returns (layers, total_qubits).  Qubits 0..k-1 (listed most
     significant first as (k-1..0)) form the shared register; qubits
-    k..k + (m-1)k - 1 are the copy ancillas, restored to zero.  If
-    ``diagonalizer`` is None the gates must already be diagonal.
+    k..k + (m-1)k - 1 are the copy ancillas, restored to zero.
     """
-    gates = [np.asarray(g, dtype=complex) for g in gates]
-    k = int(round(math.log2(gates[0].shape[0])))
-    m = len(gates)
-    t = (
-        np.eye(1 << k, dtype=complex)
-        if diagonalizer is None
-        else np.asarray(diagonalizer, dtype=complex)
-    )
-    diagonals = []
-    for g in gates:
-        d = t @ g @ t.conj().T
-        if not np.allclose(d, np.diag(np.diag(d)), atol=1e-9):
-            raise ValueError("gates are not commuting under the "
-                             "given diagonalizer")
-        diagonals.append(np.diag(d))
-    layers: List[object] = []
+    tables = [np.asarray(d, dtype=complex) for d in diagonals]
+    if any(t.ndim != 1 or t.shape != tables[0].shape for t in tables):
+        raise ValueError("gates must be 1-D phase tables of one length")
+    k = int(round(math.log2(len(tables[0]))))
+    m = len(tables)
     shared = tuple(range(k - 1, -1, -1))  # msb-first
     total = k + (m - 1) * k
     copies = [shared] + [
         tuple(range(k + (c - 1) * k + k - 1, k + (c - 1) * k - 1, -1))
         for c in range(1, m)
     ]
-    if diagonalizer is not None:
-        layers.append(
-            pr.QuantumLayer((GateApp(MatrixGate("T", t), shared),))
-        )
-    fan = fanout(m - 1) if m > 1 else None
-    if fan is not None:
-        # copy shared bit b into the b-th bit of every ancilla block
-        apps = []
-        for b in range(k):
-            qubits = (shared[b],) + tuple(copies[c][b] for c in range(1, m))
-            apps.append(GateApp(fan, qubits))
-        layers.append(pr.QuantumLayer(tuple(apps)))
-    diag_apps = []
-    for c in range(m):
-        gate = _diagonal_gate(f"diag{c}", diagonals[c])
-        diag_apps.append(GateApp(gate, copies[c]))
-    layers.append(pr.QuantumLayer(tuple(diag_apps)))
-    if fan is not None:
-        apps = []
-        for b in range(k):
-            qubits = (shared[b],) + tuple(copies[c][b] for c in range(1, m))
-            apps.append(GateApp(fan, qubits))
-        layers.append(pr.QuantumLayer(tuple(apps)))
-    if diagonalizer is not None:
-        layers.append(
-            pr.QuantumLayer(
-                (GateApp(MatrixGate("Tinv", t.conj().T), shared),)
-            )
-        )
-    return layers, total
+    fan_layers = []
+    if m > 1:
+        fan = fanout(m - 1)
+        # copy shared bit b into the b-th bit of every ancilla block, and
+        # the same layer again to restore the ancillas
+        fan_layers.append(pr.QuantumLayer(tuple(
+            GateApp(fan, (shared[b],) + tuple(c[b] for c in copies[1:]))
+            for b in range(k)
+        )))
+    diag_layer = pr.QuantumLayer(tuple(
+        GateApp(_diagonal_gate(f"diag{c}", table), copies[c])
+        for c, table in enumerate(tables)
+    ))
+    return fan_layers + [diag_layer] + fan_layers, total

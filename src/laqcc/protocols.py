@@ -611,16 +611,31 @@ def lift_diagonal(
     diag: np.ndarray, support: Sequence[int], n: int
 ) -> np.ndarray:
     """Full n-qubit diagonal from a gate diagonal on ``support``
-    (support[0] most significant)."""
-    diag = np.asarray(diag)
+    (support[0] most significant).
+
+    The gate is its table of 2^len(support) unit phases or a diagonal
+    matrix; the support is distinct qubits of range(n).  Anything else
+    raises ``ValueError``."""
+    table = np.asarray(diag, dtype=complex)
+    if table.ndim == 2:
+        if table.shape[0] != table.shape[1] or not np.allclose(
+                table, np.diag(np.diag(table)), atol=1e-9):
+            raise ValueError("gate is not diagonal")
+        table = np.diag(table)
     k = len(support)
-    out = np.ones(1 << n, dtype=complex)
-    for v in range(1 << n):
-        idx = 0
-        for q in support:
-            idx = (idx << 1) | ((v >> q) & 1)
-        out[v] = diag[idx]
-    return out
+    if table.shape != (1 << k,):
+        raise ValueError(f"a gate on {k} qubits needs a table of {1 << k}"
+                         f" phases, got shape {table.shape}")
+    if len(set(support)) != k or not set(support) <= set(range(n)):
+        raise ValueError(f"support {tuple(support)} is not distinct qubits"
+                         f" of range({n})")
+    if not np.all(np.abs(np.abs(table) - 1.0) <= 1e-9):
+        raise ValueError("phase factor must have unit modulus")
+    v = np.arange(1 << n)
+    idx = np.zeros(1 << n, dtype=v.dtype)
+    for q in support:
+        idx = (idx << 1) | ((v >> q) & 1)
+    return table[idx]
 
 
 def iqp_to_laqcc(
@@ -628,16 +643,7 @@ def iqp_to_laqcc(
 ) -> pr.LaqccProgram:
     """Hadamard sandwich around parallelized commuting diagonal gates,
     with a terminal measurement of the system register."""
-    lifted = []
-    for diag, support in diag_gates:
-        diag = np.asarray(diag)
-        if diag.ndim == 2:
-            if not np.allclose(
-                diag, np.diag(np.diag(diag)), atol=1e-9
-            ):
-                raise ValueError("gate is not diagonal")
-            diag = np.diag(diag)
-        lifted.append(np.diag(lift_diagonal(diag, support, n)))
+    lifted = [lift_diagonal(diag, support, n) for diag, support in diag_gates]
     builder = pr.Builder()
     system = builder.alloc("out", n, "system")
     builder.layer(*(GateApp(H_GATE, (q,)) for q in system))
@@ -646,8 +652,7 @@ def iqp_to_laqcc(
         extra = total - n
         if extra:
             builder.alloc("copies", extra, "ancilla")
-        for layer in layers:
-            builder.layers.append(layer)
+        builder.layers.extend(layers)
     builder.layer(*(GateApp(H_GATE, (q,)) for q in system))
     # outcome bit i of the report equals qubit i: list msb (qubit n-1) first
     builder.measure(tuple(reversed(system)), "output")
@@ -657,18 +662,16 @@ def iqp_to_laqcc(
 def iqp_direct_distribution(
     diag_gates: Sequence[Tuple[np.ndarray, Tuple[int, ...]]], n: int
 ) -> Dict[int, float]:
-    """Dense reference distribution of the diagonal sandwich."""
+    """Dense reference distribution of the diagonal sandwich: a 2^n
+    vector, with H on each qubit as one butterfly over its bit."""
     dim = 1 << n
     state = np.full(dim, 1 / math.sqrt(dim), dtype=complex)
     for diag, support in diag_gates:
-        diag = np.asarray(diag)
-        if diag.ndim == 2:
-            diag = np.diag(diag)
         state = state * lift_diagonal(diag, support, n)
-    full = np.array([[1.0]])
-    for _ in range(n):
-        full = np.kron(full, H_GATE.matrix)
-    state = full @ state
+    for q in range(n):
+        pair = state.reshape(-1, 2, 1 << q)
+        state = np.stack((pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]),
+                         axis=1).ravel() / math.sqrt(2)
     return {v: float(abs(a) ** 2) for v, a in enumerate(state)}
 
 

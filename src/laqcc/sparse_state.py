@@ -40,6 +40,8 @@ import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
+# most basis states a dense gate may produce, in one state or one batch
+MAX_SUPPORT = 1 << 22
 
 
 class SparseState:
@@ -237,6 +239,10 @@ def apply_unitary(
     row = np.empty(len(rest), np.intp)
     row[order] = first.cumsum() - 1
     rest = ordered[first]
+    if len(rest) << k > MAX_SUPPORT:
+        raise SupportLimitError(
+            f"a {k}-qubit gate would give {len(rest) << k} basis states,"
+            f" more than the cap of {MAX_SUPPORT}")
     block = np.zeros((len(rest), 1 << k), complex)
     block[row, _gather(idx, targets)] = state.amp
     out = block @ matrix.T
@@ -487,6 +493,11 @@ def measure(
 
 class InfeasibleBranchError(ValueError):
     """Raised when a forced measurement outcome has zero probability."""
+
+
+class SupportLimitError(ValueError):
+    """Raised when a dense gate would give more than :data:`MAX_SUPPORT`
+    basis states."""
 
 
 def branch_enumerate(

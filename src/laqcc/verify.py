@@ -332,11 +332,9 @@ def check_macros(max_n: int = 4) -> str:
     # gadget vs semantic commuting-gate parallelization
     rng = np.random.default_rng(11)
     k = 2
-    diags = [
-        np.diag(np.exp(1j * rng.normal(size=1 << k))) for _ in range(3)
-    ]
+    diags = [np.exp(1j * rng.normal(size=1 << k)) for _ in range(3)]
     layers, total = mc.parallelize_commuting(diags)
-    sem_gate = mc.product_diagonal([np.diag(g) for g in diags], k)
+    sem_gate = mc.product_diagonal(diags, k)
     amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     amps /= np.linalg.norm(amps)
     state = ss.from_amplitudes(total, list(enumerate(amps)))

@@ -11,6 +11,7 @@ from laqcc import cli
 from laqcc import clifford as cl
 from laqcc import program as pr
 from laqcc import protocols as pt
+from laqcc import sparse_state as ss
 from laqcc.clifford import CliffordCircuit, CliffordGate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -349,6 +350,27 @@ def test_prep_exhaustive_downgrades_past_the_cap(capsys, monkeypatch):
     _, doc, err = report(capsys, ["prep", "ghz", "--n", "3"])
     assert (doc["branch_mode"], doc["branches_checked"]) == ("sample", 100)
     assert "downgrading" in err
+
+
+@pytest.mark.parametrize("branches", ["exhaustive", "sample:2"])
+def test_prep_past_the_support_cap_exit_3(capsys, monkeypatch, branches):
+    monkeypatch.setattr(ss, "MAX_SUPPORT", 1 << 10)
+    code, out, err = run(
+        capsys, ["prep", "ghz", "--n", "16", "--branches", branches])
+    assert_one_line_exit_3(code, out, err)
+    assert "more than the cap of 1024" in err
+
+
+def test_transform_postselect_past_the_support_cap_exit_3(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setattr(ss, "MAX_SUPPORT", 1 << 10)
+    path = tmp_path / "ghz16.json"
+    path.write_text(pr.dumps(cl.ghz(16)))
+    code, out, err = run(
+        capsys, ["transform", "postselect", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert "more than the cap of 1024" in err
 
 
 @pytest.mark.parametrize(

@@ -210,7 +210,7 @@ def test_parallelize_two_cz():
         for v in range(1 << k):
             if (v >> hi) & 1 and (v >> lo) & 1:
                 out[v] = -1
-        return np.diag(out)
+        return out
 
     g1, g2 = lift(CZ, 2, 1, k), lift(CZ, 1, 0, k)
     layers, total = mc.parallelize_commuting([g1, g2])
@@ -222,42 +222,46 @@ def test_parallelize_two_cz():
     )
     out = apply_layers(layers, total, init)
     sub = dense_on_shared(out, k, total)
-    expected_vec = (g2 @ g1 @ amps.reshape(-1, 1)).ravel()
+    expected_vec = g2 * g1 * amps
     expected = ss.from_amplitudes(k, list(enumerate(expected_vec)))
     assert ss.fidelity(sub, expected) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_parallelize_single_gate_passthrough():
-    d = np.diag(np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4])))
+    d = np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4]))
     layers, total = mc.parallelize_commuting([d])
     assert total == 2
     out = apply_layers(layers, total)
-    assert out.amplitudes[0] == pytest.approx(d[0, 0])
+    assert out.amplitudes[0] == pytest.approx(d[0])
 
 
 def test_parallelize_three_random_phases():
     rng = np.random.default_rng(3)
     k = 2
-    gates = [
-        np.diag(np.exp(1j * rng.normal(size=1 << k))) for _ in range(3)
-    ]
+    gates = [np.exp(1j * rng.normal(size=1 << k)) for _ in range(3)]
     layers, total = mc.parallelize_commuting(gates)
     amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     amps /= np.linalg.norm(amps)
     init = ss.from_amplitudes(total, list(enumerate(amps)))
     out = apply_layers(layers, total, init)
     sub = dense_on_shared(out, k, total)
-    expected_vec = gates[2] @ gates[1] @ gates[0] @ amps
+    expected_vec = gates[2] * gates[1] * gates[0] * amps
     expected = ss.from_amplitudes(k, list(enumerate(expected_vec)))
     assert ss.fidelity(sub, expected) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_parallelize_with_diagonalizer():
-    # X-basis phase gates: T diag T^dag with T = H
+    # X-basis phase gates: T^dag diag T with T = H; the caller puts T
+    # before the diagonal layers and T^dag after them
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     gx1 = h @ np.diag([1, 1j]) @ h
     gx2 = h @ np.diag([1, -1]) @ h
-    layers, total = mc.parallelize_commuting([gx1, gx2], diagonalizer=h)
+    layers, total = mc.parallelize_commuting([[1, 1j], [1, -1]])
+    layers = [
+        pr.QuantumLayer((pr.GateApp(pr.MatrixGate("T", h), (0,)),)),
+        *layers,
+        pr.QuantumLayer((pr.GateApp(pr.MatrixGate("Tinv", h.T), (0,)),)),
+    ]
     rng = np.random.default_rng(4)
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     amps /= np.linalg.norm(amps)
@@ -276,14 +280,21 @@ def test_parallelize_rejects_non_commuting():
         mc.parallelize_commuting([x, z])
 
 
+@pytest.mark.parametrize("tables", [
+    [np.diag([1, -1])],
+    [[1, -1], [1, 1, 1, -1]],
+])
+def test_parallelize_rejects_a_matrix_or_unequal_tables(tables):
+    with pytest.raises(ValueError, match="1-D phase tables of one length"):
+        mc.parallelize_commuting(tables)
+
+
 def test_parallelize_gadget_vs_semantic_product():
     rng = np.random.default_rng(5)
     k = 2
-    gates = [
-        np.diag(np.exp(1j * rng.normal(size=1 << k))) for _ in range(3)
-    ]
+    gates = [np.exp(1j * rng.normal(size=1 << k)) for _ in range(3)]
     layers, total = mc.parallelize_commuting(gates)
-    sem = mc.product_diagonal([np.diag(g) for g in gates], k)
+    sem = mc.product_diagonal(gates, k)
     amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     amps /= np.linalg.norm(amps)
     init = ss.from_amplitudes(total, list(enumerate(amps)))

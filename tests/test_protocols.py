@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,60 @@ def test_iqp_rejects_non_diagonal():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ValueError):
         pt.iqp_to_laqcc([(x, (0,))], 2)
+
+
+@pytest.mark.parametrize("build", [pt.iqp_to_laqcc, pt.iqp_direct_distribution])
+@pytest.mark.parametrize("gate, message", [
+    ((cl.X_GATE.matrix, (0,)), "not diagonal"),
+    ((np.diag(CZ), (0,)), "needs a table of 2 phases"),
+    ((np.diag(CZ), (0, 0)), "distinct qubits"),
+    ((np.diag(CZ), (0, 5)), "distinct qubits"),
+    ((np.array([1.0, 0.5]), (1,)), "unit modulus"),
+])
+def test_iqp_builder_and_reference_read_gates_alike(build, gate, message):
+    with pytest.raises(ValueError, match=message):
+        build([gate], 2)
+
+
+def seeded_iqp(rng, n, count, arity):
+    """``count`` gates on ``arity`` random qubits, uniform random phases."""
+    return [(np.exp(2j * math.pi * rng.random(1 << arity)),
+             tuple(int(q) for q in rng.choice(n, arity, replace=False)))
+            for _ in range(count)]
+
+
+def kron_distribution(gates, n):
+    """The reference as it was first written: H^n as a Kronecker product."""
+    state = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+    for diag, support in gates:
+        state = state * pt.lift_diagonal(diag, support, n)
+    full = np.array([[1.0]])
+    for _ in range(n):
+        full = np.kron(full, cl.H_GATE.matrix)
+    return np.abs(full @ state) ** 2
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_iqp_butterfly_reference_matches_kronecker(n):
+    rng = np.random.default_rng([n, 13])
+    gates = seeded_iqp(rng, n, 3, min(n, 2)) + seeded_iqp(rng, n, 1, 1)
+    ref = pt.iqp_direct_distribution(gates, n)
+    assert list(ref) == list(range(1 << n))
+    assert np.allclose(list(ref.values()), kron_distribution(gates, n),
+                       rtol=0, atol=1e-12)
+
+
+def test_iqp_at_twelve_qubits_builds_and_checks_within_budget():
+    n = 12
+    gates = seeded_iqp(np.random.default_rng(12), n, 4, 2)
+    start = time.perf_counter()
+    prog = pt.iqp_to_laqcc(gates, n)
+    probs = {}
+    for b in pr.enumerate_branches(prog):
+        out = b.record[-1].outcome
+        probs[out] = probs.get(out, 0.0) + b.probability
+    assert tv_distance(probs, pt.iqp_direct_distribution(gates, n), n) <= 1e-9
+    assert time.perf_counter() - start < 2.0
 
 
 # ------------------------------------------------------------ JSON round trip

@@ -132,6 +132,15 @@ def test_uniform_target_equals_its_entry_list(q):
     assert np.array_equal(got.amp.view(float), want.amp.view(float))
 
 
+def test_dense_gate_past_the_support_cap_raises(monkeypatch):
+    monkeypatch.setattr(ss, "MAX_SUPPORT", 4)
+    state = ss.SparseState.basis(3)
+    for q in (0, 1):
+        state = cl.H_GATE.apply(state, (q,))
+    with pytest.raises(ss.SupportLimitError, match="8 basis states"):
+        cl.H_GATE.apply(state, (2,))
+
+
 def test_out_of_range_target():
     with pytest.raises(IndexError):
         ss.apply_unitary(ss.SparseState.basis(1), X, [1])
