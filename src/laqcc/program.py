@@ -500,26 +500,24 @@ def _classical(
 
 def _walk(
     program: LaqccProgram,
-    choose: Callable[..., Tuple[np.ndarray, np.ndarray, SparseState]],
+    choose: Callable[..., np.ndarray],
     observer: Optional[Callable[[SparseState], None]] = None,
 ) -> List[Branch]:
     """Walk the layers once, carrying every branch followed in one state,
-    and return the branches in depth-first order.  At the i-th
-    measurement, ``choose(i, state, qubits)`` gives the outcomes to
-    follow, their probabilities and the batch of their post-states, as
-    :func:`sparse_state.branch_enumerate` does.
+    and return the branches in depth-first order.
 
-    The i-th measurement chooses on the label qubits (most significant
-    first) and the measured ones together, so its outcomes come sorted
-    by label, then outcome, and their high bits name each one's parent.
-    What the walk knows per branch is kept in arrays indexed by label,
-    reindexed by parent at each measurement: each measured label's
-    outcomes and probabilities, each classical output and the largest
-    support so far.  Gates run on the branches they apply to
-    (:func:`_resolve`), and a classical layer computes its outputs on
-    every branch at once (:func:`_classical`).  Records, per-branch
-    states and ``Branch`` objects are built once, after the last layer.
-    ``observer`` sees the state after each layer."""
+    The i-th measurement is one :func:`sparse_state.branch_enumerate`
+    call on the label qubits (most significant first) and the measured
+    ones together, so its outcomes come sorted by label, then outcome,
+    and their high bits name each one's parent.  ``choose(i, qubits,
+    words, probabilities, parents)`` returns the ascending places of the
+    outcomes to follow, relabelled in that order.  What the walk knows
+    per branch is kept in arrays indexed by label and reindexed by
+    parent: measured outcomes and probabilities, classical outputs
+    (:func:`_classical`) and the largest support so far.  Gates run on
+    the branches they apply to (:func:`_resolve`).  Records, states and
+    ``Branch`` objects are built after the last layer; ``observer`` sees
+    each layer's state."""
     n = program.num_qubits
     state = SparseState.basis(n)
     count = 1
@@ -533,13 +531,18 @@ def _walk(
         elif isinstance(layer, MeasureLayer):
             qubits, width = layer.qubits, len(layer.qubits)
             labels = tuple(range(state.num_qubits - 1, n - 1, -1))
-            outcomes, probabilities, state = choose(
-                len(measured), state, labels + qubits)
+            outcomes, probabilities, state = ss.branch_enumerate(
+                state, labels + qubits)
             parents = np.zeros(len(outcomes), np.intp)
             if labels:
                 parents = (outcomes >> width).astype(np.intp)
                 outcomes = outcomes & ((1 << width) - 1)
-            count = len(parents)
+            rows = choose(len(measured), qubits, outcomes, probabilities,
+                          parents)
+            if len(rows) < len(parents):
+                state = ss.select_labels(state, rows)
+            outcomes, probabilities = outcomes[rows], probabilities[rows]
+            parents, count = parents[rows], len(rows)
             measured = {label: (q, o[parents], p[parents])
                         for label, (q, o, p) in measured.items()}
             measured[layer.label] = (qubits, outcomes, probabilities)
@@ -565,39 +568,10 @@ def _walk(
          for o, p in zip(outcomes.tolist(), probabilities.tolist())]
         for label, (qubits, outcomes, probabilities) in measured.items()]
     records = list(zip(*events)) or [()] * count
-    return [_branch(*branch) for branch in zip(
-        ss.split_labels(state, count), records, peaks.tolist())]
-
-
-def _branch(
-    state: SparseState, record: MeasurementRecord, peak_support: int
-) -> Branch:
-    prob = math.prod((ev.probability for ev in record), start=1.0)
-    return Branch(record, prob, state, peak_support)
-
-
-def execute(
-    program: LaqccProgram,
-    policy: SeededPolicy | ForcedPolicy,
-    observer: Optional[Callable[[SparseState], None]] = None,
-) -> Tuple[SparseState, MeasurementRecord]:
-    """Run one shot.  ``observer`` (if given) is called exactly once per
-    layer, in program order, right after that layer, with the state it
-    left (post-measurement for a measurement layer), e.g. to track the
-    largest basis-state support reached."""
-    seeded = isinstance(policy, SeededPolicy)
-    rng = np.random.default_rng(policy.seed) if seeded else None
-
-    def choose(i, state, qubits):
-        if not seeded and i >= len(policy.outcomes):
-            raise ValueError("forcing sequence too short")
-        forced = None if seeded else policy.outcomes[i]
-        outcome, p, post = ss.measure(state, qubits, rng=rng, forced=forced)
-        word = np.array([outcome], ss._dtype(len(qubits)))
-        return word, np.array([p]), post
-
-    (branch,) = _walk(program, choose, observer)
-    return branch.state, branch.record
+    return [Branch(record, math.prod((ev.probability for ev in record),
+                                     start=1.0), state, peak)
+            for state, record, peak in zip(
+                ss.split_labels(state, count), records, peaks.tolist())]
 
 
 def enumerate_branches(
@@ -606,19 +580,17 @@ def enumerate_branches(
     """Every feasible measurement outcome, in depth-first order: by the
     first measurement's outcome, then the second's, and so on.
 
-    The branches are walked as one batch, one
-    :func:`sparse_state.branch_enumerate` call per measurement (see
-    :func:`_walk`).  A program with at most ``max_branches`` branches
-    returns them all.  ``RuntimeError`` is raised as soon as a
+    The branches are walked as one batch that follows every outcome
+    (see :func:`_walk`).  A program with at most ``max_branches``
+    branches returns them all.  ``RuntimeError`` is raised as soon as a
     measurement leaves more than ``max_branches`` branches, before any
     later layer runs.
     """
 
-    def choose(i, state, qubits):
-        chosen = ss.branch_enumerate(state, qubits)
-        if len(chosen[0]) > max_branches:
+    def choose(i, qubits, words, probabilities, parents):
+        if len(words) > max_branches:
             raise RuntimeError("branch count exceeds enumeration cap")
-        return chosen
+        return np.arange(len(words))
 
     branches = _walk(program, choose)
     if len(branches) > max_branches:  # a program with no measurement
@@ -629,16 +601,46 @@ def enumerate_branches(
 def sample_branches(
     program: LaqccProgram, num_samples: int, seed: int = 0
 ) -> List[Branch]:
-    """One seeded shot per sample, seeds ``seed``, ``seed + 1``, ..."""
-    branches = []
-    for i in range(num_samples):
-        supports = [1]  # the initial basis state, then one per layer
-        shot = execute(
-            program, SeededPolicy(seed + i),
-            lambda state: supports.append(state.support()),
-        )
-        branches.append(_branch(*shot, max(supports)))
-    return branches
+    """One seeded shot per sample, seeds ``seed``, ``seed + 1``, ...,
+    all in one walk (see :func:`_shots`)."""
+    policies = [SeededPolicy(seed + s) for s in range(num_samples)]
+    return _shots(program, policies) if policies else []
+
+
+def execute(
+    program: LaqccProgram,
+    policy: SeededPolicy | ForcedPolicy,
+    observer: Optional[Callable[[SparseState], None]] = None,
+) -> Tuple[SparseState, MeasurementRecord]:
+    """Run one shot (see :func:`_shots`).  ``observer``, if given, sees
+    the state each layer leaves (post-measurement for a measurement
+    layer), once per layer in program order."""
+    (branch,) = _shots(program, [policy], observer)
+    return branch.state, branch.record
+
+
+def _shots(program: LaqccProgram, policies: Sequence, observer=None):
+    """The branch each policy's shot reaches, in one :func:`_walk` where
+    each shot picks its outcomes by :func:`sparse_state.pick`; shots that
+    picked alike share a label and, at the end, one ``Branch``."""
+    rngs = [np.random.default_rng(p.seed) if isinstance(p, SeededPolicy)
+            else None for p in policies]
+    shot_labels = np.zeros(len(policies), np.intp)
+
+    def choose(i, qubits, words, probabilities, parents):
+        bounds = np.searchsorted(parents, [shot_labels, shot_labels + 1])
+        rows = []
+        for policy, rng, start, end in zip(policies, rngs, *bounds.tolist()):
+            if rng is None and i >= len(policy.outcomes):
+                raise ValueError("forcing sequence too short")
+            rows.append(start + ss.pick(
+                words[start:end], probabilities[start:end], qubits, rng,
+                policy.outcomes[i] if rng is None else None))
+        rows, shot_labels[:] = np.unique(rows, return_inverse=True)
+        return rows
+
+    branches = _walk(program, choose, observer)
+    return [branches[label] for label in shot_labels.tolist()]
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -661,9 +661,9 @@ def iqp_to_laqcc(
 
 def iqp_direct_distribution(
     diag_gates: Sequence[Tuple[np.ndarray, Tuple[int, ...]]], n: int
-) -> Dict[int, float]:
-    """Dense reference distribution of the diagonal sandwich: a 2^n
-    vector, with H on each qubit as one butterfly over its bit."""
+) -> np.ndarray:
+    """Dense reference distribution of the diagonal sandwich, indexed by
+    outcome: a 2^n vector, with H on each qubit as one butterfly."""
     dim = 1 << n
     state = np.full(dim, 1 / math.sqrt(dim), dtype=complex)
     for diag, support in diag_gates:
@@ -672,7 +672,7 @@ def iqp_direct_distribution(
         pair = state.reshape(-1, 2, 1 << q)
         state = np.stack((pair[:, 0] + pair[:, 1], pair[:, 0] - pair[:, 1]),
                          axis=1).ravel() / math.sqrt(2)
-    return {v: float(abs(a) ** 2) for v, a in enumerate(state)}
+    return np.abs(state) ** 2
 
 
 def max_support(

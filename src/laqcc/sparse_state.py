@@ -15,19 +15,19 @@ target pattern.  Those keys are distinct, so the order depends on the
 result alone, and a run of signed permutations orders its result as
 its last gate alone would.  The map kernels keep the storage order.
 
-A state may be a batch of whole branches (:func:`branch_enumerate`
-makes one, :func:`split_labels` takes it apart): each branch's label
-sits in ``label_bits`` extra qubits above the others, as if it were a
-classical register, and the entries come in label-major order.  The
-label bits are outside every gate's targets, so they lead the rest
-pattern: the ordering rule sorts by label first and orders each branch
-as it orders that branch alone, and the map kernels keep each branch's
-order.  The 1e-9 norm checks, and :func:`apply_predicated`'s
-normalisation of its hit part, run per label (``np.bincount`` in
-storage order).  A gate may apply to some branches only: as an entry of
-an :func:`apply_permutations` run, with a boolean mask over the labels,
-or through :func:`apply_to_labels`.  A state with no label bits is one
-branch, and every kernel does its unlabelled work.
+A state may be a batch of whole branches (:func:`branch_enumerate` makes
+one, :func:`select_labels` keeps some, :func:`split_labels` takes it
+apart): each branch's label sits in ``label_bits`` extra qubits above
+the others, as if it were a classical register, and the entries come in
+label-major order.  The label bits are outside every gate's targets, so
+they lead the rest pattern: the ordering rule sorts by label first and
+orders each branch as it orders that branch alone, and the map kernels
+keep each branch's order.  The 1e-9 norm checks, and
+:func:`apply_predicated`'s normalisation of its hit part, run per label
+(``np.bincount`` in storage order).  A gate may apply to some branches
+only: as an entry of an :func:`apply_permutations` run, with a boolean
+mask over the labels, or through :func:`apply_to_labels`.  A state with
+no label bits is one branch, and every kernel does its unlabelled work.
 """
 from __future__ import annotations
 
@@ -447,48 +447,31 @@ def apply_predicated(
     return state._with(idx, amp).check_norm()
 
 
-def _outcomes(state: SparseState, qubits: Sequence[int]):
-    """The sorted distinct outcomes of measuring ``qubits``, each
-    amplitude's position among them, and their weights in storage order."""
-    outcomes, where = _distinct(state.idx, qubits)
-    weights = np.bincount(where, _weights(state.amp), len(outcomes))
-    return outcomes, where, weights
+def pick(outcomes: np.ndarray, weights: np.ndarray, qubits: Sequence[int],
+         rng: np.random.Generator | None, forced: int | None) -> int:
+    """The place among the live ``outcomes`` of measuring ``qubits`` that
+    a shot follows: ``rng``'s draw by ``weights``, or that of ``forced``."""
+    if forced is None:
+        return int(rng.choice(len(weights), p=weights / weights.sum()))
+    place = np.flatnonzero(outcomes == forced)
+    if not len(place):
+        raise InfeasibleBranchError(f"outcome {forced:b} on qubits"
+                                    f" {list(qubits)} has zero probability")
+    return int(place[0])
 
 
-def _collapse(state: SparseState, members: np.ndarray, p: float):
-    """The normalised state left on the entries that ``members`` selects."""
-    amp = state.amp[members] * (1.0 / math.sqrt(p))
-    keep = _modulus(amp) >= PRUNE_THRESHOLD
-    return state._with(state.idx[members][keep], amp[keep]).check_norm()
-
-
-def measure(
-    state: SparseState,
-    qubits: Sequence[int],
-    *,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> Tuple[int, float, SparseState]:
-    """Measure ``qubits`` in the computational basis.
-
-    The outcome integer reads qubits[0] as its most significant bit.
-    Exactly one of ``rng`` and ``forced`` must be given.
-    """
-    _check_targets(state, qubits)
+def measure(state: SparseState, qubits: Sequence[int], *,
+            rng: np.random.Generator | None = None,
+            forced: int | None = None) -> Tuple[int, float, SparseState]:
+    """Measure ``qubits``: the outcome (qubits[0] its most significant
+    bit) that :func:`pick` picks from :func:`branch_enumerate`, its
+    probability and its branch.  Give exactly one of ``rng``, ``forced``."""
     if (rng is None) == (forced is None):
         raise ValueError("provide exactly one of rng and forced")
-    outcomes, where, weights = _outcomes(state, qubits)
-    if forced is not None:
-        outcome, pos = forced, np.flatnonzero(outcomes == forced)
-        probability = float(weights[pos].sum())  # 0.0 if never seen
-        if probability <= PRUNE_THRESHOLD:
-            raise InfeasibleBranchError(
-                f"outcome {outcome:b} on qubits {list(qubits)} has zero probability"
-            )
-    else:
-        pos = rng.choice(len(outcomes), p=weights / weights.sum())
-        outcome, probability = int(outcomes[pos]), float(weights[pos])
-    return outcome, probability, _collapse(state, where == pos, probability)
+    outcomes, weights, batch = branch_enumerate(state, qubits)
+    place = pick(outcomes, weights, qubits, rng, forced)
+    return (int(outcomes[place]), float(weights[place]),
+            split_labels(batch, len(weights))[place])
 
 
 class InfeasibleBranchError(ValueError):
@@ -503,14 +486,15 @@ class SupportLimitError(ValueError):
 def branch_enumerate(
     state: SparseState, qubits: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray, SparseState]:
-    """Every nonzero-probability outcome of measuring ``qubits``, in one
-    pass: the ascending outcomes, their probabilities, and one batch
-    whose branch ``i`` is the collapse on ``outcomes[i]``, as
-    :func:`measure` collapses it, labelled in bits above the state's
-    unlabelled qubits.  On a labelled state, ``qubits`` must hold the
-    label bits, so that each outcome falls in one branch."""
+    """The live outcomes of measuring ``qubits`` (probability above
+    ``PRUNE_THRESHOLD``) in one pass: the ascending outcomes, their
+    probabilities, and one batch whose branch ``i`` is the collapse on
+    ``outcomes[i]``, labelled in bits above the state's unlabelled
+    qubits.  On a labelled state, ``qubits`` must hold the label bits,
+    so that each outcome falls in one branch."""
     _check_targets(state, qubits)
-    outcomes, where, weights = _outcomes(state, qubits)
+    outcomes, where = _distinct(state.idx, qubits)
+    weights = np.bincount(where, _weights(state.amp), len(outcomes))
     live = weights > PRUNE_THRESHOLD
     place = np.cumsum(live) - 1  # each live outcome's place among them
     # positions grouped by outcome, each group in storage order; outcomes
@@ -526,13 +510,31 @@ def branch_enumerate(
     norms = np.bincount(group, _weights(amp), len(weights))
     if (np.abs(norms - 1.0) > NORM_TOLERANCE).any():
         raise ValueError("state norm drifted beyond tolerance")
+    return outcomes, weights, _batch(state, idx, amp, group, len(weights))
+
+
+def _batch(state: SparseState, idx: np.ndarray, amp: np.ndarray,
+           group: np.ndarray, count: int) -> SparseState:
+    """The batch whose branch ``group[i]`` of ``count`` holds ``idx[i]``,
+    ``amp[i]``, above ``state``'s unlabelled qubits."""
     n = state.num_qubits - state.label_bits
-    bits = (len(weights) - 1).bit_length()
-    if bits or state.label_bits:  # the group of each entry is its label
+    bits = (count - 1).bit_length()
+    if bits or state.label_bits:
         dtype = _dtype(n + bits)
         idx = (idx & ((1 << n) - 1)).astype(dtype, copy=False)
         idx |= group.astype(dtype) << n
-    return outcomes, weights, SparseState._of(n + bits, idx, amp, bits)
+    return SparseState._of(n + bits, idx, amp, bits)
+
+
+def select_labels(state: SparseState, labels: np.ndarray) -> SparseState:
+    """The branches of ``state`` that the ascending ``labels`` name, each
+    as it was, relabelled ``0, 1, ...`` in that order."""
+    group = np.full(1 << state.label_bits, -1, np.intp)
+    group[labels] = np.arange(len(labels))
+    group = group[_labels(state, state.idx)]
+    keep = group >= 0
+    return _batch(state, state.idx[keep], state.amp[keep], group[keep],
+                  len(labels))
 
 
 def split_labels(state: SparseState, count: int) -> List[SparseState]:

@@ -8,7 +8,7 @@ two entry points can never drift apart.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -415,14 +415,10 @@ def check_iqp(circuits: int = 20, max_n: int = 5) -> str:
             gates.append((np.diag(diag), support))
         prog = pt.iqp_to_laqcc(gates, n)
         ref = pt.iqp_direct_distribution(gates, n)
-        probs: Dict[int, float] = {}
-        for b in pr.enumerate_branches(prog):
-            out = b.record[-1].outcome
-            probs[out] = probs.get(out, 0.0) + b.probability
-        tv = 0.5 * sum(
-            abs(probs.get(v, 0.0) - ref.get(v, 0.0))
-            for v in range(1 << n)
-        )
+        branches = pr.enumerate_branches(prog)
+        probs = np.bincount([b.record[-1].outcome for b in branches],
+                            [b.probability for b in branches], 1 << n)
+        tv = 0.5 * float(np.abs(probs - ref).sum())
         assert tv <= TOL, tv
         worst = max(worst, tv)
     return f"{circuits} random circuits, worst TV distance {worst:.2e}"

@@ -732,15 +732,15 @@ def test_flatten_rejects_gate_outside_the_rules_exit_3(capsys, tmp_path, gate):
     assert_one_line_exit_3(code, out, err)
 
 
-def count_execute(monkeypatch):
+def count_walks(monkeypatch):
     calls = []
-    execute = pr.execute
+    walk = pr._walk
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return execute(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(pr, "execute", counting)
+    monkeypatch.setattr(pr, "_walk", counting)
     return calls
 
 
@@ -749,12 +749,16 @@ def count_execute(monkeypatch):
 )
 def test_prep_runs_each_checked_branch_once(capsys, monkeypatch,
                                             branches, shots):
-    calls = count_execute(monkeypatch)
-    code, _, _ = report(
+    """Every branch a prep checks comes from one walk of the program:
+    ``shots`` seeded shots walk as one batch, and enumerating this
+    program, which measures nothing, checks its one branch."""
+    calls = count_walks(monkeypatch)
+    code, doc, _ = report(
         capsys, ["prep", "uniform", "--q", "5", "--branches", branches]
     )
     assert code == 0
-    assert len(calls) == shots
+    assert len(calls) == 1
+    assert doc["branches_checked"] == (shots or 1)
 
 
 @pytest.mark.parametrize(

@@ -377,15 +377,23 @@ def test_move_bits_groups_bits_by_distance():
 # outcome
 
 
+def _collapse(state: ss.SparseState, members: np.ndarray, p: float):
+    """The normalised state left on the entries that ``members`` selects."""
+    amp = state.amp[members] * (1.0 / math.sqrt(p))
+    keep = ss._modulus(amp) >= ss.PRUNE_THRESHOLD
+    return state._with(state.idx[members][keep], amp[keep]).check_norm()
+
+
 def old_branch_enumerate(state, qubits):
     ss._check_targets(state, qubits)
-    outcomes, where, weights = ss._outcomes(state, qubits)
+    outcomes, where = ss._distinct(state.idx, qubits)
+    weights = np.bincount(where, ss._weights(state.amp), len(outcomes))
     groups = np.split(
         np.argsort(where, kind="stable"),
         np.cumsum(np.bincount(where, minlength=len(outcomes)))[:-1],
     )
     return [
-        (o, p, ss._collapse(state, members, p))
+        (o, p, _collapse(state, members, p))
         for o, p, members in zip(outcomes.tolist(), weights.tolist(), groups)
         if p > ss.PRUNE_THRESHOLD
     ]

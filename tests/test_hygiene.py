@@ -82,6 +82,50 @@ def test_scan_flags_an_unreferenced_private_name():
         (2, "_ORPHAN"), (6, "_left"), (8, "_Gone")]
 
 
+def identifiers(source: str):
+    """Every name that ``source`` defines, reads, imports or reaches as
+    an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def engine_measure_uses(source: str):
+    """Where ``source`` reaches ``sparse_state.measure``: as ``ss.measure``
+    or through an import of the name."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "measure"
+        and isinstance(node.value, ast.Name) and node.value.id == "ss"
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").endswith("sparse_state")
+        and "measure" in {alias.name for alias in node.names})
+
+
+def test_one_collapse():
+    """Every branch comes from the one collapse, ``branch_enumerate``:
+    the walks in ``program.py`` never call ``ss.measure``, and no name
+    ``_collapse`` is left in the package."""
+    assert engine_measure_uses((PACKAGE / "program.py").read_text()) == []
+    assert [p.name for p in MODULES
+            if "_collapse" in identifiers(p.read_text())] == []
+    assert engine_measure_uses(
+        "from . import sparse_state as ss\nss.measure(s, q)\n"
+        "from .sparse_state import measure\nb.measure(q, 'm')\n") == [2, 3]
+    assert "_collapse" in identifiers("x = ss._collapse(s, m, p)\n")
+
+
 def test_cli_import_pulls_in_numpy_only():
     """numpy is the one third-party runtime dependency, so a fresh
     interpreter that imports the CLI has not loaded scipy."""

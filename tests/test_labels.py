@@ -192,6 +192,36 @@ def test_batched_walk_equals_one_branch_at_a_time_on_the_corpus(program):
                          ref_enumerate_branches(program))
 
 
+SAMPLED = {**{name: dict(MEASURED)[name]
+              for name in ("rounds0", "rounds1", "rounds2", "deferred_ghz4")},
+           "small_k6,2": pt.dicke_small_k(6, 2)[0], "ghz5": cl.ghz(5),
+           "wide_rounds": two_rounds(1, low=54)}
+
+
+@pytest.mark.parametrize("program", list(SAMPLED.values()), ids=list(SAMPLED))
+def test_seeded_shots_walked_as_one_batch_equal_each_shot_alone(program):
+    """Shot ``s`` of ``sample_branches`` is the branch that ``execute``
+    reaches alone with seed ``seed + s``: its record, its state's bytes
+    and its peak support.  Shots with equal records share one state, so
+    the batch held each distinct record prefix once."""
+    seed = 40
+    shots = pr.sample_branches(program, 32, seed)
+    assert len(shots) == 32
+    for s, shot in enumerate(shots):
+        policy = pr.SeededPolicy(seed + s)
+        state, record = pr.execute(program, policy)
+        assert shot.record == record
+        assert shot.state.idx.dtype == state.idx.dtype
+        assert shot.state.idx.tolist() == state.idx.tolist()
+        assert shot.state.amp.tobytes() == state.amp.tobytes()
+        assert shot.peak_support == pt.max_support(program, policy)
+    states = {}
+    for shot in shots:
+        assert states.setdefault(shot.record, shot.state) is shot.state
+    assert len({id(shot.state) for shot in shots}) == len(states)
+    assert pr.sample_branches(program, 0, seed) == []
+
+
 # engine calls and the states each makes: apply_to_labels and
 # apply_predicated make two, the part they hand their gate and the result
 MADE = {"from_arrays": 1, "apply_unitary": 1, "apply_permutations": 1,
@@ -374,6 +404,26 @@ def test_branch_enumerate_labels_each_outcome_and_split_labels_returns_it():
         assert post.idx.dtype == np.int64 and post.label_bits == 0
         assert post.idx.tolist() == (want.idx | o << 3).tolist()
         assert np.allclose(post.amp, want.amp, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 61])
+def test_select_labels_keeps_the_named_branches_and_relabels_them(n):
+    """Of four branches, keeping 1 and 3 gives a two-branch batch in one
+    label bit, each branch as it was; keeping one gives the unlabelled
+    branch, in the dtype of its own qubits."""
+    parts = [ss.SparseState.basis(n, i) for i in range(3)] + [
+        ss.from_amplitudes(n, [(0b001, 0.6), (0b100, -0.8j)])]
+    four = batch(*parts)
+    two = ss.select_labels(four, np.array([1, 3]))
+    assert (two.num_qubits, two.label_bits) == (n + 1, 1)
+    assert two.idx.dtype == np.dtype(np.int64 if n + 1 <= 62 else object)
+    assert two.idx.tolist() == batch(parts[1], parts[3]).idx.tolist()
+    assert two.amp.tobytes() == batch(parts[1], parts[3]).amp.tobytes()
+    one = ss.select_labels(four, np.array([3]))
+    assert (one.num_qubits, one.label_bits) == (n, 0)
+    assert one.idx.dtype == np.int64
+    assert one.idx.tolist() == parts[3].idx.tolist()
+    assert one.amp.tobytes() == parts[3].amp.tobytes()
 
 
 def test_basis_map_may_collide_across_branches_but_not_within_one():

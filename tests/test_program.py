@@ -44,6 +44,29 @@ def test_feedforward_forced_one():
     assert record[0].probability == pytest.approx(0.5)
 
 
+def test_an_outcome_at_or_below_the_prune_threshold_is_never_reached():
+    """Outcome 1 weighs 1e-14, below ``PRUNE_THRESHOLD`` though its
+    amplitude of 1e-7 is kept: no shot draws it, enumeration skips it,
+    and forcing it raises as forcing a never-seen outcome does."""
+    s = 1e-7
+    tilt = pr.MatrixGate("tilt", np.array([[math.sqrt(1 - s * s), -s],
+                                           [s, math.sqrt(1 - s * s)]]))
+    program = pr.LaqccProgram(1, layers=[
+        pr.QuantumLayer((pr.GateApp(tilt, (0,)),)),
+        pr.MeasureLayer((0,), "m"),
+    ])
+    amp = ss.apply_unitary(ss.SparseState.basis(1), tilt.matrix, [0]).amp
+    assert 0 < abs(amp[1]) ** 2 <= ss.PRUNE_THRESHOLD
+    shots = pr.sample_branches(program, 64, seed=3)
+    assert {shot.record[0].outcome for shot in shots} == {0}
+    assert [b.record[0].outcome for b in pr.enumerate_branches(program)] == [0]
+    with pytest.raises(ss.InfeasibleBranchError, match=(
+            r"^outcome 1 on qubits \[0\] has zero probability$")):
+        pr.execute(program, pr.ForcedPolicy((1,)))
+    with pytest.raises(ValueError, match="^forcing sequence too short$"):
+        pr.execute(program, pr.ForcedPolicy(()))
+
+
 def test_feedforward_forced_zero():
     state, _ = pr.execute(feedforward_program(), pr.ForcedPolicy((0,)))
     assert set(state.amplitudes) == {0b00}
