@@ -3,8 +3,7 @@
 The library's wide gates run as direct basis maps, so the simulated
 width understates the ancilla cost of a faithful constant-depth layout.
 Each macro therefore carries an extra "charged width" term computed from
-a pinned coefficient table (``charges.json``); doubling the register
-size scales each entry by its formula's predicted factor.
+a pinned coefficient table (``charges.json``).
 """
 from __future__ import annotations
 
@@ -31,7 +30,3 @@ def table() -> dict:
 def charge(name: str, n: int, t: int = 0) -> float:
     entry = table()[name]
     return entry["coefficient"] * _FORMULAS[entry["formula"]](n, t)
-
-
-def predicted_doubling_factor(name: str, n: int, t: int = 0) -> float:
-    return charge(name, 2 * n, t) / charge(name, n, t)

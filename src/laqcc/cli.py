@@ -54,6 +54,13 @@ def _seed(args) -> int:
 # ------------------------------------------------------------------- prep
 
 
+def _within_cap(what: str, size: int) -> None:
+    """Refuse ``size`` entries beyond ``MAX_SUPPORT`` before building any:
+    ``apply_unitary``, the one kernel that grows a support, stops there."""
+    if size > ss.MAX_SUPPORT:
+        raise Infeasible(f"{what} exceeds the support cap {ss.MAX_SUPPORT}")
+
+
 def _build_protocol(args) -> Tuple[pr.LaqccProgram, ss.SparseState, Tuple[int, ...], dict]:
     """Program, analytic target, output qubits (msb first), parameters."""
     name = args.protocol
@@ -68,6 +75,7 @@ def _build_protocol(args) -> Tuple[pr.LaqccProgram, ss.SparseState, Tuple[int, .
         if name == "w":
             if args.n is None:
                 raise Infeasible("w requires --n")
+            _within_cap("the w target", args.n)
             program, target = pt.w_state(args.n)
             return program, target, program.registers["out"].qubits, {
                 "n": args.n
@@ -75,6 +83,7 @@ def _build_protocol(args) -> Tuple[pr.LaqccProgram, ss.SparseState, Tuple[int, .
         if name == "uniform":
             if args.q is None:
                 raise Infeasible("uniform requires --q")
+            _within_cap("the uniform target", args.q)
             program, target = pt.uniform_superposition(args.q)
             return program, target, program.registers["out"].qubits, {
                 "q": args.q
@@ -82,6 +91,11 @@ def _build_protocol(args) -> Tuple[pr.LaqccProgram, ss.SparseState, Tuple[int, .
         if name == "dicke":
             if args.n is None or args.k is None:
                 raise Infeasible("dicke requires --n and --k")
+            # C(n, j) grows with j <= n / 2 and is >= 2^j there, so it is
+            # past the cap by the cap's bit length
+            j = min(args.k, args.n - args.k, ss.MAX_SUPPORT.bit_length())
+            if j >= 0:
+                _within_cap("the dicke target", math.comb(args.n, j))
             if args.method == "small-k":
                 program, target = pt.dicke_small_k(args.n, args.k)
             else:
@@ -252,6 +266,8 @@ def cmd_numbers(args) -> int:
             n = args.n
             if n < 0:
                 raise Infeasible(f"--n must be >= 0, got {n}")
+            # the sweep holds all n! factoradics at once
+            _within_cap(f"--n {n} ({n}! factoradics)", math.factorial(n))
             total = 0
             for k in range(n + 1):
                 counts = ns.preimage_counts(n, k)

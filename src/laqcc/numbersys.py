@@ -328,11 +328,3 @@ def birthday_bound_check(n: int, k: int) -> Tuple[float, float, bool]:
     rhs = math.exp(-2.0 * k * k / n)
     # strict for k >= 1; k = 0 is the degenerate 1 >= 1 case
     return lhs, rhs, log_lhs >= (-2.0 * k * k / n)
-
-
-def distinct_index_probability(n: int, k: int) -> float:
-    """Probability that k independent uniform draws from n values differ."""
-    p = 1.0
-    for i in range(k):
-        p *= (n - i) / n
-    return p

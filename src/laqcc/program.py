@@ -17,6 +17,8 @@ Conventions
   branches at once.  Deferral makes a conditioned gate a ``parity``
   gate that holds its bit's mask, with no table over the word.
 * Terminal measurements that nothing reads are free in the round count.
+* In JSON, gates are the one registry (``register_gate``); a classical
+  layer checks itself and is written from its fields as ``linear``.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
-    Callable, ClassVar, Dict, List, Mapping, Optional,
+    Callable, Dict, List, Mapping, Optional,
     Sequence, Tuple,
 )
 
@@ -252,17 +254,30 @@ class ClassicalLayer:
     """One row of a GF(2)-linear map per output: output ``key`` is the
     parity of the bits that ``outputs[key]`` selects in the word measured
     under the label ``reads`` (its first-listed qubit the most significant
-    bit).  ``outputs`` is stored as a read-only mapping, in the order it
-    was given."""
+    bit).  It checks its fields when made, whether built directly or
+    loaded as ``linear``, and stores ``outputs`` as a read-only mapping,
+    in the order it was given."""
 
     name: str
     reads: str
     outputs: Mapping[str, int]
-    spec: ClassVar[Optional[dict]] = None  # set by its registered factory
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not isinstance(self.reads, str):
+            raise ValueError(f"linear name and reads must be strings, got"
+                             f" {self.name!r}, {self.reads!r}")
+        if not isinstance(self.outputs, Mapping):
+            raise ValueError(
+                f"linear outputs must be an object, got {self.outputs!r}")
+        for key, mask in self.outputs.items():
+            if not isinstance(key, str) or not _is_count(mask):
+                raise ValueError(f"linear output {key!r} needs a mask that"
+                                 f" is an integer >= 0, got {mask!r}")
         object.__setattr__(
             self, "outputs", MappingProxyType(dict(self.outputs)))
+
+
+linear = ClassicalLayer  # the name every classical layer is written under
 
 
 Layer = object  # union of the three layer kinds
@@ -883,15 +898,14 @@ class Builder:
 # --------------------------------------------------------------------------
 
 GATE_REGISTRY: Dict[str, Callable[..., Gate]] = {}
-CLASSICAL_REGISTRY: Dict[str, Callable[..., ClassicalLayer]] = {}
 
 
-def _stamping(registry: dict, key: str, name: str):
-    """Decorator registering a factory under ``name``; whatever the
-    returned factory makes carries the spec ``{key: name, "params": <the
-    arguments it was called with>}``.  An object that already carries a
-    spec keeps it: it is a registered gate the factory handed back, such
-    as a shared ``clifford`` gate or the inverse of one."""
+def register_gate(name: str):
+    """Decorator registering a gate factory under ``name``, which
+    ``loads`` calls with a spec's params; whatever gate it returns carries
+    the spec ``{"name": name, "params": <the arguments it was called
+    with>}``, unless it already carries one: a registered gate handed
+    back, such as a shared ``clifford`` gate or the inverse of one."""
 
     def deco(factory):
         # bound once here: Signature.bind on every call slows ``loads``
@@ -899,26 +913,19 @@ def _stamping(registry: dict, key: str, name: str):
 
         @functools.wraps(factory)
         def made(*args, **kwargs):
-            obj = factory(*args, **kwargs)
-            if obj.spec is None:
+            gate = factory(*args, **kwargs)
+            if gate.spec is None:
                 params = dict(zip(names, args))
                 params.update(kwargs)
-                # frozen gates and layers: the spec is not one of their fields
-                object.__setattr__(obj, "spec", {key: name, "params": params})
-            return obj
+                # a frozen gate: the spec is not one of its fields
+                object.__setattr__(
+                    gate, "spec", {"name": name, "params": params})
+            return gate
 
-        registry[name] = made
+        GATE_REGISTRY[name] = made
         return made
 
     return deco
-
-
-def register_gate(name: str):
-    return _stamping(GATE_REGISTRY, "name", name)
-
-
-def register_classical(name: str):
-    return _stamping(CLASSICAL_REGISTRY, "function_name", name)
 
 
 def _gate_from_spec(spec: dict) -> Gate:
@@ -970,26 +977,6 @@ def inverse(gate: dict) -> Gate:
         return _gate_from_spec(gate).inverse()
     except NotImplementedError as exc:  # e.g. a dynamic gate
         raise ValueError(str(exc)) from exc
-
-
-@register_classical("linear")
-def linear(name: str, reads: str, outputs: Dict[str, int]) -> ClassicalLayer:
-    """The classical layer ``name`` whose output ``key`` is the parity of
-    the bits that ``outputs[key]`` selects in the measured word ``reads``,
-    after checking its params (see :class:`ClassicalLayer`)."""
-    if not isinstance(name, str) or not isinstance(reads, str):
-        raise ValueError(
-            f"linear name and reads must be strings, got {name!r}, {reads!r}"
-        )
-    if not isinstance(outputs, dict):
-        raise ValueError(f"linear outputs must be an object, got {outputs!r}")
-    for key, mask in outputs.items():
-        if not isinstance(key, str) or not _is_count(mask):
-            raise ValueError(
-                f"linear output {key!r} needs a mask that is an integer"
-                f" >= 0, got {mask!r}"
-            )
-    return ClassicalLayer(name, reads, outputs)
 
 
 def _matrix_gate_factory(label: str, matrix) -> "MatrixGate":
@@ -1083,11 +1070,11 @@ def program_to_json(program: LaqccProgram) -> dict:
                 }
             )
         else:
-            if layer.spec is None:
-                raise ValueError(
-                    f"classical layer {layer.name} has no spec"
-                )
-            layers.append({"kind": "classical", **layer.spec})
+            layers.append({
+                "kind": "classical", "function_name": "linear",
+                "params": {"name": layer.name, "reads": layer.reads,
+                           "outputs": dict(layer.outputs)},
+            })
     return {
         "qubits": program.num_qubits,
         "registers": {
@@ -1210,13 +1197,10 @@ def program_from_json(doc: dict) -> LaqccProgram:
             )
         elif kind == "classical":
             name = json_field(entry, "function_name")
-            if name not in CLASSICAL_REGISTRY:
+            if name != "linear":
                 raise ValueError(f"unknown classical function {name!r}")
             layers.append(
-                _from_params(
-                    "classical function", name, CLASSICAL_REGISTRY[name], entry
-                )
-            )
+                _from_params("classical function", name, linear, entry))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
     return LaqccProgram(num_qubits, registers, layers)

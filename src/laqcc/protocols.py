@@ -36,9 +36,6 @@ class Fragment:
             raise ValueError("fragments are unconditional")
         self.apps.append(GateApp(gate, tuple(qubits)))
 
-    def layer(self, *apps: GateApp) -> None:
-        self.apps.extend(apps)
-
     def emit(self, builder) -> None:
         for app in self.apps:
             builder.gate(app.gate, app.qubits)

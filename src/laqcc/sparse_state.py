@@ -471,7 +471,7 @@ def measure(state: SparseState, qubits: Sequence[int], *,
     outcomes, weights, batch = branch_enumerate(state, qubits)
     place = pick(outcomes, weights, qubits, rng, forced)
     return (int(outcomes[place]), float(weights[place]),
-            split_labels(batch, len(weights))[place])
+            select_labels(batch, np.array([place])))
 
 
 class InfeasibleBranchError(ValueError):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,45 @@ def test_prep_past_the_support_cap_exit_3(capsys, monkeypatch, branches):
         capsys, ["prep", "ghz", "--n", "16", "--branches", branches])
     assert_one_line_exit_3(code, out, err)
     assert "more than the cap of 1024" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prep", "uniform", "--q", "1099511627776"],
+    ["prep", "dicke", "--n", "60", "--k", "8"],
+    ["prep", "dicke", "--n", "32", "--k", "8", "--method", "factoradic"],
+    ["prep", "w", "--n", str(ss.MAX_SUPPORT + 1)],
+    ["numbers", "check-bijection", "--n", "11"],
+])
+def test_past_the_support_cap_is_refused_before_building_exit_3(
+    capsys, argv
+):
+    start = time.monotonic()
+    code, out, err = run(capsys, argv)
+    assert time.monotonic() - start < 1.0
+    assert_one_line_exit_3(code, out, err)
+    assert str(ss.MAX_SUPPORT) in err
+
+
+def test_a_target_at_the_support_cap_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(ss, "MAX_SUPPORT", 1 << 10)
+    code, doc, _ = report(capsys, ["prep", "uniform", "--q", "1024"])
+    assert (code, doc["parameters"]) == (0, {"q": 1024})
+
+    def never(*args):
+        raise AssertionError("target built past the cap")
+
+    monkeypatch.setattr(pt, "uniform_target", never)
+    code, out, err = run(capsys, ["prep", "uniform", "--q", "1025"])
+    assert_one_line_exit_3(code, out, err)
+
+
+def test_check_bijection_stops_at_the_support_cap(capsys, monkeypatch):
+    monkeypatch.setattr(ss, "MAX_SUPPORT", 5040)  # 7!
+    code, doc, _ = report(capsys, ["numbers", "check-bijection", "--n", "7"])
+    assert (code, doc["ok"]) == (0, True)
+    code, out, err = run(capsys, ["numbers", "check-bijection", "--n", "8"])
+    assert_one_line_exit_3(code, out, err)
+    assert "8! factoradics" in err
 
 
 def test_transform_postselect_past_the_support_cap_exit_3(

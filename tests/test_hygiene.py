@@ -126,6 +126,14 @@ def test_one_collapse():
     assert "_collapse" in identifiers("x = ss._collapse(s, m, p)\n")
 
 
+def test_one_registry():
+    """Gates are the format's one registry: a classical layer checks and
+    writes itself, so no classical registry is left."""
+    gone = {"CLASSICAL_REGISTRY", "register_classical", "_stamping"}
+    assert [p.name for p in MODULES
+            if gone & set(identifiers(p.read_text()))] == []
+
+
 def test_cli_import_pulls_in_numpy_only():
     """numpy is the one third-party runtime dependency, so a fresh
     interpreter that imports the CLI has not loaded scipy."""
@@ -178,15 +186,15 @@ def readme_names(heading: str):
 
 
 def test_readme_lists_every_registered_name():
-    """After every module is imported, the README's lists of registered
-    gate and classical names are exactly the two registries' keys."""
+    """After every module is imported, the README's list of registered
+    gate names is exactly the gate registry's keys, the format's one
+    registry."""
     modules = "\n".join(f"import laqcc.{p.stem}" for p in MODULES)
     script = (
         f"{modules}\n"
         "import json\n"
         "from laqcc import program\n"
-        "print(json.dumps([sorted(program.GATE_REGISTRY),"
-        " sorted(program.CLASSICAL_REGISTRY)]))\n"
+        "print(json.dumps(sorted(program.GATE_REGISTRY)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -194,9 +202,9 @@ def test_readme_lists_every_registered_name():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert done.returncode == 0, done.stderr
-    gates, classical = json.loads(done.stdout)
+    gates = json.loads(done.stdout)
     assert sorted(readme_names("Registered gate names:")) == gates
-    assert sorted(readme_names("Registered classical names:")) == classical
+    assert "Registered classical names" not in README.read_text()
 
 
 KERNELS = ("apply_basis_map", "apply_phase_map", "apply_predicated")

@@ -263,6 +263,29 @@ def test_per_branch_work_is_one_state_and_one_event_per_measurement(
         assert counts["events"] == sum(len(b.record) for b in branches)
 
 
+def test_measure_builds_only_the_branch_it_returns(monkeypatch):
+    """Measuring 3 qubits of the uniform 3-qubit state builds at most 2
+    states, the batch of its 8 outcomes and the one it returns, which
+    equals that outcome's ``split_labels`` branch byte for byte."""
+    state = ss.from_arrays(3, np.arange(8), np.full(8, 8 ** -0.5 + 0j))
+    wants = ss.split_labels(ss.branch_enumerate(state, (0, 1, 2))[2], 8)
+    own, built = ss.SparseState._own, []
+
+    def owned(self, *args):
+        built.append(self)
+        return own(self, *args)
+
+    monkeypatch.setattr(ss.SparseState, "_own", owned)
+    for forced, want in enumerate(wants):
+        built.clear()
+        outcome, _, got = ss.measure(state, (0, 1, 2), forced=forced)
+        assert outcome == forced and len(built) <= 2
+        assert (got.num_qubits, got.label_bits, got.idx.dtype) == (
+            want.num_qubits, want.label_bits, want.idx.dtype)
+        assert got.idx.tobytes() == want.idx.tobytes()
+        assert got.amp.tobytes() == want.amp.tobytes()
+
+
 def looped_apply_unitary(state, matrix, targets):
     """``apply_unitary``'s indices and amplitudes on a labelled state, as
     it computed them with a Python loop over the branches whose rest has

@@ -158,7 +158,7 @@ def test_bell_correct_equals_the_column_closure(monkeypatch):
         if not junctions:
             continue
         layer = classical_layer(program, "correct")
-        assert layer.spec["function_name"] == "linear"
+        assert layer.reads == "bell"
         outputs = program.registers["outputs"].qubits
         ref = ref_bell_correct(ref_columns(steps, junctions, n), outputs)
         nbits = 2 * len(junctions)
@@ -218,8 +218,7 @@ def test_ghz_parity_fan_in_is_the_prefix_length():
     """flip{j} reads the first j line outcomes, so flip{n-1} has fan-in
     n - 1, read off the layer's masks without running the program."""
     for n in GHZ_SIZES:
-        masks = classical_layer(cl.ghz(n), "parity_fix").spec["params"][
-            "outputs"]
+        masks = classical_layer(cl.ghz(n), "parity_fix").outputs
         assert list(masks) == [f"flip{j}" for j in range(1, n)]
         assert masks[f"flip{n - 1}"] == (1 << (n - 1)) - 1
         for j, mask in enumerate(masks.values(), start=1):
@@ -234,9 +233,12 @@ def test_linear_masks_pick_the_first_listed_bit_as_the_top_one():
     assert outputs_on(layer, [0b100, 0b101]) == [
         {"first": 1, "last": 0, "both": 1, "none": 0},
         {"first": 1, "last": 1, "both": 0, "none": 0}]
-    assert layer.spec == {"function_name": "linear", "params": {
-        "name": "c", "reads": "m",
-        "outputs": {"first": 4, "last": 1, "both": 5, "none": 0}}}
+    program = pr.LaqccProgram(3, layers=[pr.MeasureLayer((0, 1, 2), "m"),
+                                         layer])
+    assert pr.program_to_json(program)["layers"][-1] == {
+        "kind": "classical", "function_name": "linear", "params": {
+            "name": "c", "reads": "m",
+            "outputs": {"first": 4, "last": 1, "both": 5, "none": 0}}}
 
 
 def test_masks_above_bit_62_read_python_int_words():

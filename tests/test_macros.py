@@ -172,13 +172,13 @@ def test_macro_is_bijection(gate):
 
 
 def test_charged_width_doubling_factors():
+    """Doubling n = 4 scales each charge by its formula's closed form:
+    n by 2, n log n by 2 * 3 / 2, n^2 by 4, n^3 log n by 8 * 3 / 2."""
     from laqcc import charges
 
-    for name, n in [("fanout", 4), ("or", 4), ("add", 4), ("qft", 4)]:
-        factor = charges.charge(name, 2 * n) / charges.charge(name, n)
-        assert factor == pytest.approx(
-            charges.predicted_doubling_factor(name, n)
-        )
+    for name, factor in [("fanout", 2), ("or", 3), ("add", 4), ("qft", 12)]:
+        assert charges.charge(name, 8) / charges.charge(name, 4) == (
+            pytest.approx(factor))
 
 
 # ---------------------------------------------- commuting parallelization

@@ -368,15 +368,3 @@ def test_birthday_bound_holds_broadly():
 def test_birthday_bound_rejects_large_k():
     with pytest.raises(ValueError):
         ns.birthday_bound_check(4, 2)
-
-
-def test_distinct_index_probability_frozen():
-    assert ns.distinct_index_probability(4, 2) == pytest.approx(0.75)
-    assert ns.distinct_index_probability(8, 2) == pytest.approx(7 / 8)
-    # collision-free probability dominates the birthday floor
-    assert ns.distinct_index_probability(8, 2) > math.exp(-2 * 4 / 8)
-
-
-def test_distinct_index_probability_matches_bound_lhs():
-    lhs, _, _ = ns.birthday_bound_check(16, 4)
-    assert ns.distinct_index_probability(16, 4) == pytest.approx(lhs)

@@ -449,20 +449,16 @@ def test_json_round_trip():
             "H", np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         )
 
-    @pr.register_classical("test_id")
-    def _id():
-        return pr.ClassicalLayer("c", "m", {"bit": 1})
-
     gate = _h()
     assert gate.spec == {"name": "test_h", "params": {}}
-    assert _id().spec == {"function_name": "test_id", "params": {}}
     program = pr.LaqccProgram(
         2,
         registers={"sys": pr.Register((0, 1), "system")},
         layers=[
             pr.QuantumLayer((pr.GateApp(gate, (0,)),)),
             pr.MeasureLayer((0,), "m"),
-            _id(),
+            # built directly, through no factory, and still written
+            pr.ClassicalLayer("c", "m", {"bit": 1}),
             pr.QuantumLayer(
                 (pr.GateApp(gate, (1,), ("c", "bit")),)
             ),
@@ -470,11 +466,31 @@ def test_json_round_trip():
     )
     text = pr.dumps(program)
     back = pr.loads(text)
+    assert pr.dumps(back) == text
+    assert json.loads(text)["layers"][2] == {
+        "kind": "classical", "function_name": "linear",
+        "params": {"name": "c", "reads": "m", "outputs": {"bit": 1}}}
     assert back.num_qubits == 2
     assert back.registers["sys"].qubits == (0, 1)
     s1, _ = pr.execute(program, pr.ForcedPolicy((1,)))
     s2, _ = pr.execute(back, pr.ForcedPolicy((1,)))
     assert ss.fidelity(s1, s2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("c", "m", {"b": True}), "needs a mask that is an integer >= 0"),
+    (("c", "m", {"b": 1.5}), "needs a mask that is an integer >= 0"),
+    (("c", "m", {"b": -1}), "needs a mask that is an integer >= 0"),
+    (("c", "m", {2: 1}), "linear output 2 needs a mask"),
+    (("c", "m", [("b", 1)]), "linear outputs must be an object"),
+    (("c", 7, {"b": 1}), "linear name and reads must be strings"),
+    ((None, "m", {"b": 1}), "linear name and reads must be strings"),
+])
+def test_a_classical_layer_checks_its_fields_when_built(fields, message):
+    with pytest.raises(ValueError, match=message):
+        pr.ClassicalLayer(*fields)
+    assert pr.linear is pr.ClassicalLayer
+    assert not hasattr(pr.linear("c", "m", {"b": 1}), "spec")
 
 
 def test_loaded_json_keeps_its_emitted_bytes():
