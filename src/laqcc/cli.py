@@ -56,7 +56,8 @@ def _seed(args) -> int:
 
 def _within_cap(what: str, size: int) -> None:
     """Refuse ``size`` entries beyond ``MAX_SUPPORT`` before building any:
-    ``apply_unitary``, the one kernel that grows a support, stops there."""
+    ``apply_unitaries``, the one kernel that grows a support, stops there,
+    at the gate that would pass it, and builds no tensor past it."""
     if size > ss.MAX_SUPPORT:
         raise Infeasible(f"{what} exceeds the support cap {ss.MAX_SUPPORT}")
 

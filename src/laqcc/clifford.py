@@ -171,9 +171,11 @@ def _embed(g: CliffordGate, wires: int) -> np.ndarray:
 
 class WordGate(pr.MatrixGate):
     """A ``MatrixGate`` made by :func:`clifford`; its inverse is the
-    ``clifford`` gate of the inverse word."""
+    ``clifford`` gate of the inverse word, made once per gate: the
+    gates are shared, so each word is parsed and inverted once."""
 
-    def inverse(self):
+    @functools.cached_property
+    def _inverse(self) -> "WordGate":
         params = self.spec["params"]
         word = _parse_word(params["wires"], params["word"])
         inv = tuple(  # S^-1 = S S S; the other generators are involutions
@@ -182,6 +184,9 @@ class WordGate(pr.MatrixGate):
         )
         label = params["label"] if inv == word else params["label"] + "_inv"
         return clifford(label, params["wires"], _render(inv))
+
+    def inverse(self):
+        return self._inverse
 
 
 @functools.lru_cache(maxsize=CLIFFORD_MEMO_SIZE)

@@ -469,21 +469,57 @@ class Branch:
     peak_support: int  # largest support left by any layer on the way
 
 
+class _DenseRun:
+    """Dense gates that apply to every branch, not yet applied: one
+    :func:`sparse_state.apply_unitaries` call runs them across layer
+    boundaries once anything else needs the state, and reports each
+    branch's largest support at the layer ends among them."""
+
+    def __init__(self):
+        self.gates: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
+        self.ends: List[int] = []  # gate counts at which a layer ended
+
+    def end_layer(self) -> None:
+        if self.gates:
+            self.ends.append(len(self.gates))
+
+    def apply(self, state: SparseState, peaks: np.ndarray):
+        """``state`` after the run, and ``peaks`` raised to the supports
+        the run reports; the run is empty afterwards."""
+        if self.gates:
+            state, seen = ss.apply_unitaries(state, self.gates, self.ends)
+            peaks = np.maximum(peaks, seen)
+            self.gates, self.ends = [], []
+        return state, peaks
+
+
 def _apply_layer(
     layer: QuantumLayer, state: SparseState,
     bits: Mapping[str, Mapping[str, np.ndarray]], count: int,
-) -> SparseState:
+    dense: _DenseRun, peaks: np.ndarray,
+) -> Tuple[SparseState, np.ndarray]:
     """``state`` after ``layer``, each of its ``count`` branches under its
-    own classical outputs (see :func:`_resolve`).
+    own classical outputs (see :func:`_resolve`), but for the gates it
+    leaves in ``dense``; ``peaks`` as :meth:`_DenseRun.apply` leaves it.
 
-    Consecutive gates that have a ``permutation`` run as one
-    :func:`sparse_state.apply_permutations` call, each with the branches
-    it applies to; any other gate, and the end of the layer, ends the
-    run.  A run gives each branch the state its gates give one at a
-    time.  Any other gate runs once, on the branches it applies to."""
+    A dense gate that applies to every branch joins ``dense``, the open
+    run, which carries over from earlier layers; any other gate applies
+    that run first.  Consecutive gates that have a ``permutation`` run as
+    one :func:`sparse_state.apply_permutations` call, each with the
+    branches it applies to; any other gate, and the end of the layer,
+    ends the run.  A run gives each branch the state its gates give one
+    at a time.  Any other gate runs once, on the branches it applies
+    to."""
     run = []
     for app in layer.apps:
         for gate, which in _resolve(app, bits, count):
+            if (gate.permutation is None and which is None
+                    and isinstance(gate, MatrixGate)):
+                if run:
+                    state, run = ss.apply_permutations(state, run), []
+                dense.gates.append((gate.matrix, app.qubits))
+                continue
+            state, peaks = dense.apply(state, peaks)
             if gate.permutation is not None:
                 run.append((*gate.permutation, app.qubits)
                            + (() if which is None else (which,)))
@@ -497,7 +533,7 @@ def _apply_layer(
                     state, which, lambda part: gate.apply(part, app.qubits))
     if run:
         state = ss.apply_permutations(state, run)
-    return state
+    return state, peaks
 
 
 def _classical(
@@ -530,9 +566,12 @@ def _walk(
     per branch is kept in arrays indexed by label and reindexed by
     parent: measured outcomes and probabilities, classical outputs
     (:func:`_classical`) and the largest support so far.  Gates run on
-    the branches they apply to (:func:`_resolve`).  Records, states and
-    ``Branch`` objects are built after the last layer; ``observer`` sees
-    each layer's state."""
+    the branches they apply to (:func:`_resolve`); consecutive dense
+    gates that apply to every branch run as one call across layers
+    (:class:`_DenseRun`), which reports the support at the layer ends
+    inside it.  Records, states and ``Branch`` objects are built after
+    the last layer; ``observer`` sees each layer's state, so a run ends
+    at every layer end when there is one."""
     n = program.num_qubits
     state = SparseState.basis(n)
     count = 1
@@ -540,10 +579,16 @@ def _walk(
     measured: Dict[str, Tuple[Tuple[int, ...], np.ndarray, np.ndarray]] = {}
     bits: Dict[str, Dict[str, np.ndarray]] = {}
     peaks = np.ones(1, np.int64)
+    dense = _DenseRun()
     for layer in program.layers:
         if isinstance(layer, QuantumLayer):
-            state = _apply_layer(layer, state, bits, count)
+            state, peaks = _apply_layer(layer, state, bits, count, dense,
+                                        peaks)
+            if observer is not None:
+                state, peaks = dense.apply(state, peaks)
+            dense.end_layer()
         elif isinstance(layer, MeasureLayer):
+            state, peaks = dense.apply(state, peaks)
             qubits, width = layer.qubits, len(layer.qubits)
             labels = tuple(range(state.num_qubits - 1, n - 1, -1))
             outcomes, probabilities, state = ss.branch_enumerate(
@@ -574,10 +619,13 @@ def _walk(
             bits[layer.name] = _classical(layer, measured[layer.reads][1])
         if observer is not None:
             observer(state)
+        if dense.gates:  # the run reports the support at its layer ends
+            continue
         if state.label_bits:
             peaks = np.maximum(peaks, ss.supports(state, count))
         elif state.support() > peaks[0]:
             peaks[0] = state.support()
+    state, peaks = dense.apply(state, peaks)
     events = [
         [MeasurementEvent(label, qubits, o, p)
          for o, p in zip(outcomes.tolist(), probabilities.tolist())]

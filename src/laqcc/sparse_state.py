@@ -8,12 +8,13 @@ immutable.  Weights and overlaps are summed in storage order and rounded
 as Python rounds ``abs(a) ** 2`` and complex products, so they match a
 per-amplitude loop bit for bit and a seed keeps its report bytes.
 
-Ordering rule of the matrix-gate kernels, :func:`apply_unitary` and
-:func:`apply_permutations`: each orders its result by ``(rest, image)``
-of its targets, an index's bits outside the targets first, then its
-target pattern.  Those keys are distinct, so the order depends on the
-result alone, and a run of signed permutations orders its result as
-its last gate alone would.  The map kernels keep the storage order.
+Ordering rule of the matrix-gate kernels, :func:`apply_unitaries` (and
+:func:`apply_unitary`, its run of one) and :func:`apply_permutations`:
+each orders its result by ``(rest, image)`` of its targets, an index's
+bits outside the targets first, then its target pattern.  Those keys
+are distinct, so the order depends on the result alone, and a run of
+dense gates or of signed permutations orders its result as its last
+gate alone would.  The map kernels keep the storage order.
 
 A state may be a batch of whole branches (:func:`branch_enumerate` makes
 one, :func:`select_labels` keeps some, :func:`split_labels` takes it
@@ -40,8 +41,14 @@ import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
-# most basis states a dense gate may produce, in one state or one batch
+# most basis states a dense gate may produce, in one state or one batch,
+# and most entries a run of dense gates may hold in one tensor
 MAX_SUPPORT = 1 << 22
+# a stretch of a run of dense gates holds in one tensor at most RUN_SLACK
+# times its input support, or times RUN_FLOOR where that is more: small
+# states pay the fixed cost of a gate, large ones the cost of each entry
+RUN_SLACK = 2
+RUN_FLOOR = 1024
 
 
 class SparseState:
@@ -218,50 +225,248 @@ def _placements(targets: Tuple[int, ...], dtype) -> np.ndarray:
     return placed
 
 
-def apply_unitary(
-    state: SparseState, matrix: np.ndarray, targets: Sequence[int]
-) -> SparseState:
-    """Apply a dense unitary on ``targets``; targets[0] is the matrix's
-    most significant bit."""
-    matrix = np.asarray(matrix, dtype=complex)
-    _check_targets(state, targets)
-    k = len(targets)
-    if matrix.shape != (1 << k, 1 << k):
-        raise ValueError("matrix size does not match target count")
-    idx = state.idx
-    # one row per distinct rest pattern, in ascending order, one column
-    # per target pattern
+def _group(idx: np.ndarray, targets: Sequence[int]):
+    """The distinct rest patterns of ``idx`` outside ``targets``, in
+    ascending order, and the place of each index's rest among them."""
     rest = _rest(idx, targets)
+    if len(rest) and not np.count_nonzero(rest != rest[0]):
+        return rest[:1], np.zeros(len(rest), np.intp)
     order = rest.argsort()
     ordered = rest[order]
     first = np.ones(len(rest), bool)
     first[1:] = ordered[1:] != ordered[:-1]
     row = np.empty(len(rest), np.intp)
     row[order] = first.cumsum() - 1
-    rest = ordered[first]
-    if len(rest) << k > MAX_SUPPORT:
+    return ordered[first], row
+
+
+def apply_unitary(
+    state: SparseState, matrix: np.ndarray, targets: Sequence[int]
+) -> SparseState:
+    """Apply a dense unitary on ``targets``; targets[0] is the matrix's
+    most significant bit.  A run of one (see :func:`apply_unitaries`)."""
+    return apply_unitaries(state, [(matrix, targets)])[0]
+
+
+def apply_unitaries(
+    state: SparseState, run: Sequence[tuple], ends: Iterable[int] = ()
+) -> Tuple[SparseState, np.ndarray | int]:
+    """Apply a run of dense unitaries, one after another; ``run`` holds
+    at least one ``(matrix, targets)`` pair, targets[0] the matrix's most
+    significant bit.  Returns the state and the largest support each
+    label had after the first ``e`` gates for any ``e`` in ``ends``: an
+    array indexed by label, an int for a state without label bits, 0
+    when ``ends`` names no gate.
+
+    The gates give the state, bit for bit and in the same order, that
+    they give one at a time.  A stretch of the run (see :func:`_stretch`)
+    scatters the state once into a tensor of (distinct rest outside its
+    ``m`` qubits) x 2^m, and each gate is one product of that tensor's
+    fibres along its targets, (fibres x 2^k) @ matrix.T, with the 1e-12
+    prune (to exact zeros) and the 1e-9 norm check of a gate alone.
+    Every fibre thus meets the gate's matrix as its row of the one-gate
+    block does; the BLAS computes each row of a product of two or more
+    rows alike, whatever the other rows and their order, but a product
+    of one row takes another path, so a fibre that is the only one of
+    its branch holding an entry is multiplied alone, as a one-row block
+    is.  The result is read off in ``(rest, image)`` order of the last
+    gate, with one sort where the rows alone do not give it.  A stretch
+    whose tensor would pass ``MAX_SUPPORT`` runs gate by gate, so
+    :class:`SupportLimitError` stops the gate it stops alone."""
+    gates = []
+    for matrix, targets in run:
+        matrix = np.asarray(matrix, dtype=complex)
+        _check_targets(state, targets)
+        if matrix.shape != (1 << len(targets),) * 2:
+            raise ValueError("matrix size does not match target count")
+        gates.append((matrix, tuple(targets)))
+    run, ends = gates, set(ends)
+    peaks = 0
+    start = alone = 0  # gates before ``alone`` run one at a time
+    spread = False  # whether the last stretch grew the support
+    while start < len(run):
+        count, axes, grouping = _stretch(
+            state, run[start:start + 1] if start < alone else run[start:],
+            not spread)
+        if count > 1 and len(grouping[0]) << len(axes) > MAX_SUPPORT:
+            alone = start + count
+            continue
+        support = state.support()
+        state, seen = _run_tensor(state, run[start:start + count], axes,
+                                  *grouping, ends, start)
+        if ends:
+            peaks = np.maximum(peaks, seen)
+        spread = state.support() > support
+        start += count
+    return state, peaks
+
+
+def _stretch(state: SparseState, run: Sequence[tuple], whole: bool):
+    """How many leading gates of ``run`` one tensor takes, that tensor's
+    qubits and the grouping of ``state`` outside them (:func:`_group`).
+    The qubits are the first gate's targets, in its order, while the
+    gates stay on them, else all of them descending, so that adjacent
+    qubits gather with one shift.
+
+    The tensor may hold ``RUN_SLACK`` times the support of ``state``, or
+    times ``RUN_FLOOR`` where that is more.  It takes all the gates when
+    ``whole`` is true and their tensor fits; else the first gate, and
+    each later one while the support times 2^m for the m qubits so far
+    fits, which bounds the tensor without grouping the state again.  A
+    run that spreads the state over many qubits thus takes them a few at
+    a time (its caller passes ``whole`` false while it spreads, to save
+    the grouping that would not fit), and dense gates that do not spread
+    a wide sparse state cost about what they cost one at a time."""
+    first, qubits, spans = run[0][1], set(), []
+    for _, targets in run:
+        qubits.update(targets)
+        spans.append(first if len(qubits) == len(first)
+                     else tuple(sorted(qubits, reverse=True)))
+    support = state.support()
+    bound = RUN_SLACK * max(support, RUN_FLOOR)
+    if whole and 1 << len(spans[-1]) <= bound:
+        grouping = _group(state.idx, spans[-1])
+        if len(grouping[0]) << len(spans[-1]) <= bound:
+            return len(run), spans[-1], grouping
+    count = 1
+    while count < len(run) and (spans[count] == spans[count - 1]
+                                or support << len(spans[count]) <= bound):
+        count += 1
+    return count, spans[count - 1], _group(state.idx, spans[count - 1])
+
+
+def _run_tensor(
+    state: SparseState, run: Sequence[tuple], axes: Tuple[int, ...],
+    rests: np.ndarray, row: np.ndarray, ends: set, done: int,
+) -> Tuple[SparseState, np.ndarray | int]:
+    """:func:`apply_unitaries` of one stretch, on the tensor over ``axes``
+    whose rows are ``rests``, ``row`` placing each entry of ``state``;
+    ``ends`` counts gates as :func:`apply_unitaries` does, from ``done``
+    gates before the stretch."""
+    m, width = len(axes), len(rests)
+    if width << m > MAX_SUPPORT:
         raise SupportLimitError(
-            f"a {k}-qubit gate would give {len(rest) << k} basis states,"
+            f"a {m}-qubit gate would give {width << m} basis states,"
             f" more than the cap of {MAX_SUPPORT}")
-    block = np.zeros((len(rest), 1 << k), complex)
-    block[row, _gather(idx, targets)] = state.amp
-    out = block @ matrix.T
-    if state.label_bits:
-        # numpy multiplies a one-row block by another path, which can round
-        # differently: a branch with one row gets the product it gets
-        # alone, as one stacked product of (1, d) rows
-        labels = _labels(state, rest)
-        single = np.bincount(labels)[labels] == 1
-        out[single] = (block[single][:, None, :] @ matrix.T)[:, 0]
-    out = out.ravel()
-    new_idx = (rest[:, None] | _placements(tuple(targets), idx.dtype)).ravel()
-    keep = np.abs(out) >= PRUNE_THRESHOLD
-    new_idx, out = new_idx[keep], out[keep]
-    if state.label_bits:
-        _check_branch_norms(state, new_idx, out)
-    elif abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
-        raise ValueError("state norm drifted beyond tolerance")
-    return state._with(new_idx, out)
+    shape = (width,) + (2,) * m
+    col = _gather(state.idx, axes)
+    tensor = np.zeros((width, 1 << m), complex)
+    tensor[row, col] = state.amp
+    tensor = tensor.reshape(shape)
+    if state.label_bits:  # the label bits lead each row's rest
+        labels, counts = _labels(state, rests), supports(state, 0)
+        checked = counts > 0
+        least = int(counts[checked].min())
+    else:
+        labels, counts = None, len(row)
+        least = counts
+    peaks = 0
+    order = list(axes)  # the qubit of each axis of ``tensor`` after the first
+    for gate, (matrix, targets) in enumerate(run, done + 1):
+        k = len(targets)
+        perm = _to_back(order, targets)
+        if perm is not None:
+            tensor = tensor.transpose(perm)
+        fibres = tensor.reshape(-1, 1 << k)
+        out = fibres @ matrix.T
+        # a branch may hold one live fibre among others
+        if least <= 1 << k and len(fibres) > 1:
+            # a fibre is live when it holds an entry: a nonzero, but for
+            # an exact zero in ``state``, since the prune leaves none
+            if gate == done + 1 and np.count_nonzero(state.amp) < len(row):
+                live = np.zeros((width, 1 << m), bool)
+                live[row, col] = True
+                live = live.reshape(shape)
+                if perm is not None:
+                    live = live.transpose(perm)
+                live = live.reshape(-1, 1 << k).any(1)
+            else:
+                live = fibres.any(1)
+            _alone(out, fibres, live, matrix, labels, 1 << (m - k))
+        size = np.abs(out)
+        drop = size < PRUNE_THRESHOLD
+        # NaN fails these checks, as the kernel of one gate, which
+        # pruned a NaN entry, failed its norm
+        if labels is None:
+            if not abs(np.vdot(out, out).real - 1.0) <= NORM_TOLERANCE:
+                raise ValueError("state norm drifted beyond tolerance")
+        else:
+            norms = np.bincount(labels, np.square(size).reshape(width, -1)
+                                .sum(1), len(counts))
+            if (checked & ~(np.abs(norms - 1.0) <= NORM_TOLERANCE)).any():
+                raise ValueError("state norm drifted beyond tolerance")
+        if gate == done + len(run) and gate not in ends:
+            break
+        if labels is None:
+            counts = least = drop.size - np.count_nonzero(drop)
+        else:
+            per_row = (1 << m) - np.count_nonzero(drop.reshape(width, -1), 1)
+            counts = np.bincount(labels, per_row, len(counts)).astype(np.int64)
+            least = int(np.minimum.reduce(counts[checked]))
+        if gate in ends:
+            peaks = (max(peaks, counts) if labels is None
+                     else np.maximum(peaks, counts))
+        np.putmask(out, drop, 0)
+        tensor = out.reshape(shape)
+    out, keep = out.reshape(shape), ~drop.reshape(shape)
+    # the other qubits descending: with one row, or rows that differ
+    # above them, the flat order is then (rest, image) of the last gate
+    perm = _to_back(order, tuple(sorted(order[:m - k], reverse=True))
+                    + targets)
+    if perm is not None:
+        out, keep = out.transpose(perm), keep.transpose(perm)
+    keep = keep.ravel()
+    idx = (rests[:, None] | _placed(order, state.idx.dtype)).ravel()[keep]
+    amp = out.ravel()[keep]
+    if m > k and width > 1 and np.count_nonzero(
+            (rests[1:] ^ rests[:-1]) >> (order[0] + 1)) < width - 1:
+        key = _rest(idx, targets).astype(
+            _dtype(state.num_qubits + k), copy=False) << k
+        by_key = (key | _gather(idx, targets)).argsort()
+        idx, amp = idx[by_key], amp[by_key]
+    return state._with(idx, amp), peaks
+
+
+def _placed(order: Sequence[int], dtype) -> np.ndarray:
+    """:func:`_placements` of ``order``, memoised up to 10 qubits (8 kB
+    a tuple)."""
+    if len(order) <= 10:
+        return _placements(tuple(order), dtype)
+    return _scatter(np.arange(1 << len(order)), order, dtype)
+
+
+def _to_back(order: List[int], targets: Tuple[int, ...]):
+    """The axis permutation that puts the axes of ``targets`` last, in
+    their order, or ``None`` when they are there; ``order``, the qubit of
+    each axis after the first, is permuted with it."""
+    if tuple(order[len(order) - len(targets):]) == targets:
+        return None
+    if len(targets) == 1:  # swap its axis with the last
+        perm = list(range(len(order) + 1))
+        i = order.index(targets[0])
+        order[i], order[-1] = order[-1], order[i]
+        perm[i + 1], perm[-1] = perm[-1], perm[i + 1]
+        return perm
+    moved = [i for i, q in enumerate(order) if q not in targets] + [
+        order.index(t) for t in targets]
+    order[:] = [order[i] for i in moved]
+    return [0] + [1 + i for i in moved]
+
+
+def _alone(out: np.ndarray, fibres: np.ndarray, live: np.ndarray,
+           matrix: np.ndarray, labels: np.ndarray | None,
+           spread: int) -> None:
+    """Redo in ``out``, as a product of one row, the product of each live
+    fibre that is the only live one of its branch; ``labels`` holds the
+    label of each tensor row (``None`` for one branch), and each row
+    holds ``spread`` fibres."""
+    if labels is None:
+        single = live if np.count_nonzero(live) == 1 else None
+    else:
+        fibre_labels = np.repeat(labels, spread)
+        single = live & (np.bincount(fibre_labels, live)[fibre_labels] == 1)
+    if single is not None:
+        out[single] = (fibres[single][:, None, :] @ matrix.T)[:, 0]
 
 
 def apply_permutations(state: SparseState, run: Sequence[tuple]) -> SparseState:

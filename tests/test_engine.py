@@ -16,6 +16,12 @@ amplitudes that compare equal, on random inputs and on every run of the
 acceptance programs.  A run must equal its gates applied one at a time
 bit for bit, signed zeros included, and ``branch_enumerate`` the
 per-outcome collapse it replaced, kept below as the reference.
+
+``apply_unitaries``, the kernel of runs of dense gates (``apply_unitary``
+is its run of one), must give what ``old_apply_unitary``, the per-gate
+kernel it replaced and kept below, gives gate by gate: the same indices
+in the same order and dtype, the same amplitude bytes, and the same
+supports at the layer ends it is told of.
 """
 import math
 import warnings
@@ -817,3 +823,318 @@ def test_deferred_programs_equal_on_old_predicated_kernel(monkeypatch):
         deferred = pr.defer_measurements(program)
         assert pr.enumerate_branches(deferred)
     assert checked and differ == []
+
+
+# ------------------------------------------------------------ dense runs
+#
+# apply_unitary as it was, one call per gate: the reference for every run
+# of apply_unitaries, which must give its indices (order and dtype) and
+# amplitude bytes gate by gate, and the support after each layer end.
+
+
+def old_apply_unitary(state, matrix, targets):
+    """One dense gate: the state's (distinct rest) x 2^k block, grouped by
+    one argsort, times the matrix, each branch with one row multiplied as
+    a one-row product."""
+    matrix = np.asarray(matrix, dtype=complex)
+    ss._check_targets(state, targets)
+    k = len(targets)
+    if matrix.shape != (1 << k, 1 << k):
+        raise ValueError("matrix size does not match target count")
+    idx = state.idx
+    rest = ss._rest(idx, targets)
+    order = rest.argsort()
+    ordered = rest[order]
+    first = np.ones(len(rest), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    row = np.empty(len(rest), np.intp)
+    row[order] = first.cumsum() - 1
+    rest = ordered[first]
+    if len(rest) << k > ss.MAX_SUPPORT:
+        raise ss.SupportLimitError(
+            f"a {k}-qubit gate would give {len(rest) << k} basis states,"
+            f" more than the cap of {ss.MAX_SUPPORT}")
+    block = np.zeros((len(rest), 1 << k), complex)
+    block[row, ss._gather(idx, targets)] = state.amp
+    out = block @ matrix.T
+    if state.label_bits:
+        labels = ss._labels(state, rest)
+        single = np.bincount(labels)[labels] == 1
+        out[single] = (block[single][:, None, :] @ matrix.T)[:, 0]
+    out = out.ravel()
+    new_idx = (rest[:, None] | ss._placements(tuple(targets), idx.dtype)).ravel()
+    keep = np.abs(out) >= ss.PRUNE_THRESHOLD
+    new_idx, out = new_idx[keep], out[keep]
+    if state.label_bits:
+        ss._check_branch_norms(state, new_idx, out)
+    elif abs(np.vdot(out, out).real - 1.0) > ss.NORM_TOLERANCE:
+        raise ValueError("state norm drifted beyond tolerance")
+    return state._with(new_idx, out)
+
+
+def one_at_a_time(state, run, ends=()):
+    """``run`` through :func:`old_apply_unitary`, gate by gate, and each
+    label's largest support after the gate counts in ``ends``."""
+    peaks = 0
+    for count, (matrix, targets) in enumerate(run, 1):
+        state = old_apply_unitary(state, matrix, targets)
+        if count in ends:
+            peaks = np.maximum(peaks, ss.supports(state, 0))
+    return state, peaks
+
+
+def assert_run_equals_one_at_a_time(state, run, ends=None):
+    if ends is None:
+        ends = range(1, len(run) + 1)
+    got, got_peaks = ss.apply_unitaries(state, run, ends)
+    want, want_peaks = one_at_a_time(state, run, ends)
+    assert (got.num_qubits, got.label_bits) == (want.num_qubits,
+                                                want.label_bits)
+    assert got.idx.dtype == want.idx.dtype
+    assert got.idx.tolist() == want.idx.tolist()
+    assert got.amp.view(np.uint64).tolist() == want.amp.view(
+        np.uint64).tolist()
+    assert np.atleast_1d(got_peaks).tolist() == np.atleast_1d(
+        want_peaks).tolist()
+    return got
+
+
+H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+def dense_run(rng, qubits, length, ks=(1, 2)):
+    """``length`` seeded dense gates on ``qubits``, each on 1 or 2 of
+    them in shuffled order."""
+    run = []
+    for _ in range(length):
+        k = min(int(rng.choice(ks)), len(qubits))
+        targets = [int(q) for q in rng.permutation(qubits)[:k]]
+        run.append((random_unitary(rng, k), targets))
+    return run
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_dense_run_equals_its_gates_one_at_a_time(seed):
+    """Seeded sparse states, runs of k = 1 and 2 gates on a few of their
+    qubits, some amplitudes exactly real."""
+    rng = np.random.default_rng([seed, 31])
+    n = int(rng.integers(3, 13))
+    state = random_state(rng, n)
+    if seed % 2:
+        amp = state.amp.copy()
+        amp[::2] = amp[::2].real
+        state = ss.SparseState._of(n, state.idx, amp / np.linalg.norm(amp))
+    pool = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+    run = dense_run(rng, pool, int(rng.integers(1, 9)))
+    assert_run_equals_one_at_a_time(state, run)
+    assert_run_equals_one_at_a_time(state, run, ends=())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_labelled_dense_run_equals_its_gates_one_at_a_time(seed):
+    """Batches of 2 to 6 branches, some on one rest pattern of the run's
+    qubits (one live fibre per branch), some spread, some basis states."""
+    from test_labels import batch
+
+    rng = np.random.default_rng([seed, 32])
+    n = int(rng.integers(3, 9))
+    pool = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, 4))]]
+    parts = []
+    for _ in range(int(rng.integers(2, 7))):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            parts.append(ss.SparseState.basis(n, int(rng.integers(1 << n))))
+        else:
+            parts.append(random_state(rng, n, int(rng.integers(1, 9))
+                                      if kind == 1 else None))
+    run = dense_run(rng, pool, int(rng.integers(1, 7)))
+    assert_run_equals_one_at_a_time(batch(*parts), run)
+
+
+def test_one_live_fibre_is_multiplied_alone():
+    """A basis state under H on four qubits: the first gate meets one
+    live fibre among eight, plain and in each branch of a batch."""
+    from test_labels import batch
+
+    rng = np.random.default_rng(36)
+    for run in ([(H, [q]) for q in (3, 1, 0, 2)],
+                [(random_unitary(rng, 1), [q]) for q in (3, 1, 0, 2)]):
+        state = ss.SparseState.basis(5, 0b10000)
+        assert_run_equals_one_at_a_time(state, run)
+        assert_run_equals_one_at_a_time(
+            batch(state, ss.SparseState.basis(5, 0b00110), state), run)
+        # an exact zero entry makes its fibre live, as it makes a row
+        phase = complex(np.exp(1j * rng.random()))
+        zero = ss.SparseState(5, {0b00000: phase, 0b10001: 0.0})
+        assert zero.support() == 2
+        assert_run_equals_one_at_a_time(zero, run)
+
+
+def test_outputs_pruned_to_zero_and_repeated_gates():
+    """H twice on one qubit, and H on |+>: outputs that cancel exactly are
+    pruned, within the run and at its end."""
+    plus = ss.apply_unitary(ss.SparseState.basis(3), H, [1])
+    for run in ([(H, [1])] * 3, [(H, [1]), (H, [0]), (H, [1]), (H, [0])],
+                [(H, [0]), (H, [0]), (H, [2]), (H, [1])]):
+        got = assert_run_equals_one_at_a_time(plus, run)
+        assert got.support() < 1 << len({q for _, t in run for q in t})
+    assert assert_run_equals_one_at_a_time(plus, [(H, [1])]).support() == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_run_past_62_bits_equals_its_gates_one_at_a_time(seed):
+    from test_labels import batch
+
+    rng = np.random.default_rng([seed, 33])
+    state = random_state(rng, 70, 40)
+    run = dense_run(rng, [69, 65, 3, 0, 40], 6)
+    assert state.idx.dtype == object
+    assert_run_equals_one_at_a_time(state, run)
+    # 62 program qubits and a label bit: the batch needs Python ints
+    parts = [random_state(rng, 62, 20), ss.SparseState.basis(62, 1 << 61)]
+    assert_run_equals_one_at_a_time(batch(*parts), dense_run(
+        rng, [61, 60, 2], 5))
+
+
+def test_a_run_rejects_what_one_gate_at_a_time_rejects():
+    """A NaN amplitude, or a norm off by more than 1e-9, fails a run as it
+    fails the one-gate kernel, plain and in one branch of a batch."""
+    from test_labels import batch
+
+    run = [(H, [0]), (H, [1])]
+    nan = ss.SparseState(2, {0b00: float("nan"), 0b01: 1.0})
+    off = ss.SparseState(2, {0b00: 0.6, 0b11: 0.6})
+    good = ss.SparseState.basis(2)
+    for state in (nan, off, batch(good, nan), batch(off, good)):
+        both_raise(ValueError, "norm drifted", [
+            lambda: ss.apply_unitaries(state, run),
+            lambda: one_at_a_time(state, run),
+        ])
+
+
+def test_acceptance_programs_equal_dense_gates_one_at_a_time(monkeypatch):
+    """Every dense run of every acceptance driver gives, gate by gate,
+    the bytes and supports of the one-gate kernel it replaced."""
+    kernel, runs, differ = ss.apply_unitaries, [], []
+
+    def both(state, run, ends=()):
+        got = kernel(state, run, ends)
+        want = one_at_a_time(state, run, ends)
+        runs.append(len(run))
+        if not (got[0].idx.dtype == want[0].idx.dtype
+                and got[0].idx.tolist() == want[0].idx.tolist()
+                and got[0].amp.tobytes() == want[0].amp.tobytes()
+                and np.atleast_1d(got[1]).tolist()
+                == np.atleast_1d(want[1]).tolist()):
+            differ.append([targets for _, targets in run])
+        return got
+
+    monkeypatch.setattr(ss, "apply_unitaries", both)
+    results = verify.run_all()
+    assert [r["name"] for r in results if not r["passed"]] == []
+    assert differ == []
+    assert len(runs) > 100 and max(runs) > 4
+
+
+def test_blas_rows_are_independent_of_the_other_rows():
+    """Bit identity of a dense run with its gates one at a time rests on
+    the BLAS: each row of a complex (r x 2^k) @ (2^k x 2^k) product, for
+    r >= 2, must have the same bits whatever the other rows and their
+    order, as OpenBLAS 0.3.31 gives it."""
+    rng = np.random.default_rng(34)
+    for d in (2, 4):
+        for _ in range(50):
+            matrix = random_unitary(rng, d.bit_length() - 1)
+            rows = rng.normal(size=(40, d)) + 1j * rng.normal(size=(40, d))
+            full = rows @ matrix.T
+            order = rng.permutation(40)
+            parts = [(rows[:r] @ matrix.T, full[:r]) for r in (2, 3, 17)]
+            parts.append((rows[order] @ matrix.T, full[order]))
+            for got, want in parts:
+                assert got.tobytes() == want.tobytes(), (
+                    f"this BLAS ({np.__version__}, see numpy.show_config())"
+                    f" rounds a row of a complex (r x {d}) @ ({d} x {d})"
+                    " product differently with other rows or another row"
+                    " order; sparse_state.apply_unitaries gives the bits"
+                    " of one gate at a time only where it does not")
+
+
+def test_a_run_past_the_support_cap_runs_gate_by_gate(monkeypatch):
+    """A tensor past MAX_SUPPORT is never built: its gates run one at a
+    time, so the cap stops the gate it stops alone, with its message."""
+    tensors = []
+    kernel = ss._run_tensor
+
+    def noted(state, run, axes, rests, *rest):
+        out = kernel(state, run, axes, rests, *rest)
+        tensors.append(len(rests) << len(axes))  # built: it did not raise
+        return out
+
+    monkeypatch.setattr(ss, "_run_tensor", noted)
+    monkeypatch.setattr(ss, "MAX_SUPPORT", 2)
+    state = ss.SparseState.basis(3)
+    # no state past 2 entries, but 4 in one tensor over qubits 0 and 1
+    assert_run_equals_one_at_a_time(state, [(H, [0]), (H, [0]), (H, [1]),
+                                            (H, [1])])
+    assert 0 < max(tensors) <= 2
+    for kernel_call in (ss.apply_unitaries, one_at_a_time):
+        with pytest.raises(ss.SupportLimitError,
+                           match="a 1-qubit gate would give 4 basis states"):
+            kernel_call(state, [(H, [0]), (H, [1]), (H, [2])])
+    assert max(tensors) <= 2
+
+
+def test_a_run_is_cut_where_its_tensor_would_outgrow_the_state(monkeypatch):
+    """Diagonal dense gates on a wide sparse state, and H spreading a
+    basis state over 14 qubits: each tensor holds at most RUN_SLACK times
+    its input support, or times RUN_FLOOR entries, apart from a one-gate
+    tensor, which is the block of that gate alone."""
+    tensors = []
+    kernel = ss._run_tensor
+
+    def noted(state, run, axes, rests, *rest):
+        tensors.append((len(run), len(rests) << len(axes), state.support()))
+        return kernel(state, run, axes, rests, *rest)
+
+    monkeypatch.setattr(ss, "_run_tensor", noted)
+    rng = np.random.default_rng(35)
+    tilt = np.diag([1, np.exp(0.3j)])
+    wide = random_state(rng, 40, 3000)
+    for state, run in (
+            (wide, [(tilt, [q]) for q in range(8)]),
+            (ss.SparseState.basis(16), [(H, [q]) for q in range(14)]),
+    ):
+        tensors.clear()
+        assert_run_equals_one_at_a_time(state, run)
+        assert len(tensors) > 1 and sum(t[0] for t in tensors) == len(run)
+        for gates, size, support in tensors:
+            assert gates == 1 or size <= ss.RUN_SLACK * max(
+                support, ss.RUN_FLOOR)
+
+
+def test_a_dense_run_spans_layers_unless_observed(monkeypatch):
+    """H on five qubits, one layer per gate: one apply_unitaries call
+    without an observer, one per layer with one, and both report the
+    peak support of every layer end."""
+    from laqcc import protocols as pt
+
+    calls = []
+    kernel = ss.apply_unitaries
+
+    def counted(state, run, ends=()):
+        calls.append((len(run), list(ends)))
+        return kernel(state, run, ends)
+
+    monkeypatch.setattr(ss, "apply_unitaries", counted)
+    layers = tuple(pr.QuantumLayer((pr.GateApp(pr.MatrixGate("h", H), (q,)),))
+                   for q in range(5))
+    program = pr.LaqccProgram(5, {}, layers + layers[:3])
+    (shot,) = pr.sample_branches(program, 1)
+    assert calls == [(8, list(range(1, 9)))]
+    assert shot.peak_support == 32 == pt.max_support(program,
+                                                     pr.SeededPolicy(0))
+    calls.clear()
+    seen = []
+    pr.execute(program, pr.SeededPolicy(0), observer=seen.append)
+    assert calls == [(1, [])] * 8
+    assert [s.support() for s in seen] == [2, 4, 8, 16, 32, 16, 8, 4]

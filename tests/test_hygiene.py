@@ -232,6 +232,52 @@ def test_map_kernels_have_no_loop():
     ) == [("apply_phase_map", "ListComp")]
 
 
+# the dense-run kernel; ``_to_back``, which permutes its list of axes,
+# loops over the run's qubits only
+DENSE_RUN = ("apply_unitaries", "_stretch", "_run_tensor", "_alone",
+             "_group", "_placed")
+
+
+def walked(source: str, names) -> list:
+    """``(function, loop, what it walks)`` for every loop and
+    comprehension in the top-level functions ``names`` of ``source``:
+    a loop's iterable, a ``while``'s condition."""
+    out = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in names):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.For):
+                overs = [inner.iter]
+            elif isinstance(inner, ast.While):
+                overs = [inner.test]
+            elif isinstance(inner, (ast.ListComp, ast.SetComp,
+                                    ast.DictComp, ast.GeneratorExp)):
+                overs = [gen.iter for gen in inner.generators]
+            else:
+                continue
+            out += [(node.name, type(inner).__name__, over) for over in overs]
+    return out
+
+
+def test_dense_run_kernel_loops_over_the_run_only():
+    """Every loop of the dense-run kernel walks the run's gates (it
+    names ``run``), none a pattern or a branch, and the tensor kernel
+    has one loop: each gate is one product over the whole tensor."""
+    source = (PACKAGE / "sparse_state.py").read_text()
+    loops = walked(source, DENSE_RUN)
+    assert {name for name, _, _ in loops} == {
+        "apply_unitaries", "_stretch", "_run_tensor"}
+    for name, kind, over in loops:
+        names = {n.id for n in ast.walk(over) if isinstance(n, ast.Name)}
+        assert "run" in names, (name, kind, ast.unparse(over))
+    assert [(kind, ast.unparse(over)) for name, kind, over in loops
+            if name == "_run_tensor"] == [("For", "enumerate(run, done + 1)")]
+    bad = walked("def _alone(out, live):\n    for b in live: pass\n",
+                 DENSE_RUN)
+    assert [(name, kind) for name, kind, _ in bad] == [("_alone", "For")]
+
+
 def test_classical_layers_and_the_deferral_predicate_have_no_loop():
     """A classical layer is evaluated on every branch, and a deferred
     condition on every control pattern, without a Python loop."""

@@ -223,10 +223,11 @@ def test_seeded_shots_walked_as_one_batch_equal_each_shot_alone(program):
 
 
 # engine calls and the states each makes: apply_to_labels and
-# apply_predicated make two, the part they hand their gate and the result
-MADE = {"from_arrays": 1, "apply_unitary": 1, "apply_permutations": 1,
-        "apply_basis_map": 1, "apply_phase_map": 1, "branch_enumerate": 1,
-        "apply_to_labels": 2, "apply_predicated": 2}
+# apply_predicated make two, the part they hand their gate and the result;
+# apply_unitaries makes one per tensor, and these programs' runs fit one
+MADE = {"from_arrays": 1, "apply_unitary": 1, "apply_unitaries": 1,
+        "apply_permutations": 1, "apply_basis_map": 1, "apply_phase_map": 1,
+        "branch_enumerate": 1, "apply_to_labels": 2, "apply_predicated": 2}
 
 
 def test_per_branch_work_is_one_state_and_one_event_per_measurement(
