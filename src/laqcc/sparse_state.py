@@ -28,12 +28,11 @@ keep each branch's order.  The 1e-9 norm checks, and
 (``np.bincount`` in storage order).  A gate may apply to some branches
 only: as an entry of an :func:`apply_permutations` run, with a boolean
 mask over the labels, or through :func:`apply_to_labels`.  A state with
-no label bits is one branch, and every kernel does its unlabelled work.
+no label bits is one branch, label 0, to a mask as to the per-label sums.
 """
 from __future__ import annotations
 
 import functools
-import math
 from types import MappingProxyType
 from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
 
@@ -101,7 +100,7 @@ class SparseState:
     def check_norm(self) -> "SparseState":
         if self.label_bits:
             _check_branch_norms(self, self.idx, self.amp)
-        elif abs(self.norm_squared() - 1.0) > NORM_TOLERANCE:
+        elif not abs(self.norm_squared() - 1.0) <= NORM_TOLERANCE:
             raise ValueError("state norm drifted beyond tolerance")
         return self
 
@@ -141,7 +140,7 @@ def _check_branch_norms(
     if checked is not None:
         present &= checked[: len(present)]
     norms = np.bincount(_labels(state, idx), _weights(amp), len(present))
-    if (present & (np.abs(norms - 1.0) > NORM_TOLERANCE)).any():
+    if (present & ~(np.abs(norms - 1.0) <= NORM_TOLERANCE)).any():
         raise ValueError("state norm drifted beyond tolerance")
 
 
@@ -215,13 +214,19 @@ def _rest(idx: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     return idx & ~sum(1 << t for t in targets)
 
 
-@functools.lru_cache(maxsize=4096)
-def _placements(targets: Tuple[int, ...], dtype) -> np.ndarray:
-    """Each target pattern's bits set on ``targets``, every other bit 0.
-    Memoised: a program applies its gates to a few thousand distinct
-    target tuples at most."""
-    placed = _scatter(np.arange(1 << len(targets)), targets, dtype)
-    placed.flags.writeable = False
+_PLACEMENTS: dict = {}
+
+
+def _placements(targets: Sequence[int], dtype) -> np.ndarray:
+    """Each target pattern's bits set on ``targets``, every other bit 0;
+    memoised up to 10 targets (8 kB a tuple), for 4096 tuples at most."""
+    key = tuple(targets), dtype
+    placed = _PLACEMENTS.get(key)
+    if placed is None:
+        placed = _scatter(np.arange(1 << len(targets)), targets, dtype)
+        placed.flags.writeable = False
+        if len(targets) <= 10 and len(_PLACEMENTS) < 4096:
+            _PLACEMENTS[key] = placed
     return placed
 
 
@@ -416,7 +421,7 @@ def _run_tensor(
     if perm is not None:
         out, keep = out.transpose(perm), keep.transpose(perm)
     keep = keep.ravel()
-    idx = (rests[:, None] | _placed(order, state.idx.dtype)).ravel()[keep]
+    idx = (rests[:, None] | _placements(order, state.idx.dtype)).ravel()[keep]
     amp = out.ravel()[keep]
     if m > k and width > 1 and np.count_nonzero(
             (rests[1:] ^ rests[:-1]) >> (order[0] + 1)) < width - 1:
@@ -425,14 +430,6 @@ def _run_tensor(
         by_key = (key | _gather(idx, targets)).argsort()
         idx, amp = idx[by_key], amp[by_key]
     return state._with(idx, amp), peaks
-
-
-def _placed(order: Sequence[int], dtype) -> np.ndarray:
-    """:func:`_placements` of ``order``, memoised up to 10 qubits (8 kB
-    a tuple)."""
-    if len(order) <= 10:
-        return _placements(tuple(order), dtype)
-    return _scatter(np.arange(1 << len(order)), order, dtype)
 
 
 def _to_back(order: List[int], targets: Tuple[int, ...]):
@@ -472,87 +469,59 @@ def _alone(out: np.ndarray, fibres: np.ndarray, live: np.ndarray,
 def apply_permutations(state: SparseState, run: Sequence[tuple]) -> SparseState:
     """Apply a run of signed permutations, one after another; ``run``
     holds at least one.  In each ``(images, phases, targets)``, target
-    pattern ``p`` (targets[0] most
-    significant) moves to ``images[p]``, its amplitude multiplied by
-    ``phases[p]``, a unit from ``1, -1, 1j, -1j``.  An entry of a
-    labelled state may add a fourth item, a boolean array indexed by
-    label: the gate then applies to those branches only (see
-    :func:`_apply_to_some`).
+    pattern ``p`` (targets[0] most significant) moves to ``images[p]``,
+    its amplitude times ``phases[p]``, one of ``1, -1, 1j, -1j``.  An
+    entry may add a boolean array indexed by label (label 0 in a state
+    without label bits): the gate then applies to those branches only.
 
-    For one gate, with the matrix that holds ``phases[p]`` at
-    ``[images[p], p]`` and zeros elsewhere, this gives
-    :func:`apply_unitary`'s indices in its order, ``(rest, image)``, and
-    amplitudes that compare equal: a product with a unit is exact, and
-    the block product only adds exact zeros.  A run gives the state its
-    gates give one at a time: the indices are sorted once, as the last
-    gate alone would sort them, and since a unit keeps each modulus, one
-    prune and one norm check at the end drop and accept what one per gate
-    would.
-    """
-    if state.label_bits and any(len(entry) > 3 for entry in run):
-        return _apply_to_some(state, run)
-    idx, amp = state.idx, state.amp
-    for images, phases, targets in run:
-        _check_targets(state, targets)
-        k = len(targets)
-        if len(images) != 1 << k:
-            raise ValueError("permutation size does not match target count")
-        patterns = _gather(idx, targets)
-        rest, moved = _rest(idx, targets), images[patterns]
-        amp = amp * phases[patterns]
-        idx = rest | _placements(tuple(targets), idx.dtype)[moved]
-    # each (rest, image) pair as one integer, distinct, so one sort
-    # orders them; it sorts large supports several times faster than
-    # np.lexsort of the two keys
-    key = rest.astype(_dtype(state.num_qubits + k), copy=False) << k
-    order = (key | moved).argsort()
-    out = amp[order]
-    keep = np.abs(out) >= PRUNE_THRESHOLD
-    idx, out = idx[order][keep], out[keep]
-    if state.label_bits:
-        _check_branch_norms(state, idx, out)
-    elif abs(np.vdot(out, out).real - 1.0) > NORM_TOLERANCE:
-        raise ValueError("state norm drifted beyond tolerance")
-    return state._with(idx, out)
-
-
-def _apply_to_some(state: SparseState, run: Sequence[tuple]) -> SparseState:
-    """:func:`apply_permutations` of a run whose gates apply to some
-    branches only: each branch ends as the gates that apply to it, run
-    alone, would leave it.  It is sorted by the ``(rest, image)`` of the
-    last of them, or keeps its order, unpruned and unchecked, when none
-    applies; labels stay in ascending order."""
-    idx, amp = state.idx, state.amp
-    labels = _labels(state, idx)
-    width = max(len(targets) for _, _, targets, *_ in run)
-    dtype = _dtype(state.num_qubits + width)
-    # sort key: ``rest << width | image`` orders (rest, image) pairs for
-    # every k <= width, and rest leads with the label; where no gate
-    # applies, the label alone, so the stable sort keeps the order
-    low = (1 << (state.num_qubits - state.label_bits)) - 1
-    key = (idx & ~low).astype(dtype, copy=False) << width
-    hit = np.zeros(len(idx), bool)
+    One gate gives :func:`apply_unitary`'s indices in its order,
+    ``(rest, image)``, and amplitudes that compare equal: a product with
+    a unit is exact.  A run gives each branch what the gates that reach
+    it give one at a time: one sort, as the last of them sorts, and, as
+    a unit keeps each modulus, one prune and one norm check.  A branch
+    that no gate reaches stays as it was, unpruned and unchecked."""
+    idx, amp, hit = state.idx, state.amp, None
+    if any(len(entry) > 3 for entry in run):
+        # sort key: ``rest << width | image`` of the last gate to reach
+        # an entry, else its label alone, so a stable sort keeps order
+        labels = _labels(state, idx)
+        width = max(len(entry[2]) for entry in run)
+        dtype = _dtype(state.num_qubits + width)
+        top = state.num_qubits - state.label_bits + width
+        key = labels.astype(dtype) << top
+        hit = np.zeros(len(idx), bool)
     for images, phases, targets, *which in run:
         _check_targets(state, targets)
         k = len(targets)
         if len(images) != 1 << k:
             raise ValueError("permutation size does not match target count")
-        on = which[0][labels] if which else np.ones(len(idx), bool)
         patterns = _gather(idx, targets)
         rest, moved = _rest(idx, targets), images[patterns]
-        amp = np.where(on, amp * phases[patterns], amp)
-        idx = np.where(
-            on, rest | _placements(tuple(targets), idx.dtype)[moved], idx)
-        pair = rest.astype(dtype, copy=False) << width | moved.astype(dtype)
-        key = np.where(on, pair, key)
-        hit |= on
-    applied = np.zeros(1 << state.label_bits, bool)
-    applied[labels[hit]] = True
-    order = key.argsort(kind="stable")
-    idx, amp, hit = idx[order], amp[order], hit[order]
-    keep = ~hit | (np.abs(amp) >= PRUNE_THRESHOLD)
-    idx, amp = idx[keep], amp[keep]
-    _check_branch_norms(state, idx, amp, applied)
+        image = rest | _placements(targets, idx.dtype)[moved]
+        phased = amp * phases[patterns]
+        if hit is not None:
+            on = which[0][labels] if which else True
+            image = np.where(on, image, idx)
+            phased = np.where(on, phased, amp)
+            key = np.where(on, rest.astype(dtype, copy=False) << width
+                           | moved.astype(dtype), key)
+            hit |= on
+        idx, amp = image, phased
+    keep, checked = np.abs(amp) >= PRUNE_THRESHOLD, None
+    if hit is None:
+        # the last gate's (rest, image) pairs as distinct integers: one
+        # sort, several times faster than np.lexsort of the two keys
+        key = rest.astype(_dtype(state.num_qubits + k), copy=False) << k
+        order = (key | moved).argsort()
+    else:
+        order = key.argsort(kind="stable")
+        keep, checked = keep | ~hit, np.bincount(labels, hit) > 0
+    order = order[keep[order]]
+    idx, amp = idx[order], amp[order]
+    if state.label_bits or checked is not None:
+        _check_branch_norms(state, idx, amp, checked)
+    elif not abs(np.vdot(amp, amp).real - 1.0) <= NORM_TOLERANCE:
+        raise ValueError("state norm drifted beyond tolerance")
     return state._with(idx, amp)
 
 
@@ -626,30 +595,20 @@ def apply_predicated(
     satisfies ``predicate``, and scale its result back; the rest stays.
     ``predicate`` takes the array of distinct control patterns, as
     :func:`apply_basis_map`'s ``mapping`` does, and returns which hit.
-    In a labelled state each branch's part is normalised on its own
-    weight, and each branch keeps its rest ahead of its moved part."""
-    idx, amp = state.idx, state.amp
-    patterns, where = _distinct(idx, controls)
+    Each branch's part is normalised on its own weight."""
+    _check_targets(state, controls)
+    patterns, where = _distinct(state.idx, controls)
     hit = np.asarray(predicate(patterns), bool)[where]
-    if hit.any():
-        part_idx, part_amp = idx[hit], amp[hit]
-        if state.label_bits:
-            labels = _labels(state, part_idx)
-            norms = np.sqrt(np.bincount(labels, _weights(part_amp)))
-            norm = np.repeat(norms[labels], 2)  # one per component
-        else:
-            norm = math.sqrt(_running_sum(_weights(part_amp)))
-        # divide each component, as Python's complex-by-float division does
-        part = (part_amp.view(float) / norm).view(complex)
-        moved = apply(state._with(part_idx, part))
-        if state.label_bits:
-            norm = norms[_labels(state, moved.idx)]
-        idx = np.concatenate([idx[~hit], moved.idx])
-        amp = np.concatenate([amp[~hit], moved.amp * norm])
-        if state.label_bits:  # each branch's rest, then its moved part
-            order = _labels(state, idx).argsort(kind="stable")
-            idx, amp = idx[order], amp[order]
-    return state._with(idx, amp).check_norm()
+    if not hit.any():
+        return state.check_norm()
+    idx, amp = state.idx[hit], state.amp[hit]
+    labels = _labels(state, idx)
+    norms = np.sqrt(np.bincount(labels, _weights(amp)))
+    # divide each component, as Python's complex-by-float division does
+    part = amp.view(float) / np.repeat(norms[labels], 2)
+    moved = apply(state._with(idx, part.view(complex)))
+    return _merged(state, hit, moved.idx,
+                   moved.amp * norms[_labels(state, moved.idx)]).check_norm()
 
 
 def pick(outcomes: np.ndarray, weights: np.ndarray, qubits: Sequence[int],
@@ -713,7 +672,7 @@ def branch_enumerate(
     idx, amp, group = state.idx[members[keep]], amp[keep], group[keep]
     # each branch's norm summed in storage order, as _running_sum does
     norms = np.bincount(group, _weights(amp), len(weights))
-    if (np.abs(norms - 1.0) > NORM_TOLERANCE).any():
+    if not (np.abs(norms - 1.0) <= NORM_TOLERANCE).all():
         raise ValueError("state norm drifted beyond tolerance")
     return outcomes, weights, _batch(state, idx, amp, group, len(weights))
 
@@ -766,12 +725,16 @@ def apply_to_labels(
 ) -> SparseState:
     """Run ``apply`` on the branches of ``state`` that ``which``, a
     boolean array indexed by label, selects, and merge its result back
-    by one stable sort by label: the branches stay whole, so nothing is
-    renormalised."""
+    (:func:`_merged`); the branches stay whole, so none is rescaled."""
     on = which[_labels(state, state.idx)]
     moved = apply(state._with(state.idx[on], state.amp[on]))
-    idx = np.concatenate([state.idx[~on], moved.idx])
-    amp = np.concatenate([state.amp[~on], moved.amp])
+    return _merged(state, on, moved.idx, moved.amp)
+
+
+def _merged(state: SparseState, on: np.ndarray, idx, amp) -> SparseState:
+    """``state`` but ``on``, then ``idx``, ``amp``, stably sorted by label."""
+    idx = np.concatenate([state.idx[~on], idx])
+    amp = np.concatenate([state.amp[~on], amp])
     order = _labels(state, idx).argsort(kind="stable")
     return state._with(idx[order], amp[order])
 
@@ -799,16 +762,18 @@ def from_arrays(
     ``idx`` (any integer dtype), checked as :func:`from_amplitudes`
     checks its entries: every index in range, amplitudes below
     ``PRUNE_THRESHOLD`` dropped and the norm within ``NORM_TOLERANCE``
-    of 1."""
+    of 1, and every amplitude finite."""
     if len(idx):
         lo, hi = int(idx.min()), int(idx.max())
         if lo < 0 or hi >> num_qubits:
             raise IndexError(
                 f"basis index {lo if lo < 0 else hi} out of range")
+    if not np.isfinite(amp).all():  # the prune would drop a NaN
+        raise ValueError("amplitudes must be finite")
     keep = _modulus(amp) >= PRUNE_THRESHOLD
     idx = idx.astype(_dtype(num_qubits), copy=False)
     state = SparseState._of(num_qubits, idx[keep], amp[keep])
-    if abs(state.norm_squared() - 1.0) > NORM_TOLERANCE:
+    if not abs(state.norm_squared() - 1.0) <= NORM_TOLERANCE:
         raise ValueError("amplitudes are not normalized")
     return state
 

@@ -613,6 +613,18 @@ def test_bad_targets_rejected_by_both_gate_kernels():
         ])
 
 
+@pytest.mark.parametrize("controls, match", [
+    ([5], "target 5 out of range"),
+    ([-1], "target -1 out of range"),
+    ([1, 1], "duplicate target qubits"),
+])
+def test_bad_controls_rejected_as_bad_targets(controls, match):
+    state = ss.SparseState.basis(2)
+    with pytest.raises(IndexError, match=match):
+        ss.apply_predicated(state, lambda p: p == 1, controls,
+                            lambda part: part)
+
+
 def test_entangled_rest_rejected_by_both():
     _, state, targets = case(6, 2, n=6)
     both_raise(ValueError, "not in one basis state", [

@@ -235,7 +235,7 @@ def test_map_kernels_have_no_loop():
 # the dense-run kernel; ``_to_back``, which permutes its list of axes,
 # loops over the run's qubits only
 DENSE_RUN = ("apply_unitaries", "_stretch", "_run_tensor", "_alone",
-             "_group", "_placed")
+             "_group", "_placements")
 
 
 def walked(source: str, names) -> list:
@@ -276,6 +276,19 @@ def test_dense_run_kernel_loops_over_the_run_only():
     bad = walked("def _alone(out, live):\n    for b in live: pass\n",
                  DENSE_RUN)
     assert [(name, kind) for name, kind, _ in bad] == [("_alone", "For")]
+
+
+def test_permutation_runs_have_one_loop():
+    """A run of signed permutations, with masks or without, goes through
+    the one ``for`` of ``apply_permutations``: no second copy of the
+    loop, and no second memo of the placements."""
+    source = (PACKAGE / "sparse_state.py").read_text()
+    loops = walked(source, ("apply_permutations",))
+    assert [(kind, ast.unparse(over)) for _, kind, over in loops
+            if kind == "For"] == [("For", "run")]
+    for path in MODULES:
+        assert not re.search(r"\b(_apply_to_some|_placed)\b",
+                             path.read_text()), path.name
 
 
 def test_classical_layers_and_the_deferral_predicate_have_no_loop():

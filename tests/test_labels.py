@@ -531,3 +531,60 @@ def test_run_applies_each_gate_to_its_branches_only():
         assert got[label].idx.tolist() == want.idx.tolist()
         assert got[label].amp.tobytes() == want.amp.tobytes()
     assert [p.support() for p in got] == [4, 4, 4, 5]
+
+
+@pytest.mark.parametrize("n", [4, 61])
+def test_run_whose_masks_all_hold_equals_the_run_without_masks(n):
+    """Where every mask of a run selects every branch, the masked path of
+    the one permutation loop gives the unmasked path's ``idx`` order and
+    ``amp`` bytes, also with a mask on some entries only and with
+    indices past 62 bits."""
+    rng = np.random.default_rng(8)
+    parts = []
+    for _ in range(3):
+        idx = rng.choice(16, 5, replace=False) << (n - 4)
+        amp = rng.normal(size=5) + 1j * rng.normal(size=5)
+        amp[1] = 0
+        amp = amp / np.linalg.norm(amp)
+        amp[1] = 5e-13  # pruned by both paths
+        parts.append(ss.SparseState._of(n, idx, amp))
+    state = batch(*parts)
+    x, cnot = cl.X_GATE.permutation, cl.CNOT_GATE.permutation
+    s = cl.clifford("S", 1, "S(0)").permutation
+    every = np.ones(3, bool)
+    for run in ([(*x, [n - 1])],
+                [(*cnot, [n - 1, 0]), (*s, [n - 2]), (*x, [n - 3])],
+                [(*s, [n - 4]), (*cnot, [0, n - 2])]):
+        want = ss.apply_permutations(state, run)
+        for masked in ([gate + (every,) for gate in run],
+                       [run[0] + (every,)] + run[1:]):
+            got = ss.apply_permutations(state, masked)
+            assert got.idx.dtype == want.idx.dtype
+            assert got.idx.tolist() == want.idx.tolist()
+            assert got.amp.tobytes() == want.amp.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 70])
+def test_mask_on_a_state_without_label_bits_selects_label_0(n):
+    """A state without label bits is one branch, label 0: a masked entry
+    applies its gate where its mask is ``[True]`` and leaves the state
+    as it was, unpruned, where it is ``[False]``."""
+    top = n - 1
+    state = ss.SparseState._of(n, np.array([1, 1 << top, 3], object
+                                           if n > 62 else np.int64),
+                               np.array([0.6, 0.8j, 5e-13]))
+    x, cnot = cl.X_GATE.permutation, cl.CNOT_GATE.permutation
+    s = cl.clifford("S", 1, "S(0)").permutation
+    yes, no = np.array([True]), np.array([False])
+    for run in ([(*x, [top])], [(*cnot, [0, top]), (*s, [1]), (*x, [2])]):
+        want = ss.apply_permutations(state, run)
+        got = ss.apply_permutations(state, [gate + (yes,) for gate in run])
+        assert got.idx.tolist() == want.idx.tolist()
+        assert got.amp.tobytes() == want.amp.tobytes()
+        same = ss.apply_permutations(state, [gate + (no,) for gate in run])
+        assert same.idx.tolist() == state.idx.tolist()
+        assert same.amp.tobytes() == state.amp.tobytes()
+    got = ss.apply_permutations(state, [(*x, [top], yes), (*s, [1], no)])
+    want = ss.apply_permutations(state, [(*x, [top])])
+    assert got.idx.tolist() == want.idx.tolist()
+    assert got.amp.tobytes() == want.amp.tobytes()

@@ -110,6 +110,32 @@ def test_from_arrays_checks_as_from_amplitudes_does(entries, error, match):
             make()
 
 
+@pytest.mark.parametrize("bad", [
+    math.nan, complex(0, math.nan), complex(math.inf, 0)])
+def test_from_arrays_rejects_a_non_finite_amplitude(bad):
+    """A NaN is not below the prune threshold either: it must be
+    rejected, not dropped as a small amplitude before the norm check."""
+    for make in (lambda: ss.from_amplitudes(1, [(0, 1.0), (1, bad)]),
+                 lambda: ss.from_arrays(1, np.array([0, 1]),
+                                        np.array([1.0, bad]))):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
+def test_norm_checks_fail_on_nan():
+    """A NaN norm is not within the tolerance: the unlabelled and the
+    per-branch checks reject it, and so does a predicated gate that
+    leaves a NaN in the part it does not touch."""
+    nan = ss.SparseState._of(2, np.array([0b00, 0b01, 0b10]),
+                             np.array([0.6, 0.8, math.nan]))
+    labelled = ss.SparseState._of(2, nan.idx, nan.amp, 1)
+    for call in (nan.check_norm, labelled.check_norm,
+                 lambda: ss.apply_predicated(nan, lambda p: p == 1, [0],
+                                             lambda part: part)):
+        with pytest.raises(ValueError, match="drifted"):
+            call()
+
+
 def test_from_arrays_prunes_as_from_amplitudes_does():
     entries = [(3, 0.6), (1, 1e-13), (0, 0.8j)]
     want = ss.from_amplitudes(2, entries)
