@@ -16,6 +16,11 @@ are distinct, so the order depends on the result alone, and a run of
 dense gates or of signed permutations orders its result as its last
 gate alone would.  The map kernels keep the storage order.
 
+Index chores take no sort where a table is small: bits move between
+index and pattern positions by one lookup per chunk of up to 8 source
+bits (:func:`_move_bits`), and the distinct patterns of at most 16 bits
+come from a table of those present (:func:`_distinct`, :func:`_narrow`).
+
 A state may be a batch of whole branches (:func:`branch_enumerate` makes
 one, :func:`select_labels` keeps some, :func:`split_labels` takes it
 apart): each branch's label sits in ``label_bits`` extra qubits above
@@ -58,9 +63,9 @@ class SparseState:
     one label form one whole branch, of norm 1."""
 
     def __init__(self, num_qubits: int, amplitudes: Mapping[int, complex]):
-        n = len(amplitudes)
-        idx = np.fromiter(amplitudes.keys(), _dtype(num_qubits), n)
-        amp = np.fromiter(amplitudes.values(), complex, n)
+        idx = _index_array(num_qubits, amplitudes)
+        _check_range(num_qubits, idx)
+        amp = np.fromiter(amplitudes.values(), complex, len(amplitudes))
         self._own(num_qubits, idx, amp, 0)
 
     @classmethod
@@ -71,7 +76,12 @@ class SparseState:
 
     def _own(self, num_qubits: int, idx: np.ndarray, amp: np.ndarray,
              label_bits: int):
-        idx.flags.writeable = amp.flags.writeable = False
+        # a flag write costs several reads: slices of a state's arrays
+        # are read-only already
+        if idx.flags.writeable:
+            idx.flags.writeable = False
+        if amp.flags.writeable:
+            amp.flags.writeable = False
         vars(self).update(num_qubits=num_qubits, idx=idx, amp=amp,
                           label_bits=label_bits)
         return self
@@ -170,14 +180,83 @@ def _shifts(src: Tuple[int, ...], dst: Tuple[int, ...]):
     return tuple(masks.items())
 
 
+class _TableMemo(dict):
+    """:func:`_move_tables` by ``(src, dst)``, least recently used first;
+    it drops the oldest while its tables pass ``TABLE_BYTES``."""
+
+    held = 0  # bytes of the tables held
+
+    def tables(self, src: Tuple[int, ...], dst: Tuple[int, ...]):
+        key = src, dst
+        found = self.pop(key, None)
+        if found is None:
+            found = _move_tables(src, dst)
+            self.held += sum(table.nbytes for table in found)
+            while self.held > TABLE_BYTES:
+                gone = self.pop(next(iter(self)))
+                self.held -= sum(table.nbytes for table in gone)
+        self[key] = found
+        return found
+
+
+# most bytes the memo of bit-movement tables holds: a table takes up to
+# 2 kB, and a 4096-entry memo of up to eight each could take 64 MB
+TABLE_BYTES = 1 << 20
+_TABLES = _TableMemo()
+
+
+@functools.lru_cache(maxsize=4096)
+def _chunks(src: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """``(low, width)`` of each chunk of at most 8 bits that covers the
+    bits ``src``, ascending: each starts at the lowest bit the chunks
+    below miss and ends at the highest bit of ``src`` within 8 of it."""
+    chunks: List[list] = []
+    for s in sorted(src):
+        if chunks and s < chunks[-1][0] + 8:
+            chunks[-1][1] = s - chunks[-1][0] + 1
+        else:
+            chunks.append([s, 1])
+    return tuple(map(tuple, chunks))
+
+
+def _move_tables(src: Tuple[int, ...], dst: Tuple[int, ...]):
+    """One table per chunk of the source bits (:func:`_chunks`): the one
+    at bit ``low`` holds, at each ``b`` below 2^width, the moved bits of
+    ``b << low``."""
+    tables = []
+    for low, width in _chunks(src):
+        byte = np.arange(1 << width)
+        table = np.zeros(1 << width, np.int64)
+        for s, d in zip(src, dst):
+            if low <= s < low + width:
+                table |= (byte >> (s - low) & 1) << d
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
 def _move_bits(
     values: np.ndarray, src: Sequence[int], dst: Sequence[int], dtype
 ) -> np.ndarray:
     """Bit ``src[i]`` of each value placed at bit ``dst[i]``; every other
-    bit of the result is 0.  Bits that move by the same distance move
-    together."""
+    bit of the result is 0.  ``int64`` values move by one table lookup
+    per chunk of their source bits (:func:`_move_tables`) where
+    that takes fewer steps; else bits that move by the same distance
+    move together."""
+    src, dst = tuple(src), tuple(dst)
+    shifts, chunks = _shifts(src, dst), _chunks(src)
+    if values.dtype == dtype == np.int64 and len(shifts) > len(chunks):
+        out = None
+        for (low, _), table in zip(chunks, _TABLES.tables(src, dst)):
+            byte = values >> low
+            byte &= len(table) - 1
+            if out is None:
+                out = table[byte]
+            else:
+                out |= table[byte]
+        return out
     out = None
-    for distance, mask in _shifts(tuple(src), tuple(dst)):
+    for distance, mask in shifts:
         part = values & mask
         # convert where the part fits the narrower dtype: after a right
         # shift, before a left one
@@ -525,11 +604,28 @@ def apply_permutations(state: SparseState, run: Sequence[tuple]) -> SparseState:
     return state._with(idx, amp)
 
 
+def _narrow(bits: int, count: int) -> bool:
+    """Whether a table over every ``bits``-bit value costs less than a
+    sort of ``count`` such values: at most 2^16 of them, and at most 8
+    per value sorted."""
+    return bits <= 16 and 1 << bits <= 8 * count
+
+
 def _distinct(idx: np.ndarray, targets: Sequence[int]):
     """The sorted distinct target patterns of ``idx`` (targets[0] most
     significant) and each index's position among them: the one array a
-    map kernel hands its function."""
-    return np.unique(_gather(idx, targets), return_inverse=True)
+    map kernel hands its function.  ``np.unique``'s, with no sort where
+    a table of the patterns present is :func:`_narrow`."""
+    patterns = _gather(idx, targets)
+    if not _narrow(len(targets), len(patterns)):
+        return np.unique(patterns, return_inverse=True)
+    present = np.zeros(1 << len(targets), bool)
+    present[patterns] = True
+    values = np.flatnonzero(present)
+    # each value's place: a scatter costs half a cumsum of ``present``
+    place = np.empty(len(present), np.intp)
+    place[values] = np.arange(len(values))
+    return values, place[patterns]
 
 
 def _repeats(values: np.ndarray) -> bool:
@@ -659,6 +755,8 @@ def branch_enumerate(
     _check_targets(state, qubits)
     outcomes, where = _distinct(state.idx, qubits)
     weights = np.bincount(where, _weights(state.amp), len(outcomes))
+    if not np.isfinite(weights).all():  # the prune would drop a NaN
+        raise ValueError("outcome weights must be finite")
     live = weights > PRUNE_THRESHOLD
     place = np.cumsum(live) - 1  # each live outcome's place among them
     # positions grouped by outcome, each group in storage order; outcomes
@@ -709,6 +807,7 @@ def split_labels(state: SparseState, count: int) -> List[SparseState]:
     n = state.num_qubits - state.label_bits
     ends = supports(state, count).cumsum().tolist()
     idx = (state.idx & ((1 << n) - 1)).astype(_dtype(n), copy=False)
+    idx.flags.writeable = False  # once, so that no slice needs it
     # slices: np.split costs several times more per piece
     return [SparseState._of(n, idx[start:end], state.amp[start:end])
             for start, end in zip([0] + ends, ends)]
@@ -744,11 +843,21 @@ def fidelity(state: SparseState, target: SparseState) -> float:
     if state.num_qubits != target.num_qubits:
         raise ValueError("qubit counts differ")
     small, large = sorted((state, target), key=SparseState.support)
-    _, i, j = np.intersect1d(
-        small.idx, large.idx, assume_unique=True, return_indices=True
-    )
-    order = np.argsort(i)  # the shared indices in the small state's order
-    a, b = small.amp[i[order]], large.amp[j[order]]
+    # the shared indices in the small state's order: by a table of each
+    # index's place in the large state where it is narrow, else a sort
+    if _narrow(state.num_qubits, large.support()):
+        place = np.full(1 << state.num_qubits, -1, np.intp)
+        place[large.idx] = np.arange(large.support())
+        j = place[small.idx]
+        i = np.flatnonzero(j >= 0)
+        j = j[i]
+    else:
+        _, i, j = np.intersect1d(
+            small.idx, large.idx, assume_unique=True, return_indices=True
+        )
+        order = np.argsort(i)
+        i, j = i[order], j[order]
+    a, b = small.amp[i], large.amp[j]
     # a * conj(b) per component, as Python's complex product rounds it
     re = _running_sum(a.real * b.real + a.imag * b.imag)
     im = _running_sum(a.imag * b.real - a.real * b.imag)
@@ -763,11 +872,7 @@ def from_arrays(
     checks its entries: every index in range, amplitudes below
     ``PRUNE_THRESHOLD`` dropped and the norm within ``NORM_TOLERANCE``
     of 1, and every amplitude finite."""
-    if len(idx):
-        lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0 or hi >> num_qubits:
-            raise IndexError(
-                f"basis index {lo if lo < 0 else hi} out of range")
+    _check_range(num_qubits, idx)
     if not np.isfinite(amp).all():  # the prune would drop a NaN
         raise ValueError("amplitudes must be finite")
     keep = _modulus(amp) >= PRUNE_THRESHOLD
@@ -778,16 +883,30 @@ def from_arrays(
     return state
 
 
+def _check_range(num_qubits: int, idx: np.ndarray) -> None:
+    """Raise unless every index in ``idx`` is in [0, 2^num_qubits)."""
+    if len(idx):
+        lo, hi = int(idx.min()), int(idx.max())
+        if lo < 0 or hi >> num_qubits:
+            raise IndexError(
+                f"basis index {lo if lo < 0 else hi} out of range")
+
+
+def _index_array(num_qubits: int, amps: Mapping[int, complex]) -> np.ndarray:
+    """The keys of ``amps`` as an index array of ``num_qubits`` qubits,
+    not yet checked to be in range."""
+    try:
+        return np.fromiter(amps, _dtype(num_qubits), len(amps))
+    except OverflowError:  # an index past int64, for the range check
+        return np.array(list(amps), object)
+
+
 def from_amplitudes(
     num_qubits: int, entries: Iterable[Tuple[int, complex]]
 ) -> SparseState:
     amps = dict(entries)
-    try:
-        idx = np.fromiter(amps, _dtype(num_qubits), len(amps))
-    except OverflowError:  # an index past int64, for the range check
-        idx = np.array(list(amps), object)
     amp = np.fromiter(amps.values(), complex, len(amps))
-    return from_arrays(num_qubits, idx, amp)
+    return from_arrays(num_qubits, _index_array(num_qubits, amps), amp)
 
 
 def split_register(

@@ -379,6 +379,118 @@ def test_move_bits_groups_bits_by_distance():
     ) == [0b1001010, 0b10, 0]
 
 
+def table_moves(rng):
+    """A gather, a scatter and a move both ways, each of at least 3
+    distances over source bits spanning more than 8: all three take
+    the table path."""
+    while True:
+        k = int(rng.integers(9, 17))
+        src = [int(q) for q in rng.permutation(62)[:k]]
+        dst = [int(q) for q in rng.permutation(62)[:k]]
+        low = list(range(k - 1, -1, -1))
+        moves = [(src, low), (low, src), (src, dst)]
+        if all(len(ss._shifts(tuple(s), tuple(d))) >= 3
+               and max(s) - min(s) >= 8
+               and len(ss._shifts(tuple(s), tuple(d)))
+               > len(ss._chunks(tuple(s)))
+               for s, d in moves):
+            return moves
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_move_bits_by_table_matches_one_bit_at_a_time(seed):
+    rng = np.random.default_rng([seed, 3])
+    values = rng.integers(0, 1 << 62, 300)
+    # every bit of each value set at random: bits that a chunk covers
+    # but that do not move are left out
+    for src, dst in table_moves(rng):
+        got = ss._move_bits(values, src, dst, np.int64)
+        assert got.dtype == np.int64
+        assert got.tolist() == ref_move_bits(values, src, dst, np.int64
+                                             ).tolist()
+
+
+def test_move_bits_tables_are_sized_to_their_chunks():
+    """A chunk's table has 2^width entries, its source bits from its
+    lowest to its highest: bits 0-7 and 9-10 take 256 and 4 entries."""
+    assert ss._chunks((10, 0, 7, 9)) == ((0, 8), (9, 2))
+    tables = ss._move_tables((10, 0, 7, 9), (0, 1, 2, 3))
+    assert [len(t) for t in tables] == [256, 4]
+    assert tables[1].tolist() == [0, 0b1000, 0b1, 0b1001]
+
+
+def test_table_memo_drops_the_least_recently_used(monkeypatch):
+    """Past ``TABLE_BYTES`` the memo drops its least recently used
+    tables, and its count of bytes stays exact."""
+    moves = [(tuple(range(8 * i, 8 * i + 8)), tuple(range(7, -1, -1)))
+             for i in range(4)]  # one 2 kB table each
+    memo = ss._TableMemo()
+    monkeypatch.setattr(ss, "_TABLES", memo)
+    monkeypatch.setattr(ss, "TABLE_BYTES", 3 * 2048)
+    values = np.arange(100, dtype=np.int64) << 5
+    for src, dst in moves[:3] + moves[:1] + moves[3:]:
+        assert ss._move_bits(values, src, dst, np.int64).tolist(
+        ) == ref_move_bits(values, src, dst, np.int64).tolist()
+    assert list(memo) == [moves[2], moves[0], moves[3]]
+    assert memo.held == sum(t.nbytes for ts in memo.values() for t in ts)
+
+
+def test_move_bits_keeps_shifts_for_python_ints(monkeypatch):
+    """Values or a result beyond ``int64`` keep the shift path: the
+    table memo is never asked."""
+    class Refusing(ss._TableMemo):
+        def tables(self, src, dst):
+            raise AssertionError("table path on Python ints")
+
+    monkeypatch.setattr(ss, "_TABLES", Refusing())
+    rng = np.random.default_rng(4)
+    src, low = table_moves(rng)[0]
+    wide = [q + 8 for q in src]  # bits up to 69
+    values = np.array([int.from_bytes(rng.bytes(9), "little") % (1 << 70)
+                       for _ in range(50)], object)
+    patterns = ref_move_bits(values, wide, low, np.int64)
+    for given, s, d, out in ((values, wide, low, np.int64),
+                             (patterns, low, wide, object),
+                             (values, wide, src, object)):
+        got = ss._move_bits(given, s, d, out)
+        assert got.dtype == np.dtype(out)
+        assert got.tolist() == ref_move_bits(given, s, d, out).tolist()
+
+
+@pytest.mark.parametrize("k, size, narrow", [
+    (3, 100, True), (12, 50, False), (16, 8192, True), (16, 8191, False),
+    (17, 20000, False), (5, 0, False), (0, 3, True)])
+def test_distinct_equals_np_unique(k, size, narrow):
+    """Both ways to find the distinct patterns, a table of those present
+    and a sort, give ``np.unique``'s values and inverse, dtypes too."""
+    rng = np.random.default_rng([k, size])
+    n = k + 6
+    idx = rng.integers(0, 1 << n, size)
+    targets = [int(q) for q in rng.permutation(n)[:k]]
+    assert ss._narrow(k, size) == narrow
+    want = np.unique(ref_move_bits(idx, targets, range(k - 1, -1, -1),
+                                   np.int64), return_inverse=True)
+    for got, expected in zip(ss._distinct(idx, targets), want):
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n, size, narrow", [(6, 20, True), (12, 20, False)])
+def test_fidelity_equals_reference_on_either_path(n, size, narrow):
+    """The shared indices, by a place table or by a sort, pair up in
+    the small state's order: the overlap equals the Python sum bit for
+    bit, whichever state is given first and in any storage order."""
+    rng = np.random.default_rng([n, size])
+    state = random_state(rng, n, size)
+    shared = list(state.amplitudes)[::2]
+    target = random_state(rng, n, size + 3, shared)
+    target = ss.SparseState._of(n, *(a[rng.permutation(size + 3)]
+                                     for a in (target.idx, target.amp)))
+    assert ss._narrow(n, target.support()) == narrow
+    for a, b in ((state, target), (target, state)):
+        assert ss.fidelity(a, b) == ref_fidelity(a, b)
+
+
 # branch_enumerate as it was: one _collapse, and one norm check, per
 # outcome
 
@@ -392,7 +504,9 @@ def _collapse(state: ss.SparseState, members: np.ndarray, p: float):
 
 def old_branch_enumerate(state, qubits):
     ss._check_targets(state, qubits)
-    outcomes, where = ss._distinct(state.idx, qubits)
+    patterns = ref_move_bits(state.idx, qubits,
+                             range(len(qubits) - 1, -1, -1), np.int64)
+    outcomes, where = np.unique(patterns, return_inverse=True)
     weights = np.bincount(where, ss._weights(state.amp), len(outcomes))
     groups = np.split(
         np.argsort(where, kind="stable"),

@@ -335,6 +335,18 @@ def test_map_gate_functions_run_once_per_application(monkeypatch):
     assert len(calls["apply_phase_map"]) > 100
 
 
+def test_bit_movement_tables_stay_within_their_byte_bound():
+    """After every acceptance program, the memo of bit-movement tables
+    holds at most ``TABLE_BYTES``, as its own count says."""
+    from laqcc import sparse_state as ss
+    from laqcc import verify
+
+    assert [r["name"] for r in verify.run_all() if not r["passed"]] == []
+    held = sum(table.nbytes for tables in ss._TABLES.values()
+               for table in tables)
+    assert 0 < held == ss._TABLES.held <= ss.TABLE_BYTES
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_ghz_applies_each_run_of_permutations_in_one_call(n, monkeypatch):
     """Enumerating ``ghz(n)`` calls the permutation kernel once per CNOT

@@ -86,13 +86,19 @@ def test_matrix_is_a_read_only_copy():
 
 @pytest.mark.parametrize("index", [4, 7, -1])
 def test_from_amplitudes_rejects_out_of_range_index(index):
-    with pytest.raises(IndexError, match="out of range"):
-        ss.from_amplitudes(2, [(index, 1.0)])
+    """So does the constructor from a dict, which checks no norm."""
+    for make in (lambda: ss.from_amplitudes(2, [(index, 1.0)]),
+                 lambda: ss.SparseState(2, {index: 1.0})):
+        with pytest.raises(IndexError, match="out of range"):
+            make()
 
 
 def test_from_amplitudes_rejects_index_beyond_int64():
-    with pytest.raises(IndexError, match="out of range"):
-        ss.from_amplitudes(2, [(1 << 70, 1.0)])
+    for n in (2, 64):
+        for make in (lambda: ss.from_amplitudes(n, [(1 << 70, 1.0)]),
+                     lambda: ss.SparseState(n, {1 << 70: 1.0})):
+            with pytest.raises(IndexError, match="out of range"):
+                make()
 
 
 @pytest.mark.parametrize("entries, error, match", [
@@ -134,6 +140,15 @@ def test_norm_checks_fail_on_nan():
                                              lambda part: part)):
         with pytest.raises(ValueError, match="drifted"):
             call()
+
+
+def test_branch_enumerate_rejects_a_non_finite_outcome_weight():
+    """An outcome of NaN weight is not below the prune threshold either:
+    it fails instead of being dropped before the others are normalised.
+    The constructor from a dict still takes a NaN."""
+    nan = ss.SparseState(2, {0b00: 0.6, 0b01: 0.8, 0b10: math.nan})
+    with pytest.raises(ValueError, match="finite"):
+        ss.branch_enumerate(nan, [0])
 
 
 def test_from_arrays_prunes_as_from_amplitudes_does():
