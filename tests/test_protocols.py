@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -126,6 +127,36 @@ def test_dicke_small_k_all_branches(n, k):
         # one feed-forward round over the k! rank assignments
         assert len(branches) == math.factorial(k)
         assert pr.resources(prog).rounds == 1
+
+
+# sha256 over every branch of dicke_small_k(n, k): each record, ``repr``
+# of its probability, its peak support, and its state's indices and
+# amplitudes sorted by index, so the storage order does not count.  The
+# amplitude bytes depend on the platform and the numpy version, as the
+# corpus digests do.
+SMALL_K_VALUES = {
+    (4, 1): "203eaf5802827eadc7ecea2a9d2ca318ad5c1df32f2dede0000402cf7398d474",
+    (4, 2): "8f8b24e3cc30ad8d58e1c88adeb13aaef4043b0fd84f38396ba9de060f5a12c0",
+    (5, 2): "e65fcbbac0533e6a2e184ab16544ece11eca5ac9fdbd432c39daadedd1752f53",
+    (6, 2): "13f713abdfd590bc818ba14b898513eb31829c0b03177dc9174ef461a97b5a9e",
+    (8, 2): "d3fdf55484efc674b6ad8d12b1cbdae6e7027df956aaaec7f09d147d2a8fe59e",
+    (9, 3): "0cb49f7e3dbf5d52d816186169b165ff4875816332dcf68d325ffc013027e301",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(SMALL_K_VALUES))
+def test_dicke_small_k_branch_values_are_pinned(n, k):
+    h = hashlib.sha256()
+    for branch in pr.enumerate_branches(pt.dicke_small_k(n, k)[0]):
+        order = np.argsort(branch.state.idx, kind="stable")
+        for part in (repr(branch.record).encode(),
+                     repr(branch.probability).encode(),
+                     repr(branch.peak_support).encode(),
+                     branch.state.idx[order].tobytes(),
+                     branch.state.amp[order].tobytes()):
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    assert h.hexdigest() == SMALL_K_VALUES[n, k]
 
 
 def test_dicke_small_k_policy_rejects_large_k():
