@@ -310,12 +310,12 @@ class CliffordCircuit:
     @staticmethod
     def from_json(doc: dict) -> "CliffordCircuit":
         return CliffordCircuit(
-            pr.json_field(doc, "shape"),
+            pr.json_string(doc, "shape"),
             pr.json_count(doc, "n"),
             pr.json_count(doc, "depth") if "depth" in doc else 1,
             tuple(
                 CliffordGate(
-                    pr.json_field(g, "name"), pr.json_qubits(g, "qubits")
+                    pr.json_string(g, "name"), pr.json_qubits(g, "qubits")
                 )
                 for g in pr.json_list(doc, "gates")
             ),

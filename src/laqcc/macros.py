@@ -345,6 +345,8 @@ def parallelize_commuting(
     k..k + (m-1)k - 1 are the copy ancillas, restored to zero.
     """
     tables = [np.asarray(d, dtype=complex) for d in diagonals]
+    if not tables:
+        raise ValueError("need at least one gate")
     if any(t.ndim != 1 or t.shape != tables[0].shape for t in tables):
         raise ValueError("gates must be 1-D phase tables of one length")
     k = int(round(math.log2(len(tables[0]))))

@@ -177,20 +177,6 @@ class DiagonalGate(Gate):
 
 
 @dataclass
-class DynamicGate(Gate):
-    """Gate whose concrete form depends on earlier classical outputs."""
-
-    name: str
-    num_bits: int
-    builder: Callable[[Dict[str, Dict[str, int]]], Gate]
-    reads: Tuple[str, ...] = ()
-    charge: float = 0.0
-
-    def apply(self, state, qubits):  # pragma: no cover - resolved earlier
-        raise RuntimeError("dynamic gate must be resolved before application")
-
-
-@dataclass
 class PredicatedGate(Gate):
     """Apply ``gate`` to the trailing qubits iff a predicate of the leading
     control bits is 1; used by the measurement-deferral transform.
@@ -422,43 +408,17 @@ class ForcedPolicy:
     outcomes: Tuple[int, ...]
 
 
-def _resolve(
-    app: GateApp, bits: Mapping[str, Mapping[str, np.ndarray]], count: int
-) -> List[Tuple[Gate, Optional[np.ndarray]]]:
-    """The concrete gates to apply for this application to ``count``
-    branches, each with the branches it applies to: ``None`` for all, or
-    a boolean array indexed by label.  ``bits`` maps each classical layer
-    run so far to its outputs, each an array of values indexed by label.
-    A conditioned gate applies where its bit is 1; a dynamic gate is
-    built once for each distinct value of the outputs it reads, and
-    applies to the branches that read it."""
-    which = None
-    if app.condition is not None:
-        source, key = app.condition
-        fires = bits[source][key] == 1
-        if not fires.any():
-            return []
-        if not fires.all():
-            which = fires
-    gate = app.gate
-    if not isinstance(gate, DynamicGate):
-        return [(gate, which)]
-    columns = [values.tolist() for name in gate.reads or sorted(bits)
-               for _, values in sorted(bits[name].items())]
-    inputs = list(zip(*columns)) or [()] * count
-    shared: Dict[tuple, List[int]] = {}
-    for label in (range(count) if which is None
-                  else np.flatnonzero(which).tolist()):
-        shared.setdefault(inputs[label], []).append(label)
-    out = []
-    for labels in shared.values():
-        on = np.zeros(count, bool)
-        on[labels] = True
-        env = {name: {key: values[labels[0]].item()
-                      for key, values in outputs.items()}
-               for name, outputs in bits.items()}
-        out.append((gate.builder(env), None if on.all() else on))
-    return out
+def _applies_to(app: GateApp, bits: Mapping[str, Mapping[str, np.ndarray]]):
+    """The branches ``app`` applies to: ``None`` for all of them,
+    ``False`` for none, else a boolean array indexed by label.  ``bits``
+    maps each classical layer run so far to its outputs, each an array of
+    values indexed by label; a conditioned gate applies where its bit
+    is 1."""
+    if app.condition is None:
+        return None
+    source, key = app.condition
+    fires = bits[source][key] == 1
+    return None if fires.all() else fires if fires.any() else False
 
 
 @dataclass(frozen=True)
@@ -495,11 +455,11 @@ class _DenseRun:
 
 def _apply_layer(
     layer: QuantumLayer, state: SparseState,
-    bits: Mapping[str, Mapping[str, np.ndarray]], count: int,
+    bits: Mapping[str, Mapping[str, np.ndarray]],
     dense: _DenseRun, peaks: np.ndarray,
 ) -> Tuple[SparseState, np.ndarray]:
-    """``state`` after ``layer``, each of its ``count`` branches under its
-    own classical outputs (see :func:`_resolve`), but for the gates it
+    """``state`` after ``layer``, each of its branches under its own
+    classical outputs (see :func:`_applies_to`), but for the gates it
     leaves in ``dense``; ``peaks`` as :meth:`_DenseRun.apply` leaves it.
 
     A dense gate that applies to every branch joins ``dense``, the open
@@ -512,25 +472,27 @@ def _apply_layer(
     to."""
     run = []
     for app in layer.apps:
-        for gate, which in _resolve(app, bits, count):
-            if (gate.permutation is None and which is None
-                    and isinstance(gate, MatrixGate)):
-                if run:
-                    state, run = ss.apply_permutations(state, run), []
-                dense.gates.append((gate.matrix, app.qubits))
-                continue
-            state, peaks = dense.apply(state, peaks)
-            if gate.permutation is not None:
-                run.append((*gate.permutation, app.qubits)
-                           + (() if which is None else (which,)))
-                continue
+        which, gate = _applies_to(app, bits), app.gate
+        if which is False:
+            continue
+        if (gate.permutation is None and which is None
+                and isinstance(gate, MatrixGate)):
             if run:
                 state, run = ss.apply_permutations(state, run), []
-            if which is None:
-                state = gate.apply(state, app.qubits)
-            else:
-                state = ss.apply_to_labels(
-                    state, which, lambda part: gate.apply(part, app.qubits))
+            dense.gates.append((gate.matrix, app.qubits))
+            continue
+        state, peaks = dense.apply(state, peaks)
+        if gate.permutation is not None:
+            run.append((*gate.permutation, app.qubits)
+                       + (() if which is None else (which,)))
+            continue
+        if run:
+            state, run = ss.apply_permutations(state, run), []
+        if which is None:
+            state = gate.apply(state, app.qubits)
+        else:
+            state = ss.apply_to_labels(
+                state, which, lambda part: gate.apply(part, app.qubits))
     if run:
         state = ss.apply_permutations(state, run)
     return state, peaks
@@ -566,7 +528,7 @@ def _walk(
     per branch is kept in arrays indexed by label and reindexed by
     parent: measured outcomes and probabilities, classical outputs
     (:func:`_classical`) and the largest support so far.  Gates run on
-    the branches they apply to (:func:`_resolve`); consecutive dense
+    the branches they apply to (:func:`_applies_to`); consecutive dense
     gates that apply to every branch run as one call across layers
     (:class:`_DenseRun`), which reports the support at the layer ends
     inside it.  Records, states and ``Branch`` objects are built after
@@ -582,8 +544,7 @@ def _walk(
     dense = _DenseRun()
     for layer in program.layers:
         if isinstance(layer, QuantumLayer):
-            state, peaks = _apply_layer(layer, state, bits, count, dense,
-                                        peaks)
+            state, peaks = _apply_layer(layer, state, bits, dense, peaks)
             if observer is not None:
                 state, peaks = dense.apply(state, peaks)
             dense.end_layer()
@@ -798,8 +759,6 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
             continue
         apps = []
         for app in layer.apps:
-            if isinstance(app.gate, DynamicGate):
-                raise ValueError("dynamic gates cannot be deferred coherently")
             control_qubits: Tuple[int, ...] = ()
             if app.condition is not None:
                 source, key = app.condition
@@ -880,10 +839,8 @@ def to_postselected(
             bits[layer.name] = _classical(
                 layer, np.array([ev.outcome], ss._dtype(len(ev.qubits))))
         else:
-            apps = []
-            for app in layer.apps:
-                for gate, _ in _resolve(app, bits, 1):
-                    apps.append(GateApp(gate, app.qubits))
+            apps = [GateApp(app.gate, app.qubits) for app in layer.apps
+                    if _applies_to(app, bits) is None]
             if apps:
                 new_layers.append(QuantumLayer(tuple(apps)))
     flag = next_qubit
@@ -977,7 +934,7 @@ def register_gate(name: str):
 
 
 def _gate_from_spec(spec: dict) -> Gate:
-    name = json_field(spec, "name")
+    name = json_string(spec, "name")
     if name not in GATE_REGISTRY:
         raise ValueError(f"unknown gate {name!r}")
     return _from_params("gate", name, GATE_REGISTRY[name], spec)
@@ -1023,7 +980,7 @@ def inverse(gate: dict) -> Gate:
     """The inverse of the gate with spec ``gate``."""
     try:
         return _gate_from_spec(gate).inverse()
-    except NotImplementedError as exc:  # e.g. a dynamic gate
+    except NotImplementedError as exc:  # e.g. a parity gate
         raise ValueError(str(exc)) from exc
 
 
@@ -1160,6 +1117,15 @@ def json_count(doc: dict, key: str) -> int:
     return value
 
 
+def json_string(doc: dict, key: str) -> str:
+    """``json_field(doc, key)``, raising ``ValueError`` unless it is a
+    string."""
+    value = json_field(doc, key)
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 def json_list(doc: dict, key: str) -> list:
     """``json_field(doc, key)``, raising ``ValueError`` unless it is a
     JSON array."""
@@ -1215,7 +1181,8 @@ def program_from_json(doc: dict) -> LaqccProgram:
     if not isinstance(register_docs, dict):
         raise ValueError("'registers' must be a JSON object")
     registers = {
-        name: Register(json_qubits(entry, "qubits"), json_field(entry, "role"))
+        name: Register(
+            json_qubits(entry, "qubits"), json_string(entry, "role"))
         for name, entry in register_docs.items()
     }
     layers: List[Layer] = []
@@ -1240,7 +1207,7 @@ def program_from_json(doc: dict) -> LaqccProgram:
         elif kind == "measure":
             layers.append(
                 MeasureLayer(
-                    json_qubits(entry, "qubits"), json_field(entry, "label")
+                    json_qubits(entry, "qubits"), json_string(entry, "label")
                 )
             )
         elif kind == "classical":

@@ -316,30 +316,32 @@ def cleaning_gadget_layers(
     ]
 
 
-@pr.register_gate("sort_indexes")
-def sort_indexes_gate(k: int, b: int) -> pr.DynamicGate:
-    """Permute k b-bit index registers into the order of the ranks that
-    the ``ordering`` layer's bits ``reset{l}_{pos}`` spell (msb first)."""
+@pr.register_gate("sort_by_ranks")
+def sort_by_ranks(k: int, b: int) -> BasisMapGate:
+    """On k rank registers then k b-bit index registers: where the ranks
+    ``r`` are a permutation of 0..k-1, move index register l to place
+    ``r_l``; leave the indexes where they are on any other rank word."""
     rw = mc.count_register_width(k - 1)
 
-    def perm_builder(env):
-        bits = env["ordering"]
-        sigma = [
-            sum(bits[f"reset{l}_{pos}"] << (rw - 1 - pos)
-                for pos in range(rw))
-            for l in range(k)
-        ]
-        inv = [0] * k
-        for l, r in enumerate(sigma):
-            inv[r] = l
-        perm = []
-        for r in range(k):
-            for off in range(b):
-                perm.append(inv[r] * b + off)
-        return mc.permutation(perm)
+    def move(v: np.ndarray, forward: bool) -> np.ndarray:
+        ranks = [(v >> ((k - 1 - l) * rw + k * b)) & ((1 << rw) - 1)
+                 for l in range(k)]
+        seen = 0
+        for r in ranks:
+            seen = seen | (1 << r)
+        # k ranks set all k low bits only when they are 0..k-1 once each
+        valid = seen == (1 << k) - 1
+        out = v >> (k * b) << (k * b)
+        for l, r in enumerate(ranks):
+            place = np.where(valid, r, l)
+            src, dst = (l, place) if forward else (place, l)
+            out = out | (((v >> (k - 1 - src) * b) & ((1 << b) - 1))
+                         << (k - 1 - dst) * b)
+        return out
 
-    return pr.DynamicGate(
-        "sort_indexes", k * b, perm_builder, reads=("ordering",),
+    return BasisMapGate(
+        "sort_by_ranks", k * rw + k * b, lambda v: move(v, True),
+        lambda v: move(v, False),
         charge=charges.charge("permutation", k * b),
     )
 
@@ -402,12 +404,23 @@ def dicke_small_k(
             builder.gate(hw, compare[l] + ranks[l])
         rank_qubits = tuple(q for reg in ranks for q in reg)
         builder.measure(rank_qubits, "ranks")
-        # one bit per measured rank qubit, to reset it and to sort by
+        # one bit per measured rank qubit, to reset it
         builder.classical(pr.linear("ordering", "ranks", {
             f"reset{l}_{pos}": 1 << (len(rank_qubits) - 1 - l * rw - pos)
             for l in range(k)
             for pos in range(rw)
         }))
+        # uncompute the comparison bits (index registers untouched)
+        for l in range(k):
+            others = [m for m in range(k) if m != l]
+            for slot, m in enumerate(others):
+                builder.gate(
+                    gt, indexes[l] + indexes[m] + (compare[l][slot],)
+                )
+        # each branch holds its measured ranks, so a basis map controlled
+        # by them sorts every branch by its own ranks
+        index_qubits = tuple(q for reg in indexes for q in reg)
+        builder.gate(sort_by_ranks(k, b), rank_qubits + index_qubits)
         builder.layer(
             *(
                 GateApp(
@@ -419,15 +432,6 @@ def dicke_small_k(
                 for pos in range(rw)
             )
         )
-        # uncompute the comparison bits (index registers untouched)
-        for l in range(k):
-            others = [m for m in range(k) if m != l]
-            for slot, m in enumerate(others):
-                builder.gate(
-                    gt, indexes[l] + indexes[m] + (compare[l][slot],)
-                )
-        index_qubits = tuple(q for reg in indexes for q in reg)
-        builder.gate(sort_indexes_gate(k, b), index_qubits)
 
     # Cleaning: gadget form at small n, equivalent semantic map above
     # (the two are equality-tested against each other at n = 4)

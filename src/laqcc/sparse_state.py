@@ -586,7 +586,8 @@ def apply_permutations(state: SparseState, run: Sequence[tuple]) -> SparseState:
                            | moved.astype(dtype), key)
             hit |= on
         idx, amp = image, phased
-    keep, checked = np.abs(amp) >= PRUNE_THRESHOLD, None
+    # written so that a NaN is kept, and the norm check rejects it
+    keep, checked = ~(np.abs(amp) < PRUNE_THRESHOLD), None
     if hit is None:
         # the last gate's (rest, image) pairs as distinct integers: one
         # sort, several times faster than np.lexsort of the two keys

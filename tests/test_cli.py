@@ -422,9 +422,11 @@ def test_transform_postselect_past_the_support_cap_exit_3(
         ({"kind": "classical", "function_name": "nope"},
          "unknown classical function 'nope'"),
         ({"kind": "quantum", "gates": [{"gate": {"name": "inverse", "params": {
-            "gate": {"name": "sort_indexes", "params": {"k": 1, "b": 1}}}},
+            "gate": {"name": "parity", "params": {
+                "label": "parity", "control_bits": 1, "mask": 1,
+                "gate": cl.X_GATE.spec}}}},
             "qubits": [0]}]},
-         "sort_indexes has no inverse form"),
+         "parity has no inverse form"),
     ],
 )
 def test_transform_unknown_name_exit_3(capsys, tmp_path, entry, message):
@@ -507,6 +509,15 @@ def ghz3_conditioned_on(condition):
         (ghz3_conditioned_on(["parity_fix", "flip9"]),
          "condition references key 'flip9' that layer 'parity_fix' does not"
          " publish"),
+        ({"qubits": 1, "layers": [{"kind": "measure", "qubits": [0],
+                                   "label": ["m"]}]},
+         "'label' must be a string, got ['m']"),
+        ({"qubits": 1, "registers": {"out": {"qubits": [0], "role": {}}},
+          "layers": []},
+         "'role' must be a string, got {}"),
+        ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
+            {"gate": {"name": ["H"]}, "qubits": [0]}]}]},
+         "'name' must be a string, got ['H']"),
     ],
 )
 def test_transform_wrong_type_exit_3(capsys, tmp_path, doc, message):
@@ -611,8 +622,9 @@ def test_transform_defer_writes_a_wide_word_as_parity_masks(
         for name in ("bell_correct", "ghz_parity_fix", "ordering")
     ] + [
         ({"kind": "quantum", "gates": [
-            {"gate": {"name": "set_flag"}, "qubits": [0]}]},
-         "unknown gate 'set_flag'"),
+            {"gate": {"name": name}, "qubits": [0]}]},
+         f"unknown gate {name!r}")
+        for name in ("set_flag", "sort_indexes")
     ],
 )
 def test_transform_rejects_retired_names_exit_3(
@@ -743,14 +755,17 @@ def test_transform_defer_keeps_measured_qubits_exit_3(
         ({"shape": "ladder", "n": 3,
           "gates": [{"name": "H", "qubits": [False]}]},
          "'qubits' must be a list of integers >= 0"),
+        ({"shape": ["ladder"], "n": 3, "gates": []},
+         "'shape' must be a string, got ['ladder']"),
+        ({"shape": "ladder", "n": 3, "gates": [{"name": {}, "qubits": [0]}]},
+         "'name' must be a string, got {}"),
     ],
 )
 def test_flatten_wrong_type_exit_3(capsys, tmp_path, doc, message):
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(
-        capsys, ["flatten", doc["shape"], "--input", str(path)]
-    )
+    shape = doc["shape"] if isinstance(doc["shape"], str) else "ladder"
+    code, out, err = run(capsys, ["flatten", shape, "--input", str(path)])
     assert_one_line_exit_3(code, out, err)
     assert message in err
 
@@ -840,12 +855,12 @@ def test_transform_takes_every_protocol_json(capsys, tmp_path, kind, name):
         capsys, ["transform", kind, "--input", str(path), "--seed", "3"]
     )
     if kind == "defer" and name == "small_k4,2":
-        # the rank resets are conditioned on a measurement of their own
-        # qubits, so no coherent form exists
+        # the sort reads the measured rank qubits, so no coherent form
+        # exists
         assert_one_line_exit_3(code, out, err)
         assert err == (
-            "error: gate 'X' on qubit 11 is conditioned on a measurement of"
-            " qubit 11; it cannot be deferred coherently\n"
+            "error: gate 'sort_by_ranks' on qubit 11 acts after a measurement"
+            " of qubit 11; it cannot be deferred coherently\n"
         )
         return
     assert code == 0

@@ -754,8 +754,8 @@ def test_acceptance_programs_equal_on_both_gate_kernels(monkeypatch):
     """Every run of signed-permutation gates in every acceptance driver
     gives exactly the state of the dense kernel applied to each of its
     gates in turn, each on the branches it applies to."""
-    kernel, resolve, apply = (
-        ss.apply_permutations, pr._resolve, pr.MatrixGate.apply)
+    kernel, applies_to, apply = (
+        ss.apply_permutations, pr._applies_to, pr.MatrixGate.apply)
     gates, checked, differ = {}, [], []
 
     def seen(gate):
@@ -781,8 +781,11 @@ def test_acceptance_programs_equal_on_both_gate_kernels(monkeypatch):
             differ.append([(gates[id(i)].name, t) for i, _, t, *_ in run])
         return got
 
-    monkeypatch.setattr(pr, "_resolve", lambda *args: [
-        (seen(gate), which) for gate, which in resolve(*args)])
+    def noted(app, bits):
+        seen(app.gate)
+        return applies_to(app, bits)
+
+    monkeypatch.setattr(pr, "_applies_to", noted)
     monkeypatch.setattr(pr.MatrixGate, "apply",
                         lambda g, state, qubits: apply(seen(g), state, qubits))
     monkeypatch.setattr(ss, "apply_permutations", both)

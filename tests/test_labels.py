@@ -42,8 +42,6 @@ def ref_enumerate_branches(program):
                         if env.get(source, {}).get(key, 0) != 1:
                             continue
                     gate = app.gate
-                    if isinstance(gate, pr.DynamicGate):
-                        gate = gate.builder(env)
                     if gate.permutation is not None:
                         run.append((*gate.permutation, app.qubits))
                         continue
@@ -185,9 +183,9 @@ MEASURED = [(name, program) for name, program in corpus.programs()
 @pytest.mark.parametrize("program", [program for _, program in MEASURED],
                          ids=[name for name, _ in MEASURED])
 def test_batched_walk_equals_one_branch_at_a_time_on_the_corpus(program):
-    """Every corpus program that measures: GHZ, small-k Dicke with its
-    dynamic gate, flattened, deferred, fanout-gadget, IQP and two-round
-    programs among them."""
+    """Every corpus program that measures: GHZ, small-k Dicke,
+    flattened, deferred, fanout-gadget, IQP and two-round programs among
+    them."""
     assert_same_branches(pr.enumerate_branches(program),
                          ref_enumerate_branches(program))
 
@@ -365,27 +363,6 @@ def test_wide_program_batches_past_int64_and_returns_int64_branches(
     assert [(b.label_bits, b.idx.dtype) for b in batches[:1]] == [
         (3, np.dtype(object))]
     assert {b.state.idx.dtype for b in branches} == {np.dtype(np.int64)}
-    assert_same_branches(branches, ref_enumerate_branches(program))
-
-
-def test_dynamic_gate_is_built_once_per_distinct_input():
-    """Four branches, two values of the bit the dynamic gate reads: two
-    gates are built, each applied to the two branches that read it."""
-    built = []
-
-    def builder(env):
-        built.append(env["c"]["p"])
-        return cl.X_GATE if env["c"]["p"] else cl.H_GATE
-
-    b = pr.Builder()
-    b.alloc("all", 3, "system")
-    b.layer(pr.GateApp(cl.H_GATE, (0,)), pr.GateApp(cl.H_GATE, (1,)))
-    b.measure((0, 1), "m")
-    b.classical(pr.linear("c", "m", {"p": 0b11}))
-    b.gate(pr.DynamicGate("dyn", 1, builder, reads=("c",)), (2,))
-    program = b.build()
-    branches = pr.enumerate_branches(program)
-    assert len(branches) == 4 and built == [0, 1]
     assert_same_branches(branches, ref_enumerate_branches(program))
 
 

@@ -181,31 +181,36 @@ def test_ghz_parity_equals_the_prefix_closure(n):
 
 @pytest.mark.parametrize("n, k", [(4, 2), (5, 3), (10, 4)])
 def test_ordering_equals_the_rank_closure(n, k):
-    """Reset bits equal the old closure's, and the sort rebuilds from
-    them the permutation the old ``rank{l}`` outputs gave (or fails the
-    same way on rank words that are no permutation)."""
+    """Reset bits equal the old closure's, and the sort, read on the
+    measured ranks, applies to the indexes the permutation the old
+    ``rank{l}`` outputs gave; on rank words that are no permutation it
+    leaves the indexes as they are."""
     program, _ = pt.dicke_small_k(n, k)
     layer = classical_layer(program, "ordering")
-    (sort,) = (
-        app.gate for l in program.layers if isinstance(l, pr.QuantumLayer)
-        for app in l.apps if app.gate.name == "sort_indexes"
+    (app,) = (
+        app for l in program.layers if isinstance(l, pr.QuantumLayer)
+        for app in l.apps if app.gate.name == "sort_by_ranks"
     )
     b = pt.index_width(n)
     rw = mc.count_register_width(k - 1)
+    assert app.qubits == tuple(
+        q for name in [f"rank{l}" for l in range(k)]
+        + [f"index{l}" for l in range(k)]
+        for q in program.registers[name].qubits)
     ref = ref_ordering(k)
     assert k * rw <= 12
+    indexes = (np.arange(1 << (k * b)) if k * b <= 12 else
+               np.random.default_rng(5).integers(0, 1 << (k * b), 512))
     raws = range(1 << (k * rw))
     for raw, bits in zip(raws, outputs_on(layer, raws)):
         want = ref({"ranks": raw})
         ranks = [want.pop(f"rank{l}") for l in range(k)]
         assert bits == want, raw
-        try:
-            expected = mc.permutation(ref_sort_perm(k, b, ranks)).spec
-        except (ValueError, IndexError) as exc:
-            with pytest.raises(type(exc)):
-                sort.builder({"ordering": bits})
-        else:
-            assert sort.builder({"ordering": bits}).spec == expected
+        expected = indexes
+        if sorted(ranks) == list(range(k)):
+            expected = mc.permutation(ref_sort_perm(k, b, ranks)).fn(indexes)
+        got = app.gate.fn((raw << (k * b)) | indexes)
+        assert np.array_equal(got, (raw << (k * b)) | expected), raw
 
 
 # ------------------------------------------------- masks, no simulation

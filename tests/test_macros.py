@@ -289,6 +289,11 @@ def test_parallelize_rejects_a_matrix_or_unequal_tables(tables):
         mc.parallelize_commuting(tables)
 
 
+def test_parallelize_rejects_no_gates():
+    with pytest.raises(ValueError, match="at least one gate"):
+        mc.parallelize_commuting([])
+
+
 def test_parallelize_gadget_vs_semantic_product():
     rng = np.random.default_rng(5)
     k = 2

@@ -602,7 +602,7 @@ def writer_programs():
         programs[name] = program
         try:
             programs[name + "-defer"] = pr.defer_measurements(program)
-        except ValueError:  # dynamic gates, or a reset of a measured qubit
+        except ValueError:  # a gate on a measured qubit
             pass
         # the transcript with every outcome 0, which needs no simulation
         record = tuple(

@@ -159,6 +159,36 @@ def test_dicke_small_k_branch_values_are_pinned(n, k):
     assert h.hexdigest() == SMALL_K_VALUES[n, k]
 
 
+@pytest.mark.parametrize("k,b", [(1, 3), (2, 1), (2, 3), (2, 6), (3, 2)])
+def test_sort_by_ranks_is_a_bijection_undone_by_its_inverse(k, b):
+    gate = pt.sort_by_ranks(k, b)
+    assert gate.num_bits <= 14
+    v = np.arange(1 << gate.num_bits)
+    image = gate.fn(v)
+    assert np.array_equal(np.sort(image), v)
+    assert np.array_equal(gate.inverse().fn(image), v)
+    assert image.tolist() == gate.fn(v.astype(object)).tolist()
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2)])
+def test_dicke_small_k_postselected_reaches_the_target(n, k):
+    """On every branch, the post-selected program flags it with the
+    branch's probability, and the flagged part is the target with every
+    helper at 0 and every comparison flag at 1."""
+    program, target = pt.dicke_small_k(n, k)
+    out = program.registers["out"].qubits
+    for branch in pr.enumerate_branches(program):
+        unitary, flag = pr.to_postselected(program, branch.record)
+        state, _ = pr.execute(unitary, pr.SeededPolicy(0))
+        _, p, flagged = ss.measure(state, (flag,), forced=1)
+        assert p == pytest.approx(branch.probability, abs=1e-12)
+        sub, rest = ss.split_register(flagged, out)
+        flags = unitary.registers["postselect_flags"].qubits + (flag,)
+        others = sorted(set(range(unitary.num_qubits)) - set(out))
+        assert rest == sum(1 << i for i, q in enumerate(others) if q in flags)
+        assert ss.fidelity(sub, target) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_dicke_small_k_policy_rejects_large_k():
     with pytest.raises(ValueError):
         pt.dicke_small_k(4, 3)  # ceil(sqrt(4)) = 2

@@ -151,6 +151,17 @@ def test_branch_enumerate_rejects_a_non_finite_outcome_weight():
         ss.branch_enumerate(nan, [0])
 
 
+@pytest.mark.parametrize("which", [(), (np.array([True]),)],
+                         ids=["unmasked", "masked"])
+def test_apply_permutations_rejects_a_nan_amplitude(which):
+    """A NaN is not below the prune threshold: the permutation kernel
+    keeps it, on both of its paths, and its norm check rejects it."""
+    nan = ss.SparseState(2, {0b00: 0.6, 0b01: 0.8, 0b10: math.nan})
+    swap = (np.array([1, 0]), np.array([1, 1], complex), [1], *which)
+    with pytest.raises(ValueError, match="drifted"):
+        ss.apply_permutations(nan, [swap])
+
+
 def test_from_arrays_prunes_as_from_amplitudes_does():
     entries = [(3, 0.6), (1, 1e-13), (0, 0.8j)]
     want = ss.from_amplitudes(2, entries)
