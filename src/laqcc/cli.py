@@ -187,9 +187,10 @@ def cmd_flatten(args) -> int:
             if args.shape == "ladder"
             else cl.flatten_grid(circuit)
         )
+        # a mask past Python's int-to-str digit limit raises here
+        _emit(pr.program_to_json(program))
     except ValueError as exc:
         raise Infeasible(str(exc)) from exc
-    _emit(pr.program_to_json(program))
     profile = pr.resources(program)
     _note(
         f"flattened {args.shape} on {circuit.n} wires: width "

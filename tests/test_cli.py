@@ -518,6 +518,11 @@ def ghz3_conditioned_on(condition):
         ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
             {"gate": {"name": ["H"]}, "qubits": [0]}]}]},
          "'name' must be a string, got ['H']"),
+        ({"qubits": 1, "layers": [{"kind": "quantum", "gates": [
+            {"gate": {"name": "diagonal", "params": {
+                "label": ["M"], "phases": [[1, 0], [1, 0]]}},
+             "qubits": [0]}]}]},
+         "gate label must be a string, got ['M']"),
     ],
 )
 def test_transform_wrong_type_exit_3(capsys, tmp_path, doc, message):
@@ -785,6 +790,38 @@ def test_flatten_rejects_gate_outside_the_rules_exit_3(capsys, tmp_path, gate):
     path.write_text(json.dumps({"shape": "ladder", "n": 3, "gates": [gate]}))
     code, out, err = run(capsys, ["flatten", "ladder", "--input", str(path)])
     assert_one_line_exit_3(code, out, err)
+
+
+WIDE = 1100  # a CNOT ladder on WIDE wires has masks of 2,196 bits
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["flatten", "ladder"],
+     {"shape": "ladder", "n": WIDE, "gates": [
+         {"name": "CNOT", "qubits": [i, i + 1]} for i in range(WIDE - 1)]}),
+    (["transform", "defer"],
+     {"qubits": 2 * WIDE, "layers": [
+         {"kind": "measure", "qubits": list(range(2 * WIDE)), "label": "m"},
+         {"kind": "classical", "function_name": "linear", "params": {
+             "name": "c", "reads": "m", "outputs": {"b": 1 << 2 * WIDE - 1}}},
+     ]}),
+])
+def test_a_mask_past_the_int_digit_limit_exit_3(tmp_path, argv, doc):
+    """A ``linear`` mask longer than Python converts between int and str
+    exits 3 with one error line and no program.  The run lowers the
+    limit to its floor, 640 digits, which a 2,196-bit mask (661 digits)
+    passes, so no ladder past 4,300 digits is built; it runs in its own
+    process, as the flattening would crowd the shared gates out of the
+    ``clifford`` memo of this one."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    done = subprocess.run(
+        [sys.executable, "-m", "laqcc.cli", *argv, "--input", str(path)],
+        capture_output=True, text=True, env={
+            **os.environ, "PYTHONPATH": str(SRC),
+            "PYTHONINTMAXSTRDIGITS": "640"})
+    assert_one_line_exit_3(done.returncode, done.stdout, done.stderr)
+    assert "(640 digits)" in done.stderr
 
 
 def count_walks(monkeypatch):

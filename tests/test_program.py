@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -515,6 +516,34 @@ def test_loaded_json_keeps_its_emitted_bytes():
     assert pr.dumps(pr.loads(text)) == text
 
 
+# the qubits and params, but the label, of each loaded gate with a label
+LABELLED = {
+    "matrix": ([0], {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}),
+    "diagonal": ([0], {"phases": [[1, 0], [-1, 0]]}),
+    "parity": ([0, 1], {"control_bits": 1, "mask": 1,
+                        "gate": cl.X_GATE.spec}),
+    "predicated": ([0, 1], {"control_bits": 1, "table": [0, 1],
+                            "gate": cl.X_GATE.spec}),
+}
+
+
+@pytest.mark.parametrize("name", LABELLED)
+def test_a_loaded_gate_label_must_be_a_string(name):
+    qubits, params = LABELLED[name]
+
+    def load(label):
+        gate = {"name": name, "params": {**params, "label": label}}
+        return pr.loads(json.dumps({"qubits": 2, "layers": [
+            {"kind": "quantum", "gates": [{"gate": gate, "qubits": qubits}]}
+        ]}))
+
+    assert load("g").layers[0].apps[0].gate.name == "g"
+    for label in (["M"], 7):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gate label must be a string, got {label!r}")):
+            load(label)
+
+
 def as_matrix_entries(text):
     """Program JSON with every ``clifford`` entry written as the
     ``matrix`` entry of its gate, as files were before the word form."""
@@ -630,10 +659,101 @@ def test_dumps_writes_the_indent_2_bytes_of_every_program():
         assert pr.dumps(program) == want, name
 
 
-def write(doc, monkeypatch):
-    """``dumps`` of a program whose document is ``doc``."""
-    monkeypatch.setattr(pr, "program_to_json", lambda program: doc)
-    return pr.dumps(None)
+def odd_qubit(rng, q):
+    """``q``, or now and then the same qubit as ``True`` or ``np.int64``,
+    which json writes as ``true`` or rejects."""
+    draw = int(rng.integers(40))
+    if draw == 0 and q == 1:
+        return True
+    return np.int64(q) if draw == 1 else q
+
+
+def random_program(rng):
+    """A seeded program of up to eight layers on up to six qubits: quantum
+    layers (empty ones too) of a few shared gates, conditioned now and
+    then on a bit of an earlier ``linear`` layer, measure layers, and up
+    to two registers; rarely a gate with no spec, or a qubit as ``True``
+    or ``np.int64``."""
+    n = int(rng.integers(1, 7))
+    flip = pr.BasisMapGate("flip", 1, lambda v: v ^ 1, lambda v: v ^ 1)
+    gates = [cl.X_GATE, cl.H_GATE, cl.CNOT_GATE, H, X,
+             cl.clifford("U", 2, "SWAP(0,1) S(1)"),
+             pr.diagonal("d", [[1, 0], [0, 1]])]
+    order = [int(q) for q in rng.permutation(n)]
+    registers = {}
+    for name in ("a", "b")[:int(rng.integers(3))]:
+        take = order[:int(rng.integers(len(order) + 1))]
+        order = order[len(take):]
+        registers[name] = pr.Register(
+            tuple(odd_qubit(rng, q) for q in take), "system")
+    layers, measured, published = [], [], []
+    for _ in range(int(rng.integers(9))):
+        kind = int(rng.integers(4))
+        if kind == 0 and measured:
+            label, width = measured[int(rng.integers(len(measured)))]
+            name = f"c{len(layers)}"
+            outputs = {f"b{j}": int(rng.integers(1 << width))
+                       for j in range(int(rng.integers(1, 3)))}
+            layers.append(pr.linear(name, label, outputs))
+            published.extend((name, key) for key in outputs)
+        elif kind == 1:
+            qubits = [int(q) for q in rng.permutation(n)]
+            qubits = qubits[:int(rng.integers(1, n + 1))]
+            label = f"m{len(layers)}"
+            layers.append(pr.MeasureLayer(
+                tuple(odd_qubit(rng, q) for q in qubits), label))
+            measured.append((label, len(qubits)))
+        else:
+            free, apps = [int(q) for q in rng.permutation(n)], []
+            for _ in range(int(rng.integers(4))):
+                gate = (flip if rng.integers(60) == 0
+                        else gates[int(rng.integers(len(gates)))])
+                if gate.num_bits > len(free):
+                    break
+                qubits = tuple(odd_qubit(rng, q)
+                               for q in free[:gate.num_bits])
+                free = free[gate.num_bits:]
+                condition = None
+                if published and rng.integers(3) == 0:
+                    condition = published[int(rng.integers(len(published)))]
+                apps.append(pr.GateApp(gate, qubits, condition))
+            layers.append(pr.QuantumLayer(tuple(apps)))
+    return pr.LaqccProgram(n, registers, layers)
+
+
+def test_dumps_writes_random_programs_as_json_does():
+    """``dumps`` gives the bytes of ``json.dumps(program_to_json(p),
+    indent=2)``, or raises the same error, on seeded random programs."""
+    rng = np.random.default_rng(27)
+    seen = dict.fromkeys(["TypeError", "ValueError", "no registers",
+                          "empty layer", "conditioned", "shared", "true"], 0)
+    for _ in range(600):
+        program = random_program(rng)
+        try:
+            want = json.dumps(pr.program_to_json(program), indent=2)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                pr.dumps(program)
+            assert str(got.value) == str(exc)
+            seen[type(exc).__name__] += 1
+            continue
+        assert pr.dumps(program) == want
+        quantum = [layer.apps for layer in program.layers
+                   if isinstance(layer, pr.QuantumLayer)]
+        apps = [app for layer in quantum for app in layer]
+        seen["no registers"] += not program.registers
+        seen["empty layer"] += () in quantum
+        seen["conditioned"] += any(app.condition for app in apps)
+        seen["shared"] += len({id(app.gate) for app in apps}) < len(apps)
+        seen["true"] += "true" in want
+    assert min(seen.values()) >= 10, seen
+
+
+def write(doc):
+    """``doc`` as the writer behind ``dumps`` writes a document."""
+    parts = []
+    pr._write_json(doc, "\n", parts.append)
+    return "".join(parts)
 
 
 class Count(int):
@@ -656,12 +776,14 @@ HAND_DOCUMENTS = [
     {1: "int key", 2.5: "float key", True: "bool key", None: "none key",
      Count(3): "int subclass key", float("nan"): "nan key"},
     np.float64(-0.0), 3, "top", None, 1.25, Count(-4),
+    {"ints": [3, -(2**70), 0], "masks": {"b0": 1, "b1": 2**70, "": -2},
+     "near": {"a": 1, "b": True}, "nearer": {"a": 1, 2: 2}},
 ]
 
 
 @pytest.mark.parametrize("doc", HAND_DOCUMENTS)
-def test_dumps_writes_hand_built_documents_as_json_does(doc, monkeypatch):
-    assert write(doc, monkeypatch) == json.dumps(doc, indent=2)
+def test_dumps_writes_hand_built_documents_as_json_does(doc):
+    assert write(doc) == json.dumps(doc, indent=2)
 
 
 def random_leaf(rng):
@@ -702,11 +824,11 @@ def random_document(rng, depth, made):
     return doc
 
 
-def test_dumps_writes_random_documents_as_json_does(monkeypatch):
+def test_dumps_writes_random_documents_as_json_does():
     rng = np.random.default_rng(2026)
     for _ in range(500):
         doc = random_document(rng, 4, [])
-        assert write(doc, monkeypatch) == json.dumps(doc, indent=2)
+        assert write(doc) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -714,12 +836,43 @@ def test_dumps_writes_random_documents_as_json_does(monkeypatch):
     [np.int64(3), {"qubits": [0, np.int64(1)]}, [object()],
      {(0, 1): "tuple key"}, {"a": {np.int64(2): "numpy key"}}],
 )
-def test_dumps_rejects_what_json_rejects(doc, monkeypatch):
+def test_dumps_rejects_what_json_rejects(doc):
     with pytest.raises(TypeError) as want:
         json.dumps(doc, indent=2)
     with pytest.raises(TypeError) as got:
-        write(doc, monkeypatch)
+        write(doc)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cl.ghz(64), lambda: seeded_flattening(64, "ladder", 64, 1, 2)])
+def test_dumps_hands_the_generic_writer_no_gate_application(
+        build, monkeypatch):
+    """``dumps`` calls the generic writer for the qubit count, the
+    registers, each distinct gate spec and each layer that is not a
+    quantum layer, never for one application or qubit: a count that
+    fails on any host if writing goes back to recursing per value."""
+    program = build()
+    writer, depth, calls = pr._write_json, [0], [0]
+
+    def counted(value, newline, out):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            writer(value, newline, out)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(pr, "_write_json", counted)
+    text = pr.dumps(program)
+    assert text == json.dumps(pr.program_to_json(program), indent=2)
+    apps = [app for layer in program.layers
+            if isinstance(layer, pr.QuantumLayer) for app in layer.apps]
+    specs = len({id(app.gate.spec) for app in apps})
+    others = sum(not isinstance(layer, pr.QuantumLayer)
+                 for layer in program.layers)
+    assert len(apps) > 100 > specs + others
+    assert calls[0] <= specs + others + 2
 
 
 # sha256 of ``dumps``, taken before ``dumps`` had its own writer
