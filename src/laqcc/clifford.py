@@ -208,21 +208,32 @@ def clifford(label: str, wires: int, word: str) -> WordGate:
 
     Equal arguments give the same shared gate, so its matrix is built
     and checked once per distinct word (up to ``CLIFFORD_MEMO_SIZE``
-    words at a time)."""
+    words at a time, besides the module's fixed gates, which are never
+    evicted)."""
     if not isinstance(label, str):
         raise ValueError(f"clifford label must be a string, got {label!r}")
     if type(wires) is not int or wires not in (1, 2):
         raise ValueError(f"a clifford gate spans 1 or 2 wires, got {wires!r}")
     if not isinstance(word, str):
         raise ValueError(f"clifford word must be a string, got {word!r}")
-    return _word_gate(label, wires, word)
+    gate = _FIXED.get((label, wires, word))
+    return _word_gate(label, wires, word) if gate is None else gate
+
+
+# (label, wires, word) -> a fixed gate, kept past the memo's bound
+_FIXED: Dict[Tuple[str, int, str], WordGate] = {}
+
+
+def _fixed(label: str, wires: int, word: str) -> WordGate:
+    gate = _FIXED[label, wires, word] = clifford(label, wires, word)
+    return gate
 
 
 # the fixed Clifford gates, shared by every program
-H_GATE = clifford("H", 1, "H(0)")
-CNOT_GATE = clifford("CNOT", 2, "CNOT(0,1)")
-X_GATE = clifford("X", 1, "X(0)")
-Z_GATE = clifford("Z", 1, "Z(0)")
+H_GATE = _fixed("H", 1, "H(0)")
+CNOT_GATE = _fixed("CNOT", 2, "CNOT(0,1)")
+X_GATE = _fixed("X", 1, "X(0)")
+Z_GATE = _fixed("Z", 1, "Z(0)")
 
 
 def _step_gate(idx: int, step: Step) -> WordGate:

@@ -25,11 +25,12 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 from types import MappingProxyType
 from typing import (
-    Callable, Dict, List, Mapping, Optional,
+    Callable, Dict, List, Mapping, NamedTuple, Optional,
     Sequence, Tuple,
 )
 
@@ -207,11 +208,17 @@ class PredicatedGate(Gate):
 Condition = Tuple[str, str]  # (classical layer name, output key)
 
 
-@dataclass(frozen=True)
-class GateApp:
+class GateApp(NamedTuple):
+    """One gate application: a named tuple, so built without a
+    Python-level ``__init__``, and equal to the plain tuple of its
+    fields."""
+
     gate: Gate
     qubits: Tuple[int, ...]
     condition: Optional[Condition] = None
+
+
+_qubits_of = attrgetter("qubits")
 
 
 @dataclass(frozen=True)
@@ -219,14 +226,16 @@ class QuantumLayer:
     apps: Tuple[GateApp, ...]
 
     def __post_init__(self):
+        # one set over the whole layer; the loop only names the first
+        # repeated qubit
+        qubits = [*chain.from_iterable(map(_qubits_of, self.apps))]
+        if len(set(qubits)) == len(qubits):
+            return
         seen = set()
-        for app in self.apps:
-            for q in app.qubits:
-                if q in seen:
-                    raise ValueError(
-                        f"qubit {q} used twice in one quantum layer"
-                    )
-                seen.add(q)
+        for q in qubits:
+            if q in seen:
+                raise ValueError(f"qubit {q} used twice in one quantum layer")
+            seen.add(q)
 
 
 @dataclass(frozen=True)
@@ -296,28 +305,28 @@ class LaqccProgram:
         registers = MappingProxyType(dict(self.registers))
         object.__setattr__(self, "registers", registers)
         object.__setattr__(self, "layers", tuple(self.layers))
+        n = self.num_qubits
         claimed = set()
         for name, reg in registers.items():
             for q in reg.qubits:
                 if q in claimed:
                     raise ValueError(f"qubit {q} in two registers")
-                if not 0 <= q < self.num_qubits:
+                if not 0 <= q < n:
                     raise ValueError(f"register {name} out of range")
                 claimed.add(q)
         measured: Dict[str, int] = {}  # label -> width of its word
         published: Dict[str, Mapping[str, int]] = {}  # layer -> its outputs
         for layer in self.layers:
             if isinstance(layer, QuantumLayer):
-                for app in layer.apps:
-                    if len(app.qubits) != app.gate.num_bits:
-                        raise ValueError(
-                            f"gate {app.gate.name} arity mismatch"
-                        )
-                    for q in app.qubits:
-                        if not 0 <= q < self.num_qubits:
+                # unpacked: a named tuple's fields read slower by name
+                for gate, qubits, condition in layer.apps:
+                    if len(qubits) != gate.num_bits:
+                        raise ValueError(f"gate {gate.name} arity mismatch")
+                    for q in qubits:
+                        if not 0 <= q < n:
                             raise ValueError("gate qubit out of range")
-                    if app.condition:
-                        source, key = app.condition
+                    if condition:
+                        source, key = condition
                         if source not in published:
                             raise ValueError(
                                 f"condition references unknown layer "
@@ -333,7 +342,7 @@ class LaqccProgram:
                 if len(set(qubits)) != len(qubits):
                     raise ValueError(f"measure {label!r} repeats a qubit")
                 for q in qubits:
-                    if not 0 <= q < self.num_qubits:
+                    if not 0 <= q < n:
                         raise ValueError(f"measured qubit {q} out of range")
                 if label in measured:
                     raise ValueError(f"duplicate label {label!r}")
@@ -357,8 +366,7 @@ class LaqccProgram:
                 raise ValueError(f"unknown layer kind {type(layer)}")
 
 
-@dataclass(frozen=True)
-class MeasurementEvent:
+class MeasurementEvent(NamedTuple):
     label: str
     qubits: Tuple[int, ...]
     outcome: int  # qubits[0] is the most significant bit
@@ -421,8 +429,7 @@ def _applies_to(app: GateApp, bits: Mapping[str, Mapping[str, np.ndarray]]):
     return None if fires.all() else fires if fires.any() else False
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     record: MeasurementRecord
     probability: float
     state: SparseState
@@ -587,15 +594,18 @@ def _walk(
         elif state.support() > peaks[0]:
             peaks[0] = state.support()
     state, peaks = dense.apply(state, peaks)
-    events = [
-        [MeasurementEvent(label, qubits, o, p)
-         for o, p in zip(outcomes.tolist(), probabilities.tolist())]
-        for label, (qubits, outcomes, probabilities) in measured.items()]
+    # a branch's probability: its events' probabilities multiplied in
+    # record order, starting from 1.0
+    products = np.ones(count)
+    events = []
+    for label, (qubits, outcomes, probabilities) in measured.items():
+        products = products * probabilities
+        events.append(list(map(
+            MeasurementEvent, repeat(label, count), repeat(qubits, count),
+            outcomes.tolist(), probabilities.tolist())))
     records = list(zip(*events)) or [()] * count
-    return [Branch(record, math.prod((ev.probability for ev in record),
-                                     start=1.0), state, peak)
-            for state, record, peak in zip(
-                ss.split_labels(state, count), records, peaks.tolist())]
+    return list(map(Branch, records, products.tolist(),
+                    ss.split_labels(state, count), peaks.tolist()))
 
 
 def enumerate_branches(
@@ -1167,7 +1177,8 @@ def _qubit_tuple(key: str, value) -> Tuple[int, ...]:
 def _json_condition(value) -> Condition:
     if not isinstance(value, list):
         raise ValueError(f"'condition' must be a list, got {value!r}")
-    if len(value) != 2 or not all(isinstance(v, str) for v in value):
+    if len(value) != 2 or not (
+            isinstance(value[0], str) and isinstance(value[1], str)):
         raise ValueError(
             f"'condition' must be [layer name, flag name], got {value!r}"
         )
@@ -1183,7 +1194,31 @@ def _from_params(kind: str, name: str, factory: Callable, entry: dict):
         raise ValueError(f"bad params for {kind} {name!r}: {exc}") from exc
 
 
+_SIMPLE = frozenset([str, int])
+
+
+def _spec_key(spec) -> Optional[tuple]:
+    """The key under which :func:`program_from_json` keeps the gate of
+    ``spec`` for the rest of its document: the name, then the params'
+    items in document order.  ``None``, so the spec is resolved on its
+    own, unless the name is a ``str`` and every param value is exactly
+    a ``str`` or an ``int``: then the key hashes, and equal keys call the
+    factory with equal arguments (``true``, ``1.0`` and ``-0.0``, equal
+    to ``1``, ``1`` and ``0``, have no key)."""
+    if type(spec) is dict:
+        name, params = spec.get("name"), spec.get("params", {})
+        if (type(name) is str and type(params) is dict
+                and _SIMPLE.issuperset(map(type, params.values()))):
+            return (name, *params.items())
+    return None
+
+
 def program_from_json(doc: dict) -> LaqccProgram:
+    """The program ``doc`` describes, checked as every program is.  Each
+    distinct spec with a key (:func:`_spec_key`) is resolved once per
+    document; a later entry reuses its gate, and a spec that failed is
+    resolved again, so it fails again with the same error."""
+    memo: Dict[tuple, Gate] = {}
     layer_docs = json_list(doc, "layers")
     num_qubits = json_count(doc, "qubits")
     register_docs = doc.get("registers", {})
@@ -1200,7 +1235,14 @@ def program_from_json(doc: dict) -> LaqccProgram:
         if kind == "quantum":
             apps = []
             for g in json_list(entry, "gates"):
-                gate = _gate_from_spec(json_field(g, "gate"))
+                spec = json_field(g, "gate")
+                key = _spec_key(spec)
+                if key is None:
+                    gate = _gate_from_spec(spec)
+                else:
+                    gate = memo.get(key)
+                    if gate is None:
+                        gate = memo[key] = _gate_from_spec(spec)
                 # json_field found ``g`` an object, so its other keys are
                 # read directly
                 if "qubits" not in g:
@@ -1290,7 +1332,7 @@ def _write_apps(apps: Sequence[GateApp], heads: Dict[int, str],
     head."""
     sep = _ENTRY
     for app in apps:
-        gate, qubits, condition = app.gate, app.qubits, app.condition
+        gate, qubits, condition = app
         head = heads.get(id(gate))
         if head is None:
             spec = ["{" + _KEY + '"gate": ']

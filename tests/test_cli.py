@@ -82,6 +82,16 @@ def test_prep_dicke_policy_violation_exit_3(capsys):
     assert "factoradic" in err
 
 
+@pytest.mark.parametrize("method", ["small-k", "factoradic"])
+def test_prep_dicke_negative_k_exit_3(capsys, method):
+    """No protocol prepares k < 0, so both methods give the range of k
+    rather than pointing at the other one."""
+    code, out, err = run(
+        capsys, ["prep", "dicke", "--n", "4", "--k", "-1", "--method", method])
+    assert_one_line_exit_3(code, out, err)
+    assert err == "error: need 0 <= k <= n\n"
+
+
 def test_prep_uniform_sampled(capsys):
     code, doc, _ = report(
         capsys,
@@ -531,6 +541,22 @@ def test_transform_wrong_type_exit_3(capsys, tmp_path, doc, message):
     code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
     assert_one_line_exit_3(code, out, err)
     assert message in err
+
+
+def test_transform_a_spec_that_differs_only_by_true_exit_3(capsys, tmp_path):
+    """``"wires": true`` after ``"wires": 1`` in the same spec is not
+    served the first entry's gate: it fails as it does on its own."""
+    def entry(wires):
+        return {"gate": {"name": "clifford", "params": {
+            "label": "H", "wires": wires, "word": "H(0)"}}, "qubits": [0]}
+
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"qubits": 1, "layers": [
+        {"kind": "quantum", "gates": [entry(1)]},
+        {"kind": "quantum", "gates": [entry(True)]}]}))
+    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert err == "error: a clifford gate spans 1 or 2 wires, got True\n"
 
 
 def _linear_doc(**params):

@@ -665,6 +665,24 @@ def test_inverse_of_a_clifford_gate_is_a_clifford_gate():
         assert np.allclose(inv.matrix @ gate.matrix, np.eye(4), atol=1e-12)
 
 
+def test_fixed_gates_outlive_the_clifford_memo():
+    """More than ``CLIFFORD_MEMO_SIZE`` other specs evict every other
+    gate from the memo, but loading the spec of a fixed gate, or of its
+    inverse, still gives the module's shared gate, and the memo keeps
+    its bound."""
+    fixed = (cl.H_GATE, cl.CNOT_GATE, cl.X_GATE, cl.Z_GATE)
+    for idx in range(cl.CLIFFORD_MEMO_SIZE + 76):
+        cl.clifford(f"evict{idx}", 1, "S(0) H(0)")
+    assert cl._word_gate.cache_info().currsize == cl.CLIFFORD_MEMO_SIZE
+    for gate in fixed:
+        assert pr._gate_from_spec(gate.spec) is gate
+        assert pr.inverse(gate.spec) is gate
+        assert pr.loads(pr.dumps(pr.LaqccProgram(
+            gate.num_bits, {}, [pr.QuantumLayer((pr.GateApp(
+                gate, tuple(range(gate.num_bits))),))]))).layers[0].apps[
+                    0].gate is gate
+
+
 # Branches must not move: each program below is run as built and with its
 # Clifford gates swapped for plain matrix gates holding the matrices they
 # had before they were words (the generator itself for H, CNOT, X and Z,

@@ -134,6 +134,24 @@ def test_one_registry():
             if gone & set(identifiers(p.read_text()))] == []
 
 
+def test_per_application_records_are_named_tuples():
+    """``GateApp``, ``MeasurementEvent`` and ``Branch`` are built once
+    per application, outcome or branch, so they are named tuples, built
+    without a Python-level ``__init__``, with their fields in order."""
+    from laqcc import program as pr
+
+    fields = {
+        pr.GateApp: ("gate", "qubits", "condition"),
+        pr.MeasurementEvent: ("label", "qubits", "outcome", "probability"),
+        pr.Branch: ("record", "probability", "state", "peak_support"),
+    }
+    for record, names in fields.items():
+        assert issubclass(record, tuple) and record._fields == names
+    assert pr.GateApp._field_defaults == {"condition": None}
+    assert pr.MeasurementEvent._field_defaults == {}
+    assert pr.Branch._field_defaults == {}
+
+
 def test_cli_import_pulls_in_numpy_only():
     """numpy is the one third-party runtime dependency, so a fresh
     interpreter that imports the CLI has not loaded scipy."""

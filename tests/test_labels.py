@@ -236,18 +236,19 @@ def test_per_branch_work_is_one_state_and_one_event_per_measurement(
     ``MeasurementEvent`` is built per returned branch per measurement on
     its record."""
     counts = dict.fromkeys(("states", "made", "events"), 0)
-    own, init = ss.SparseState._own, pr.MeasurementEvent.__init__
+    own, new = ss.SparseState._own, pr.MeasurementEvent.__new__
 
     def owned(self, *args):
         counts["states"] += 1
         return own(self, *args)
 
-    def event(self, *args):
+    def event(cls, *args):
         counts["events"] += 1
-        init(self, *args)
+        return new(cls, *args)
 
     monkeypatch.setattr(ss.SparseState, "_own", owned)
-    monkeypatch.setattr(pr.MeasurementEvent, "__init__", event)
+    # a named tuple is built by its ``__new__``; it has no ``__init__``
+    monkeypatch.setattr(pr.MeasurementEvent, "__new__", event)
     for name, made in MADE.items():
         def counted(*args, kernel=getattr(ss, name), made=made):
             counts["made"] += made

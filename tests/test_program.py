@@ -875,6 +875,110 @@ def test_dumps_hands_the_generic_writer_no_gate_application(
     assert calls[0] <= specs + others + 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cl.ghz(64), lambda: seeded_flattening(64, "ladder", 64, 1, 2)])
+def test_loads_resolves_each_distinct_spec_once(build, monkeypatch):
+    """``loads`` calls a registered factory once per distinct gate spec
+    of its document, not once per application: a count, not a time."""
+    text = pr.dumps(build())
+    calls = []
+    for name, factory in list(pr.GATE_REGISTRY.items()):
+        def counted(*args, name=name, factory=factory, **params):
+            calls.append(json.dumps({"name": name, "params": params}))
+            return factory(*args, **params)
+
+        monkeypatch.setitem(pr.GATE_REGISTRY, name, counted)
+    again = pr.loads(text)
+    entries = [entry for layer in json.loads(text)["layers"]
+               if layer["kind"] == "quantum" for entry in layer["gates"]]
+    specs = {json.dumps(entry["gate"]) for entry in entries}
+    assert len(entries) > 100 > len(specs)
+    assert sorted(calls) == sorted(specs)
+    assert pr.dumps(again) == text
+
+
+# specs that differ only by a value's type, a zero's sign or key order
+ALIKE_SPECS = [
+    {"name": "phase_flag", "params": {"phi": 1}},
+    {"name": "phase_flag", "params": {"phi": 1.0}},
+    {"name": "phase_flag", "params": {"phi": True}},
+    {"name": "phase_flag", "params": {"phi": 0}},
+    {"name": "phase_flag", "params": {"phi": 0.0}},
+    {"name": "phase_flag", "params": {"phi": -0.0}},
+    {"name": "phase_flag", "params": {"phi": 0}},
+    {"name": "phase_all_zero", "params": {"num_bits": 1, "theta": 2}},
+    {"name": "phase_all_zero", "params": {"theta": 2, "num_bits": 1}},
+    {"name": "phase_all_zero", "params": {"num_bits": 1, "theta": 2}},
+    {"name": "clifford",
+     "params": {"word": "S(0) X(0)", "wires": 1, "label": "alike"}},
+    {"name": "clifford",
+     "params": {"label": "alike", "wires": 1, "word": "S(0) X(0)"}},
+]
+
+
+def test_specs_alike_but_for_type_sign_or_order_load_apart():
+    """Specs equal as Python values but for a value's type (``1``,
+    ``1.0``, ``true``), a zero's sign or their params' order load and
+    re-dump as resolving each entry on its own does; only an exactly
+    repeated spec of strings and ints shares one gate."""
+    doc = {"qubits": 1, "layers": [
+        {"kind": "quantum", "gates": [{"gate": spec, "qubits": [0]}]}
+        for spec in ALIKE_SPECS]}
+    loaded = pr.program_from_json(doc)
+    alone = pr.LaqccProgram(1, {}, [
+        pr.QuantumLayer((pr.GateApp(pr._gate_from_spec(spec), (0,)),))
+        for spec in ALIKE_SPECS])
+    text = pr.dumps(loaded)
+    assert text == pr.dumps(alone)
+    written = [layer["gates"][0]["gate"] for layer in json.loads(text)[
+        "layers"]]
+    # a factory that is not shared stamps the spec it was called with
+    assert json.dumps(written[:10]) == json.dumps(ALIKE_SPECS[:10])
+    gates = [layer.apps[0].gate for layer in loaded.layers]
+    assert gates[3] is gates[6] and gates[7] is gates[9]
+    assert len({id(gate) for gate in gates[:7]}) == 6
+    assert gates[7] is not gates[8]
+
+
+def loaded_or_error(text):
+    try:
+        return pr.dumps(pr.loads(text))
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# sha256 of the re-dumps and load errors of the random programs' JSON,
+# taken before ``loads`` resolved each spec once per document
+RANDOM_RELOAD_SHA256 = (
+    "090e60ffef8928a4ad06ab123a2dad023cb75bea1f9e8c573fbc4d3e554ecc64")
+
+
+def test_random_programs_load_as_entry_by_entry_resolution_does(
+        monkeypatch):
+    """The JSON of the random programs of
+    ``test_dumps_writes_random_programs_as_json_does`` loads and re-dumps
+    to the same bytes, or raises the same error text, as it did when
+    every entry resolved its spec on its own, and as it does with the
+    memo turned off."""
+    rng = np.random.default_rng(27)
+    texts = []
+    for _ in range(600):
+        try:
+            texts.append(json.dumps(
+                pr.program_to_json(random_program(rng)), indent=2))
+        except (TypeError, ValueError):
+            continue
+    got = [loaded_or_error(text) for text in texts]
+    same = sum(g == text for g, text in zip(got, texts))
+    assert same >= 400 and len(texts) - same >= 10
+    assert all(g == text or g.startswith("ValueError: ")
+               for g, text in zip(got, texts))
+    assert hashlib.sha256("\0".join(got).encode()).hexdigest() == (
+        RANDOM_RELOAD_SHA256)
+    monkeypatch.setattr(pr, "_spec_key", lambda spec: None)
+    assert [loaded_or_error(text) for text in texts] == got
+
+
 # sha256 of ``dumps``, taken before ``dumps`` had its own writer
 GOLDEN_SHA256 = {
     "ghz8": "2bd601be9db8115f9872064582dbfd5f76db5e71f8dae16b4fce0dc6358e92b6",

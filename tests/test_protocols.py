@@ -119,6 +119,20 @@ def test_dicke_k1_is_w_state():
     assert ss.fidelity(d, pt.w_target(4)) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("k, message", [
+    (-1, "need 0 <= k <= n"),
+    (0, "k=0 outside the small-k policy bound ceil(sqrt(4)) = 2; use the"
+        " factoradic protocol"),
+    (3, "k=3 outside the small-k policy bound ceil(sqrt(4)) = 2; use the"
+        " factoradic protocol"),
+])
+def test_dicke_small_k_refusals(k, message):
+    """Only a k that the factoradic protocol takes is pointed at it."""
+    with pytest.raises(ValueError) as refused:
+        pt.dicke_small_k(4, k)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)])
 def test_dicke_small_k_all_branches(n, k):
     prog, target = pt.dicke_small_k(n, k)
