@@ -179,14 +179,13 @@ class DiagonalGate(Gate):
 
 @dataclass
 class PredicatedGate(Gate):
-    """Apply ``gate`` to the trailing qubits iff a predicate of the leading
-    control bits is 1; used by the measurement-deferral transform.
-    ``predicate`` maps an array of control patterns, as
-    :class:`BasisMapGate`'s ``fn`` does, to an array of hits."""
+    """Apply ``gate`` to the trailing qubits iff the leading control bits
+    (the first the most significant) hold an odd number of the bits
+    ``mask`` selects; the measurement-deferral transform's gate."""
 
     name: str
     control_bits: int
-    predicate: Callable[[np.ndarray], np.ndarray]
+    mask: int
     gate: Gate
     charge: float = 0.0
 
@@ -196,7 +195,7 @@ class PredicatedGate(Gate):
     def apply(self, state, qubits):
         targets = qubits[self.control_bits:]
         return ss.apply_predicated(
-            state, self.predicate, qubits[: self.control_bits],
+            state, self.mask, qubits[: self.control_bits],
             lambda part: self.gate.apply(part, targets),
         )
 
@@ -291,11 +290,12 @@ class Register:
 @dataclass(frozen=True)
 class LaqccProgram:
     """A well-formed program: the constructor checks every register,
-    gate arity, qubit, measured label, classical mask (within the word it
-    reads) and condition (an earlier classical layer and one of the keys
-    it publishes), and stores
-    ``layers`` as a tuple and ``registers`` as a read-only mapping, so
-    the program stays valid for as long as it exists."""
+    gate arity, qubit (exactly an ``int``, as loading requires, so the
+    program dumps and loads back), measured label, classical mask (within
+    the word it reads) and condition (an earlier classical layer and one
+    of the keys it publishes), and stores ``layers`` as a tuple and
+    ``registers`` as a read-only mapping, so the program stays valid for
+    as long as it exists."""
 
     num_qubits: int
     registers: Mapping[str, Register] = field(default_factory=dict)
@@ -306,13 +306,18 @@ class LaqccProgram:
         object.__setattr__(self, "registers", registers)
         object.__setattr__(self, "layers", tuple(self.layers))
         n = self.num_qubits
+        if type(n) is not int or n < 0:
+            raise ValueError(f"num_qubits must be an int >= 0, got {n!r}")
         claimed = set()
         for name, reg in registers.items():
+            if not isinstance(name, str):
+                raise ValueError(f"register name must be a string, got"
+                                 f" {name!r}")
             for q in reg.qubits:
                 if q in claimed:
                     raise ValueError(f"qubit {q} in two registers")
-                if not 0 <= q < n:
-                    raise ValueError(f"register {name} out of range")
+                if type(q) is not int or not 0 <= q < n:
+                    raise _bad_qubit(f"register {name} qubit", q)
                 claimed.add(q)
         measured: Dict[str, int] = {}  # label -> width of its word
         published: Dict[str, Mapping[str, int]] = {}  # layer -> its outputs
@@ -323,8 +328,8 @@ class LaqccProgram:
                     if len(qubits) != gate.num_bits:
                         raise ValueError(f"gate {gate.name} arity mismatch")
                     for q in qubits:
-                        if not 0 <= q < n:
-                            raise ValueError("gate qubit out of range")
+                        if type(q) is not int or not 0 <= q < n:
+                            raise _bad_qubit(f"gate {gate.name} qubit", q)
                     if condition:
                         source, key = condition
                         if source not in published:
@@ -339,11 +344,14 @@ class LaqccProgram:
                             )
             elif isinstance(layer, MeasureLayer):
                 qubits, label = layer.qubits, layer.label
+                if not isinstance(label, str):
+                    raise ValueError(
+                        f"measure label must be a string, got {label!r}")
                 if len(set(qubits)) != len(qubits):
                     raise ValueError(f"measure {label!r} repeats a qubit")
                 for q in qubits:
-                    if not 0 <= q < n:
-                        raise ValueError(f"measured qubit {q} out of range")
+                    if type(q) is not int or not 0 <= q < n:
+                        raise _bad_qubit("measured qubit", q)
                 if label in measured:
                     raise ValueError(f"duplicate label {label!r}")
                 measured[label] = len(qubits)
@@ -364,6 +372,15 @@ class LaqccProgram:
                 published[layer.name] = layer.outputs
             else:
                 raise ValueError(f"unknown layer kind {type(layer)}")
+
+
+def _bad_qubit(what: str, q) -> ValueError:
+    """The error for qubit ``q`` that is not an ``int`` within the
+    program: an ``int`` subclass such as ``True``, a float or a numpy
+    integer would not load back from the program's JSON."""
+    if type(q) is not int:
+        return ValueError(f"{what} must be an int, got {q!r}")
+    return ValueError(f"{what} {q} out of range")
 
 
 class MeasurementEvent(NamedTuple):
@@ -811,12 +828,6 @@ def defer_measurements(program: LaqccProgram) -> LaqccProgram:
     return LaqccProgram(program.num_qubits, program.registers, new_layers)
 
 
-def _odd_parity(mask: int, patterns: np.ndarray) -> np.ndarray:
-    """Whether each pattern has an odd number of the bits ``mask``
-    selects: a deferred conditioned gate's predicate."""
-    return (popcount(patterns & mask) & 1).astype(bool)
-
-
 def to_postselected(
     program: LaqccProgram, transcript: MeasurementRecord
 ) -> Tuple[LaqccProgram, int]:
@@ -1039,38 +1050,11 @@ def parity(label: str, control_bits: int, mask: int, gate: dict) -> Gate:
         raise ValueError(
             f"parity needs an integer mask >= 0 within an integer"
             f" control_bits >= 0, got {mask!r} and {control_bits!r}")
-    return PredicatedGate(label, control_bits, functools.partial(
-        _odd_parity, mask), _gate_from_spec(gate))
+    return PredicatedGate(label, control_bits, mask, _gate_from_spec(gate))
 
 
-def _predicated_gate_factory(label: str, control_bits: int, table, gate):
-    """The gate with spec ``gate`` on the trailing qubits, applied where
-    ``table`` holds 1 at the pattern of the ``control_bits`` leading ones.
-    Its spec writes the table as 0/1 and the inner gate's spec as
-    :func:`_gate_spec` does, so a loaded file re-dumps in one form."""
-    _check_label(label)
-    # no list holds 2^64 entries, so the shift stops there
-    if not (_is_count(control_bits) and isinstance(table, list)
-            and len(table) == 1 << min(control_bits, 64)
-            and all(type(hit) in (int, bool) and hit in (0, 1)
-                    for hit in table)):
-        raise ValueError(
-            f"predicated needs 2^control_bits table entries, each 0/1 or"
-            f" true/false, got control_bits {control_bits!r}")
-    inner, table = _gate_from_spec(gate), [int(hit) for hit in table]
-    made = PredicatedGate(
-        label, control_bits, np.array(table, bool).__getitem__, inner)
-    made.spec = {"name": "predicated", "params": {
-        "label": label, "control_bits": control_bits, "table": table,
-        "gate": _gate_spec(inner)}}
-    return made
-
-
-# ``_gate_spec`` reads the ``matrix`` spec off the gate, and ``predicated``
-# sets its own, so neither gets a stamp
-GATE_REGISTRY.update(
-    matrix=_matrix_gate_factory, predicated=_predicated_gate_factory
-)
+# ``_gate_spec`` reads the ``matrix`` spec off the gate, so it gets no stamp
+GATE_REGISTRY["matrix"] = _matrix_gate_factory
 
 
 def _app_json(app: GateApp) -> dict:
@@ -1294,9 +1278,10 @@ def dumps(program: LaqccProgram) -> str:
     This writer walks the program rather than its document: the head of
     a gate entry, up to its first qubit, is written once per distinct
     gate, and each application then costs one join of its qubits (and
-    one of its condition).  An application whose qubits are not all
-    exact ints or whose condition is not two strings, and every part of
-    the document outside the gate entries, go through ``_write_json``."""
+    one of its condition); the program holds only ``int`` qubits and
+    conditions of two strings.  An application on no qubits, and every
+    part of the document outside the gate entries, go through
+    ``_write_json``."""
     parts: List[str] = []
     out = parts.append
     try:
@@ -1339,16 +1324,14 @@ def _write_apps(apps: Sequence[GateApp], heads: Dict[int, str],
             _write_json(_gate_spec(gate), _KEY, spec.append)
             spec.append("," + _KEY + '"qubits": [' + _ITEM)
             head = heads[id(gate)] = "".join(spec)
-        if qubits and _INTS.issuperset(map(type, qubits)) and (
-                not condition or len(condition) == 2
-                and _STRS.issuperset(map(type, condition))):
+        if qubits:
             text = head + _NEXT_ITEM.join(map(str, qubits))
             if condition:
                 text += (_KEY + "]," + _KEY + '"condition": [' + _ITEM
                          + _quote(condition[0]) + _NEXT_ITEM
                          + _quote(condition[1]))
             out(sep + text + _END)
-        else:
+        else:  # ``"qubits": []`` has no item to start a line
             out(sep)
             _write_json(_app_json(app), _ENTRY, out)
         sep = "," + _ENTRY

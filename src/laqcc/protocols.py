@@ -351,7 +351,7 @@ def dicke_small_k(
 ) -> Tuple[pr.LaqccProgram, ss.SparseState]:
     if n < 2:
         raise ValueError("need n >= 2")
-    if k < 0:  # no protocol prepares it, so no other one is suggested
+    if not 0 <= k <= n:  # no protocol prepares it, so none is suggested
         raise ValueError("need 0 <= k <= n")
     if not 1 <= k <= small_k_policy_bound(n):
         raise ValueError(

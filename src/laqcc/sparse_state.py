@@ -20,6 +20,9 @@ Index chores take no sort where a table is small: bits move between
 index and pattern positions by one lookup per chunk of up to 8 source
 bits (:func:`_move_bits`), and the distinct patterns of at most 16 bits
 come from a table of those present (:func:`_distinct`, :func:`_narrow`).
+:func:`apply_predicated` needs no distinct patterns: it holds a gate's
+parity mask, and one popcount of each entry's control pattern under it
+finds the hits.
 
 A state may be a batch of whole branches (:func:`branch_enumerate` makes
 one, :func:`select_labels` keeps some, :func:`split_labels` takes it
@@ -42,6 +45,8 @@ from types import MappingProxyType
 from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from .numbersys import popcount
 
 PRUNE_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
@@ -683,19 +688,17 @@ def apply_phase_map(
 
 def apply_predicated(
     state: SparseState,
-    predicate: Callable[[np.ndarray], np.ndarray],
+    mask: int,
     controls: Sequence[int],
     apply: Callable[[SparseState], SparseState],
 ) -> SparseState:
     """Run ``apply``, which keeps the control bits, on the normalised part
     of ``state`` whose control pattern (controls[0] most significant)
-    satisfies ``predicate``, and scale its result back; the rest stays.
-    ``predicate`` takes the array of distinct control patterns, as
-    :func:`apply_basis_map`'s ``mapping`` does, and returns which hit.
-    Each branch's part is normalised on its own weight."""
+    holds an odd number of the bits ``mask`` selects, and scale its
+    result back; the rest stays.  Each branch's part is normalised on its
+    own weight."""
     _check_targets(state, controls)
-    patterns, where = _distinct(state.idx, controls)
-    hit = np.asarray(predicate(patterns), bool)[where]
+    hit = popcount(_gather(state.idx, controls) & mask) & 1 == 1
     if not hit.any():
         return state.check_norm()
     idx, amp = state.idx[hit], state.amp[hit]

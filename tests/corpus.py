@@ -116,7 +116,7 @@ def _iqp_wide(n: int) -> pr.LaqccProgram:
 
 def _rounds(seed: int) -> pr.LaqccProgram:
     """Two measured rounds, each followed by conditioned dense, signed
-    permutation, diagonal, basis-map and predicated gates, on random
+    permutation, diagonal, basis-map and parity gates, on random
     SU(2) inputs: several branches meet every kind of gate."""
     rng = np.random.default_rng(seed)
     u = [pr.MatrixGate(f"u{i}", _random_su2(rng)) for i in range(6)]
@@ -126,10 +126,9 @@ def _rounds(seed: int) -> pr.LaqccProgram:
     phases = np.exp(1j * math.pi * rng.integers(0, 8, 4) / 4)
     diag = pr.diagonal("d", [[p.real, p.imag] for p in phases])
     fan = mc.fanout(2)
-    hit = pr.GATE_REGISTRY["predicated"](
-        label="pz", control_bits=1, table=[0, 1],
-        gate={"name": "clifford",
-              "params": {"label": "Z", "wires": 1, "word": "Z(0)"}})
+    hit = pr.parity("pz", 1, 1, {
+        "name": "clifford",
+        "params": {"label": "Z", "wires": 1, "word": "Z(0)"}})
     b = pr.Builder()
     b.alloc("work", 6, "system")
     b.layer(*(pr.GateApp(u[q], (q,)) for q in range(4)))

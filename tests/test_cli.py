@@ -92,6 +92,17 @@ def test_prep_dicke_negative_k_exit_3(capsys, method):
     assert err == "error: need 0 <= k <= n\n"
 
 
+@pytest.mark.parametrize("method", ["small-k", "factoradic"])
+@pytest.mark.parametrize("n, k", [(4, 5), (2, 3)])
+def test_prep_dicke_k_above_n_exit_3(capsys, n, k, method):
+    """No protocol prepares k > n either: both methods give the range of
+    k rather than pointing at the other one."""
+    code, out, err = run(capsys, [
+        "prep", "dicke", "--n", str(n), "--k", str(k), "--method", method])
+    assert_one_line_exit_3(code, out, err)
+    assert err == "error: need 0 <= k <= n\n"
+
+
 def test_prep_uniform_sampled(capsys):
     code, doc, _ = report(
         capsys,
@@ -656,6 +667,13 @@ def test_transform_defer_writes_a_wide_word_as_parity_masks(
             {"gate": {"name": name}, "qubits": [0]}]},
          f"unknown gate {name!r}")
         for name in ("set_flag", "sort_indexes")
+    ] + [
+        # the hand-written table form of a predicated gate
+        ({"kind": "quantum", "gates": [{"gate": {
+            "name": "predicated", "params": {
+                "label": "p", "control_bits": 1, "table": [0, 1],
+                "gate": cl.X_GATE.spec}}, "qubits": [0, 1]}]},
+         "unknown gate 'predicated'"),
     ],
 )
 def test_transform_rejects_retired_names_exit_3(
@@ -665,9 +683,11 @@ def test_transform_rejects_retired_names_exit_3(
         {"kind": "measure", "qubits": [1], "label": "parity"}, entry]}
     path = tmp_path / "program.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, ["transform", "defer", "--input", str(path)])
-    assert_one_line_exit_3(code, out, err)
-    assert message in err
+    for kind in ("defer", "postselect"):
+        code, out, err = run(
+            capsys, ["transform", kind, "--input", str(path)])
+        assert_one_line_exit_3(code, out, err)
+        assert message in err
 
 
 def _matrix_doc(qubits, rows):
@@ -676,17 +696,6 @@ def _matrix_doc(qubits, rows):
         {"gate": {"name": "matrix", "params": {"label": "M",
                                                "matrix": entries}},
          "qubits": list(range(qubits))}]}]}
-
-
-def _predicated_doc(table, control_bits=1):
-    return {"qubits": 2, "layers": [{"kind": "quantum", "gates": [
-        {"gate": {"name": "predicated", "params": {
-            "label": "p", "control_bits": control_bits, "table": table,
-            "gate": cl.X_GATE.spec}},
-         "qubits": [0, 1]}]}]}
-
-
-PREDICATED_TABLE = "predicated needs 2^control_bits table entries"
 
 
 @pytest.mark.parametrize("kind", ["defer", "postselect"])
@@ -702,12 +711,6 @@ PREDICATED_TABLE = "predicated needs 2^control_bits table entries"
         ({"qubits": 2, "layers": [{"kind": "measure", "qubits": [0, 0],
                                    "label": "m"}]},
          "repeats a qubit"),
-        (_predicated_doc([1]), PREDICATED_TABLE),
-        (_predicated_doc([0, 1, 1]), PREDICATED_TABLE),
-        (_predicated_doc([0, 2]), PREDICATED_TABLE),
-        (_predicated_doc([0, 1.0]), PREDICATED_TABLE),
-        (_predicated_doc([0, 1], control_bits=10 ** 9), PREDICATED_TABLE),
-        (_predicated_doc([0, 1], control_bits="1"), PREDICATED_TABLE),
     ],
 )
 def test_transform_rejects_invalid_program_exit_3(

@@ -130,15 +130,20 @@ def ref_fidelity(state, target):
     return min(1.0, abs(overlap))
 
 
+def odd(pattern, mask):
+    """Whether ``pattern`` holds an odd number of the bits ``mask``
+    selects, counted in Python."""
+    return bin(pattern & mask).count("1") % 2 == 1
+
+
 def ref_predicated(state, gate, qubits):
     """``gate``'s inner gate applied to the amplitudes whose control bits
-    satisfy its predicate."""
+    hold an odd number of the bits of its mask."""
     controls = qubits[: gate.control_bits]
     targets = qubits[gate.control_bits:]
     hit, miss = {}, {}
     for index, amp in state.amplitudes.items():
-        pattern = _pattern(index, controls)
-        (hit if one(gate.predicate, pattern, len(controls)) else miss)[
+        (hit if odd(_pattern(index, controls), gate.mask) else miss)[
             index] = amp
     out = dict(miss)
     if hit:
@@ -625,12 +630,15 @@ def test_predicated_gate_matches_reference(seed, k):
     n = state.num_qubits
     free = [q for q in rng.permutation(n).tolist() if q not in targets]
     controls = free[: int(rng.integers(0, len(free) + 1))]
-    table = rng.integers(2, size=1 << len(controls))
-    gate = pr.PredicatedGate("p", len(controls), table.__getitem__,
-                             pr.MatrixGate("u", random_unitary(rng, k)))
+    c = len(controls)
+    # every mask over at most 3 controls, one random mask over more
+    masks = range(1 << c) if c <= 3 else [int(rng.integers(1 << c))]
+    inner = pr.MatrixGate("u", random_unitary(rng, k))
     qubits = tuple(controls + targets)
-    assert_same_in_order(gate.apply(state, qubits),
-                         ref_predicated(state, gate, qubits))
+    for mask in masks:
+        gate = pr.PredicatedGate("p", c, mask, inner)
+        assert_same_in_order(gate.apply(state, qubits),
+                             ref_predicated(state, gate, qubits))
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -648,12 +656,20 @@ def test_seventy_qubit_split_fidelity_predicated_match_reference(k):
     target = random_state(rng, 70, 60, list(state.amplitudes)[:40])
     assert abs(ss.fidelity(state, target)
                - ref_fidelity(state, target)) <= ATOL
+    inner = pr.MatrixGate("u", random_unitary(rng, k))
     controls = [q for q in (69, 68, 67, 0, 1) if q not in targets][:2]
-    gate = pr.PredicatedGate("p", 2, lambda v: v != 1,
-                             pr.MatrixGate("u", random_unitary(rng, k)))
-    qubits = tuple(controls + targets)
-    assert_same_in_order(gate.apply(state, qubits),
-                         ref_predicated(state, gate, qubits))
+    # and every other qubit as a control: Python-int patterns, one mask
+    wide = [q for q in range(69, -1, -1) if q not in targets]
+    mask = sum(1 << b for b in range(len(wide)) if rng.integers(2))
+    assert mask >> 62
+    for gate, qubits in [
+        *((pr.PredicatedGate("p", 2, m, inner), (*controls, *targets))
+          for m in range(4)),
+        (pr.PredicatedGate("p", len(wide), mask, inner),
+         (*wide, *targets)),
+    ]:
+        assert_same_in_order(gate.apply(state, qubits),
+                             ref_predicated(state, gate, qubits))
 
 
 # ----------------------------------------------------------- error paths
@@ -735,8 +751,7 @@ def test_bad_targets_rejected_by_both_gate_kernels():
 def test_bad_controls_rejected_as_bad_targets(controls, match):
     state = ss.SparseState.basis(2)
     with pytest.raises(IndexError, match=match):
-        ss.apply_predicated(state, lambda p: p == 1, controls,
-                            lambda part: part)
+        ss.apply_predicated(state, 1, controls, lambda part: part)
 
 
 def test_entangled_rest_rejected_by_both():
@@ -884,12 +899,10 @@ def old_apply_phase_map(state, phase, targets):
         state.num_qubits, idx, state.amp * phases[where])
 
 
-def old_apply_predicated(state, predicate, controls, apply):
+def old_apply_predicated(state, mask, controls, apply):
     idx, amp = state.idx, state.amp
-    k = len(controls)
     patterns, where = np.unique(ss._gather(idx, controls), return_inverse=True)
-    hit = np.array(
-        [bool(one(predicate, p, k)) for p in patterns.tolist()])[where]
+    hit = np.array([odd(p, mask) for p in patterns.tolist()], bool)[where]
     if hit.any():
         norm = math.sqrt(ss._running_sum(ss._weights(amp[hit])))
         part = (amp[hit].view(float) / norm).view(complex)
@@ -935,9 +948,9 @@ def test_deferred_programs_equal_on_old_predicated_kernel(monkeypatch):
     checked, differ = [], []
     new = ss.apply_predicated
 
-    def kernel(state, predicate, controls, apply):
-        got = new(state, predicate, controls, apply)
-        want = old_apply_predicated(state, predicate, controls, apply)
+    def kernel(state, mask, controls, apply):
+        got = new(state, mask, controls, apply)
+        want = old_apply_predicated(state, mask, controls, apply)
         checked.append(tuple(controls))
         if not (np.array_equal(got.idx, want.idx)
                 and np.array_equal(got.amp, want.amp)):

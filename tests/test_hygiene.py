@@ -309,21 +309,37 @@ def test_permutation_runs_have_one_loop():
                              path.read_text()), path.name
 
 
+def called(source: str, name: str) -> set:
+    """The names that the top-level function ``name`` of ``source``
+    calls."""
+    (node,) = [node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return {inner.func.id for inner in ast.walk(node)
+            if isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Name)}
+
+
 def test_classical_layers_and_the_deferral_predicate_have_no_loop():
     """A classical layer is evaluated on every branch, and a deferred
-    condition on every control pattern, without a Python loop."""
-    names = ("_classical", "_odd_parity")
-    source = (PACKAGE / "program.py").read_text()
-    tree = ast.parse(source)
-    assert {node.name for node in tree.body
-            if isinstance(node, ast.FunctionDef)} >= set(names)
-    assert kernel_loops(source, names) == []
+    condition on every amplitude, without a Python loop: the predicated
+    kernel counts the bits of ``controls & mask`` with one popcount,
+    with no pass over the distinct patterns and no function of them."""
+    program = (PACKAGE / "program.py").read_text()
+    state = (PACKAGE / "sparse_state.py").read_text()
+    assert kernel_loops(program, ("_classical",)) == []
+    assert kernel_loops(state, ("apply_predicated",)) == []
+    calls = called(state, "apply_predicated")
+    assert {"popcount", "_gather"} <= calls
+    assert "_distinct" not in calls and "apply" in calls
+    assert not re.search(r"_odd_parity|\bpredicate\b",
+                         program + state)
 
 
 def test_map_gate_functions_run_once_per_application(monkeypatch):
-    """Across every acceptance program, each basis-map, phase-map and
-    predicated application calls its gate's function exactly once, on
-    the array of distinct patterns."""
+    """Across every acceptance program, each basis-map and phase-map
+    application calls its gate's function exactly once, on the array of
+    distinct patterns; a predicated one holds its gate's mask, an
+    ``int``, and no function."""
     import numpy as np
 
     from laqcc import sparse_state as ss
@@ -345,12 +361,21 @@ def test_map_gate_functions_run_once_per_application(monkeypatch):
             return out
         return counted
 
-    for name in KERNELS:
+    predicated = ss.apply_predicated
+
+    def masked(state, mask, *rest):
+        assert type(mask) is int
+        calls["apply_predicated"].append(mask)
+        return predicated(state, mask, *rest)
+
+    for name in ("apply_basis_map", "apply_phase_map"):
         monkeypatch.setattr(ss, name, counting(name, getattr(ss, name)))
+    monkeypatch.setattr(ss, "apply_predicated", masked)
     results = verify.run_all()
     assert [r["name"] for r in results if not r["passed"]] == []
     assert len(calls["apply_basis_map"]) > 100
     assert len(calls["apply_phase_map"]) > 100
+    assert calls["apply_predicated"]
 
 
 def test_bit_movement_tables_stay_within_their_byte_bound():

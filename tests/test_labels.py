@@ -103,7 +103,7 @@ def random_su2(rng):
 
 def two_rounds(seed, n=6, low=0):
     """Random inputs, two measured rounds, and after each a layer of
-    conditioned dense, permutation, diagonal, basis-map and predicated
+    conditioned dense, permutation, diagonal, basis-map and parity
     gates; the program's qubits start at ``low``, so it can sit in a
     wide register."""
     rng = np.random.default_rng(seed)
@@ -111,10 +111,9 @@ def two_rounds(seed, n=6, low=0):
     u = [pr.MatrixGate(f"u{i}", random_su2(rng)) for i in range(8)]
     phases = np.exp(1j * math.pi * rng.integers(0, 8, 4) / 4)
     diag = pr.diagonal("d", [[p.real, p.imag] for p in phases])
-    pz = pr.GATE_REGISTRY["predicated"](
-        label="pz", control_bits=1, table=[0, 1],
-        gate={"name": "clifford",
-              "params": {"label": "Z", "wires": 1, "word": "Z(0)"}})
+    pz = pr.parity("pz", 1, 1, {
+        "name": "clifford",
+        "params": {"label": "Z", "wires": 1, "word": "Z(0)"}})
     X, Z, H = cl.X_GATE, cl.Z_GATE, cl.H_GATE
     b = pr.Builder()
     b.alloc("all", low + n, "system")
@@ -457,7 +456,7 @@ def test_norm_drift_in_one_branch_of_many_raises():
         lambda: ss.apply_permutations(
             state, [(*x.permutation, [1], second)]),
         lambda: ss.apply_predicated(
-            state, lambda p: p == 1, [0],
+            state, 1, [0],
             lambda part: ss.apply_unitary(part, h.matrix, [1])),
     ):
         with pytest.raises(ValueError, match="drifted"):

@@ -136,8 +136,7 @@ def test_norm_checks_fail_on_nan():
                              np.array([0.6, 0.8, math.nan]))
     labelled = ss.SparseState._of(2, nan.idx, nan.amp, 1)
     for call in (nan.check_norm, labelled.check_norm,
-                 lambda: ss.apply_predicated(nan, lambda p: p == 1, [0],
-                                             lambda part: part)):
+                 lambda: ss.apply_predicated(nan, 1, [0], lambda part: part)):
         with pytest.raises(ValueError, match="drifted"):
             call()
 
