@@ -698,6 +698,26 @@ def _matrix_doc(qubits, rows):
          "qubits": list(range(qubits))}]}]}
 
 
+def _predicated_doc(table, control_bits=1):
+    return {"qubits": 2, "layers": [{"kind": "quantum", "gates": [
+        {"gate": {"name": "predicated", "params": {
+            "label": "p", "control_bits": control_bits, "table": table,
+            "gate": cl.X_GATE.spec}},
+         "qubits": [0, 1]}]}]}
+
+
+# Table files the retired 'predicated' entry once refused for their table;
+# they keep their case names and are now refused as an unknown gate.
+PREDICATED_TABLES = [
+    pytest.param(
+        _predicated_doc(table, *bits), "unknown gate 'predicated'",
+        id=f"doc{i}-predicated needs 2^control_bits table entries")
+    for i, (table, *bits) in enumerate(
+        [([1],), ([0, 1, 1],), ([0, 2],), ([0, 1.0],), ([0, 1], 10 ** 9),
+         ([0, 1], "1")], start=4)
+]
+
+
 @pytest.mark.parametrize("kind", ["defer", "postselect"])
 @pytest.mark.parametrize(
     "doc, message",
@@ -711,7 +731,7 @@ def _matrix_doc(qubits, rows):
         ({"qubits": 2, "layers": [{"kind": "measure", "qubits": [0, 0],
                                    "label": "m"}]},
          "repeats a qubit"),
-    ],
+    ] + PREDICATED_TABLES,
 )
 def test_transform_rejects_invalid_program_exit_3(
     capsys, tmp_path, kind, doc, message
