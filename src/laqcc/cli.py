@@ -137,7 +137,8 @@ def cmd_prep(args) -> int:
     program, target, keep, params = _build_protocol(args)
     require_clean = params.pop("clean", True)
     try:
-        branches, mode = _collect_branches(program, args.branches, seed)
+        branches, mode = _collect_branches(
+            pr.fold_hadamard(program), args.branches, seed)
     except ss.SupportLimitError as exc:
         raise Infeasible(str(exc)) from exc
     fidelity, clean = verify.check_branches(branches, keep, target)

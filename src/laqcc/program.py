@@ -54,6 +54,10 @@ class Gate:
     spec: Optional[dict] = None  # set by the registered factory that made it
     # ``(images, phases)`` of a gate that only moves and rephases indices
     permutation: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # ``(positions, dual)`` of a gate D for which ``dual`` is the basis map
+    # H^S D H^S, H on the gate's qubits at ``positions`` (see
+    # :class:`DiagonalGate` and :func:`fold_hadamard`)
+    hadamard_dual: Optional[Tuple[Tuple[int, ...], "BasisMapGate"]] = None
 
     def apply(self, state: SparseState, qubits: Sequence[int]) -> SparseState:
         raise NotImplementedError
@@ -158,22 +162,46 @@ class BasisMapGate(Gate):
 class DiagonalGate(Gate):
     """Diagonal unitary given by a phase function of the bit pattern;
     ``phase_fn`` maps an array of patterns, as :class:`BasisMapGate`'s
-    ``fn`` does, to the array of their phases."""
+    ``fn`` does, to the array of their phases.
+
+    ``hadamard_dual``, when given, is ``(positions, dual)``: distinct
+    positions S among the gate's qubits (0 the first listed) and a basis
+    map on all of them equal to H^S D H^S as an operator, where D is
+    this gate.  The inverse carries the inverse dual, since
+    H^S D^-1 H^S = (H^S D H^S)^-1."""
 
     name: str
     num_bits: int
     phase_fn: Callable[[np.ndarray], np.ndarray]
     charge: float = 0.0
+    hadamard_dual: Optional[Tuple[Tuple[int, ...], BasisMapGate]] = None
+
+    def __post_init__(self):
+        if self.hadamard_dual is None:
+            return
+        positions, dual = self.hadamard_dual
+        positions = tuple(positions)
+        if not (isinstance(dual, BasisMapGate)
+                and dual.num_bits == self.num_bits
+                and len(set(positions)) == len(positions)
+                and set(positions) <= set(range(self.num_bits))):
+            raise ValueError(
+                f"{self.name}: a Hadamard dual is a basis map on the gate's"
+                f" {self.num_bits} qubits and distinct positions among them")
+        self.hadamard_dual = (positions, dual)
 
     def apply(self, state, qubits):
         return ss.apply_phase_map(state, self.phase_fn, qubits)
 
     def inverse(self):
         fn = self.phase_fn
+        dual = self.hadamard_dual
+        if dual is not None:
+            dual = (dual[0], inverse_gate(dual[1]))
         return DiagonalGate(
             self.name + "_inv", self.num_bits,
             lambda v: np.conj(np.asarray(fn(v), complex)),
-            charge=self.charge,
+            charge=self.charge, hadamard_dual=dual,
         )
 
 
@@ -879,6 +907,103 @@ def to_postselected(
     )
 
 
+_HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+def fold_hadamard(program: LaqccProgram) -> LaqccProgram:
+    """``program`` with each Hadamard wall around gates that name a
+    Hadamard dual folded away: the same map, on fewer basis states.
+
+    On one qubit q, a stretch is an H, then one or more gates whose dual
+    positions hold q, then an H, with nothing else on q in between (all
+    unconditioned; an H is a one-qubit ``MatrixGate`` whose matrix is
+    exactly the package's).  A gate folds when each of its dual qubits
+    has a stretch around it and every gate in those stretches folds:
+    then each such gate becomes its dual and the two Hadamards of each
+    such stretch go.  Taking the gates in program order, the H before
+    a gate on each of its dual qubits gives H^S D = (H^S D H^S) H^S,
+    which leaves that H before the next gate of the stretch, and at the
+    end next to the closing H, which it cancels.  Any other gate and
+    any H on other qubits stays where it is, and a layer left empty is
+    dropped.  Returns ``program`` itself when nothing folds, after one
+    scan of the gates when none names a dual."""
+    layers = program.layers
+    if not any(app.gate.hadamard_dual for layer in layers
+               if isinstance(layer, QuantumLayer) for app in layer.apps):
+        return program
+    hadamard: Dict[int, bool] = {}  # id(gate) -> whether it is an H
+    opened: Dict[int, list] = {}  # qubit -> [its opening H, gates since]
+    stretches = []  # (opening H, closing H, gates), each as (layer, app)
+    for li, layer in enumerate(layers):
+        if isinstance(layer, MeasureLayer):
+            for q in layer.qubits:
+                opened.pop(q, None)
+        if not isinstance(layer, QuantumLayer):
+            continue
+        for ai, (gate, qubits, condition) in enumerate(layer.apps):
+            key = (li, ai)
+            is_h = hadamard.get(id(gate))
+            if is_h is None:
+                is_h = hadamard[id(gate)] = (
+                    isinstance(gate, MatrixGate) and gate.num_bits == 1
+                    and np.array_equal(gate.matrix, _HADAMARD))
+            if is_h and condition is None:
+                stretch = opened.pop(qubits[0], None)
+                if stretch is not None and len(stretch) > 1:
+                    stretches.append((stretch[0], key, stretch[1:]))
+                else:
+                    opened[qubits[0]] = [key]
+                continue
+            dual = gate.hadamard_dual if condition is None else None
+            inside = () if dual is None else {qubits[p] for p in dual[0]}
+            for q in qubits:
+                stretch = opened.get(q)
+                if stretch is None:
+                    continue
+                if q in inside:
+                    stretch.append(key)
+                else:
+                    del opened[q]
+    # a gate with fewer stretches than dual qubits cannot fold, nor can
+    # any stretch around it, nor any gate in such a stretch, and so on
+    around: Dict[tuple, List[int]] = {}  # gate -> its stretches
+    for s, (_, _, gates) in enumerate(stretches):
+        for key in gates:
+            around.setdefault(key, []).append(s)
+    todo = [key for key, held in around.items()
+            if len(held) < len(layers[key[0]].apps[key[1]].gate
+                               .hadamard_dual[0])]
+    unfolded, failed = set(todo), set()
+    while todo:
+        for s in around[todo.pop()]:
+            if s not in failed:
+                failed.add(s)
+                new = [key for key in stretches[s][2] if key not in unfolded]
+                unfolded.update(new)
+                todo.extend(new)
+    removed = {key for s, (opening, closing, _) in enumerate(stretches)
+               if s not in failed for key in (opening, closing)}
+    if not removed:
+        return program
+    folded = set(around) - unfolded
+    touched = {li for li, _ in removed | folded}
+    new_layers: List[Layer] = []
+    for li, layer in enumerate(layers):
+        if li not in touched:
+            new_layers.append(layer)
+            continue
+        apps = []
+        for ai, app in enumerate(layer.apps):
+            if (li, ai) in removed:
+                continue
+            if (li, ai) in folded:
+                app = GateApp(app.gate.hadamard_dual[1], app.qubits)
+            apps.append(app)
+        if apps:
+            new_layers.append(QuantumLayer(tuple(apps)))
+    return LaqccProgram(program.num_qubits, program.registers, new_layers)
+
+
 # --------------------------------------------------------------------------
 # Builder
 # --------------------------------------------------------------------------
@@ -1003,6 +1128,12 @@ def inverse(gate: dict) -> Gate:
         return _gate_from_spec(gate).inverse()
     except NotImplementedError as exc:  # e.g. a parity gate
         raise ValueError(str(exc)) from exc
+
+
+def inverse_gate(gate: Gate) -> Gate:
+    """The inverse of ``gate``: made by :func:`inverse` from the gate's
+    spec when it has one, so a registered gate's inverse dumps too."""
+    return gate.inverse() if gate.spec is None else inverse(gate.spec)
 
 
 def _check_label(label) -> None:

@@ -42,12 +42,7 @@ class Fragment:
 
     def emit_inverse(self, builder) -> None:
         for app in reversed(self.apps):
-            gate = app.gate
-            # a registered gate's inverse is registered too, so it dumps
-            if gate.spec is None:
-                builder.gate(gate.inverse(), app.qubits)
-            else:
-                builder.gate(pr.inverse(gate.spec), app.qubits)
+            builder.gate(pr.inverse_gate(app.gate), app.qubits)
 
 
 def index_width(q: int) -> int:
@@ -224,7 +219,8 @@ def filling_fragment(
 @pr.register_gate("filling_kick")
 def filling_kick_gate(n: int, b: int) -> DiagonalGate:
     """(-1)^{s_i} on |i>|s> for i < n, with system bit i at s's bit
-    n-1-i."""
+    n-1-i.  H on the system qubits turns Z on system qubit i into X,
+    so its Hadamard dual there is :func:`uncompress_gate`."""
 
     def kick_phase(v: np.ndarray) -> np.ndarray:
         i = v >> n
@@ -234,6 +230,7 @@ def filling_kick_gate(n: int, b: int) -> DiagonalGate:
     return DiagonalGate(
         "filling_kick", b + n, kick_phase,
         charge=charges.charge("parallelize", n),
+        hadamard_dual=(tuple(range(b, b + n)), uncompress_gate(n, b)),
     )
 
 
@@ -284,7 +281,9 @@ def cleaning_gate(n: int, k: int, b: int) -> BasisMapGate:
 @pr.register_gate("cleaning_phase")
 def cleaning_phase_gate(n: int, k: int, b: int) -> DiagonalGate:
     """(-1)^{sum_l <j_l, pos_l(s)>} on |j_0..j_{k-1}>|s>, where pos_l(s)
-    is the l-th smallest set position of s (1 unless s has k ones)."""
+    is the l-th smallest set position of s (1 unless s has k ones).  H
+    on the index qubits turns (-1)^{<j_l, i>} into j_l ^= i, so its
+    Hadamard dual there is :func:`cleaning_gate`."""
 
     def phase(v: np.ndarray) -> np.ndarray:
         parity = np.zeros_like(v)
@@ -294,7 +293,8 @@ def cleaning_phase_gate(n: int, k: int, b: int) -> DiagonalGate:
         return np.where(parity & 1 == 1, -1.0, 1.0)
 
     return DiagonalGate(
-        "cleaning_phase", k * b + n, phase, charge=_cleaning_charge(n, k, b)
+        "cleaning_phase", k * b + n, phase, charge=_cleaning_charge(n, k, b),
+        hadamard_dual=(tuple(range(k * b)), cleaning_gate(n, k, b)),
     )
 
 
@@ -302,8 +302,8 @@ def cleaning_gadget_layers(
     indexes: Sequence[Sequence[int]], system: Sequence[int], n: int
 ) -> List[pr.QuantumLayer]:
     """Phase-trick variant of cleaning: Hadamards around
-    :func:`cleaning_phase_gate`; equal to :func:`cleaning_gate` on
-    states whose register l holds the l-th smallest set position."""
+    :func:`cleaning_phase_gate`, equal as an operator to
+    :func:`cleaning_gate`, its Hadamard dual."""
     index_qubits = tuple(q for reg in indexes for q in reg)
     hadamards = pr.QuantumLayer(
         tuple(GateApp(H_GATE, (q,)) for q in index_qubits)
@@ -435,8 +435,8 @@ def dicke_small_k(
             )
         )
 
-    # Cleaning: gadget form at small n, equivalent semantic map above
-    # (the two are equality-tested against each other at n = 4)
+    # Cleaning: gadget form at small n, its Hadamard dual (the same
+    # operator) above
     if n <= 4:
         for layer in cleaning_gadget_layers(indexes, system, n):
             builder.layers.append(layer)

@@ -195,23 +195,32 @@ def filling_good_probability(n: int, k: int) -> float:
                if o.bit_count() == k)
 
 
+SMALL_K_CASES = ((4, 1), (4, 2), (6, 2), (8, 2), (16, 2), (24, 3))
+
+
 def check_dicke_small_k(
-    cases: Tuple[Tuple[int, int], ...] = ((4, 1), (4, 2), (6, 2), (8, 2)),
+    cases: Tuple[Tuple[int, int], ...] = SMALL_K_CASES,
 ) -> str:
+    """Every branch of each folded program (:func:`program.fold_hadamard`)
+    reaches the target; the filling step's good probability is checked
+    on the program as built, where its n^k x 2^n peak fits the cap."""
     details = []
     for n, k in cases:
         prog, target = pt.dicke_small_k(n, k)
-        branches = pr.enumerate_branches(prog)
+        branches = pr.enumerate_branches(pr.fold_hadamard(prog))
         _check_out(prog, target, branches)
-        expected = math.perm(n, k) / n**k
-        measured = filling_good_probability(n, k)
-        assert _close(measured, expected), (n, k, measured, expected)
-        assert measured > math.exp(-2 * k * k / n) - TOL, (n, k, measured)
         if (n, k) == (4, 2):
             outcomes = {
                 tuple(ev.outcome for ev in b.record) for b in branches
             }
             assert len(outcomes) == math.factorial(k), outcomes
+        if n**k << n > ss.MAX_SUPPORT:
+            details.append(f"({n},{k}):p past the cap")
+            continue
+        expected = math.perm(n, k) / n**k
+        measured = filling_good_probability(n, k)
+        assert _close(measured, expected), (n, k, measured, expected)
+        assert measured > math.exp(-2 * k * k / n) - TOL, (n, k, measured)
         details.append(f"({n},{k}):p={measured:.6f}")
     return "fidelity 1 on all branches; " + " ".join(details)
 
@@ -454,11 +463,7 @@ def run_all(max_n: int | None = None) -> List[dict]:
         ),
         "w-state": lambda: check_w(max(2, min(8, max_n))),
         "dicke-small-k": lambda: check_dicke_small_k(
-            tuple(
-                (n, k)
-                for n, k in ((4, 1), (4, 2), (6, 2), (8, 2))
-                if n <= max(4, max_n)
-            )
+            tuple((n, k) for n, k in SMALL_K_CASES if n <= max(4, max_n))
         ),
         "dicke-factoradic": lambda: check_dicke_factoradic(
             max(1, min(6, max_n))

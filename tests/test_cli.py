@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,19 @@ def test_prep_dicke_factoradic(capsys):
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n,k", [(128, 2), (24, 3), (16, 4)])
+def test_prep_dicke_small_k_past_the_unfolded_cap(capsys, n, k):
+    """Sizes whose Hadamard walls, unfolded, pass the support cap."""
+    start = time.monotonic()
+    code, doc, _ = report(
+        capsys, ["prep", "dicke", "--n", str(n), "--k", str(k)])
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert doc["fidelity"] >= 1 - 1e-9
+    assert doc["registers_clean"] is True
+    assert doc["branches_checked"] == math.factorial(k)
+
+
 def test_prep_dicke_policy_violation_exit_3(capsys):
     code, out, err = run(
         capsys,
@@ -137,7 +151,9 @@ def test_seed_determinism_modulo_wall_time(capsys):
 
 # sha256 of each ``prep`` report as printed (sorted keys, indent 2) with
 # ``wall_time_ms`` dropped, taken before signed permutations had their
-# own gate kernel
+# own gate kernel; the small-k entry was retaken when ``prep`` began to
+# check the Hadamard-folded program (``support_max`` 2304 -> 50, and the
+# last digits of ``fidelity``)
 PREP_SHA256 = {
     "ghz --n 8 --branches sample:4 --seed 5":
         "a1578cb67a40f5f940f626418fb2c3789093360b255c776845efd39741c5b1b8",
@@ -146,7 +162,7 @@ PREP_SHA256 = {
     "uniform --q 300":
         "f6ea1a870310856fb9834c94e2967d00bce91da3baaf67b3d629c3f42b9eb7e1",
     "dicke --n 6 --k 2":
-        "4a85af7514164534d346ffbeed1138d736bd23c7ba368c119dd31f04d17213c4",
+        "7f256c1263d8067ed48e0a8ad9e94af0adc550141d0f30da7e2a8a7fec968fa6",
     "dicke --n 6 --k 3 --method factoradic":
         "68e267117bf7b83d603a39eec2d4a87219123f251aad5d821b31e3ed12545a4d",
 }
@@ -911,12 +927,14 @@ def test_prep_runs_each_checked_branch_once(capsys, monkeypatch,
         (["uniform", "--q", "300"],
          lambda: pt.uniform_superposition(300)[0]),
         (["dicke", "--n", "4", "--k", "2"],
-         lambda: pt.dicke_small_k(4, 2)[0]),
+         lambda: pr.fold_hadamard(pt.dicke_small_k(4, 2)[0])),
         (["dicke", "--n", "6", "--k", "3", "--method", "factoradic"],
          lambda: pt.dicke_factoradic(6, 3)[0]),
     ],
 )
 def test_prep_support_max_is_the_one_shot_peak(capsys, argv, build):
+    """``support_max`` is the peak of the program ``prep`` checks: the
+    Hadamard-folded one for small-k Dicke."""
     _, doc, _ = report(capsys, ["prep", *argv, "--seed", "3"])
     assert doc["support_max"] == pt.max_support(build(), pr.SeededPolicy(3))
 
