@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -971,3 +972,88 @@ def test_transform_takes_every_protocol_json(capsys, tmp_path, kind, name):
     doc = json.loads(out)
     again = pr.program_to_json(pr.program_from_json(doc))
     assert {key: doc[key] for key in again} == again  # it loads back
+
+
+def seeded_circuit(seed, shape, n, depth):
+    """A random H/S/CNOT circuit on ``n`` wires, two gates per step of
+    the ladder or brickwork order."""
+    rng = random.Random(seed)
+    if shape == "ladder":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    else:
+        pairs = [(i, i + 1) for t in range(depth)
+                 for i in range(t % 2, n - 1, 2)]
+    gates = []
+    for lo, hi in pairs:
+        for _ in range(2):
+            kind = rng.randrange(4)
+            if kind < 2:
+                gates.append(CliffordGate("HS"[kind], (rng.choice((lo, hi)),)))
+            else:
+                pair = (hi, lo) if kind == 2 else (lo, hi)
+                gates.append(CliffordGate("CNOT", pair))
+    return CliffordCircuit(shape, n, depth, tuple(gates))
+
+
+CLI_INPUTS = {
+    "ladder24": lambda: seeded_circuit(7, "ladder", 24, 1).to_json(),
+    "grid12": lambda: seeded_circuit(8, "grid", 12, 3).to_json(),
+    **{name: (lambda build=build: pr.program_to_json(build()))
+       for name, build in PROTOCOL_PROGRAMS.items()},
+    "ghz8": lambda: pr.program_to_json(cl.ghz(8)),
+}
+
+
+# sha256 of the program each command prints on stdout, as
+# ``json.dumps(doc, sort_keys=True, indent=2)`` printed it; ``w`` and
+# ``uniform`` measure nothing, so their transcripts are empty
+CLI_PROGRAM_SHA256 = {
+    "flatten ladder ladder24":
+        "f8047632ab205d71a8ec2c037dc64c715c2020407a71c276c1295024b76fbc53",
+    "flatten grid grid12":
+        "82108744db36ff4d4ffbd9c4af23f5d6e8a69bda0027c972596cfe4cea4060a5",
+    "transform defer ghz3":
+        "ad9024d66aa47f78176aa183daab2e3bb044b6fbcc54816ddaf5182ee12c14cb",
+    "transform postselect ghz3":
+        "2f4631dfdb712e2fe8cf7831dcddb655090388b5ae2be795b182c289d0c4794a",
+    "transform defer w4":
+        "1d2dfbb12dd7ab8f1a2419571f0951b87daf081e3a2cb603e75140b459da56de",
+    "transform postselect w4":
+        "f41078d8656b5bbb0112ce03b6a16630461b2c6f275917f5cf82d3bc550bddae",
+    "transform defer w5":
+        "90807b97a82236ca4c845bfeab2d39f68510b76042dfb7b1c656de7cc2d0ccb3",
+    "transform postselect w5":
+        "b6d9863380abc02bd818ffee78d093a5cd3f08e59485510753feedd6ac4c24af",
+    "transform defer uniform5":
+        "e3cc1170f29d640d1664e5285fbad2725603a3e8eb0c4c4bffd58ad9d8a99dcc",
+    "transform postselect uniform5":
+        "f312632d369dc9db54dbdab3c5a3e0c0687707a05689b00dc6ef4c61033f9f5e",
+    "transform defer small_k4,1":
+        "02246212386193baeb528f6d02db81805c4e9d484f52e32ce73dfabebba22c34",
+    "transform postselect small_k4,1":
+        "26f127091f4e7d2c72640d1cf185df9bf45ea4a39de4fe8604c6b08a37ef45b2",
+    "transform postselect small_k4,2":
+        "8f2fa46822d904c056212aa0cfc7c2f8f6b0b560abb1df0d7cff98173043fb52",
+    "transform defer factoradic4,2":
+        "4859f2859ed54b2972615d2795fe4985434d2625287d7955e2d4ac0c9b8222fd",
+    "transform postselect factoradic4,2":
+        "f829fa4f154ab88959ee31005e28551826ae0e038a768486a4a4c52caa0a12b7",
+    "transform defer ghz8":
+        "d762633c58ddd072c4bf28491a4191df877d022dfef05e36e6a9508d0a937b5b",
+    "transform postselect ghz8":
+        "477d0b394510df367bbc6173dd6d932577bff12855b3c92ad2814e689222cce0",
+}
+
+
+@pytest.mark.parametrize("case", CLI_PROGRAM_SHA256)
+def test_printed_program_bytes_are_pinned(capsys, tmp_path, case):
+    command, kind, name = case.split()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(CLI_INPUTS[name]()))
+    code, out, _ = run(
+        capsys, [command, kind, "--input", str(path), "--seed", "3"]
+        if command == "transform" else [command, kind, "--input", str(path)])
+    assert code == 0
+    if kind == "postselect" and name[0] in "wu":
+        assert '\n  "transcript": []\n}\n' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_PROGRAM_SHA256[case]
