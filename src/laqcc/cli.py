@@ -39,6 +39,22 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _member(key: str, value) -> str:
+    """``,`` and the member ``key`` of a top-level object, as ``_emit``
+    writes it."""
+    return "," + json.dumps({key: value}, sort_keys=True, indent=2)[1:-2]
+
+
+def _read_input(path: str) -> str:
+    """The text of ``--input``; a path that cannot be read (missing, a
+    directory, unreadable) is infeasible input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise Infeasible(str(exc)) from exc
+
+
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -175,9 +191,8 @@ def cmd_prep(args) -> int:
 
 def cmd_flatten(args) -> int:
     try:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-        circuit = cl.CliffordCircuit.from_json(doc)
+        circuit = cl.CliffordCircuit.from_json(
+            json.loads(_read_input(args.input)))
         if circuit.shape != args.shape:
             raise Infeasible(
                 f"input circuit has shape {circuit.shape!r}, "
@@ -188,8 +203,9 @@ def cmd_flatten(args) -> int:
             if args.shape == "ladder"
             else cl.flatten_grid(circuit)
         )
-        # a mask past Python's int-to-str digit limit raises here
-        _emit(pr.program_to_json(program))
+        # a mask past Python's int-to-str digit limit raises here, before
+        # anything is printed
+        print(pr.dumps(program))
     except ValueError as exc:
         raise Infeasible(str(exc)) from exc
     profile = pr.resources(program)
@@ -206,22 +222,24 @@ def cmd_flatten(args) -> int:
 def cmd_transform(args) -> int:
     seed = _seed(args)
     try:
-        with open(args.input) as fh:
-            program = pr.program_from_json(json.load(fh))
+        program = pr.loads(_read_input(args.input))
         if args.kind == "defer":
-            out = pr.defer_measurements(program)
-            _emit(pr.program_to_json(out))
+            print(pr.dumps(pr.defer_measurements(program)))
             _note("measurements deferred to one terminal layer")
         else:
             _, record = pr.execute(program, pr.SeededPolicy(seed))
             out, flag = pr.to_postselected(program, record)
-            doc = pr.program_to_json(out)
-            doc["postselect_flag"] = flag
-            doc["transcript"] = [
-                {"label": ev.label, "outcome": ev.outcome}
-                for ev in record
-            ]
-            _emit(doc)
+            transcript = [{"label": ev.label, "outcome": ev.outcome}
+                          for ev in record]
+            # ``dumps`` writes "layers", "qubits" and "registers" in that
+            # order, each at an indent of two; every line inside "layers"
+            # is indented further and a JSON string holds no newline, so
+            # the one top-level "qubits" line splits the text, and the
+            # flag and the transcript go in at their sorted places
+            layers, qubits, rest = pr.dumps(out).partition(
+                ',\n  "qubits": ')
+            print(layers + _member("postselect_flag", flag) + qubits
+                  + rest[:-2] + _member("transcript", transcript) + "\n}")
             _note(
                 f"postselected against seed-{seed} transcript; "
                 f"flag qubit {flag}"
@@ -378,9 +396,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     except Infeasible as exc:
-        _note(f"error: {exc}")
-        return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
         _note(f"error: {exc}")
         return EXIT_INFEASIBLE
 

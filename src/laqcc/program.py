@@ -1396,43 +1396,47 @@ _ENTRY = "\n" + " " * 8
 _KEY = _ENTRY + "  "
 _ITEM = _KEY + "  "
 _NEXT_ITEM = "," + _ITEM
+_OPEN = _ENTRY + "{"
+_CONDITION = _OPEN + _KEY + '"condition": [' + _ITEM
+_AFTER_CONDITION = _KEY + "],"
 _END = _KEY + "]" + _ENTRY + "}"  # closes an entry's last array, then it
 _INTS = frozenset([int])
 _STRS = frozenset([str])
 
 
 def dumps(program: LaqccProgram) -> str:
-    """``json.dumps(program_to_json(program), indent=2)``, byte for byte,
-    raising the same error where that raises one.
+    """``json.dumps(program_to_json(program), sort_keys=True, indent=2)``,
+    byte for byte, raising the same error where that raises one.
 
     With ``indent`` set, CPython's ``json`` runs its pure-Python encoder.
-    This writer walks the program rather than its document: the head of
-    a gate entry, up to its first qubit, is written once per distinct
-    gate, and each application then costs one join of its qubits (and
-    one of its condition); the program holds only ``int`` qubits and
-    conditions of two strings.  An application on no qubits, and every
-    part of the document outside the gate entries, go through
+    This writer walks the program rather than its document, writing each
+    object's members in sorted order: the entry of a gate, from its
+    ``"gate"`` member up to its first qubit, is written once per distinct
+    gate, and each application then costs one join of its qubits (after
+    its condition, if it has one); the program holds only ``int`` qubits
+    and conditions of two strings.  An application on no qubits, and
+    every part of the document outside the gate entries, go through
     ``_write_json``."""
     parts: List[str] = []
     out = parts.append
     try:
-        out('{\n  "qubits": ')
-        _write_json(program.num_qubits, "\n  ", out)
-        out(',\n  "registers": ')
-        _write_json(_registers_json(program), "\n  ", out)
-        out(',\n  "layers": ')
+        out('{\n  "layers": ')
         heads: Dict[int, str] = {}
         sep = "[\n    "
         for layer in program.layers:
             out(sep)
             sep = ",\n    "
             if isinstance(layer, QuantumLayer) and layer.apps:
-                out('{\n      "kind": "quantum",\n      "gates": [')
+                out('{\n      "gates": [')
                 _write_apps(layer.apps, heads, out)
-                out("\n      ]\n    }")
+                out('\n      ],\n      "kind": "quantum"\n    }')
             else:
                 _write_json(_layer_json(layer), "\n    ", out)
-        out("\n  ]\n}" if program.layers else "[]\n}")
+        out('\n  ],\n  "qubits": ' if program.layers else '[],\n  "qubits": ')
+        _write_json(program.num_qubits, "\n  ", out)
+        out(',\n  "registers": ')
+        _write_json(_registers_json(program), "\n  ", out)
+        out("\n}")
     except (TypeError, ValueError):
         # ``program_to_json`` raises a missing spec's ValueError before
         # ``json`` sees any value, so that error comes first here too
@@ -1443,36 +1447,41 @@ def dumps(program: LaqccProgram) -> str:
 
 def _write_apps(apps: Sequence[GateApp], heads: Dict[int, str],
                 out: Callable[[str], None]) -> None:
-    """Append the entries of ``apps`` to ``out``; ``heads`` maps the id
-    of each gate met so far (the program keeps it alive) to its entry
-    head."""
-    sep = _ENTRY
+    """Append the entries of ``apps``, joined by commas, to ``out``;
+    ``heads`` maps the id of each gate met so far (the program keeps it
+    alive) to the part of its entry from the ``"gate"`` member to the
+    first qubit."""
+    entries: List[str] = []
+    add = entries.append
     for app in apps:
         gate, qubits, condition = app
         head = heads.get(id(gate))
         if head is None:
-            spec = ["{" + _KEY + '"gate": ']
+            spec = [_KEY + '"gate": ']
             _write_json(_gate_spec(gate), _KEY, spec.append)
             spec.append("," + _KEY + '"qubits": [' + _ITEM)
             head = heads[id(gate)] = "".join(spec)
-        if qubits:
-            text = head + _NEXT_ITEM.join(map(str, qubits))
-            if condition:
-                text += (_KEY + "]," + _KEY + '"condition": [' + _ITEM
-                         + _quote(condition[0]) + _NEXT_ITEM
-                         + _quote(condition[1]))
-            out(sep + text + _END)
-        else:  # ``"qubits": []`` has no item to start a line
-            out(sep)
-            _write_json(_app_json(app), _ENTRY, out)
-        sep = "," + _ENTRY
+        if not qubits:  # ``"qubits": []`` has no item to start a line
+            entry = [_ENTRY]
+            _write_json(_app_json(app), _ENTRY, entry.append)
+            add("".join(entry))
+        elif condition:
+            add(_CONDITION + _quote(condition[0]) + _NEXT_ITEM
+                + _quote(condition[1]) + _AFTER_CONDITION + head
+                + _NEXT_ITEM.join(map(str, qubits)) + _END)
+        else:
+            add(_OPEN + head + _NEXT_ITEM.join(map(str, qubits)) + _END)
+    out(",".join(entries))
 
 
 def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
-    """Append the ``indent=2`` JSON of ``value`` to ``out``; ``newline``
-    is a newline followed by the indent of ``value``'s own line.  A
-    non-empty array of exact ints, or object from exact strings to exact
-    ints, is written with one join."""
+    """Append the ``sort_keys=True, indent=2`` JSON of ``value`` to
+    ``out``; ``newline`` is a newline followed by the indent of
+    ``value``'s own line.  An object's members go in the order of
+    ``sorted(value.items())``, as ``json`` sorts them, so keys that do
+    not compare raise its ``TypeError``.  A non-empty array of exact
+    ints is written with one join, and an object from exact strings to
+    exact strings or ints with one join of its members."""
     kind = type(value)
     if kind is str:
         out(_quote(value))
@@ -1483,14 +1492,19 @@ def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
             out("{}")
             return
         inner = newline + "  "
-        if (_INTS.issuperset(map(type, value.values()))
+        if (_SIMPLE.issuperset(map(type, value.values()))
                 and _STRS.issuperset(map(type, value))):
-            out("{" + inner + ("," + inner).join(
-                [_quote(key) + ": " + str(item)
-                 for key, item in value.items()]) + newline + "}")
+            # the keys are distinct exact strings, so sorting them sorts
+            # the items
+            members = []
+            for key in sorted(value):
+                item = value[key]
+                members.append(_quote(key) + ": " + (
+                    _quote(item) if type(item) is str else str(item)))
+            out("{" + inner + ("," + inner).join(members) + newline + "}")
             return
         sep = "{" + inner
-        for key, item in value.items():
+        for key, item in sorted(value.items()):
             out(sep + (_quote(key) if type(key) is str else _json_key(key))
                 + ": ")
             _write_json(item, inner, out)

@@ -890,6 +890,38 @@ def test_a_mask_past_the_int_digit_limit_exit_3(tmp_path, argv, doc):
     assert "(640 digits)" in done.stderr
 
 
+def test_flatten_a_mask_past_the_int_digit_limit_prints_nothing(
+        capsys, tmp_path):
+    """An empty 1,200-wire ladder flattens to masks of 2,400 bits (723
+    digits): past a 640-digit limit, ``dumps`` raises before anything is
+    printed, and the command exits 3 with one line."""
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(CliffordCircuit("ladder", 1200, 1, ()).to_json()))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(
+            capsys, ["flatten", "ladder", "--input", str(path)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert_one_line_exit_3(code, out, err)
+    assert "(640 digits)" in err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("", "Is a directory"), ("missing.json", "No such file or directory")])
+@pytest.mark.parametrize(
+    "argv", [["flatten", "ladder"], ["transform", "defer"]])
+def test_an_input_that_cannot_be_read_exit_3(
+        capsys, tmp_path, argv, name, message):
+    """A directory or a missing file as ``--input`` is refused with exit
+    3 and one line, not a traceback (exit 1 means a failed check)."""
+    path = tmp_path / name
+    code, out, err = run(capsys, [*argv, "--input", str(path)])
+    assert_one_line_exit_3(code, out, err)
+    assert message in err
+
+
 def count_walks(monkeypatch):
     calls = []
     walk = pr._walk

@@ -152,6 +152,16 @@ def test_per_application_records_are_named_tuples():
     assert pr.Branch._field_defaults == {}
 
 
+def test_the_cli_writes_and_reads_programs_through_dumps_and_loads():
+    """``program.dumps`` and ``program.loads`` are the one program writer
+    and reader: a CLI that names ``program_to_json`` (or
+    ``program_from_json``) has grown a second one."""
+    source = (PACKAGE / "cli.py").read_text()
+    assert "program_to_json" not in source
+    assert "program_from_json" not in source
+    assert "pr.dumps(" in source and "pr.loads(" in source
+
+
 def test_cli_import_pulls_in_numpy_only():
     """numpy is the one third-party runtime dependency, so a fresh
     interpreter that imports the CLI has not loaded scipy."""

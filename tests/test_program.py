@@ -506,7 +506,7 @@ def test_loaded_json_keeps_its_emitted_bytes():
     # matrix entries are read off the gate, so they re-dump as floats
     emitted = program([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     text = pr.dumps(pr.program_from_json(hand))
-    assert text == json.dumps(emitted, indent=2)
+    assert text == json.dumps(emitted, sort_keys=True, indent=2)
     assert pr.dumps(pr.loads(text)) == text
 
 
@@ -680,7 +680,8 @@ def test_dumps_writes_the_indent_2_bytes_of_every_program():
     assert {"ghz8-defer", "ghz64-defer", "w16-defer", "uniform300-defer",
             "small_k4,1-defer", "factoradic7,3-defer"} <= deferred
     for name, program in programs.items():
-        want = json.dumps(pr.program_to_json(program), indent=2)
+        want = json.dumps(
+            pr.program_to_json(program), sort_keys=True, indent=2)
         assert pr.dumps(program) == want, name
 
 
@@ -747,14 +748,16 @@ def random_program(rng):
 
 def test_dumps_writes_random_programs_as_json_does():
     """``dumps`` gives the bytes of ``json.dumps(program_to_json(p),
-    indent=2)``, or raises the same error, on seeded random programs."""
+    sort_keys=True, indent=2)``, or raises the same error, on seeded
+    random programs."""
     rng = np.random.default_rng(27)
     seen = dict.fromkeys(["ValueError", "no registers",
                           "empty layer", "conditioned", "shared"], 0)
     for _ in range(600):
         program = random_program(rng)
         try:
-            want = json.dumps(pr.program_to_json(program), indent=2)
+            want = json.dumps(
+                pr.program_to_json(program), sort_keys=True, indent=2)
         except (TypeError, ValueError) as exc:
             with pytest.raises(type(exc)) as got:
                 pr.dumps(program)
@@ -779,6 +782,19 @@ def write(doc):
     return "".join(parts)
 
 
+def written_or_error(writer, doc):
+    """``writer(doc)``, or the ``TypeError`` it raises as text: ``json``
+    with ``sort_keys`` refuses an object whose keys do not compare."""
+    try:
+        return writer(doc)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def sorted_json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
 class Count(int):
     pass
 
@@ -801,12 +817,15 @@ HAND_DOCUMENTS = [
     np.float64(-0.0), 3, "top", None, 1.25, Count(-4),
     {"ints": [3, -(2**70), 0], "masks": {"b0": 1, "b1": 2**70, "": -2},
      "near": {"a": 1, "b": True}, "nearer": {"a": 1, 2: 2}},
+    {2.5: "float key", False: "bool key", 1: "int key",
+     Count(3): "int subclass key", float("nan"): "nan key"},
+    {None: "none key"},
 ]
 
 
 @pytest.mark.parametrize("doc", HAND_DOCUMENTS)
 def test_dumps_writes_hand_built_documents_as_json_does(doc):
-    assert write(doc) == json.dumps(doc, indent=2)
+    assert written_or_error(write, doc) == written_or_error(sorted_json, doc)
 
 
 def random_leaf(rng):
@@ -849,9 +868,14 @@ def random_document(rng, depth, made):
 
 def test_dumps_writes_random_documents_as_json_does():
     rng = np.random.default_rng(2026)
+    refused = 0
     for _ in range(500):
         doc = random_document(rng, 4, [])
-        assert write(doc) == json.dumps(doc, indent=2)
+        want = written_or_error(sorted_json, doc)
+        assert written_or_error(write, doc) == want
+        refused += want.startswith("TypeError: ")
+    # most documents are written, and some have keys that do not compare
+    assert 25 <= refused <= 250, refused
 
 
 @pytest.mark.parametrize(
@@ -861,7 +885,7 @@ def test_dumps_writes_random_documents_as_json_does():
 )
 def test_dumps_rejects_what_json_rejects(doc):
     with pytest.raises(TypeError) as want:
-        json.dumps(doc, indent=2)
+        sorted_json(doc)
     with pytest.raises(TypeError) as got:
         write(doc)
     assert str(got.value) == str(want.value)
@@ -888,7 +912,7 @@ def test_dumps_hands_the_generic_writer_no_gate_application(
 
     monkeypatch.setattr(pr, "_write_json", counted)
     text = pr.dumps(program)
-    assert text == json.dumps(pr.program_to_json(program), indent=2)
+    assert text == sorted_json(pr.program_to_json(program))
     apps = [app for layer in program.layers
             if isinstance(layer, pr.QuantumLayer) for app in layer.apps]
     specs = len({id(app.gate.spec) for app in apps})
@@ -956,7 +980,8 @@ def test_specs_alike_but_for_type_sign_or_order_load_apart():
     written = [layer["gates"][0]["gate"] for layer in json.loads(text)[
         "layers"]]
     # a factory that is not shared stamps the spec it was called with
-    assert json.dumps(written[:10]) == json.dumps(ALIKE_SPECS[:10])
+    assert (json.dumps(written[:10], sort_keys=True)
+            == json.dumps(ALIKE_SPECS[:10], sort_keys=True))
     gates = [layer.apps[0].gate for layer in loaded.layers]
     assert gates[3] is gates[6] and gates[7] is gates[9]
     assert len({id(gate) for gate in gates[:7]}) == 6
@@ -971,9 +996,11 @@ def loaded_or_error(text):
 
 
 # sha256 of the re-dumps of the random programs' JSON, taken with every
-# spec resolved entry by entry (``_spec_key`` returning ``None``)
+# spec resolved entry by entry (``_spec_key`` returning ``None``); retaken
+# when ``dumps`` began to write sorted keys, as the sha256 of those
+# programs' ``json.dumps(program_to_json(p), sort_keys=True, indent=2)``
 RANDOM_RELOAD_SHA256 = (
-    "2aab2559834acb2297527828a45d3a0e10baf61a897391d769f990c0505f2ba8")
+    "8d15e5f460f253693cb85580c5f3dc3f02a3999aabff4a7d64d5e493d60690f5")
 
 
 def test_random_programs_load_as_entry_by_entry_resolution_does(
@@ -986,8 +1013,7 @@ def test_random_programs_load_as_entry_by_entry_resolution_does(
     texts = []
     for _ in range(600):
         try:
-            texts.append(json.dumps(
-                pr.program_to_json(random_program(rng)), indent=2))
+            texts.append(sorted_json(pr.program_to_json(random_program(rng))))
         except (TypeError, ValueError):
             continue
     got = [loaded_or_error(text) for text in texts]
@@ -1000,15 +1026,17 @@ def test_random_programs_load_as_entry_by_entry_resolution_does(
     assert [loaded_or_error(text) for text in texts] == got
 
 
-# sha256 of ``dumps``, taken before ``dumps`` had its own writer
+# sha256 of ``json.dumps(program_to_json(p), sort_keys=True, indent=2)``,
+# which ``laqcc flatten`` and ``laqcc transform`` printed before they
+# printed through ``dumps``
 GOLDEN_SHA256 = {
-    "ghz8": "2bd601be9db8115f9872064582dbfd5f76db5e71f8dae16b4fce0dc6358e92b6",
+    "ghz8": "0a41c464992f53ceeacc471af827debc1e8eeea7bc0a0a9d69ef6bf445d811f8",
     "uniform300":
-        "cfe7e78cab5dec8be658c07833d88374544da265b97120962f05beee6039337e",
+        "1f240574d5c1515f6a30bdb6c58ae7cb7c33fc236989022453034bc4513c4e5c",
     "ladder64":
-        "e52d748702c4f763368e1f3a778d006626cb8552977743777aa0c19bdb7411fb",
+        "fe141437ac2ca46f4c009e6a3731c0214acf6c800cfd89ab9af1f02e20cb745d",
     "grid48":
-        "2f9fe169eb8dd92a86a244e9e8045784b56bcc47d821368b906c956e1bd0d3e6",
+        "55e81ebbab8d3afe9d56bd6457b7eef8c62767aba1b5367a819a4faef4ee4f83",
 }
 
 
