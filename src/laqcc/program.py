@@ -65,6 +65,15 @@ class Gate:
     def inverse(self) -> "Gate":
         raise NotImplementedError(f"{self.name} has no inverse form")
 
+    @functools.cached_property
+    def _entry_head(self) -> str:
+        """The text of this gate's entries in :func:`dumps` from the
+        ``"gate"`` member up to the first qubit, written once: a gate's
+        spec is fixed when the gate is made."""
+        spec = json.dumps(_gate_spec(self), sort_keys=True, indent=2)
+        return (_KEY + '"gate": ' + spec.replace("\n", _KEY) + ","
+                + _KEY + '"qubits": [' + _ITEM)
+
 
 def _check_unitary(matrix: np.ndarray) -> None:
     d = len(matrix)
@@ -311,7 +320,8 @@ class Register:
     role: str  # index | system | ancilla | flag
 
     def __post_init__(self):
-        if self.role not in {"index", "system", "ancilla", "flag"}:
+        # a tuple, so a role that does not hash is refused as unknown too
+        if self.role not in ("index", "system", "ancilla", "flag"):
             raise ValueError(f"unknown register role {self.role!r}")
 
 
@@ -682,6 +692,8 @@ def sample_branches(
 ) -> List[Branch]:
     """One seeded shot per sample, seeds ``seed``, ``seed + 1``, ...,
     all in one walk (see :func:`_shots`)."""
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be >= 0, got {num_samples!r}")
     policies = [SeededPolicy(seed + s) for s in range(num_samples)]
     return _shots(program, policies) if policies else []
 
@@ -873,6 +885,9 @@ def to_postselected(
     new_layers: List[Layer] = []
     for layer in program.layers:
         if isinstance(layer, MeasureLayer):
+            if layer.label not in by_label:
+                raise ValueError(
+                    f"transcript has no outcome for label {layer.label!r}")
             ev = by_label[layer.label]
             ancilla = next_qubit
             next_qubit += 1
@@ -1107,6 +1122,11 @@ def _gate_spec(gate: Gate) -> dict:
 
 @register_gate("transcript_equal")
 def _transcript_equal_factory(bits: int, expected: int) -> "BasisMapGate":
+    if not (_is_count(bits) and _is_count(expected)) or expected >> bits:
+        raise ValueError(
+            f"transcript_equal needs an integer expected in [0, 2^bits),"
+            f" got {expected!r} for bits {bits!r}")
+
     def eq(v, expected=expected):
         return v ^ ((v >> 1) == expected).astype(v.dtype)
 
@@ -1188,39 +1208,34 @@ def parity(label: str, control_bits: int, mask: int, gate: dict) -> Gate:
 GATE_REGISTRY["matrix"] = _matrix_gate_factory
 
 
-def _app_json(app: GateApp) -> dict:
-    entry = {"gate": _gate_spec(app.gate), "qubits": list(app.qubits)}
-    if app.condition:
-        entry["condition"] = list(app.condition)
-    return entry
-
-
-def _layer_json(layer: Layer) -> dict:
-    if isinstance(layer, QuantumLayer):
-        return {"kind": "quantum",
-                "gates": [_app_json(app) for app in layer.apps]}
-    if isinstance(layer, MeasureLayer):
-        return {"kind": "measure", "qubits": list(layer.qubits),
-                "label": layer.label}
-    return {
-        "kind": "classical", "function_name": "linear",
-        "params": {"name": layer.name, "reads": layer.reads,
-                   "outputs": dict(layer.outputs)},
-    }
-
-
-def _registers_json(program: LaqccProgram) -> dict:
-    return {
-        name: {"qubits": list(reg.qubits), "role": reg.role}
-        for name, reg in program.registers.items()
-    }
-
-
 def program_to_json(program: LaqccProgram) -> dict:
+    layers = []
+    for layer in program.layers:
+        if isinstance(layer, QuantumLayer):
+            gates = []
+            for app in layer.apps:
+                entry = {"gate": _gate_spec(app.gate),
+                         "qubits": list(app.qubits)}
+                if app.condition:
+                    entry["condition"] = list(app.condition)
+                gates.append(entry)
+            layers.append({"kind": "quantum", "gates": gates})
+        elif isinstance(layer, MeasureLayer):
+            layers.append({"kind": "measure", "qubits": list(layer.qubits),
+                           "label": layer.label})
+        else:
+            layers.append({
+                "kind": "classical", "function_name": "linear",
+                "params": {"name": layer.name, "reads": layer.reads,
+                           "outputs": dict(layer.outputs)},
+            })
     return {
         "qubits": program.num_qubits,
-        "registers": _registers_json(program),
-        "layers": [_layer_json(layer) for layer in program.layers],
+        "registers": {
+            name: {"qubits": list(reg.qubits), "role": reg.role}
+            for name, reg in program.registers.items()
+        },
+        "layers": layers,
     }
 
 
@@ -1400,8 +1415,17 @@ _OPEN = _ENTRY + "{"
 _CONDITION = _OPEN + _KEY + '"condition": [' + _ITEM
 _AFTER_CONDITION = _KEY + "],"
 _END = _KEY + "]" + _ENTRY + "}"  # closes an entry's last array, then it
-_INTS = frozenset([int])
-_STRS = frozenset([str])
+
+
+def _joined(items: List[str], newline: str, brackets: str = "[]") -> str:
+    """The written ``items`` as an indent-2 JSON array, or object when
+    ``brackets`` is ``"{}"``; ``newline`` is a newline followed by the
+    indent of the line it opens on."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return (brackets[0] + inner + ("," + inner).join(items) + newline
+            + brackets[1])
 
 
 def dumps(program: LaqccProgram) -> str:
@@ -1409,139 +1433,71 @@ def dumps(program: LaqccProgram) -> str:
     byte for byte, raising the same error where that raises one.
 
     With ``indent`` set, CPython's ``json`` runs its pure-Python encoder.
-    This writer walks the program rather than its document, writing each
-    object's members in sorted order: the entry of a gate, from its
-    ``"gate"`` member up to its first qubit, is written once per distinct
-    gate, and each application then costs one join of its qubits (after
-    its condition, if it has one); the program holds only ``int`` qubits
-    and conditions of two strings.  An application on no qubits, and
-    every part of the document outside the gate entries, go through
-    ``_write_json``."""
-    parts: List[str] = []
+    A program's document has a fixed shape, so this writer fills
+    templates from the program's fields, each object's members in
+    sorted order; the constructors guarantee the fields' types (``int``
+    qubits, counts and masks, ``str`` names, labels and roles, and
+    conditions of two strings).  Only a gate's spec is free-form: a gate
+    writes it with ``json.dumps`` once and keeps the entry's text up to
+    its first qubit (``Gate._entry_head``), and each application then
+    costs one join of its qubits, after its condition if it has one.
+    The text is joined once, at the end."""
+    parts: List[str] = ['{\n  "layers": ']
     out = parts.append
+    sep = "[\n    "
     try:
-        out('{\n  "layers": ')
-        heads: Dict[int, str] = {}
-        sep = "[\n    "
         for layer in program.layers:
             out(sep)
             sep = ",\n    "
-            if isinstance(layer, QuantumLayer) and layer.apps:
-                out('{\n      "gates": [')
-                _write_apps(layer.apps, heads, out)
-                out('\n      ],\n      "kind": "quantum"\n    }')
+            if isinstance(layer, QuantumLayer):
+                entries: List[str] = []
+                add = entries.append
+                for gate, qubits, condition in layer.apps:
+                    head = gate._entry_head
+                    if qubits:
+                        entry = head + _NEXT_ITEM.join(map(str, qubits)) + _END
+                    else:  # ``"qubits": []`` has no item to start a line
+                        entry = head.rstrip() + "]" + _ENTRY + "}"
+                    add(_CONDITION + _quote(condition[0]) + _NEXT_ITEM
+                        + _quote(condition[1]) + _AFTER_CONDITION + entry
+                        if condition else _OPEN + entry)
+                if entries:
+                    out('{\n      "gates": [')
+                    out(",".join(entries))
+                    out('\n      ],\n      "kind": "quantum"\n    }')
+                else:
+                    out('{\n      "gates": [],'
+                        '\n      "kind": "quantum"\n    }')
+            elif isinstance(layer, MeasureLayer):
+                out('{\n      "kind": "measure",\n      "label": '
+                    + _quote(layer.label) + ',\n      "qubits": '
+                    + _joined([*map(str, layer.qubits)], "\n      ")
+                    + "\n    }")
             else:
-                _write_json(_layer_json(layer), "\n    ", out)
-        out('\n  ],\n  "qubits": ' if program.layers else '[],\n  "qubits": ')
-        _write_json(program.num_qubits, "\n  ", out)
-        out(',\n  "registers": ')
-        _write_json(_registers_json(program), "\n  ", out)
-        out("\n}")
+                outputs = layer.outputs
+                out('{\n      "function_name": "linear",\n      "kind":'
+                    ' "classical",\n      "params": {\n        "name": '
+                    + _quote(layer.name) + ',\n        "outputs": '
+                    + _joined([_quote(key) + ": " + int.__repr__(outputs[key])
+                               for key in sorted(outputs)],
+                              "\n        ", "{}")
+                    + ',\n        "reads": ' + _quote(layer.reads)
+                    + "\n      }\n    }")
     except (TypeError, ValueError):
         # ``program_to_json`` raises a missing spec's ValueError before
         # ``json`` sees any value, so that error comes first here too
         program_to_json(program)
         raise
+    registers = program.registers
+    out(('\n  ],\n  "qubits": ' if program.layers else '[],\n  "qubits": ')
+        + str(program.num_qubits) + ',\n  "registers": ' + _joined(
+            [_quote(name) + ': {\n      "qubits": '
+             + _joined([*map(str, registers[name].qubits)], "\n      ")
+             + ',\n      "role": ' + _quote(registers[name].role)
+             + "\n    }" for name in sorted(registers)],
+            "\n  ", "{}")
+        + "\n}")
     return "".join(parts)
-
-
-def _write_apps(apps: Sequence[GateApp], heads: Dict[int, str],
-                out: Callable[[str], None]) -> None:
-    """Append the entries of ``apps``, joined by commas, to ``out``;
-    ``heads`` maps the id of each gate met so far (the program keeps it
-    alive) to the part of its entry from the ``"gate"`` member to the
-    first qubit."""
-    entries: List[str] = []
-    add = entries.append
-    for app in apps:
-        gate, qubits, condition = app
-        head = heads.get(id(gate))
-        if head is None:
-            spec = [_KEY + '"gate": ']
-            _write_json(_gate_spec(gate), _KEY, spec.append)
-            spec.append("," + _KEY + '"qubits": [' + _ITEM)
-            head = heads[id(gate)] = "".join(spec)
-        if not qubits:  # ``"qubits": []`` has no item to start a line
-            entry = [_ENTRY]
-            _write_json(_app_json(app), _ENTRY, entry.append)
-            add("".join(entry))
-        elif condition:
-            add(_CONDITION + _quote(condition[0]) + _NEXT_ITEM
-                + _quote(condition[1]) + _AFTER_CONDITION + head
-                + _NEXT_ITEM.join(map(str, qubits)) + _END)
-        else:
-            add(_OPEN + head + _NEXT_ITEM.join(map(str, qubits)) + _END)
-    out(",".join(entries))
-
-
-def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
-    """Append the ``sort_keys=True, indent=2`` JSON of ``value`` to
-    ``out``; ``newline`` is a newline followed by the indent of
-    ``value``'s own line.  An object's members go in the order of
-    ``sorted(value.items())``, as ``json`` sorts them, so keys that do
-    not compare raise its ``TypeError``.  A non-empty array of exact
-    ints is written with one join, and an object from exact strings to
-    exact strings or ints with one join of its members."""
-    kind = type(value)
-    if kind is str:
-        out(_quote(value))
-    elif kind is int:
-        out(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        if (_SIMPLE.issuperset(map(type, value.values()))
-                and _STRS.issuperset(map(type, value))):
-            # the keys are distinct exact strings, so sorting them sorts
-            # the items
-            members = []
-            for key in sorted(value):
-                item = value[key]
-                members.append(_quote(key) + ": " + (
-                    _quote(item) if type(item) is str else str(item)))
-            out("{" + inner + ("," + inner).join(members) + newline + "}")
-            return
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out(sep + (_quote(key) if type(key) is str else _json_key(key))
-                + ": ")
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        if _INTS.issuperset(map(type, value)):
-            out("[" + inner + ("," + inner).join(map(str, value))
-                + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "]")
-    else:
-        # float, bool, None and str or int subclasses are written as json
-        # writes them; it raises TypeError on anything else
-        out(json.dumps(value))
-
-
-def _json_key(key) -> str:
-    """A dict key that is not exactly a ``str``, converted as
-    ``json.dumps`` converts it."""
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, (int, float)) or key is None:
-        return _quote(json.dumps(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, "
-        f"not {key.__class__.__name__}"
-    )
 
 
 def loads(text: str) -> LaqccProgram:

@@ -717,6 +717,9 @@ def pick(outcomes: np.ndarray, weights: np.ndarray, qubits: Sequence[int],
     a shot follows: ``rng``'s draw by ``weights``, or that of ``forced``."""
     if forced is None:
         return int(rng.choice(len(weights), p=weights / weights.sum()))
+    if not 0 <= forced < 1 << len(qubits):
+        raise ValueError(f"forced outcome {forced} does not fit the"
+                         f" {len(qubits)}-bit word of qubits {list(qubits)}")
     place = np.flatnonzero(outcomes == forced)
     if not len(place):
         raise InfeasibleBranchError(f"outcome {forced:b} on qubits"

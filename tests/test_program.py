@@ -68,6 +68,23 @@ def test_an_outcome_at_or_below_the_prune_threshold_is_never_reached():
         pr.execute(program, pr.ForcedPolicy(()))
 
 
+def test_a_forced_outcome_outside_its_word_is_a_plain_value_error():
+    """An outcome that no ``len(qubits)``-bit word holds is a bad request,
+    not a branch of probability zero; an outcome in range that is
+    infeasible still raises ``InfeasibleBranchError``."""
+    program = cl.ghz(3)  # measures the 2-bit word "parity"
+    for outcome in (4, 7, -1):
+        with pytest.raises(ValueError) as got:
+            pr.execute(program, pr.ForcedPolicy((outcome,)))
+        assert type(got.value) is ValueError
+        assert str(got.value) == (f"forced outcome {outcome} does not fit"
+                                  f" the 2-bit word of qubits [1, 3]")
+    feasible = {b.record[0].outcome for b in pr.enumerate_branches(program)}
+    for outcome in set(range(4)) - feasible:
+        with pytest.raises(ss.InfeasibleBranchError):
+            pr.execute(program, pr.ForcedPolicy((outcome,)))
+
+
 def test_feedforward_forced_zero():
     state, _ = pr.execute(feedforward_program(), pr.ForcedPolicy((0,)))
     assert set(state.amplitudes) == {0b00}
@@ -436,6 +453,40 @@ def test_postselect_trivial_program_flag_always_one():
     assert all((i >> flag) & 1 for i in state.amplitudes)
 
 
+def test_postselecting_needs_an_outcome_in_its_word_for_every_label():
+    """``transcript_equal`` takes an ``expected`` in ``[0, 2^bits)`` only,
+    built or loaded, so no post-selected program has a flag that never
+    fires; a transcript with no event for a measured label is refused by
+    name."""
+    program = cl.ghz(3)  # measures the 2-bit word "parity" on (1, 3)
+    for outcome in (4, 9, -1):
+        event = pr.MeasurementEvent("parity", (1, 3), outcome, 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected in [0, 2^bits), got {outcome} for bits 2")):
+            pr.to_postselected(program, (event,))
+    with pytest.raises(ValueError,
+                       match="^transcript has no outcome for label 'parity'$"):
+        pr.to_postselected(program, ())
+    event = pr.MeasurementEvent("parity", (1, 3), 3, 0.5)
+    text = pr.dumps(pr.to_postselected(program, (event,))[0])
+    assert '"expected": 3' in text
+    with pytest.raises(ValueError, match="got 9 for bits 2"):
+        pr.loads(text.replace('"expected": 3', '"expected": 9'))
+
+
+def test_sample_branches_refuses_a_negative_count():
+    program = feedforward_program()
+    assert pr.sample_branches(program, 0) == []
+    with pytest.raises(ValueError, match="^num_samples must be >= 0, got -1$"):
+        pr.sample_branches(program, -1)
+
+
+@pytest.mark.parametrize("role", [["system"], {"system": 1}, "sys", None])
+def test_a_register_refuses_an_unknown_role_as_a_value_error(role):
+    with pytest.raises(ValueError, match="^unknown register role "):
+        pr.Register((0,), role)
+
+
 def test_sample_branches_deterministic_per_seed():
     program = feedforward_program()
     a = pr.sample_branches(program, 5, seed=11)
@@ -775,11 +826,22 @@ def test_dumps_writes_random_programs_as_json_does():
     assert min(seen.values()) >= 10, seen
 
 
+def doc_program(doc):
+    """A one-gate program whose gate's spec holds ``doc``: the free-form
+    part of a program's JSON."""
+    gate = pr.BasisMapGate("doc", 1, lambda v: v)
+    gate.spec = {"name": "doc", "params": {"value": doc}}
+    return pr.LaqccProgram(1, {}, [pr.QuantumLayer((pr.GateApp(gate, (0,)),))])
+
+
 def write(doc):
-    """``doc`` as the writer behind ``dumps`` writes a document."""
-    parts = []
-    pr._write_json(doc, "\n", parts.append)
-    return "".join(parts)
+    """``doc`` as ``dumps`` writes it in a gate's spec."""
+    return pr.dumps(doc_program(doc))
+
+
+def json_write(doc):
+    """``doc`` as ``json`` writes it in a gate's spec."""
+    return sorted_json(pr.program_to_json(doc_program(doc)))
 
 
 def written_or_error(writer, doc):
@@ -825,7 +887,7 @@ HAND_DOCUMENTS = [
 
 @pytest.mark.parametrize("doc", HAND_DOCUMENTS)
 def test_dumps_writes_hand_built_documents_as_json_does(doc):
-    assert written_or_error(write, doc) == written_or_error(sorted_json, doc)
+    assert written_or_error(write, doc) == written_or_error(json_write, doc)
 
 
 def random_leaf(rng):
@@ -871,7 +933,7 @@ def test_dumps_writes_random_documents_as_json_does():
     refused = 0
     for _ in range(500):
         doc = random_document(rng, 4, [])
-        want = written_or_error(sorted_json, doc)
+        want = written_or_error(json_write, doc)
         assert written_or_error(write, doc) == want
         refused += want.startswith("TypeError: ")
     # most documents are written, and some have keys that do not compare
@@ -885,7 +947,7 @@ def test_dumps_writes_random_documents_as_json_does():
 )
 def test_dumps_rejects_what_json_rejects(doc):
     with pytest.raises(TypeError) as want:
-        sorted_json(doc)
+        json_write(doc)
     with pytest.raises(TypeError) as got:
         write(doc)
     assert str(got.value) == str(want.value)
@@ -893,33 +955,29 @@ def test_dumps_rejects_what_json_rejects(doc):
 
 @pytest.mark.parametrize("build", [
     lambda: cl.ghz(64), lambda: seeded_flattening(64, "ladder", 64, 1, 2)])
-def test_dumps_hands_the_generic_writer_no_gate_application(
-        build, monkeypatch):
-    """``dumps`` calls the generic writer for the qubit count, the
-    registers, each distinct gate spec and each layer that is not a
-    quantum layer, never for one application or qubit: a count that
-    fails on any host if writing goes back to recursing per value."""
+def test_dumps_writes_each_gate_spec_once(build, monkeypatch):
+    """The first ``dumps`` of a program reads each distinct gate's spec at
+    most once, and a second reads none: the gate keeps its spec's text.
+    A count, not a time, so it fails on any host if ``dumps`` goes back
+    to writing each spec on each call."""
     program = build()
-    writer, depth, calls = pr._write_json, [0], [0]
+    gate_spec, calls = pr._gate_spec, []
 
-    def counted(value, newline, out):
-        calls[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            writer(value, newline, out)
-        finally:
-            depth[0] -= 1
+    def counted(gate):
+        calls.append(gate)
+        return gate_spec(gate)
 
-    monkeypatch.setattr(pr, "_write_json", counted)
+    monkeypatch.setattr(pr, "_gate_spec", counted)
     text = pr.dumps(program)
-    assert text == sorted_json(pr.program_to_json(program))
     apps = [app for layer in program.layers
             if isinstance(layer, pr.QuantumLayer) for app in layer.apps]
-    specs = len({id(app.gate.spec) for app in apps})
-    others = sum(not isinstance(layer, pr.QuantumLayer)
-                 for layer in program.layers)
-    assert len(apps) > 100 > specs + others
-    assert calls[0] <= specs + others + 2
+    gates = {id(app.gate) for app in apps}
+    assert len(apps) > 100 > len(gates)
+    assert len(calls) == len({id(gate) for gate in calls}) <= len(gates)
+    del calls[:]
+    assert pr.dumps(program) == text and calls == []
+    monkeypatch.undo()
+    assert text == sorted_json(pr.program_to_json(program))
 
 
 @pytest.mark.parametrize("build", [
