@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import charges
+from . import sparse_state as ss
 from .program import Builder, DiagonalGate, Gate, register_gate
 
 
@@ -64,15 +65,46 @@ def phase_flag(phi: float) -> DiagonalGate:
     return DiagonalGate("phase_flag", 1, lambda v: np.where(v != 0, kick, 1.0))
 
 
+@dataclass
+class PlusPhaseGate(Gate):
+    """I + (kick - 1)|+...+><+...+| on its qubits: ``kick`` on their
+    all-plus state, by :func:`sparse_state.apply_plus_phase`."""
+
+    name: str
+    num_bits: int
+    kick: complex
+    charge: float = 0.0
+
+    def apply(self, state, qubits):
+        return ss.apply_plus_phase(state, self.kick, qubits)
+
+    def inverse(self):
+        return PlusPhaseGate(self.name + "_inv", self.num_bits,
+                             self.kick.conjugate(), charge=self.charge)
+
+
+@register_gate("plus_phase")
+def plus_phase(num_bits: int, theta: float) -> PlusPhaseGate:
+    """e^{i theta} on the all-plus state of ``num_bits`` qubits: the
+    Hadamard dual of :func:`phase_all_zero` on all of them."""
+    return PlusPhaseGate("plus_phase", num_bits, cmath.exp(1j * theta),
+                         charge=charges.charge("equal", num_bits))
+
+
 @register_gate("phase_all_zero")
 def phase_all_zero(num_bits: int, theta: float) -> DiagonalGate:
-    """e^{i theta} on the all-zero pattern of ``num_bits`` qubits."""
+    """e^{i theta} on the all-zero pattern of ``num_bits`` qubits.  With
+    H on all of them around it, it is the reflection
+    I + (e^{i theta} - 1)|+><+|, so :func:`plus_phase` is its Hadamard
+    dual: the amplifier's "un-prep; reflect; prep" folds where its
+    preparation is a wall of Hadamards."""
     kick = cmath.exp(1j * theta)
     return DiagonalGate(
         "phase_all_zero",
         num_bits,
         lambda v: np.where(v == 0, kick, 1.0),
         charge=charges.charge("equal", num_bits),
+        hadamard_dual=(tuple(range(num_bits)), plus_phase(num_bits, theta)),
     )
 
 

@@ -54,10 +54,10 @@ class Gate:
     spec: Optional[dict] = None  # set by the registered factory that made it
     # ``(images, phases)`` of a gate that only moves and rephases indices
     permutation: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    # ``(positions, dual)`` of a gate D for which ``dual`` is the basis map
-    # H^S D H^S, H on the gate's qubits at ``positions`` (see
-    # :class:`DiagonalGate` and :func:`fold_hadamard`)
-    hadamard_dual: Optional[Tuple[Tuple[int, ...], "BasisMapGate"]] = None
+    # ``(positions, dual)`` of a gate D for which ``dual``, a gate on the
+    # same qubits, is H^S D H^S, H on the gate's qubits at ``positions``
+    # (see :class:`DiagonalGate` and :func:`fold_hadamard`)
+    hadamard_dual: Optional[Tuple[Tuple[int, ...], "Gate"]] = None
 
     def apply(self, state: SparseState, qubits: Sequence[int]) -> SparseState:
         raise NotImplementedError
@@ -174,28 +174,29 @@ class DiagonalGate(Gate):
     ``fn`` does, to the array of their phases.
 
     ``hadamard_dual``, when given, is ``(positions, dual)``: distinct
-    positions S among the gate's qubits (0 the first listed) and a basis
-    map on all of them equal to H^S D H^S as an operator, where D is
-    this gate.  The inverse carries the inverse dual, since
-    H^S D^-1 H^S = (H^S D H^S)^-1."""
+    positions S among the gate's qubits (0 the first listed) and a gate
+    on all of them equal to H^S D H^S as an operator, where D is this
+    gate: a basis map, or any other gate with a kernel of its own.  The
+    inverse carries the inverse dual, since H^S D^-1 H^S =
+    (H^S D H^S)^-1."""
 
     name: str
     num_bits: int
     phase_fn: Callable[[np.ndarray], np.ndarray]
     charge: float = 0.0
-    hadamard_dual: Optional[Tuple[Tuple[int, ...], BasisMapGate]] = None
+    hadamard_dual: Optional[Tuple[Tuple[int, ...], Gate]] = None
 
     def __post_init__(self):
         if self.hadamard_dual is None:
             return
         positions, dual = self.hadamard_dual
         positions = tuple(positions)
-        if not (isinstance(dual, BasisMapGate)
+        if not (isinstance(dual, Gate)
                 and dual.num_bits == self.num_bits
                 and len(set(positions)) == len(positions)
                 and set(positions) <= set(range(self.num_bits))):
             raise ValueError(
-                f"{self.name}: a Hadamard dual is a basis map on the gate's"
+                f"{self.name}: a Hadamard dual is a gate on the gate's"
                 f" {self.num_bits} qubits and distinct positions among them")
         self.hadamard_dual = (positions, dual)
 
@@ -889,6 +890,11 @@ def to_postselected(
                 raise ValueError(
                     f"transcript has no outcome for label {layer.label!r}")
             ev = by_label[layer.label]
+            if tuple(ev.qubits) != tuple(layer.qubits):
+                raise ValueError(
+                    f"transcript event {layer.label!r} is on qubits"
+                    f" {list(ev.qubits)}, but its measurement is on"
+                    f" {list(layer.qubits)}")
             ancilla = next_qubit
             next_qubit += 1
             flag_bits.append(ancilla)

@@ -14,7 +14,9 @@ each orders its result by ``(rest, image)`` of its targets, an index's
 bits outside the targets first, then its target pattern.  Those keys
 are distinct, so the order depends on the result alone, and a run of
 dense gates or of signed permutations orders its result as its last
-gate alone would.  The map kernels keep the storage order.
+gate alone would.  :func:`apply_plus_phase`, which keeps each index's
+pattern, orders its result by ``(rest, pattern)`` alike.  The map
+kernels keep the storage order.
 
 Index chores take no sort where a table is small: bits move between
 index and pattern positions by one lookup per chunk of up to 8 source
@@ -433,14 +435,8 @@ def _run_tensor(
     ``ends`` counts gates as :func:`apply_unitaries` does, from ``done``
     gates before the stretch."""
     m, width = len(axes), len(rests)
-    if width << m > MAX_SUPPORT:
-        raise SupportLimitError(
-            f"a {m}-qubit gate would give {width << m} basis states,"
-            f" more than the cap of {MAX_SUPPORT}")
     shape = (width,) + (2,) * m
-    col = _gather(state.idx, axes)
-    tensor = np.zeros((width, 1 << m), complex)
-    tensor[row, col] = state.amp
+    tensor, col = _tensor(state, axes, rests, row)
     tensor = tensor.reshape(shape)
     if state.label_bits:  # the label bits lead each row's rest
         labels, counts = _labels(state, rests), supports(state, 0)
@@ -514,6 +510,52 @@ def _run_tensor(
         by_key = (key | _gather(idx, targets)).argsort()
         idx, amp = idx[by_key], amp[by_key]
     return state._with(idx, amp), peaks
+
+
+def _tensor(state: SparseState, axes: Sequence[int], rests: np.ndarray,
+            row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The (rests x 2^m) tensor of ``state`` over its ``m`` qubits
+    ``axes``, ``row`` placing each entry (see :func:`_group`), and each
+    entry's column, its pattern on ``axes``.  Raises
+    :class:`SupportLimitError`, before it allocates, where the tensor
+    would pass ``MAX_SUPPORT``."""
+    m, width = len(axes), len(rests)
+    if width << m > MAX_SUPPORT:
+        raise SupportLimitError(
+            f"a {m}-qubit gate would give {width << m} basis states,"
+            f" more than the cap of {MAX_SUPPORT}")
+    col = _gather(state.idx, axes)
+    tensor = np.zeros((width, 1 << m), complex)
+    tensor[row, col] = state.amp
+    return tensor, col
+
+
+def apply_plus_phase(
+    state: SparseState, kick: complex, targets: Sequence[int]
+) -> SparseState:
+    """Apply I + (kick - 1)|+><+| on ``targets``, the Hadamard dual of
+    ``kick`` on their all-zero pattern: each part of ``state`` with one
+    rest outside the targets gets (kick - 1) times its mean over the
+    2^m target patterns added on every one of them.  One tensor, as
+    :func:`_run_tensor` holds a dense gate's, with its checks: the cap
+    before it allocates, the 1e-12 prune (to nothing, where a NaN stays)
+    and the 1e-9 norm check, per label in a batch.  The result comes in
+    ``(rest, pattern)`` order, as a matrix gate on ``targets`` orders
+    its own."""
+    _check_targets(state, targets)
+    if not abs(abs(kick) - 1.0) <= 1e-9:
+        raise ValueError("phase factor must have unit modulus")
+    rests, row = _group(state.idx, targets)
+    tensor, _ = _tensor(state, targets, rests, row)
+    tensor += tensor.sum(1, keepdims=True) * ((kick - 1) / tensor.shape[1])
+    keep = ~(np.abs(tensor) < PRUNE_THRESHOLD).ravel()
+    idx = (rests[:, None] | _placements(targets, state.idx.dtype)).ravel()
+    idx, amp = idx[keep], tensor.ravel()[keep]
+    if state.label_bits:
+        _check_branch_norms(state, idx, amp)
+    elif not abs(np.vdot(amp, amp).real - 1.0) <= NORM_TOLERANCE:
+        raise ValueError("state norm drifted beyond tolerance")
+    return state._with(idx, amp)
 
 
 def _to_back(order: List[int], targets: Tuple[int, ...]):
@@ -714,9 +756,12 @@ def apply_predicated(
 def pick(outcomes: np.ndarray, weights: np.ndarray, qubits: Sequence[int],
          rng: np.random.Generator | None, forced: int | None) -> int:
     """The place among the live ``outcomes`` of measuring ``qubits`` that
-    a shot follows: ``rng``'s draw by ``weights``, or that of ``forced``."""
-    if forced is None:
+    a shot follows: ``rng``'s draw by ``weights``, or, with no ``rng``,
+    that of ``forced``."""
+    if rng is not None:
         return int(rng.choice(len(weights), p=weights / weights.sum()))
+    if not isinstance(forced, (int, np.integer)):
+        raise ValueError(f"forced outcome {forced!r} is not an integer")
     if not 0 <= forced < 1 << len(qubits):
         raise ValueError(f"forced outcome {forced} does not fit the"
                          f" {len(qubits)}-bit word of qubits {list(qubits)}")

@@ -154,18 +154,20 @@ def test_seed_determinism_modulo_wall_time(capsys):
 # ``wall_time_ms`` dropped, taken before signed permutations had their
 # own gate kernel; the small-k entry was retaken when ``prep`` began to
 # check the Hadamard-folded program (``support_max`` 2304 -> 50, and the
-# last digits of ``fidelity``)
+# last digits of ``fidelity``); the uniform, small-k and factoradic
+# entries were retaken when the amplifier's reflection folded to
+# ``plus_phase`` (the last digits of ``fidelity`` alone)
 PREP_SHA256 = {
     "ghz --n 8 --branches sample:4 --seed 5":
         "a1578cb67a40f5f940f626418fb2c3789093360b255c776845efd39741c5b1b8",
     "w --n 8":
         "8c4b5d0c4b5f1203d3e84bef205cd9f536fa52bd16f4b3feb1ac8e3d83235701",
     "uniform --q 300":
-        "f6ea1a870310856fb9834c94e2967d00bce91da3baaf67b3d629c3f42b9eb7e1",
+        "766e4d84ee71c5fad9a778c62e0466e15304f980d5a539509dfe3afff24a46ea",
     "dicke --n 6 --k 2":
-        "7f256c1263d8067ed48e0a8ad9e94af0adc550141d0f30da7e2a8a7fec968fa6",
+        "fbba79d193d4ea16d233c40848165f008aa919fd1365d47d905544878040fef9",
     "dicke --n 6 --k 3 --method factoradic":
-        "68e267117bf7b83d603a39eec2d4a87219123f251aad5d821b31e3ed12545a4d",
+        "2140bece32e6aef9e9ae6ac6f1e0f5ba727f07ba7a7f9d9ba457dbd95778b424",
 }
 
 
@@ -960,16 +962,17 @@ def test_prep_runs_each_checked_branch_once(capsys, monkeypatch,
         (["uniform", "--q", "300"],
          lambda: pt.uniform_superposition(300)[0]),
         (["dicke", "--n", "4", "--k", "2"],
-         lambda: pr.fold_hadamard(pt.dicke_small_k(4, 2)[0])),
+         lambda: pt.dicke_small_k(4, 2)[0]),
         (["dicke", "--n", "6", "--k", "3", "--method", "factoradic"],
          lambda: pt.dicke_factoradic(6, 3)[0]),
     ],
 )
 def test_prep_support_max_is_the_one_shot_peak(capsys, argv, build):
-    """``support_max`` is the peak of the program ``prep`` checks: the
-    Hadamard-folded one for small-k Dicke."""
+    """``support_max`` is the peak of the program ``prep`` checks, the
+    Hadamard-folded one."""
     _, doc, _ = report(capsys, ["prep", *argv, "--seed", "3"])
-    assert doc["support_max"] == pt.max_support(build(), pr.SeededPolicy(3))
+    assert doc["support_max"] == pt.max_support(
+        pr.fold_hadamard(build()), pr.SeededPolicy(3))
 
 
 PROTOCOL_PROGRAMS = {

@@ -238,10 +238,12 @@ def test_readme_lists_every_registered_name():
 KERNELS = ("apply_basis_map", "apply_phase_map", "apply_predicated")
 
 
-def kernel_loops(source: str, names=KERNELS + ("apply_unitary",)):
+def kernel_loops(source: str,
+                 names=KERNELS + ("apply_unitary", "apply_plus_phase")):
     """The loops and comprehensions in the top-level functions ``names``
-    of ``source``, by default the map kernels and the dense kernel: a
-    per-pattern Python call, or a per-branch product, would need one."""
+    of ``source``, by default the map kernels, the dense kernel and the
+    reflection kernel: a per-pattern Python call, or a per-branch
+    product, would need one."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     return sorted(

@@ -85,6 +85,22 @@ def test_a_forced_outcome_outside_its_word_is_a_plain_value_error():
             pr.execute(program, pr.ForcedPolicy((outcome,)))
 
 
+def test_a_forced_outcome_that_is_not_an_integer_is_a_plain_value_error():
+    """An outcome that is no integer is refused by value, in range or
+    not, before it is formatted as a word; a numpy integer is an
+    integer."""
+    program = cl.ghz(3)  # measures the 2-bit word "parity"
+    for outcome in (1.5, 1.0, "1", None, 7.5):
+        with pytest.raises(ValueError) as got:
+            pr.execute(program, pr.ForcedPolicy((outcome,)))
+        assert type(got.value) is ValueError
+        assert str(got.value) == (
+            f"forced outcome {outcome!r} is not an integer")
+    outcome = pr.enumerate_branches(program)[0].record[0].outcome
+    assert pr.execute(program, pr.ForcedPolicy((np.int64(outcome),)))[
+        1][0].outcome == outcome
+
+
 def test_feedforward_forced_zero():
     state, _ = pr.execute(feedforward_program(), pr.ForcedPolicy((0,)))
     assert set(state.amplitudes) == {0b00}
@@ -469,6 +485,12 @@ def test_postselecting_needs_an_outcome_in_its_word_for_every_label():
         pr.to_postselected(program, ())
     event = pr.MeasurementEvent("parity", (1, 3), 3, 0.5)
     text = pr.dumps(pr.to_postselected(program, (event,))[0])
+    assert pr.to_postselected(program, (event._replace(qubits=[1, 3]),))
+    for qubits in ((0,), (3, 1), (1, 3, 4), ()):
+        with pytest.raises(ValueError, match=re.escape(
+                f"transcript event 'parity' is on qubits {list(qubits)},"
+                f" but its measurement is on [1, 3]")):
+            pr.to_postselected(program, (event._replace(qubits=qubits),))
     assert '"expected": 3' in text
     with pytest.raises(ValueError, match="got 9 for bits 2"):
         pr.loads(text.replace('"expected": 3', '"expected": 9'))
